@@ -20,6 +20,7 @@ from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .refine import RefineConfig, run_refine
 from .runtrace import RunTrace
+from .seeds import flatten_seed
 from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, \
     projected_power, shifted_matrix
 
@@ -83,7 +84,7 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     else:
         w0 = np.asarray(w0_override, dtype=float)
 
-    seed = _as_int(seed)
+    seed = flatten_seed(seed)
     if name == "ppower":
         states = projected_power(spec, prior, w0, t1 + t2, proj_cfg,
                                  seed=[seed, 1], truth=truth)
@@ -131,9 +132,3 @@ def run_baseline(name: str, data: MeasurementSet, prior: GenerativePrior, *,
         raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
     return run_algorithm(name, data, prior, t1=t1, t2=t2, proj_cfg=proj_cfg,
                          refine_cfg=refine_cfg, tau=tau, seed=seed, **kw)
-
-
-def _as_int(seed):
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return int(np.random.SeedSequence(list(seed)).generate_state(1)[0])

@@ -23,6 +23,7 @@ from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, project, relu_mlp_prior
 from .refine import RefineConfig
+from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
 from .svg import render_sweep_svg
 
@@ -143,10 +144,6 @@ def build_prior(cfg: ExperimentConfig) -> GenerativePrior:
                           r=cfg.r, seed=cfg.prior_seed)
 
 
-def _derive_seed(*key) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
-
-
 def draw_signal(prior: GenerativePrior, master_seed: int, m_index: int, trial: int):
     """Seeded signal draw from the prior's range.  For sign-symmetric ranges
     (linear subspace) the signal is flipped so its largest-magnitude entry is
@@ -224,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         for trial in range(cfg.trials):
             x = draw_signal(prior, cfg.master_seed, m_index, trial)
             data = sample_measurements(
-                link, x, m, _derive_seed(cfg.master_seed, m_index, trial, ROLE_MEAS))
+                link, x, m, flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
             spec = build_spectral_matrix(data)
             w0 = initial_vector(spec, shifted_matrix(spec))
             for algo_index, algo in enumerate(cfg.algorithms):
@@ -235,8 +232,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                     trace = run_algorithm(
                         algo, data, prior, t1=cfg.t1, t2=cfg.t2,
                         proj_cfg=cfg.projection, refine_cfg=refine_cfg, tau=cfg.tau,
-                        seed=_derive_seed(cfg.master_seed, m_index, trial, restart,
-                                          ROLE_ALGO + algo_index),
+                        seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
+                                           ROLE_ALGO + algo_index]),
                         spec=spec, w0_override=start)
                     score = trace.final_error if cfg.select_by == "error" else \
                         _residual(data, trace.final_iterate)
@@ -244,6 +241,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                         best = (score, restart, trace.final_error)
                 rows.append({"m": m, "algorithm": algo, "trial": trial,
                              "restart": best[1], "final_error": best[2]})
+            # Free A and V before the next trial draws its own.
+            del data, spec
     aggregates = []
     for m in cfg.m_grid:
         for algo in cfg.algorithms:

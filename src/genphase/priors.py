@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateLatentError, ProjectionFailureError
+from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
+    ProjectionFailureError
+from .seeds import flatten_seed
 
 
 @dataclass
@@ -175,7 +177,7 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     deterministic fallback is the first basis column."""
     if prior.kind != "linear-subspace":
         raise ConfigurationError("project_exact requires a linear-subspace prior")
-    v = np.asarray(v, dtype=float)
+    v = _finite_target(v)
     w = prior.layers[0]
     c = w.T @ v
     p = w @ c
@@ -204,12 +206,13 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     index.  Restart 0 may start from warm_start; later restarts always draw a
     fresh scaled-Gaussian latent.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)) or not np.any(v):
-        raise ConfigurationError("projection target must be finite and nonzero")
+    v = _finite_target(v)
+    if not np.any(v):
+        raise ConfigurationError("projection target must be nonzero")
+    key = flatten_seed(seed)
     best = None
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng([_seed_key(seed), restart])
+        rng = np.random.default_rng([key, restart])
         if restart == 0 and cfg.latent_init == "warm-start" and warm_start is not None:
             z = np.array(warm_start, dtype=float)
         elif restart == 0 and cfg.latent_init == "zero":
@@ -249,12 +252,11 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     return best
 
 
-def _seed_key(seed):
-    """Flatten a seed (int or sequence) into a single int for substream keys."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    ss = np.random.SeedSequence(list(seed))
-    return int(ss.generate_state(1)[0])
+def _finite_target(v):
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise NumericalError("projection target contains NaN or Inf")
+    return v
 
 
 def project(prior: GenerativePrior, v, cfg: ProjectionConfig | None = None,

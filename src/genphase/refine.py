@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
+from .seeds import flatten_seed
 
 
 @dataclass
@@ -96,15 +97,9 @@ def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, cfg: RefineConf
     state = RefineState(iterate=x0, t=0, nu_hat=nu0, error=err0, warn=nu0 <= 0)
     frozen = nu0 if cfg.zeta_mode == "fixed" else None
     states = [state]
-    base = _as_int(seed)
+    base = flatten_seed(seed)
     for t in range(cfg.t2):
         state = refine_step(data, ybar, state, cfg, prior,
                             seed=[base, t + 1], truth=truth, frozen_nu=frozen)
         states.append(state)
     return states
-
-
-def _as_int(seed):
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return int(np.random.SeedSequence(list(seed)).generate_state(1)[0])

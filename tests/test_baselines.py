@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from genphase import (ALGORITHMS, AppgdConfig, ConfigurationError, GenerativePrior,
-                      LinkModel, MeasurementSet, appgd_step, evaluate,
+                      LinkModel, MeasurementSet, NumericalError, appgd_step, evaluate,
                       linear_subspace_prior, run_algorithm, run_baseline,
                       sample_measurements)
 from genphase.baselines import BASELINES
@@ -127,6 +127,17 @@ def test_run_algorithm_determinism():
     assert np.array_equal(a.final_iterate, b.final_iterate)
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_nan_observation_is_a_numerical_failure(name):
+    # one NaN observation used to give final_error = nan without an error
+    prior = linear_subspace_prior(5, 40, seed=1)
+    x = _range_signal(prior, latent_seed=2)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=3)
+    data.observations[17] = np.nan
+    with pytest.raises(NumericalError):
+        run_algorithm(name, data, prior, t1=3, t2=3)
 
 
 def test_unknown_algorithm_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior,
-                      ProjectionConfig, evaluate, linear_subspace_prior, load_prior,
+                      NumericalError, ProjectionConfig, evaluate, linear_subspace_prior, load_prior,
                       project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
 from genphase.priors import clip_to_ball, default_radius
@@ -93,6 +93,15 @@ def test_project_exact_zero_target_fallback_is_basis_column():
     assert np.array_equal(res.point, prior.layers[0][:, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_exact_rejects_non_finite_target(bad):
+    prior = linear_subspace_prior(4, 30, seed=5)
+    v = np.random.default_rng(5).standard_normal(30)
+    v[7] = bad
+    with pytest.raises(NumericalError):
+        project_exact(prior, v)
+
+
 def test_project_exact_beats_random_range_points():
     # brute-force oracle: no sampled range point is closer than the projector's
     prior = linear_subspace_prior(4, 20, seed=9)
@@ -157,7 +166,7 @@ def test_project_iterative_rejects_bad_target():
     cfg = ProjectionConfig(steps=10)
     with pytest.raises(ConfigurationError):
         project_iterative(prior, np.zeros(40), cfg)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(NumericalError):
         project_iterative(prior, np.full(40, np.nan), cfg)
 
 

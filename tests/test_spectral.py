@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, LinkModel, MeasurementSet,
-                      SpectralMatrix, build_spectral_matrix, evaluate,
+                      NumericalError, SpectralMatrix, build_spectral_matrix, evaluate,
                       initial_vector, linear_subspace_prior, projected_power,
                       sample_measurements, shifted_matrix)
+from genphase import spectral
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -53,6 +54,93 @@ def test_shifted_matrix_consistency():
     full = shifted_matrix(spec)
     assert np.allclose(np.diag(full), spec.diag_shifted, atol=1e-12)
     assert np.allclose(full - spec.ybar * np.eye(6), spec.v, atol=1e-12)
+
+
+def _naive_v(data):
+    a, y = data.sensing, data.observations
+    return a.T @ (a * y[:, None]) / data.m - y.mean() * np.eye(data.n)
+
+
+def _random_set(m, n, seed, zero_frac=0.0):
+    # mixed-sign observations, a share of them exactly zero
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(m) + 0.3
+    y[rng.random(m) < zero_frac] = 0.0
+    return _manual_set(rng.standard_normal((m, n)), y)
+
+
+def _check_against_naive(data):
+    spec = build_spectral_matrix(data)
+    ref = _naive_v(data)
+    assert np.abs(spec.v - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(spec.v, spec.v.T)
+    assert spec.ybar == data.observations.mean()
+    assert spec.m_used == data.m
+    # the +-ybar shift of the diagonal round-trips to within one rounding
+    full = shifted_matrix(spec)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.diag(full) - spec.diag_shifted)
+                  <= eps * (np.abs(spec.diag_shifted) + abs(spec.ybar)))
+    off = ~np.eye(data.n, dtype=bool)
+    assert np.array_equal(full[off], spec.v[off])
+    return spec
+
+
+def test_block_sizes_single_block_at_small_n():
+    # n=100 (the sweep workloads) is one column block and, up to m=10485,
+    # one row block: the build is then a single GEMM
+    rows, width = spectral._block_sizes(100)
+    assert width >= 100 and rows >= 10485
+    assert spectral._block_sizes(2000) == (524, 262)
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 50, 64])
+def test_build_matches_naive_across_row_blocks(monkeypatch, m):
+    # n=20: 16 rows per row block and 3 column blocks (8, 8, 4); m below one
+    # block, exactly one, not a multiple of the block, and several blocks
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 20 * 16)
+    assert spectral._block_sizes(20) == (16, 8)
+    _check_against_naive(_random_set(m, 20, seed=m, zero_frac=0.2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_matches_naive_one_row_and_column_per_block(monkeypatch, n):
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8)
+    assert spectral._block_sizes(n) == (1, 1)
+    _check_against_naive(_random_set(9, n, seed=n, zero_frac=0.3))
+
+
+@pytest.mark.parametrize("m,n", [(300, 100), (11000, 100), (700, 800)])
+def test_build_matches_naive_default_blocks(m, n):
+    # one block; several row blocks of one column block; two column blocks
+    _check_against_naive(_random_set(m, n, seed=m + n, zero_frac=0.1))
+
+
+def test_build_single_block_equals_one_gemm():
+    data = _random_set(400, 30, seed=4)
+    a, y = data.sensing, data.observations
+    shifted = a.T @ (a * y[:, None]) / data.m
+    shifted = np.triu(shifted) + np.triu(shifted, 1).T
+    spec = build_spectral_matrix(data)
+    assert np.array_equal(spec.diag_shifted, np.diag(shifted))
+    assert np.array_equal(spec.v, shifted - spec.ybar * np.eye(30))
+
+
+@pytest.mark.parametrize("where,bad", [("y", np.nan), ("y", np.inf),
+                                       ("a", np.nan), ("a", -np.inf)])
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
+    if blocked:
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 20 * 16)
+    data = _random_set(50, 20, seed=6)
+    data.observations[33] = 0.0   # a bad sensing entry meets a zero observation
+    if where == "y":
+        data.observations[40] = bad
+    else:
+        data.sensing[33, 17] = bad
+    with pytest.raises(NumericalError):
+        build_spectral_matrix(data)
 
 
 def test_spectral_concentration_single_seed():
