@@ -8,7 +8,7 @@ gradient refinement.  Baselines, synthetic priors, and a seeded experiment
 harness are included.
 """
 
-from .baselines import ALGORITHMS, AppgdConfig, appgd_step, run_algorithm, run_baseline
+from .baselines import ALGORITHMS, AppgdConfig, appgd_step, run_algorithm
 from .errors import (ConfigurationError, DegenerateLatentError, InsufficientDataError,
                      NumericalError, ProjectionFailureError)
 from .harness import (ExperimentConfig, SlopeFit, SweepResult, config_from_dict,
@@ -21,10 +21,10 @@ from .priors import (GenerativePrior, ProjectionConfig, ProjectionResult, evalua
                      linear_subspace_prior, load_prior, project, project_exact,
                      project_iterative, projection_loss_grad, relu_mlp_prior,
                      save_prior)
-from .refine import (RefineConfig, RefineState, empirical_mean_y, estimate_nu_hat,
-                     refine_step, run_refine)
-from .runtrace import RunTrace, write_trajectory_csv
-from .spectral import (PowerState, SpectralMatrix, build_spectral_matrix,
-                       initial_vector, projected_power, shifted_matrix)
+from .refine import (RefineConfig, empirical_mean_y, estimate_nu_hat, refine_step,
+                     run_refine)
+from .runtrace import RunTrace, Step, write_trajectory_csv
+from .spectral import (SpectralMatrix, build_spectral_matrix, initial_vector,
+                       projected_power, shifted_matrix)
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ from . import harness
 from .baselines import ALGORITHMS, run_algorithm
 from .errors import ConfigurationError, NumericalError
 from .links import LinkModel, population_nu, sample_measurements, save_measurements
-from .priors import ProjectionConfig, evaluate, linear_subspace_prior, load_prior, \
-    relu_mlp_prior, save_prior
+from .priors import linear_subspace_prior, load_prior, relu_mlp_prior, save_prior
 from .runtrace import write_trajectory_csv
 from .svg import render_sweep_svg
 
@@ -95,19 +94,15 @@ def _build_parser():
 
 def _signal_from_model(model_path, latent_seed):
     prior = load_prior(model_path)
-    rng = np.random.default_rng(latent_seed)
-    x = evaluate(prior, rng.standard_normal(prior.k))
-    if prior.kind == "linear-subspace" and x[int(np.argmax(np.abs(x)))] < 0:
-        x = -x
-    return prior, x
+    z = np.random.default_rng(latent_seed).standard_normal(prior.k)
+    return prior, harness.canonical_signal(prior, z)
 
 
 def _cmd_gen_model(args):
     if args.kind == "linear-subspace":
         prior = linear_subspace_prior(args.k, args.n, r=args.r, seed=args.seed)
     else:
-        hidden = args.hidden if args.hidden else [max(args.k * 4, 16)]
-        prior = relu_mlp_prior(args.k, hidden, args.n, r=args.r, seed=args.seed)
+        prior = relu_mlp_prior(args.k, args.hidden, args.n, r=args.r, seed=args.seed)
     save_prior(prior, args.out)
     print(f"wrote {args.kind} prior (k={prior.k}, n={prior.n}, r={prior.r:.6g}, "
           f"L-proxy={prior.lipschitz_proxy:.6g}) to {args.out}")

@@ -23,6 +23,7 @@ from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, project, relu_mlp_prior
 from .refine import RefineConfig
+from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
 from .svg import render_sweep_svg
@@ -68,6 +69,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         problems.append("k: must be >= 1")
     if not cfg.k < cfg.n:
         problems.append("k/n: need k < n")
+    if cfg.r is not None and not cfg.r > 0:
+        problems.append("r: must be positive")
+    if any(width < 1 for width in cfg.hidden):
+        problems.append("hidden: widths must be >= 1")
     if cfg.trials < 1:
         problems.append("trials: must be >= 1")
     if cfg.restarts < 1:
@@ -97,7 +102,70 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
 
 
+# JSON config schema: the type name of every key, at the top level ("") and
+# in the "prior", "link" and "projection" objects.
+_CONFIG_KEYS = {
+    "": {"prior": "object", "link": "object", "projection": "object",
+         "m_grid": "integer list", "trials": "integer", "restarts": "integer",
+         "algorithms": "string list", "t1": "integer", "t2": "integer", "tau": "number",
+         "nu_floor": "number", "zeta_fixed": "number or null", "master_seed": "integer",
+         "select_by": "string"},
+    "prior": {"kind": "string", "k": "integer", "n": "integer", "r": "number or null",
+              "seed": "integer", "hidden": "integer list"},
+    "link": {"name": "string", "sigma": "number", "params": "number map"},
+    "projection": {"steps": "integer", "learning_rate": "number", "restarts": "integer",
+                   "latent_init": "string"},
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+_TYPE_CHECKS = {
+    "integer": _is_int,
+    "number": _is_number,
+    "string": _is_str,
+    "number or null": lambda v: v is None or _is_number(v),
+    "integer list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    "string list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_str, v)),
+    "object": lambda v: isinstance(v, dict),
+    "number map": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+}
+
+
+def _schema_problems(doc: dict) -> list:
+    """One line per unknown key or wrong-typed value in a config document."""
+    sections = [("", doc)] + [(name, doc[name]) for name in ("prior", "link", "projection")
+                              if isinstance(doc.get(name), dict)]
+    problems = []
+    for section, values in sections:
+        for key, value in values.items():
+            where = f"{section}.{key}" if section else key
+            kind = _CONFIG_KEYS[section].get(key)
+            if kind is None:
+                problems.append(f"{where}: unknown key")
+            elif not _TYPE_CHECKS[kind](value):
+                problems.append(f"{where}: expected {kind}, got {value!r}")
+    return problems
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Build and validate a config from its JSON document.  Unknown keys and
+    wrong-typed values raise ConfigurationError naming the field."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("invalid experiment config: expected a JSON object")
+    problems = _schema_problems(doc)
+    if problems:
+        raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
     prior = doc.get("prior", {})
     link = doc.get("link", {})
     proj = doc.get("projection", {})
@@ -140,21 +208,24 @@ def config_from_file(path) -> ExperimentConfig:
 def build_prior(cfg: ExperimentConfig) -> GenerativePrior:
     if cfg.prior_kind == "linear-subspace":
         return linear_subspace_prior(cfg.k, cfg.n, r=cfg.r, seed=cfg.prior_seed)
-    return relu_mlp_prior(cfg.k, cfg.hidden or (max(cfg.k * 4, 16),), cfg.n,
-                          r=cfg.r, seed=cfg.prior_seed)
+    return relu_mlp_prior(cfg.k, cfg.hidden, cfg.n, r=cfg.r, seed=cfg.prior_seed)
 
 
-def draw_signal(prior: GenerativePrior, master_seed: int, m_index: int, trial: int):
-    """Seeded signal draw from the prior's range.  For sign-symmetric ranges
-    (linear subspace) the signal is flipped so its largest-magnitude entry is
-    positive; without this the spectral start is equally likely to lock onto
-    -x, which the range cannot distinguish from x for even link functions."""
-    rng = np.random.default_rng([master_seed, m_index, trial, ROLE_SIGNAL])
-    z = rng.standard_normal(prior.k)
+def canonical_signal(prior: GenerativePrior, z):
+    """G(z), flipped for sign-symmetric ranges (linear subspace) so its
+    largest-magnitude entry is positive; without this the spectral start is
+    equally likely to lock onto -x, which the range cannot distinguish from x
+    for even link functions."""
     x = evaluate(prior, z)
     if prior.kind == "linear-subspace" and x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
     return x
+
+
+def draw_signal(prior: GenerativePrior, master_seed: int, m_index: int, trial: int):
+    """Seeded canonical signal draw from the prior's range."""
+    rng = np.random.default_rng([master_seed, m_index, trial, ROLE_SIGNAL])
+    return canonical_signal(prior, rng.standard_normal(prior.k))
 
 
 @dataclass
@@ -168,8 +239,9 @@ def fit_slope(points) -> SlopeFit:
     """OLS of log(mean error) on log(m).  Nonpositive errors are dropped with
     a warning; fewer than 3 surviving points is an error.  ci95 is the
     half-width of the 95% confidence interval of the slope."""
+    points = list(points)
     clean = [(m, e) for m, e in points if e > 0]
-    if len(clean) < len(list(points)):
+    if len(clean) < len(points):
         import warnings
         warnings.warn("fit_slope: dropped nonpositive error values")
     if len(clean) < 3:
@@ -266,10 +338,6 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 # final_error` followed by an aggregate block `m,algorithm,mean,stderr`.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
     if not result.rows:
         raise ConfigurationError("empty sweep result; nothing to write")
@@ -277,10 +345,11 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         fh.write("m,algorithm,trial,restart,final_error\n")
         for r in result.rows:
             fh.write(f"{r['m']},{r['algorithm']},{r['trial']},{r['restart']},"
-                     f"{_fmt(r['final_error'])}\n")
+                     f"{format_cell(r['final_error'])}\n")
         fh.write("m,algorithm,mean,stderr\n")
         for a in result.aggregates:
-            fh.write(f"{a['m']},{a['algorithm']},{_fmt(a['mean'])},{_fmt(a['stderr'])}\n")
+            fh.write(f"{a['m']},{a['algorithm']},{format_cell(a['mean'])},"
+                     f"{format_cell(a['stderr'])}\n")
 
 
 def read_sweep_csv(path):

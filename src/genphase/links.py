@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
+from .runtrace import format_cell
 
 BUILTIN_LINKS = (
     "abs-noise-out",   # |g| + eta
@@ -142,6 +143,11 @@ def _draw_y(link, mc_samples, seed):
     return g, np.asarray(apply_link(link, g, eta), dtype=float)
 
 
+def _subexp_proxy(y) -> float:
+    ay = np.abs(y)
+    return max(np.mean(ay**p) ** (1.0 / p) / p for p in range(1, 9))
+
+
 def subexp_norm_proxy(link: LinkModel, mc_samples: int = 10**5, seed: int = 0) -> float:
     """Finite-p proxy for the sub-exponential norm of y: the maximum over
     p in {1..8} of p^-1 (E|y|^p)^(1/p), estimated by Monte Carlo.
@@ -150,9 +156,7 @@ def subexp_norm_proxy(link: LinkModel, mc_samples: int = 10**5, seed: int = 0) -
     """
     if mc_samples < 10**4:
         raise ConfigurationError("mc_samples must be >= 1e4")
-    _, y = _draw_y(link, mc_samples, seed)
-    ay = np.abs(y)
-    return max(np.mean(ay**p) ** (1.0 / p) / p for p in range(1, 9))
+    return _subexp_proxy(_draw_y(link, mc_samples, seed)[1])
 
 
 def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> MomentReport:
@@ -166,8 +170,7 @@ def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> Mo
     if analytic is None and mc_samples < 10**4:
         raise ConfigurationError("mc_samples must be >= 1e4 when no analytic form is registered")
     g, y = _draw_y(link, mc_samples, seed)
-    ay = np.abs(y)
-    proxy = max(np.mean(ay**p) ** (1.0 / p) / p for p in range(1, 9))
+    proxy = _subexp_proxy(y)
     if analytic is not None:
         nu, mean_y = analytic
         return MomentReport(nu=nu, mean_y=mean_y, subexp_norm_proxy=proxy,
@@ -185,10 +188,6 @@ def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> Mo
 # 17 significant digits round-trips float64 exactly.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def meta_path_for(csv_path) -> Path:
     return Path(str(csv_path) + ".meta.json")
 
@@ -198,15 +197,15 @@ def save_measurements(data: MeasurementSet, csv_path) -> None:
     with open(csv_path, "w") as fh:
         fh.write("y," + ",".join(f"a_{j + 1}" for j in range(data.n)) + "\n")
         for i in range(data.m):
-            row = [_fmt(data.observations[i])] + [_fmt(v) for v in data.sensing[i]]
-            fh.write(",".join(row) + "\n")
+            cells = [data.observations[i], *data.sensing[i]]
+            fh.write(",".join(map(format_cell, cells)) + "\n")
     meta = {
         "n": data.n,
         "m": data.m,
         "seed": int(data.seed),
         "link": {"name": data.link.name, "sigma": data.link.sigma,
                  "params": dict(data.link.params)},
-        "signal": [_fmt(v) for v in data.signal],
+        "signal": [format_cell(v) for v in data.signal],
     }
     with open(meta_path_for(csv_path), "w") as fh:
         json.dump(meta, fh, indent=1)

@@ -74,10 +74,11 @@ def linear_subspace_prior(k: int, n: int, r: float | None = None, seed: int = 0)
 
 def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """ReLU MLP with no bias terms and zero-mean Gaussian weights of variance
-    1/fan-in.  ReLU is applied after every layer except the last."""
+    1/fan-in.  ReLU is applied after every layer except the last.  An empty
+    (or None) hidden gives one hidden layer of width max(4k, 16)."""
     if not k < n:
         raise ConfigurationError(f"need k < n, got k={k}, n={n}")
-    dims = [k, *hidden, n]
+    dims = [k, *(hidden or (max(4 * k, 16),)), n]
     rng = np.random.default_rng(seed)
     layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
               for i in range(len(dims) - 1)]
@@ -148,7 +149,6 @@ class ProjectionConfig:
     learning_rate: float = 0.05
     restarts: int = 1
     latent_init: str = "gaussian"   # "zero" | "gaussian" | "warm-start"
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -159,8 +159,6 @@ class ProjectionConfig:
             raise ConfigurationError("learning_rate must be positive")
         if self.latent_init not in ("zero", "gaussian", "warm-start"):
             raise ConfigurationError(f"unknown latent_init {self.latent_init!r}")
-        if self.tolerance < 0:
-            raise ConfigurationError("tolerance must be nonnegative")
 
 
 @dataclass
@@ -229,8 +227,6 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
                 obj = math.sqrt(loss)
                 if restart_best is None or obj < restart_best[0]:
                     restart_best = (obj, z.copy())
-                if obj <= cfg.tolerance:
-                    break
                 m1 = 0.9 * m1 + 0.1 * grad
                 m2 = 0.999 * m2 + 0.001 * grad * grad
                 mh = m1 / (1.0 - 0.9 ** (step + 1))

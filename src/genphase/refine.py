@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
+from .runtrace import Step, step_at
 from .seeds import flatten_seed
 
 
@@ -39,17 +40,6 @@ class RefineConfig:
             raise ConfigurationError("nu_floor must be positive")
 
 
-@dataclass
-class RefineState:
-    iterate: np.ndarray
-    t: int
-    nu_hat: float
-    pre_projection: np.ndarray | None = None
-    error: float | None = None
-    zeta: float | None = None
-    warn: bool = False
-
-
 def empirical_mean_y(data: MeasurementSet) -> float:
     if data.m < 1:
         raise ConfigurationError("need at least one measurement")
@@ -61,9 +51,9 @@ def estimate_nu_hat(data: MeasurementSet, ybar: float, x_t) -> float:
     return float(np.mean((data.observations - ybar) * g * g))
 
 
-def refine_step(data: MeasurementSet, ybar: float, state: RefineState,
+def refine_step(data: MeasurementSet, ybar: float, state: Step,
                 cfg: RefineConfig, prior: GenerativePrior, seed=0,
-                truth=None, frozen_nu: float | None = None) -> RefineState:
+                truth=None, frozen_nu: float | None = None) -> Step:
     """One refinement iteration.  In fixed mode, frozen_nu (the t=0 estimate)
     replaces the per-iteration nu_hat inside the gradient."""
     x_t = state.iterate
@@ -81,20 +71,18 @@ def refine_step(data: MeasurementSet, ybar: float, state: RefineState,
     resid = nu * g - ytil
     x_til = x_t - (zeta / data.m) * (data.sensing.T @ resid)
     res = project(prior, x_til, cfg.proj_cfg, seed=seed)
-    err = float(np.linalg.norm(res.point - truth)) if truth is not None else None
-    return RefineState(iterate=res.point, t=state.t + 1, nu_hat=nu,
-                       pre_projection=x_til, error=err, zeta=zeta, warn=warn)
+    return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
+                   pre_projection=x_til)
 
 
 def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, cfg: RefineConfig,
-               seed=0, truth=None) -> list[RefineState]:
+               seed=0, truth=None) -> list[Step]:
     """Chain cfg.t2 refinement steps from x0 (assumed in the prior's range).
     The returned trajectory includes the initial state at t=0."""
     x0 = np.asarray(x0, dtype=float)
     ybar = empirical_mean_y(data)
     nu0 = estimate_nu_hat(data, ybar, x0)
-    err0 = float(np.linalg.norm(x0 - truth)) if truth is not None else None
-    state = RefineState(iterate=x0, t=0, nu_hat=nu0, error=err0, warn=nu0 <= 0)
+    state = step_at(x0, 0, truth, nu_hat=nu0, warn=nu0 <= 0)
     frozen = nu0 if cfg.zeta_mode == "fixed" else None
     states = [state]
     base = flatten_seed(seed)

@@ -1,24 +1,63 @@
-"""Per-run trajectory records and their CSV form."""
+"""Iterate records, per-run traces, the CSV cell formatter and the trajectory
+CSV."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+
+import numpy as np
+
+POWER_FIELDS = ("t", "error", "correlation")
+REFINE_FIELDS = ("t", "error", "nu_hat", "zeta", "warn")
+
+
+@dataclass(slots=True)
+class Step:
+    """One iterate of any phase.  Refinement steps set nu_hat and warn (and
+    zeta, pre_projection from t=1 on); projected power and appgd steps leave
+    nu_hat None.  error and correlation are set when the truth is known."""
+
+    iterate: np.ndarray
+    t: int
+    error: float | None = None
+    correlation: float | None = None
+    nu_hat: float | None = None
+    zeta: float | None = None
+    warn: bool = False
+    pre_projection: np.ndarray | None = None
+
+    def record(self, t_offset: int = 0) -> dict:
+        """The step's trajectory record, keyed by POWER_FIELDS or, once
+        nu_hat is set, REFINE_FIELDS; t is shifted by t_offset."""
+        if self.nu_hat is None:
+            return {"t": self.t + t_offset, "error": self.error,
+                    "correlation": self.correlation}
+        return {"t": self.t + t_offset, "error": self.error, "nu_hat": self.nu_hat,
+                "zeta": self.zeta, "warn": self.warn}
+
+
+def step_at(x, t: int, truth=None, **refine_fields) -> Step:
+    """A Step at iterate x, with error ||x - truth|| and correlation
+    <truth, x> when the truth is given."""
+    if truth is None:
+        return Step(x, t, **refine_fields)
+    d = x - truth  # sqrt(d @ d) is how np.linalg.norm computes it, minus overhead
+    return Step(x, t, math.sqrt(d @ d), float(truth @ x), **refine_fields)
 
 
 @dataclass
 class RunTrace:
     algorithm: str
-    records: list = field(default_factory=list)  # dicts keyed t, error, and
-                                                 # nu_hat/zeta/warn or correlation
+    records: list = field(default_factory=list)  # Step.record() dicts
     final_error: float = math.nan
     final_iterate: object = None
     wall_time: float = 0.0
-    seeds: list = field(default_factory=list)
 
 
-def _cell(v) -> str:
+def format_cell(v) -> str:
+    """One CSV cell: 17 significant digits (round-trips float64), a bool as
+    0/1 and None as the "nan" sentinel."""
     if v is None:
         return "nan"
     if isinstance(v, bool):
@@ -27,20 +66,12 @@ def _cell(v) -> str:
 
 
 def write_trajectory_csv(records, path) -> None:
-    """Write a trajectory CSV.  Power-iteration records (no nu_hat) use the
-    schema t,error,correlation; refinement-style records use
-    t,error,nu_hat,zeta,warn.  Missing errors become the "nan" sentinel."""
-    refine_style = any("nu_hat" in r for r in records)
-    path = Path(path)
+    """Write a trajectory CSV with the REFINE_FIELDS columns when any record
+    has nu_hat, else the POWER_FIELDS columns.  Missing values are "nan",
+    except a missing warn flag, which is 0."""
+    fields = REFINE_FIELDS if any("nu_hat" in r for r in records) else POWER_FIELDS
     with open(path, "w") as fh:
-        if refine_style:
-            fh.write("t,error,nu_hat,zeta,warn\n")
-            for r in records:
-                fh.write(",".join([str(r["t"]), _cell(r.get("error")),
-                                   _cell(r.get("nu_hat")), _cell(r.get("zeta")),
-                                   _cell(r.get("warn", False))]) + "\n")
-        else:
-            fh.write("t,error,correlation\n")
-            for r in records:
-                fh.write(",".join([str(r["t"]), _cell(r.get("error")),
-                                   _cell(r.get("correlation"))]) + "\n")
+        fh.write(",".join(fields) + "\n")
+        for r in records:
+            r = {"warn": False, **r}
+            fh.write(",".join(format_cell(r.get(f)) for f in fields) + "\n")

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
+from .runtrace import Step, step_at
 from .seeds import flatten_seed
 
 
@@ -30,14 +31,6 @@ class SpectralMatrix:
     m_used: int
     diag_shifted: np.ndarray  # diagonal of (1/m) sum_i y_i a_i a_i^T
     ybar: float
-
-
-@dataclass
-class PowerState:
-    iterate: np.ndarray
-    t: int
-    correlation: float | None = None
-    error: float | None = None
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its
@@ -114,7 +107,7 @@ def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray
 
 def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
                     proj_cfg: ProjectionConfig | None = None, seed=0,
-                    truth=None) -> list[PowerState]:
+                    truth=None) -> list[Step]:
     """Run t1 projected power iterations w <- P_G(V w) from w0 (normalized,
     not pre-projected).  Returns the trajectory including the initial state.
     Correlation and error are recorded when the ground truth is supplied."""
@@ -122,7 +115,7 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
         raise ConfigurationError("t1 must be >= 1")
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
-    states = [_power_state(w, 0, truth)]
+    states = [step_at(w, 0, truth)]
     warm = None
     base = flatten_seed(seed)
     for t in range(1, t1 + 1):
@@ -130,12 +123,5 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
         if proj_cfg is not None and proj_cfg.latent_init == "warm-start":
             warm = res.latent
         w = res.point
-        states.append(_power_state(w, t, truth))
+        states.append(step_at(w, t, truth))
     return states
-
-
-def _power_state(w, t, truth):
-    if truth is None:
-        return PowerState(iterate=w, t=t)
-    return PowerState(iterate=w, t=t, correlation=float(truth @ w),
-                      error=float(np.linalg.norm(w - truth)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from genphase import (ExperimentConfig, LinkModel, MeasurementSet,
-                      ProjectionConfig, RefineConfig, RefineState, SpectralMatrix,
+                      ProjectionConfig, RefineConfig, SpectralMatrix, Step,
                       build_spectral_matrix, empirical_mean_y, evaluate,
                       initial_vector, linear_subspace_prior, population_nu,
                       project, project_exact, project_iterative,
@@ -195,7 +195,7 @@ def test_criterion_9_fixed_point_suite():
                           observations=np.ones(20), seed=0,
                           link=LinkModel("abs-noise-out"))
     nxt = refine_step(data, empirical_mean_y(data),
-                      RefineState(iterate=x_t, t=0, nu_hat=0.0),
+                      Step(iterate=x_t, t=0, nu_hat=0.0),
                       RefineConfig(), prior)
     ok &= bool(np.array_equal(nxt.pre_projection, x_t))
     ok &= bool(np.allclose(nxt.iterate, x_t, atol=1e-12))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 
@@ -51,6 +52,68 @@ def test_run_command_power_schema(tmp_path):
     lines = traj.read_text().strip().splitlines()
     assert lines[0] == "t,error,correlation"
     assert len(lines) == 6
+
+
+def _run_trajectory(tmp_path, algorithm, t1=3, t2=4):
+    model = tmp_path / "prior.json"
+    main(["gen-model", "--k", "3", "--n", "12", "--seed", "1", "--out", str(model)])
+    traj = tmp_path / f"{algorithm}.csv"
+    assert main(["run", "--model", str(model), "--algorithm", algorithm,
+                 "--m", "200", "--seed", "3", "--t1", str(t1), "--t2", str(t2),
+                 "--out", str(traj)]) == 0
+    return [line.split(",") for line in traj.read_text().splitlines()]
+
+
+def test_run_trajectory_cells_mprg(tmp_path):
+    rows = _run_trajectory(tmp_path, "mprg", t1=3, t2=4)
+    assert rows[0] == ["t", "error", "nu_hat", "zeta", "warn"]
+    body = rows[1:]
+    assert [r[0] for r in body] == [str(t) for t in range(3 + 4 + 1)]
+    # power rows t < t1 carry no nu_hat, zeta or warn flag
+    for r in body[:3]:
+        assert r[2:] == ["nan", "nan", "0"]
+        assert float(r[1]) >= 0
+    # the refinement starts at t = t1 with nu_hat but no step size yet
+    assert body[3][3] == "nan"
+    assert math.isfinite(float(body[3][2]))
+    for r in body[4:]:
+        assert float(r[3]) > 0 and r[4] in ("0", "1")
+
+
+def test_run_trajectory_cells_power_schema(tmp_path):
+    for algorithm in ("ppower", "appgd"):
+        rows = _run_trajectory(tmp_path, algorithm, t1=3, t2=4)
+        assert rows[0] == ["t", "error", "correlation"], algorithm
+        assert len(rows) == 1 + 3 + 4 + 1, algorithm
+        assert [r[0] for r in rows[1:]] == [str(t) for t in range(8)], algorithm
+        assert all(abs(float(r[2])) <= 1.0 + 1e-12 for r in rows[1:]), algorithm
+
+
+def _sweep_config_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["sweep", "--config", str(bad), "--out-csv", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    return code, err
+
+
+def test_config_wrong_type_exit_code(tmp_path, capsys):
+    code, err = _sweep_config_error(tmp_path, capsys, {"trials": "2"})
+    assert code == 2
+    assert "configuration error" in err and "trials" in err
+
+
+def test_config_unknown_nested_key_exit_code(tmp_path, capsys):
+    code, err = _sweep_config_error(tmp_path, capsys, {"projection": {"stepz": 5}})
+    assert code == 2
+    assert "projection.stepz" in err
+
+
+def test_config_unknown_top_level_key_exit_code(tmp_path, capsys):
+    code, err = _sweep_config_error(tmp_path, capsys, {"trails": 2})
+    assert code == 2
+    assert "trails" in err
 
 
 def test_sweep_and_plot(tmp_path):

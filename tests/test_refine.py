@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, LinkModel, MeasurementSet, RefineConfig,
-                      RefineState, build_spectral_matrix, empirical_mean_y,
+                      Step, build_spectral_matrix, empirical_mean_y,
                       estimate_nu_hat, evaluate, initial_vector,
                       linear_subspace_prior, population_nu, projected_power,
                       refine_step, run_refine, sample_measurements, shifted_matrix)
@@ -80,7 +80,7 @@ def test_refine_step_zero_gradient_fixed_point():
     x_t = _range_signal(prior, latent_seed=2)
     data = _manual_set(np.random.default_rng(1).standard_normal((20, 30)),
                        np.ones(20))
-    state = RefineState(iterate=x_t, t=0, nu_hat=0.0)
+    state = Step(iterate=x_t, t=0, nu_hat=0.0)
     nxt = refine_step(data, empirical_mean_y(data), state, RefineConfig(), prior)
     assert np.array_equal(nxt.pre_projection, x_t)
     assert np.allclose(nxt.iterate, x_t, atol=1e-12)
@@ -98,7 +98,7 @@ def test_refine_step_hand_computed_update():
     # g = (1, 0); nu_hat = ((3-2)*1 + (1-2)*0)/2 = 0.5; zeta = 1/0.5 = 2
     # ytil = ((3-2)*1, (1-2)*0) = (1, 0); resid = 0.5*g - ytil = (-0.5, 0)
     # x_til = x - (2/2) * a^T resid = (1.5, 0, 0, 0)
-    state = RefineState(iterate=x_t, t=0, nu_hat=0.0)
+    state = Step(iterate=x_t, t=0, nu_hat=0.0)
     nxt = refine_step(data, ybar, state, RefineConfig(), prior)
     assert nxt.nu_hat == 0.5
     assert nxt.zeta == 2.0
