@@ -49,6 +49,11 @@ def appgd_step(data: MeasurementSet, state, cfg: AppgdConfig,
     return project(prior, x_til, cfg.proj_cfg, seed=seed).point
 
 
+def refine_step_count(name: str, t1: int, t2: int) -> int:
+    """Refinement steps one run of the named algorithm takes."""
+    return {"mprg": t2, "mprgf": t2, "step2": t1 + t2}.get(name, 0)
+
+
 def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                   t1: int = 20, t2: int = 30, proj_cfg: ProjectionConfig | None = None,
                   refine_cfg: RefineConfig | None = None, tau: float = 0.9,
@@ -59,14 +64,17 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     The trace holds one record per iterate including the initial one; ppower
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
     spectral iterations that start mprg, mprgf and appgd come first.
+    Refinement runs in n-space when spec carries a Gram matrix; a spec built
+    here gets one when this run's refinement steps pay for it.
     """
     if name not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {name!r}; known: {ALGORITHMS}")
     proj_cfg = proj_cfg or ProjectionConfig()
     truth = data.signal
     start = time.perf_counter()
+    steps = refine_step_count(name, t1, t2)
     if spec is None:
-        spec = build_spectral_matrix(data)
+        spec = build_spectral_matrix(data, refine_steps=steps)
     if w0_override is None:
         w0 = initial_vector(spec, shifted_matrix(spec))
     else:
@@ -80,16 +88,16 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                                seed=[seed, 1], truth=truth)
     elif name == "step2":
         x0 = project(prior, w0, proj_cfg, seed=[seed, 1]).point
-        cfg = replace(refine_cfg or RefineConfig(), t2=t1 + t2, proj_cfg=proj_cfg)
-        head = run_refine(data, prior, x0, cfg, seed=[seed, 2], truth=truth)
+        cfg = replace(refine_cfg or RefineConfig(), t2=steps, proj_cfg=proj_cfg)
+        head = run_refine(data, prior, x0, cfg, seed=[seed, 2], truth=truth, spec=spec)
     elif name in ("mprg", "mprgf"):
         power = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
         cfg = replace(refine_cfg or RefineConfig(),
                       zeta_mode="fixed" if name == "mprgf" else "adaptive",
-                      t2=t2, proj_cfg=proj_cfg)
+                      t2=steps, proj_cfg=proj_cfg)
         head = power[:-1]
         tail = run_refine(data, prior, power[-1].iterate, cfg,
-                          seed=[seed, 2], truth=truth)
+                          seed=[seed, 2], truth=truth, spec=spec)
     else:  # appgd
         head = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
         cfg = AppgdConfig(tau=tau, proj_cfg=proj_cfg)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .baselines import ALGORITHMS, run_algorithm
+from .baselines import ALGORITHMS, refine_step_count, run_algorithm
 from .errors import ConfigurationError, InsufficientDataError
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
@@ -282,19 +282,24 @@ def _residual(data, x_hat) -> float:
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Full sweep: for each (m, trial) draw a fresh signal and measurement
     set, run every algorithm with cfg.restarts initializations, and keep the
-    best restart per (m, algorithm, trial)."""
+    best restart per (m, algorithm, trial).  The cell's spectral build also
+    makes the Gram matrix for n-space refinement when the refinement steps
+    of all its restarts pay for it (spectral.gram_pays_off)."""
     validate_config(cfg)
     prior = build_prior(cfg)
     link = LinkModel(name=cfg.link_name, sigma=cfg.sigma, params=cfg.link_params)
     refine_cfg = RefineConfig(t2=cfg.t2, zeta_fixed=cfg.zeta_fixed,
                               proj_cfg=cfg.projection, nu_floor=cfg.nu_floor)
+    # every restart of every algorithm refines on the same cell's V (and G)
+    refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
+                                      for a in cfg.algorithms)
     rows = []
     for m_index, m in enumerate(cfg.m_grid):
         for trial in range(cfg.trials):
             x = draw_signal(prior, cfg.master_seed, m_index, trial)
             data = sample_measurements(
                 link, x, m, flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
-            spec = build_spectral_matrix(data)
+            spec = build_spectral_matrix(data, refine_steps=refine_steps)
             w0 = initial_vector(spec, shifted_matrix(spec))
             for algo_index, algo in enumerate(cfg.algorithms):
                 best = None

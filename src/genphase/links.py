@@ -68,6 +68,10 @@ class LinkModel:
                 raise ConfigurationError(
                     f"unknown custom-link primitives {bad}; known: {sorted(CUSTOM_PRIMITIVES)}"
                 )
+        elif self.params:
+            raise ConfigurationError(
+                f"link.params: only the custom link takes params; the built-in link "
+                f"{self.name!r} got {sorted(self.params)}")
 
 
 def apply_link(link: LinkModel, g, eta):

@@ -6,6 +6,17 @@ Each iteration estimates the scale factor nu_hat = (1/m) sum (y_i - ybar)
 the gradient step of the induced linear model with step size zeta, and
 projects back onto the prior's range.  In adaptive mode zeta = 1/nu_hat so
 the update is invariant to a positive rescaling of the observations.
+
+A step has two forms with the same result up to rounding:
+
+- m-space (the default): g = A x, then the gradient
+  (1/m) A^T (nu_hat g - ytil); two passes over A, 4mn flops per step.
+- n-space, when the SpectralMatrix passed as spec carries the Gram matrix
+  G = A^T A / m (see spectral.gram_pays_off):
+  nu_hat = x^T V x + ybar (x^T x - x^T G x) and the gradient
+  (nu_hat + ybar) G x - V x - ybar x, from M = V + ybar (I - G) =
+  (1/m) A^T diag(y - ybar) A; 4n^2 flops per step, at the cost of the
+  n^2 floats of G.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, step_at
 from .seeds import flatten_seed
+from .spectral import SpectralMatrix
 
 
 @dataclass
@@ -53,41 +65,52 @@ def estimate_nu_hat(data: MeasurementSet, ybar: float, x_t) -> float:
 
 def refine_step(data: MeasurementSet, ybar: float, state: Step,
                 cfg: RefineConfig, prior: GenerativePrior, seed=0,
-                truth=None, frozen_nu: float | None = None) -> Step:
-    """One refinement iteration.  In fixed mode, frozen_nu (the t=0 estimate)
-    replaces the per-iteration nu_hat inside the gradient."""
+                truth=None, frozen_nu: float | None = None,
+                spec: SpectralMatrix | None = None) -> Step:
+    """One refinement iteration, in n-space when spec has a Gram matrix.  In
+    fixed mode, frozen_nu (the t=0 estimate) replaces the per-iteration
+    nu_hat inside the gradient."""
     x_t = state.iterate
-    g = data.sensing @ x_t
-    if cfg.zeta_mode == "fixed" and frozen_nu is not None:
-        nu = frozen_nu
+    gram = spec.gram if spec is not None else None
+    if gram is None:
+        g = data.sensing @ x_t
+        ytil = (data.observations - ybar) * g
+        nu_hat = float(np.mean(ytil * g))
     else:
-        nu = float(np.mean((data.observations - ybar) * g * g))
+        gx = gram @ x_t
+        vx = spec.v @ x_t
+        nu_hat = float(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
+    nu = frozen_nu if cfg.zeta_mode == "fixed" and frozen_nu is not None else nu_hat
     warn = nu <= 0
     if cfg.zeta_mode == "adaptive":
         zeta = 1.0 / max(nu, cfg.nu_floor)
     else:
         zeta = cfg.zeta_fixed if cfg.zeta_fixed is not None else 1.0 / max(nu, cfg.nu_floor)
-    ytil = (data.observations - ybar) * g
-    resid = nu * g - ytil
-    x_til = x_t - (zeta / data.m) * (data.sensing.T @ resid)
+    if gram is None:
+        x_til = x_t - (zeta / data.m) * (data.sensing.T @ (nu * g - ytil))
+    else:
+        x_til = x_t - zeta * ((nu + ybar) * gx - vx - ybar * x_t)
     res = project(prior, x_til, cfg.proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)
 
 
 def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, cfg: RefineConfig,
-               seed=0, truth=None) -> list[Step]:
-    """Chain cfg.t2 refinement steps from x0 (assumed in the prior's range).
-    The returned trajectory includes the initial state at t=0."""
+               seed=0, truth=None, spec: SpectralMatrix | None = None) -> list[Step]:
+    """Chain cfg.t2 refinement steps from x0 (assumed in the prior's range),
+    in n-space when spec has a Gram matrix.  The returned trajectory includes
+    the initial state at t=0, whose nu_hat is the first step's estimate at x0
+    (computed on its own only when t2 = 0)."""
     x0 = np.asarray(x0, dtype=float)
     ybar = empirical_mean_y(data)
-    nu0 = estimate_nu_hat(data, ybar, x0)
-    state = step_at(x0, 0, truth, nu_hat=nu0, warn=nu0 <= 0)
-    frozen = nu0 if cfg.zeta_mode == "fixed" else None
-    states = [state]
+    states = [step_at(x0, 0, truth)]
+    frozen = None
     base = flatten_seed(seed)
     for t in range(cfg.t2):
-        state = refine_step(data, ybar, state, cfg, prior,
-                            seed=[base, t + 1], truth=truth, frozen_nu=frozen)
-        states.append(state)
+        states.append(refine_step(data, ybar, states[-1], cfg, prior, seed=[base, t + 1],
+                                  truth=truth, frozen_nu=frozen, spec=spec))
+        if cfg.zeta_mode == "fixed":
+            frozen = states[1].nu_hat
+    nu0 = states[1].nu_hat if cfg.t2 else estimate_nu_hat(data, ybar, x0)
+    states[0].nu_hat, states[0].warn = nu0, nu0 <= 0
     return states

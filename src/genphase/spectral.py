@@ -10,6 +10,14 @@ Building V reads the m x n sensing matrix A once, in row blocks, and
 accumulates only the upper block triangle: about (c+1)/(2c) * 2mn^2 flops
 for c column blocks (c = 1 up to n = 724, 8 at n = 2000), and memory for A
 plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
+
+When the caller will run enough refinement steps on the same measurements,
+the same pass also accumulates the Gram matrix G = A^T A / m (another n^2
+floats and as many flops again).  A refinement step then costs 4n^2 flops
+from G and V instead of 4mn from two passes over A (see refine.py).  The
+build pays for G when 2 * refine_steps * (m - n) > m * n, the flop
+break-even between one extra 2mn^2 build and saving 4n(m - n) per step; it
+never holds for m <= n.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ class SpectralMatrix:
     m_used: int
     diag_shifted: np.ndarray  # diagonal of (1/m) sum_i y_i a_i a_i^T
     ybar: float
+    gram: np.ndarray | None = None  # A^T A / m, exactly symmetric, when built
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its
@@ -46,14 +55,32 @@ def _block_sizes(n: int) -> tuple[int, int]:
     return max(1, _BLOCK_BYTES // (8 * n)), max(1, _BLOCK_BYTES // (16 * n))
 
 
-def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
-    """V = (1/m) A^T diag(y) A - ybar I.
+def gram_pays_off(m: int, n: int, refine_steps: int) -> bool:
+    """Whether building G = A^T A / m (2mn^2 flops) beside V costs less than
+    the 4n(m - n) flops per step it saves over refine_steps refinement
+    steps."""
+    return 2 * refine_steps * (m - n) > m * n
+
+
+def _mirror_upper(mat: np.ndarray, starts, width: int) -> None:
+    """Copy the upper block triangle of mat onto its lower one, in place."""
+    for i0 in starts:
+        i1 = i0 + width
+        block = mat[i0:i1, i0:i1]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+        mat[i1:, i0:i1] = mat[i0:i1, i1:].T
+
+
+def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> SpectralMatrix:
+    """V = (1/m) A^T diag(y) A - ybar I, and G = A^T A / m when
+    gram_pays_off(m, n, refine_steps).
 
     For each row block A_b of A, with Y_b = A_b * y_b, only the upper block
     triangle S[I, J>=I] += A_b[:, I]^T Y_b[:, J>=I] of S = A^T diag(y) A is
-    accumulated, one GEMM per column block I; S is then mirrored and
-    shifted in place.  Raises NumericalError when a diagonal entry of S is
-    not finite, which any NaN or infinity in y or A causes.
+    accumulated, one GEMM per column block I (and likewise for A^T A); S is
+    then mirrored and shifted in place.  Raises NumericalError when a
+    diagonal entry of S is not finite, which any NaN or infinity in y or A
+    causes.
     """
     a = data.sensing
     y = data.observations
@@ -61,25 +88,27 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     rows, width = _block_sizes(n)
     starts = range(0, n, width)
     s = np.zeros((n, n))
+    gram = np.zeros((n, n)) if gram_pays_off(m, n, refine_steps) else None
     for r0 in range(0, m, rows):
         a_b = a[r0:r0 + rows]
         y_b = a_b * y[r0:r0 + rows, None]
         for i0 in starts:
             s[i0:i0 + width, i0:] += a_b[:, i0:i0 + width].T @ y_b[:, i0:]
+            if gram is not None:
+                gram[i0:i0 + width, i0:] += a_b[:, i0:i0 + width].T @ a_b[:, i0:]
     s /= m
     # Exact symmetry by construction: mirror the upper triangle.
-    for i0 in starts:
-        i1 = i0 + width
-        block = s[i0:i1, i0:i1]
-        block[...] = np.triu(block) + np.triu(block, 1).T
-        s[i1:, i0:i1] = s[i0:i1, i1:].T
+    _mirror_upper(s, starts, width)
+    if gram is not None:
+        gram /= m
+        _mirror_upper(gram, starts, width)
     diag_shifted = np.diag(s).copy()
     if not np.isfinite(diag_shifted).all():
         raise NumericalError("spectral matrix is not finite: the measurements "
                              "contain NaN or Inf")
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
-    return SpectralMatrix(v=s, m_used=m, diag_shifted=diag_shifted, ybar=ybar)
+    return SpectralMatrix(v=s, m_used=m, diag_shifted=diag_shifted, ybar=ybar, gram=gram)
 
 
 def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:

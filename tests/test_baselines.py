@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from genphase import (ALGORITHMS, AppgdConfig, ConfigurationError, GenerativePrior,
-                      LinkModel, MeasurementSet, NumericalError, appgd_step, evaluate,
-                      linear_subspace_prior, run_algorithm, sample_measurements)
+                      LinkModel, MeasurementSet, NumericalError, appgd_step,
+                      build_spectral_matrix, evaluate, linear_subspace_prior,
+                      run_algorithm, sample_measurements)
+from genphase import baselines
 
 
 def _range_signal(prior, latent_seed=0):
@@ -152,3 +154,39 @@ def _w0(data):
     from genphase import build_spectral_matrix, initial_vector, shifted_matrix
     spec = build_spectral_matrix(data)
     return initial_vector(spec, shifted_matrix(spec))
+
+
+def test_refine_step_count_table():
+    assert {a: baselines.refine_step_count(a, 20, 30) for a in ALGORITHMS} == \
+        {"mprg": 30, "mprgf": 30, "ppower": 0, "step2": 50, "appgd": 0}
+
+
+@pytest.mark.parametrize("name", ["mprg", "mprgf", "step2"])
+def test_run_algorithm_refines_in_n_space_with_a_gram(name):
+    prior = linear_subspace_prior(5, 40, seed=2)
+    x = _range_signal(prior, latent_seed=3)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
+    plain = build_spectral_matrix(data)
+    with_gram = build_spectral_matrix(data, refine_steps=10**6)
+    assert with_gram.gram is not None
+    a = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=plain)
+    b = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=with_gram)
+    assert len(a.records) == len(b.records)
+    assert b.final_error == pytest.approx(a.final_error, rel=1e-12)
+    assert [r.get("warn") for r in a.records] == [r.get("warn") for r in b.records]
+
+
+def test_run_algorithm_builds_for_its_own_refine_steps(monkeypatch):
+    seen = []
+    build = baselines.build_spectral_matrix
+
+    def recording(data, refine_steps=0):
+        seen.append(refine_steps)
+        return build(data, refine_steps=refine_steps)
+
+    monkeypatch.setattr(baselines, "build_spectral_matrix", recording)
+    prior = linear_subspace_prior(3, 12, seed=1)
+    data = sample_measurements(LinkModel("abs-noise-out"), _range_signal(prior), 80, seed=2)
+    for name in ALGORITHMS:
+        run_algorithm(name, data, prior, t1=3, t2=4)
+    assert seen == [4, 4, 0, 7, 0]

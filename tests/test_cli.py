@@ -116,6 +116,13 @@ def test_config_unknown_top_level_key_exit_code(tmp_path, capsys):
     assert "trails" in err
 
 
+def test_config_builtin_link_params_exit_code(tmp_path, capsys):
+    code, err = _sweep_config_error(
+        tmp_path, capsys, {"link": {"name": "abs-noise-out", "params": {"square": 2.0}}})
+    assert code == 2
+    assert "link.params" in err
+
+
 def test_sweep_and_plot(tmp_path):
     cfg = {"prior": {"k": 3, "n": 12, "seed": 4},
            "link": {"name": "abs-noise-out"},
@@ -147,7 +154,8 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_bad_link_exit_code(capsys):
     assert main(["nu", "--link", "not-a-link"]) == 2
     assert main(["nu", "--link", "custom", "--link-params", "{bad json"]) == 2
-    capsys.readouterr()
+    assert main(["nu", "--link", "abs-noise-out", "--link-params", '{"square": 2.0}']) == 2
+    assert "link.params" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -117,6 +117,22 @@ def test_run_experiment_row_cardinality():
     assert result.slopes == {"mprg": None, "ppower": None}
 
 
+def test_run_experiment_builds_for_all_refine_steps(monkeypatch):
+    # each cell's build is told the refinement steps of every restart of
+    # every algorithm: 2 restarts x (mprg t2 + step2 t1+t2 + appgd 0)
+    from genphase import harness
+    seen = []
+    build = harness.build_spectral_matrix
+
+    def recording(data, refine_steps=0):
+        seen.append(refine_steps)
+        return build(data, refine_steps=refine_steps)
+
+    monkeypatch.setattr(harness, "build_spectral_matrix", recording)
+    run_experiment(_tiny_cfg(algorithms=("mprg", "step2", "appgd"), t1=3, t2=4))
+    assert seen == [2 * (4 + 7 + 0)] * 4
+
+
 def test_run_experiment_determinism():
     cfg = _tiny_cfg()
     r1 = run_experiment(cfg)

@@ -43,6 +43,12 @@ def test_unknown_link_name_rejected():
         LinkModel("not-a-link")
 
 
+def test_builtin_link_rejects_params():
+    with pytest.raises(ConfigurationError, match="link.params"):
+        LinkModel("abs-noise-out", params={"square": 2.0})
+    assert LinkModel("abs-noise-out", params={}).params == {}
+
+
 def test_unknown_custom_primitive_rejected():
     with pytest.raises(ConfigurationError):
         LinkModel("custom", params={"cube": 1.0})

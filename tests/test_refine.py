@@ -11,6 +11,22 @@ from genphase import (ConfigurationError, LinkModel, MeasurementSet, RefineConfi
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+# The two forms of a refinement step: two passes over A (m-space), or
+# products with V and the Gram matrix A^T A / m (n-space).  The trajectory
+# and convergence checks below run each form in turn.
+FORMS = ("m-space", "n-space")
+
+
+def _spec(data, form):
+    """The spec that selects the gradient form: None for m-space, else a
+    SpectralMatrix carrying the Gram matrix."""
+    if form == "m-space":
+        return None
+    spec = build_spectral_matrix(data, refine_steps=data.m * data.n)
+    if spec.gram is None:   # m <= n: the build never pays for it
+        spec.gram = data.sensing.T @ data.sensing / data.m
+    return spec
+
 
 def _range_signal(prior, latent_seed=0):
     z = np.random.default_rng(latent_seed).standard_normal(prior.k)
@@ -75,7 +91,8 @@ def test_nu_hat_consistent_at_truth():
 def test_refine_step_zero_gradient_fixed_point():
     # constant observations make both nu_hat and the pseudo-observations
     # vanish, so the pre-projection equals the iterate and the projection of a
-    # range point returns itself
+    # range point returns itself.  m-space only: in n-space V + ybar I and
+    # ybar G cancel to rounding, not exactly.
     prior = linear_subspace_prior(5, 30, seed=1)
     x_t = _range_signal(prior, latent_seed=2)
     data = _manual_set(np.random.default_rng(1).standard_normal((20, 30)),
@@ -99,12 +116,13 @@ def test_refine_step_hand_computed_update():
     # ytil = ((3-2)*1, (1-2)*0) = (1, 0); resid = 0.5*g - ytil = (-0.5, 0)
     # x_til = x - (2/2) * a^T resid = (1.5, 0, 0, 0)
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
-    nxt = refine_step(data, ybar, state, RefineConfig(), prior)
-    assert nxt.nu_hat == 0.5
-    assert nxt.zeta == 2.0
-    assert not nxt.warn
-    assert np.array_equal(nxt.pre_projection, np.array([1.5, 0.0, 0.0, 0.0]))
-    assert nxt.t == 1
+    for form in FORMS:
+        nxt = refine_step(data, ybar, state, RefineConfig(), prior, spec=_spec(data, form))
+        assert nxt.nu_hat == 0.5, form
+        assert nxt.zeta == 2.0, form
+        assert not nxt.warn, form
+        assert np.array_equal(nxt.pre_projection, np.array([1.5, 0.0, 0.0, 0.0])), form
+        assert nxt.t == 1, form
 
 
 def test_fixed_mode_freezes_nu():
@@ -112,11 +130,12 @@ def test_fixed_mode_freezes_nu():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 2000, seed=3)
     cfg = RefineConfig(t2=5, zeta_mode="fixed", zeta_fixed=None)
-    states = run_refine(data, prior, x, cfg, truth=x)
-    nus = {s.nu_hat for s in states}
-    assert len(nus) == 1
-    # derived step size is 1/nu_hat(0)
-    assert states[1].zeta == pytest.approx(1.0 / states[0].nu_hat, rel=1e-12)
+    for form in FORMS:
+        states = run_refine(data, prior, x, cfg, truth=x, spec=_spec(data, form))
+        nus = {s.nu_hat for s in states}
+        assert len(nus) == 1, form
+        # derived step size is 1/nu_hat(0)
+        assert states[1].zeta == pytest.approx(1.0 / states[0].nu_hat, rel=1e-12), form
 
 
 def test_fixed_mode_explicit_zeta():
@@ -124,32 +143,37 @@ def test_fixed_mode_explicit_zeta():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 2000, seed=3)
     cfg = RefineConfig(t2=3, zeta_mode="fixed", zeta_fixed=0.7)
-    states = run_refine(data, prior, x, cfg, truth=x)
-    assert all(s.zeta == 0.7 for s in states[1:])
+    for form in FORMS:
+        states = run_refine(data, prior, x, cfg, truth=x, spec=_spec(data, form))
+        assert all(s.zeta == 0.7 for s in states[1:]), form
 
 
 def test_run_refine_trajectory_contract():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 1000, seed=4)
-    states = run_refine(data, prior, x, RefineConfig(t2=7), truth=x)
-    assert len(states) == 8
-    assert [s.t for s in states] == list(range(8))
-    assert all(s.error is not None for s in states)
+    for form in FORMS:
+        states = run_refine(data, prior, x, RefineConfig(t2=7), truth=x,
+                            spec=_spec(data, form))
+        assert len(states) == 8, form
+        assert [s.t for s in states] == list(range(8)), form
+        assert all(s.error is not None for s in states), form
 
 
 def test_run_refine_zero_iterations():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 500, seed=5)
-    states = run_refine(data, prior, x, RefineConfig(t2=0), truth=x)
-    assert len(states) == 1 and states[0].t == 0
+    for form in FORMS:
+        states = run_refine(data, prior, x, RefineConfig(t2=0), truth=x,
+                            spec=_spec(data, form))
+        assert len(states) == 1 and states[0].t == 0, form
 
 
 def test_one_step_error_decrease_from_spectral_init():
     prior = linear_subspace_prior(5, 100, seed=2)
     link = LinkModel("abs-noise-out", 0.0)
-    hits = 0
+    hits = dict.fromkeys(FORMS, 0)
     for seed in range(10):
         x = _range_signal(prior, latent_seed=seed)
         data = sample_measurements(link, x, 2000, seed=700 + seed)
@@ -157,9 +181,11 @@ def test_one_step_error_decrease_from_spectral_init():
         w0 = initial_vector(spec, shifted_matrix(spec))
         init = min((projected_power(spec, prior, s * w0, 20, truth=x)[-1]
                     for s in (1.0, -1.0)), key=lambda st: st.error)
-        states = run_refine(data, prior, init.iterate, RefineConfig(t2=1), truth=x)
-        hits += states[1].error <= states[0].error
-    assert hits >= 8
+        for form in FORMS:
+            states = run_refine(data, prior, init.iterate, RefineConfig(t2=1), truth=x,
+                                spec=_spec(data, form))
+            hits[form] += states[1].error <= states[0].error
+    assert min(hits.values()) >= 8, hits
 
 
 def test_adaptive_update_scale_equivariant():
@@ -172,11 +198,13 @@ def test_adaptive_update_scale_equivariant():
                            sensing=data.sensing,
                            observations=2.0 * data.observations,
                            seed=data.seed, link=data.link)
-    s1 = run_refine(data, prior, x, RefineConfig(t2=10), truth=x)
-    s2 = run_refine(data2, prior, x, RefineConfig(t2=10), truth=x)
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a.iterate, b.iterate)
-        assert b.nu_hat == 2.0 * a.nu_hat
+    for form in FORMS:
+        s1 = run_refine(data, prior, x, RefineConfig(t2=10), truth=x, spec=_spec(data, form))
+        s2 = run_refine(data2, prior, x, RefineConfig(t2=10), truth=x,
+                        spec=_spec(data2, form))
+        for a, b in zip(s1, s2):
+            assert np.array_equal(a.iterate, b.iterate), form
+            assert b.nu_hat == 2.0 * a.nu_hat, form
 
 
 def test_linear_link_trips_warnings():
@@ -185,9 +213,11 @@ def test_linear_link_trips_warnings():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=0)
     data = sample_measurements(LinkModel("linear", 0.0), x, 2000, seed=51)
-    states = run_refine(data, prior, x, RefineConfig(t2=20), truth=x)
-    warns = sum(s.warn for s in states)
-    assert warns >= len(states) / 2
+    for form in FORMS:
+        states = run_refine(data, prior, x, RefineConfig(t2=20), truth=x,
+                            spec=_spec(data, form))
+        warns = sum(s.warn for s in states)
+        assert warns >= len(states) / 2, form
 
 
 def test_warn_never_fires_on_square_noise():
@@ -195,8 +225,10 @@ def test_warn_never_fires_on_square_noise():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("square-noise", 0.1), x, 2000, seed=8)
-    states = run_refine(data, prior, x, RefineConfig(t2=10), truth=x)
-    assert not any(s.warn for s in states)
+    for form in FORMS:
+        states = run_refine(data, prior, x, RefineConfig(t2=10), truth=x,
+                            spec=_spec(data, form))
+        assert not any(s.warn for s in states), form
 
 
 def test_refine_config_validation():
@@ -204,3 +236,71 @@ def test_refine_config_validation():
                 dict(nu_floor=0.0)):
         with pytest.raises(ConfigurationError):
             RefineConfig(**bad)
+
+
+def _counting(sensing):
+    """sensing as an ndarray subclass that counts its products with vectors
+    (its transpose is a view of the same subclass, so A^T r counts too)."""
+    class Counting(np.ndarray):
+        matmuls = 0
+
+        def __matmul__(self, other):
+            Counting.matmuls += 1
+            return np.asarray(self) @ other
+
+    return np.asarray(sensing).view(Counting)
+
+
+@pytest.mark.parametrize("zeta_mode", ["adaptive", "fixed"])
+@pytest.mark.parametrize("t2", [0, 1, 4])
+def test_run_refine_products_with_a(zeta_mode, t2):
+    # m-space: two products with A per step and none more, since the t=0
+    # nu_hat comes from the first step's A x0; only t2 = 0 estimates it
+    # on its own.  n-space: no product with A at all.
+    prior = linear_subspace_prior(5, 40, seed=2)
+    x = _range_signal(prior, latent_seed=1)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
+    spec = _spec(data, "n-space")
+    data.sensing = _counting(data.sensing)
+    counter = type(data.sensing)
+    cfg = RefineConfig(t2=t2, zeta_mode=zeta_mode)
+    states = run_refine(data, prior, x, cfg, truth=x)
+    assert counter.matmuls == (2 * t2 if t2 else 1)
+    counter.matmuls = 0
+    nspace = run_refine(data, prior, x, cfg, truth=x, spec=spec)
+    assert counter.matmuls == (0 if t2 else 1)
+    assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
+    assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
+
+
+def _close(a, b, rel=1e-12):
+    return np.linalg.norm(np.subtract(a, b)) <= rel * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("cfg", [RefineConfig(), RefineConfig(zeta_mode="fixed"),
+                                 RefineConfig(zeta_mode="fixed", zeta_fixed=0.7)],
+                         ids=["adaptive", "fixed-derived", "fixed-explicit"])
+def test_refine_step_forms_agree(cfg, sign):
+    # mixed-sign observations y = +-(|g| - 0.7 + noise): nu > 0 for sign +1,
+    # nu < 0 (so nu_hat <= 0 and the warning fires) for sign -1
+    prior = linear_subspace_prior(5, 40, seed=3)
+    x = _range_signal(prior, latent_seed=4)
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((600, 40))
+    y = sign * (np.abs(a @ x) - 0.7 + 0.1 * rng.standard_normal(600))
+    assert (y > 0).any() and (y < 0).any()
+    data = _manual_set(a, y)
+    ybar = empirical_mean_y(data)
+    start = x + 0.3 * rng.standard_normal(40)
+    state = Step(iterate=start / np.linalg.norm(start), t=0)
+    spec = _spec(data, "n-space")
+    for frozen in (None, 0.4 * sign):
+        m_step, n_step = (refine_step(data, ybar, state, cfg, prior, frozen_nu=frozen,
+                                      spec=s) for s in (None, spec))
+        assert _close(m_step.pre_projection, n_step.pre_projection)
+        assert _close(m_step.iterate, n_step.iterate)
+        assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
+        assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
+        assert n_step.warn == m_step.warn == (sign < 0)
+

@@ -70,10 +70,19 @@ def _random_set(m, n, seed, zero_frac=0.0):
 
 
 def _check_against_naive(data):
-    spec = build_spectral_matrix(data)
+    # refine_steps = m n asks for G exactly when m > n (2 m n (m - n) > m n)
+    spec = build_spectral_matrix(data, refine_steps=data.m * data.n)
     ref = _naive_v(data)
     assert np.abs(spec.v - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(spec.v, spec.v.T)
+    if data.m > data.n:
+        ref_g = data.sensing.T @ data.sensing / data.m
+        assert np.abs(spec.gram - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+        assert np.array_equal(spec.gram, spec.gram.T)
+        # building G leaves V's bits alone
+        assert np.array_equal(spec.v, build_spectral_matrix(data).v)
+    else:
+        assert spec.gram is None
     assert spec.ybar == data.observations.mean()
     assert spec.m_used == data.m
     # the +-ybar shift of the diagonal round-trips to within one rounding
@@ -114,6 +123,27 @@ def test_build_matches_naive_one_row_and_column_per_block(monkeypatch, n):
 def test_build_matches_naive_default_blocks(m, n):
     # one block; several row blocks of one column block; two column blocks
     _check_against_naive(_random_set(m, n, seed=m + n, zero_frac=0.1))
+
+
+def test_build_without_refine_steps_has_no_gram():
+    data = _random_set(2000, 20, seed=7)
+    assert build_spectral_matrix(data).gram is None
+    # 2 * 5 * (2000 - 20) = 19,800 <= 2000 * 20 = 40,000
+    assert build_spectral_matrix(data, refine_steps=5).gram is None
+
+
+@pytest.mark.parametrize("m,n,steps,pays", [
+    (250, 100, 2 * (30 + 30 + 50), True),   # 5 algorithms, 2 restarts, smallest m
+    (400, 100, 10 * (30 + 30), True),       # mprg, mprgf and appgd, 10 restarts
+    (16000, 2000, 2 * 30, False),           # mprg and appgd, 2 restarts
+    (200, 100, 100, False),                 # break-even: 2 * 100 * 100 == 200 * 100
+    (200, 100, 101, True),
+    (100, 100, 10**9, False),               # never for m <= n
+    (50, 100, 10**9, False),
+    (1000, 100, 0, False),
+])
+def test_gram_pays_off_rule(m, n, steps, pays):
+    assert spectral.gram_pays_off(m, n, steps) is pays
 
 
 def test_build_single_block_equals_one_gemm():
