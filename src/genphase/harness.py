@@ -60,6 +60,15 @@ class ExperimentConfig:
     select_by: str = "error"   # "error" (needs ground truth) | "residual"
 
 
+def _link(cfg: ExperimentConfig) -> LinkModel:
+    return LinkModel(name=cfg.link_name, sigma=cfg.sigma, params=cfg.link_params)
+
+
+def _refine_config(cfg: ExperimentConfig) -> RefineConfig:
+    return RefineConfig(t2=cfg.t2, zeta_fixed=cfg.zeta_fixed, proj_cfg=cfg.projection,
+                        nu_floor=cfg.nu_floor)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigurationError listing every violated field."""
     problems = []
@@ -88,16 +97,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         problems.append("algorithms: must be nonempty")
     if cfg.t1 < 1:
         problems.append("t1: must be >= 1")
-    if cfg.t2 < 0:
-        problems.append("t2: must be >= 0")
     if cfg.tau <= 0:
         problems.append("tau: must be positive")
-    if cfg.nu_floor <= 0:
-        problems.append("nu_floor: must be positive")
-    if cfg.sigma < 0:
-        problems.append("sigma: must be nonnegative")
     if cfg.select_by not in ("error", "residual"):
         problems.append(f"select_by: unknown mode {cfg.select_by!r}")
+    for build in (_link, _refine_config):
+        try:
+            build(cfg)
+        except ConfigurationError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
 
@@ -142,12 +150,21 @@ _TYPE_CHECKS = {
 }
 
 
+# JSON keys whose ExperimentConfig field has another name.
+_FIELD_NAMES = {"prior.kind": "prior_kind", "prior.seed": "prior_seed",
+                "link.name": "link_name", "link.params": "link_params"}
+
+
+def _sections(doc: dict) -> list:
+    """(section, values) for the top level ("") and each nested object."""
+    return [("", doc)] + [(name, doc[name]) for name in ("prior", "link", "projection")
+                          if isinstance(doc.get(name), dict)]
+
+
 def _schema_problems(doc: dict) -> list:
     """One line per unknown key or wrong-typed value in a config document."""
-    sections = [("", doc)] + [(name, doc[name]) for name in ("prior", "link", "projection")
-                              if isinstance(doc.get(name), dict)]
     problems = []
-    for section, values in sections:
+    for section, values in _sections(doc):
         for key, value in values.items():
             where = f"{section}.{key}" if section else key
             kind = _CONFIG_KEYS[section].get(key)
@@ -160,38 +177,25 @@ def _schema_problems(doc: dict) -> list:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from its JSON document.  Unknown keys and
-    wrong-typed values raise ConfigurationError naming the field."""
+    wrong-typed values raise ConfigurationError naming the field; an absent
+    key takes the ExperimentConfig (or ProjectionConfig) field default."""
     if not isinstance(doc, dict):
         raise ConfigurationError("invalid experiment config: expected a JSON object")
     problems = _schema_problems(doc)
     if problems:
         raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
-    prior = doc.get("prior", {})
-    link = doc.get("link", {})
-    proj = doc.get("projection", {})
-    cfg = ExperimentConfig(
-        prior_kind=prior.get("kind", "linear-subspace"),
-        k=prior.get("k", 5),
-        n=prior.get("n", 100),
-        r=prior.get("r"),
-        prior_seed=prior.get("seed", 0),
-        hidden=tuple(prior.get("hidden", ())),
-        link_name=link.get("name", "abs-noise-out"),
-        sigma=link.get("sigma", 0.0),
-        link_params=link.get("params", {}),
-        m_grid=tuple(doc.get("m_grid", (250, 500, 1000, 2000, 4000))),
-        trials=doc.get("trials", 10),
-        restarts=doc.get("restarts", 2),
-        algorithms=tuple(doc.get("algorithms", ("mprg",))),
-        t1=doc.get("t1", 20),
-        t2=doc.get("t2", 30),
-        tau=doc.get("tau", 0.9),
-        nu_floor=doc.get("nu_floor", 1e-3),
-        zeta_fixed=doc.get("zeta_fixed"),
-        projection=ProjectionConfig(**proj) if proj else ProjectionConfig(),
-        master_seed=doc.get("master_seed", 0),
-        select_by=doc.get("select_by", "error"),
-    )
+    fields = {}
+    for section, values in _sections(doc):
+        if section == "projection":
+            fields["projection"] = ProjectionConfig(**values)
+            continue
+        for key, value in values.items():
+            kind = _CONFIG_KEYS[section][key]
+            if kind != "object":
+                where = f"{section}.{key}" if section else key
+                fields[_FIELD_NAMES.get(where, key)] = \
+                    tuple(value) if kind.endswith("list") else value
+    cfg = ExperimentConfig(**fields)
     validate_config(cfg)
     return cfg
 
@@ -287,9 +291,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     of all its restarts pay for it (spectral.gram_pays_off)."""
     validate_config(cfg)
     prior = build_prior(cfg)
-    link = LinkModel(name=cfg.link_name, sigma=cfg.sigma, params=cfg.link_params)
-    refine_cfg = RefineConfig(t2=cfg.t2, zeta_fixed=cfg.zeta_fixed,
-                              proj_cfg=cfg.projection, nu_floor=cfg.nu_floor)
+    link = _link(cfg)
+    refine_cfg = _refine_config(cfg)
     # every restart of every algorithm refines on the same cell's V (and G)
     refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
                                       for a in cfg.algorithms)

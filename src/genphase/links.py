@@ -1,9 +1,11 @@
 """Link functions and measurement sampling for the single index model y = f(a^T x).
 
-A link is a scalar function of g = a^T x with additive or embedded Gaussian
-noise.  Built-in links cover the magnitude-only and squared measurement models
-plus their perturbed variants; custom links are a named combination of scalar
-primitives with noise added on the outside.
+A link is a scalar function of g = a^T x with Gaussian noise eta.  Every link
+is a sum of scalar primitives with coefficients, f(g) = sum_p c_p prim_p(g),
+plus eta.  The built-in links cover the magnitude-only and squared measurement
+models and their perturbed variants; a custom link takes its coefficients
+from LinkModel.params.  Noise is added outside f, except for abs-noise-in,
+which is |g + eta|.
 """
 
 from __future__ import annotations
@@ -18,19 +20,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .runtrace import format_cell
 
-BUILTIN_LINKS = (
-    "abs-noise-out",   # |g| + eta
-    "abs-noise-in",    # |g + eta|
-    "square-noise",    # g^2 + eta
-    "abs-tanh",        # |g| + 2 tanh(|g|) + eta
-    "square-sin",      # 2 g^2 + 3 sin(|g|) + eta
-    "linear",          # g + eta
-)
-
-# Primitives available to custom links.  A custom link computes
-# y = sum_p coeff_p * prim_p(g) + eta, with coefficients taken from
-# LinkModel.params keyed by primitive name.
-CUSTOM_PRIMITIVES = {
+# Scalar primitives prim_p(g) that every link is a weighted sum of.
+PRIMITIVES = {
     "identity": lambda g: g,
     "abs": np.abs,
     "square": np.square,
@@ -38,9 +29,15 @@ CUSTOM_PRIMITIVES = {
     "sin-abs": lambda g: np.sin(np.abs(g)),
 }
 
-# Links whose noise enters additively outside f(g); for these, nu and the
-# population mean shift are unaffected by sigma.
-NOISE_OUT_LINKS = ("abs-noise-out", "square-noise", "abs-tanh", "square-sin", "linear", "custom")
+# Built-in links as {primitive: coefficient}; terms are summed in this order.
+BUILTIN_LINKS = {
+    "abs-noise-out": {"abs": 1.0},                    # |g| + eta
+    "abs-noise-in": {"abs": 1.0},                     # |g + eta|
+    "square-noise": {"square": 1.0},                  # g^2 + eta
+    "abs-tanh": {"abs": 1.0, "tanh-abs": 2.0},        # |g| + 2 tanh(|g|) + eta
+    "square-sin": {"square": 2.0, "sin-abs": 3.0},    # 2 g^2 + 3 sin(|g|) + eta
+    "linear": {"identity": 1.0},                      # g + eta
+}
 
 # (nu, mean_y) closed forms registered where derivable.
 _ANALYTIC_MOMENTS = {
@@ -59,15 +56,15 @@ class LinkModel:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ConfigurationError(f"sigma must be nonnegative, got {self.sigma}")
+            raise ConfigurationError(f"link.sigma: must be nonnegative, got {self.sigma}")
         if self.name not in BUILTIN_LINKS and self.name != "custom":
-            raise ConfigurationError(f"unknown link name {self.name!r}")
+            raise ConfigurationError(f"link.name: unknown link {self.name!r}")
         if self.name == "custom":
-            bad = [k for k in self.params if k not in CUSTOM_PRIMITIVES]
+            bad = [k for k in self.params if k not in PRIMITIVES]
             if bad:
                 raise ConfigurationError(
-                    f"unknown custom-link primitives {bad}; known: {sorted(CUSTOM_PRIMITIVES)}"
-                )
+                    f"link.params: unknown custom-link primitives {bad}; "
+                    f"known: {sorted(PRIMITIVES)}")
         elif self.params:
             raise ConfigurationError(
                 f"link.params: only the custom link takes params; the built-in link "
@@ -78,26 +75,13 @@ def apply_link(link: LinkModel, g, eta):
     """Evaluate y = f(g) with the noise realization eta injected where the
     formula dictates (inside the absolute value for abs-noise-in, additively
     otherwise).  Works elementwise on arrays."""
-    name = link.name
-    if name == "abs-noise-out":
-        return np.abs(g) + eta
-    if name == "abs-noise-in":
-        return np.abs(g + eta)
-    if name == "square-noise":
-        return np.square(g) + eta
-    if name == "abs-tanh":
-        ag = np.abs(g)
-        return ag + 2.0 * np.tanh(ag) + eta
-    if name == "square-sin":
-        return 2.0 * np.square(g) + 3.0 * np.sin(np.abs(g)) + eta
-    if name == "linear":
-        return g + eta
-    if name == "custom":
-        out = np.zeros_like(np.asarray(g, dtype=float))
-        for key, coeff in link.params.items():
-            out = out + coeff * CUSTOM_PRIMITIVES[key](g)
-        return out + eta
-    raise ConfigurationError(f"unknown link name {name!r}")
+    if link.name == "abs-noise-in":
+        g, eta = g + eta, 0.0
+    terms = link.params if link.name == "custom" else BUILTIN_LINKS[link.name]
+    out = np.zeros_like(np.asarray(g, dtype=float))
+    for prim, coeff in terms.items():
+        out = out + coeff * PRIMITIVES[prim](g)
+    return out + eta
 
 
 @dataclass

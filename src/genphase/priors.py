@@ -2,9 +2,13 @@
 
 Two prior families are provided: a linear subspace with an orthonormal basis
 (admits a closed-form projector) and a random ReLU MLP with zero-mean Gaussian
-weights and no bias terms.  The iterative projector minimizes ||G(z) - v||^2
-over the latent ball by adaptive-moment gradient descent with restarts,
-using exact backpropagation through the layers and the output normalization.
+weights and no bias terms.  Each prior records a Lipschitz proxy, the L in
+the recovery rate sqrt(k log L log m / m).
+
+The iterative projector minimizes ||G(z) - v||^2 over the latent ball by
+adaptive-moment gradient descent with restarts, using exact backpropagation
+through the layers and the output normalization.  Restart 0 starts from a
+scaled Gaussian latent or, with latent_init="warm-start", from a given one.
 """
 
 from __future__ import annotations
@@ -38,26 +42,11 @@ def default_radius(k: int) -> float:
     return 10.0 * math.sqrt(k)
 
 
-def _power_spectral_norm(w, iters: int = 50, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(iters):
-        u = w @ v
-        s = np.linalg.norm(u)
-        if s == 0:
-            return 0.0
-        v = w.T @ u
-        v /= np.linalg.norm(v)
-    return float(s)
-
-
 def _lipschitz_proxy(layers) -> float:
-    out = 1.0
-    for i, w in enumerate(layers):
-        out *= _power_spectral_norm(w, seed=i)
-    return out
+    """Product of the layers' exact spectral norms (largest singular values):
+    an upper bound on the Lipschitz constant of the unnormalized network,
+    since ReLU is 1-Lipschitz."""
+    return float(math.prod(np.linalg.norm(w, 2) for w in layers))
 
 
 def linear_subspace_prior(k: int, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
@@ -148,17 +137,17 @@ class ProjectionConfig:
     steps: int = 200
     learning_rate: float = 0.05
     restarts: int = 1
-    latent_init: str = "gaussian"   # "zero" | "gaussian" | "warm-start"
+    latent_init: str = "gaussian"   # "gaussian" | "warm-start"
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+            raise ConfigurationError("projection.steps: must be >= 1")
         if self.restarts < 1:
-            raise ConfigurationError("restarts must be >= 1")
+            raise ConfigurationError("projection.restarts: must be >= 1")
         if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.latent_init not in ("zero", "gaussian", "warm-start"):
-            raise ConfigurationError(f"unknown latent_init {self.latent_init!r}")
+            raise ConfigurationError("projection.learning_rate: must be positive")
+        if self.latent_init not in ("gaussian", "warm-start"):
+            raise ConfigurationError(f"projection.latent_init: unknown value {self.latent_init!r}")
 
 
 @dataclass
@@ -213,8 +202,6 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
         rng = np.random.default_rng([key, restart])
         if restart == 0 and cfg.latent_init == "warm-start" and warm_start is not None:
             z = np.array(warm_start, dtype=float)
-        elif restart == 0 and cfg.latent_init == "zero":
-            z = np.zeros(prior.k)
         else:
             z = 0.1 * rng.standard_normal(prior.k)
         z = clip_to_ball(z, prior.r)

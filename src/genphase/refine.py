@@ -43,13 +43,13 @@ class RefineConfig:
 
     def __post_init__(self):
         if self.t2 < 0:
-            raise ConfigurationError("t2 must be >= 0")
+            raise ConfigurationError("t2: must be >= 0")
         if self.zeta_mode not in ("adaptive", "fixed"):
-            raise ConfigurationError(f"unknown zeta_mode {self.zeta_mode!r}")
+            raise ConfigurationError(f"zeta_mode: unknown mode {self.zeta_mode!r}")
         if self.zeta_fixed is not None and self.zeta_fixed <= 0:
-            raise ConfigurationError("zeta_fixed must be positive when given")
+            raise ConfigurationError("zeta_fixed: must be positive when given")
         if self.nu_floor <= 0:
-            raise ConfigurationError("nu_floor must be positive")
+            raise ConfigurationError("nu_floor: must be positive")
 
 
 def empirical_mean_y(data: MeasurementSet) -> float:

@@ -31,6 +31,17 @@ def test_validate_collects_all_problems():
         assert frag in msg, frag
 
 
+def test_validate_uses_link_and_refine_checks():
+    # LinkModel or RefineConfig rejects each; validate_config lists it with
+    # the other problems instead of leaving it to the run
+    for kw, frag in ((dict(link_name="bogus"), "link.name:"),
+                     (dict(link_name="custom", link_params={"cube": 1.0}), "link.params:"),
+                     (dict(zeta_fixed=-1.0), "zeta_fixed:")):
+        with pytest.raises(ConfigurationError) as exc:
+            validate_config(_tiny_cfg(trials=0, **kw))
+        assert frag in str(exc.value) and "trials:" in str(exc.value), frag
+
+
 def test_validate_rejects_bad_radius_and_width():
     # r = 0 and a zero-width layer used to fail later as a numerical error
     # ("latent maps to the zero vector"); a negative r used to run
@@ -60,6 +71,18 @@ def test_config_from_dict_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert config_from_file(path) == cfg
+
+
+def test_config_from_dict_defaults_are_the_field_defaults():
+    assert config_from_dict({}) == ExperimentConfig()
+    assert config_from_dict({"prior": {}, "link": {}, "projection": {}}) == ExperimentConfig()
+
+
+def test_config_from_dict_names_projection_field():
+    for proj, frag in (({"steps": 0}, "projection.steps:"),
+                       ({"latent_init": "zero"}, "projection.latent_init:")):
+        with pytest.raises(ConfigurationError, match=frag):
+            config_from_dict({"projection": proj})
 
 
 def test_config_from_file_rejects_bad_json(tmp_path):

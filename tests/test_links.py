@@ -6,6 +6,7 @@ import pytest
 from genphase import (ConfigurationError, LinkModel, apply_link, load_measurements,
                       population_nu, sample_measurements, save_measurements,
                       subexp_norm_proxy)
+from genphase.links import BUILTIN_LINKS
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -28,6 +29,30 @@ def test_apply_link_abs_noise_in():
 def test_apply_link_abs_tanh():
     got = apply_link(LinkModel("abs-tanh"), -1.5, 0.25)
     assert got == pytest.approx(1.5 + 2 * math.tanh(1.5) + 0.25, abs=1e-12)
+
+
+# Each built-in link's formula written out, with the noise where it enters.
+_LINK_FORMULAS = {
+    "abs-noise-out": lambda g, eta: np.abs(g) + eta,
+    "abs-noise-in": lambda g, eta: np.abs(g + eta),
+    "square-noise": lambda g, eta: np.square(g) + eta,
+    "abs-tanh": lambda g, eta: np.abs(g) + 2.0 * np.tanh(np.abs(g)) + eta,
+    "square-sin": lambda g, eta: 2.0 * np.square(g) + 3.0 * np.sin(np.abs(g)) + eta,
+    "linear": lambda g, eta: g + eta,
+}
+
+
+def test_link_formulas_cover_builtin_links():
+    assert set(_LINK_FORMULAS) == set(BUILTIN_LINKS)
+
+
+@pytest.mark.parametrize("name", sorted(_LINK_FORMULAS))
+def test_builtin_link_matches_formula_bitwise(name):
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal(10**5)
+    eta = 0.3 * rng.standard_normal(10**5)
+    got = apply_link(LinkModel(name, 0.3), g, eta)
+    assert got.tobytes() == _LINK_FORMULAS[name](g, eta).tobytes()
 
 
 def test_custom_link_composition():

@@ -62,11 +62,13 @@ def test_lipschitz_proxy_subspace_is_one():
 
 
 def test_lipschitz_proxy_matches_svd():
-    prior = relu_mlp_prior(4, [12], 24, seed=7)
-    exact = 1.0
-    for w in prior.layers:
-        exact *= np.linalg.svd(w, compute_uv=False)[0]
-    assert prior.lipschitz_proxy == pytest.approx(exact, rel=1e-6)
+    # the second shape is the mlp-sweep benchmark prior
+    for k, hidden, n, seed in ((4, [12], 24, 7), (5, [32], 100, 2)):
+        prior = relu_mlp_prior(k, hidden, n, seed=seed)
+        exact = 1.0
+        for w in prior.layers:
+            exact *= np.linalg.svd(w, compute_uv=False)[0]
+        assert prior.lipschitz_proxy == pytest.approx(exact, rel=1e-12), (k, hidden, n)
 
 
 def test_project_exact_fixed_point():
@@ -203,7 +205,7 @@ def test_relu_mlp_default_hidden_width():
 
 def test_projection_config_validation():
     for bad in (dict(steps=0), dict(restarts=0), dict(learning_rate=0.0),
-                dict(latent_init="nope")):
+                dict(latent_init="nope"), dict(latent_init="zero")):
         with pytest.raises(ConfigurationError):
             ProjectionConfig(**bad)
 
