@@ -1,7 +1,8 @@
 """End-to-end algorithms over shared priors and projectors.
 
 mprg   : spectral initialization (t1 power iterations) then adaptive refinement.
-mprgf  : same, but the refinement scale factor is frozen at its first value.
+mprgf  : same, but the refinement scale factor nu, and so the step size
+         zeta = 1/nu, is frozen at its first estimate.
 ppower : power iterations only, run for the full t1+t2 budget.
 step2  : refinement only, from the projected starting vector, full budget.
 appgd  : alternating-phase projected gradient descent, initialized by the
@@ -11,7 +12,7 @@ appgd  : alternating-phase projected gradient descent, initialized by the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +57,7 @@ def refine_step_count(name: str, t1: int, t2: int) -> int:
 
 def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                   t1: int = 20, t2: int = 30, proj_cfg: ProjectionConfig | None = None,
-                  refine_cfg: RefineConfig | None = None, tau: float = 0.9,
-                  seed=0, spec: SpectralMatrix | None = None,
+                  tau: float = 0.9, seed=0, spec: SpectralMatrix | None = None,
                   w0_override=None) -> RunTrace:
     """Run one named algorithm and return its trajectory.
 
@@ -88,13 +88,12 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                                seed=[seed, 1], truth=truth)
     elif name == "step2":
         x0 = project(prior, w0, proj_cfg, seed=[seed, 1]).point
-        cfg = replace(refine_cfg or RefineConfig(), t2=steps, proj_cfg=proj_cfg)
+        cfg = RefineConfig(t2=steps, proj_cfg=proj_cfg)
         head = run_refine(data, prior, x0, cfg, seed=[seed, 2], truth=truth, spec=spec)
     elif name in ("mprg", "mprgf"):
         power = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
-        cfg = replace(refine_cfg or RefineConfig(),
-                      zeta_mode="fixed" if name == "mprgf" else "adaptive",
-                      t2=steps, proj_cfg=proj_cfg)
+        cfg = RefineConfig(t2=steps, zeta_mode="fixed" if name == "mprgf" else "adaptive",
+                           proj_cfg=proj_cfg)
         head = power[:-1]
         tail = run_refine(data, prior, power[-1].iterate, cfg,
                           seed=[seed, 2], truth=truth, spec=spec)

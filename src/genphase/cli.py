@@ -150,8 +150,6 @@ def _cmd_sweep(args):
 
 def _cmd_plot(args):
     _, aggregates = harness.read_sweep_csv(args.in_csv)
-    if not aggregates:
-        raise ConfigurationError(f"no aggregate block in {args.in_csv}")
     render_sweep_svg(aggregates, args.out_svg)
     print(f"wrote {args.out_svg}")
 

@@ -5,6 +5,12 @@ class ConfigurationError(ValueError):
     """Invalid configuration: unknown names, bad field values, malformed files."""
 
 
+def raise_problems(problems, heading=None) -> None:
+    """Raise one ConfigurationError listing the problems, if any, one per line."""
+    if problems:
+        raise ConfigurationError("\n  ".join(([heading] if heading else []) + problems))
+
+
 class NumericalError(RuntimeError):
     """A numerical procedure failed (degenerate input, no usable data, ...)."""
 

@@ -18,11 +18,10 @@ import numpy as np
 from scipy import stats
 
 from .baselines import ALGORITHMS, refine_step_count, run_algorithm
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError, raise_problems
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, project, relu_mlp_prior
-from .refine import RefineConfig
 from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
@@ -53,24 +52,23 @@ class ExperimentConfig:
     t1: int = 20
     t2: int = 30
     tau: float = 0.9
-    nu_floor: float = 1e-3
-    zeta_fixed: float | None = None
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     master_seed: int = 0
-    select_by: str = "error"   # "error" (needs ground truth) | "residual"
 
 
 def _link(cfg: ExperimentConfig) -> LinkModel:
     return LinkModel(name=cfg.link_name, sigma=cfg.sigma, params=cfg.link_params)
 
 
-def _refine_config(cfg: ExperimentConfig) -> RefineConfig:
-    return RefineConfig(t2=cfg.t2, zeta_fixed=cfg.zeta_fixed, proj_cfg=cfg.projection,
-                        nu_floor=cfg.nu_floor)
+_INVALID = "invalid experiment config:"
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigurationError listing every violated field."""
+    raise_problems(_config_problems(cfg), _INVALID)
+
+
+def _config_problems(cfg: ExperimentConfig) -> list:
     problems = []
     if cfg.prior_kind not in ("linear-subspace", "relu-mlp"):
         problems.append(f"prior_kind: unknown kind {cfg.prior_kind!r}")
@@ -97,17 +95,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         problems.append("algorithms: must be nonempty")
     if cfg.t1 < 1:
         problems.append("t1: must be >= 1")
+    if cfg.t2 < 0:
+        problems.append("t2: must be >= 0")
     if cfg.tau <= 0:
         problems.append("tau: must be positive")
-    if cfg.select_by not in ("error", "residual"):
-        problems.append(f"select_by: unknown mode {cfg.select_by!r}")
-    for build in (_link, _refine_config):
-        try:
-            build(cfg)
-        except ConfigurationError as exc:
-            problems.append(str(exc))
-    if problems:
-        raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
+    try:
+        _link(cfg)
+    except ConfigurationError as exc:
+        problems.append(str(exc))
+    return problems
 
 
 # JSON config schema: the type name of every key, at the top level ("") and
@@ -116,8 +112,7 @@ _CONFIG_KEYS = {
     "": {"prior": "object", "link": "object", "projection": "object",
          "m_grid": "integer list", "trials": "integer", "restarts": "integer",
          "algorithms": "string list", "t1": "integer", "t2": "integer", "tau": "number",
-         "nu_floor": "number", "zeta_fixed": "number or null", "master_seed": "integer",
-         "select_by": "string"},
+         "master_seed": "integer"},
     "prior": {"kind": "string", "k": "integer", "n": "integer", "r": "number or null",
               "seed": "integer", "hidden": "integer list"},
     "link": {"name": "string", "sigma": "number", "params": "number map"},
@@ -177,17 +172,20 @@ def _schema_problems(doc: dict) -> list:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from its JSON document.  Unknown keys and
-    wrong-typed values raise ConfigurationError naming the field; an absent
-    key takes the ExperimentConfig (or ProjectionConfig) field default."""
+    wrong-typed values raise ConfigurationError naming the field; then every
+    out-of-range value is listed in one ConfigurationError.  An absent key
+    takes the ExperimentConfig (or ProjectionConfig) field default."""
     if not isinstance(doc, dict):
-        raise ConfigurationError("invalid experiment config: expected a JSON object")
+        raise ConfigurationError(f"{_INVALID} expected a JSON object")
     problems = _schema_problems(doc)
-    if problems:
-        raise ConfigurationError("invalid experiment config:\n  " + "\n  ".join(problems))
+    raise_problems(problems, _INVALID)
     fields = {}
     for section, values in _sections(doc):
         if section == "projection":
-            fields["projection"] = ProjectionConfig(**values)
+            try:
+                fields["projection"] = ProjectionConfig(**values)
+            except ConfigurationError as exc:
+                problems.append(str(exc))
             continue
         for key, value in values.items():
             kind = _CONFIG_KEYS[section][key]
@@ -196,7 +194,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 fields[_FIELD_NAMES.get(where, key)] = \
                     tuple(value) if kind.endswith("list") else value
     cfg = ExperimentConfig(**fields)
-    validate_config(cfg)
+    raise_problems(problems + _config_problems(cfg), _INVALID)
     return cfg
 
 
@@ -278,21 +276,16 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
                    seed=[master_seed, m_index, trial, restart, ROLE_INIT]).point
 
 
-def _residual(data, x_hat) -> float:
-    g = np.abs(data.sensing @ x_hat)
-    return float(np.linalg.norm(g - data.observations) / math.sqrt(data.m))
-
-
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Full sweep: for each (m, trial) draw a fresh signal and measurement
     set, run every algorithm with cfg.restarts initializations, and keep the
-    best restart per (m, algorithm, trial).  The cell's spectral build also
-    makes the Gram matrix for n-space refinement when the refinement steps
-    of all its restarts pay for it (spectral.gram_pays_off)."""
+    restart with the smallest final error per (m, algorithm, trial), an
+    oracle selection that uses the ground truth.  The cell's spectral build
+    also makes the Gram matrix for n-space refinement when the refinement
+    steps of all its restarts pay for it (spectral.gram_pays_off)."""
     validate_config(cfg)
     prior = build_prior(cfg)
     link = _link(cfg)
-    refine_cfg = _refine_config(cfg)
     # every restart of every algorithm refines on the same cell's V (and G)
     refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
                                       for a in cfg.algorithms)
@@ -311,16 +304,14 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                                            m_index, trial, restart)
                     trace = run_algorithm(
                         algo, data, prior, t1=cfg.t1, t2=cfg.t2,
-                        proj_cfg=cfg.projection, refine_cfg=refine_cfg, tau=cfg.tau,
+                        proj_cfg=cfg.projection, tau=cfg.tau,
                         seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
                                            ROLE_ALGO + algo_index]),
                         spec=spec, w0_override=start)
-                    score = trace.final_error if cfg.select_by == "error" else \
-                        _residual(data, trace.final_iterate)
-                    if best is None or score < best[0]:
-                        best = (score, restart, trace.final_error)
+                    if best is None or trace.final_error < best[1]:
+                        best = (restart, trace.final_error)
                 rows.append({"m": m, "algorithm": algo, "trial": trial,
-                             "restart": best[1], "final_error": best[2]})
+                             "restart": best[0], "final_error": best[1]})
             # Free A and V before the next trial draws its own.
             del data, spec
     aggregates = []
@@ -342,49 +333,45 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# CSV / SVG emission.  Sweep CSV: row block `m,algorithm,trial,restart,
-# final_error` followed by an aggregate block `m,algorithm,mean,stderr`.
+# CSV / SVG emission.  A sweep CSV is a per-trial row block followed by an
+# aggregate block; the header of each and the type of each of its cells:
 # ---------------------------------------------------------------------------
+
+_SWEEP_BLOCKS = {"m,algorithm,trial,restart,final_error": (int, str, int, int, float),
+                 "m,algorithm,mean,stderr": (int, str, float, float)}
+
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     if not result.rows:
         raise ConfigurationError("empty sweep result; nothing to write")
     with open(path, "w") as fh:
-        fh.write("m,algorithm,trial,restart,final_error\n")
-        for r in result.rows:
-            fh.write(f"{r['m']},{r['algorithm']},{r['trial']},{r['restart']},"
-                     f"{format_cell(r['final_error'])}\n")
-        fh.write("m,algorithm,mean,stderr\n")
-        for a in result.aggregates:
-            fh.write(f"{a['m']},{a['algorithm']},{format_cell(a['mean'])},"
-                     f"{format_cell(a['stderr'])}\n")
+        for (header, kinds), block in zip(_SWEEP_BLOCKS.items(),
+                                          (result.rows, result.aggregates)):
+            fh.write(header + "\n")
+            for r in block:
+                fh.write(",".join(format_cell(r[key]) if kind is float else str(r[key])
+                                  for key, kind in zip(header.split(","), kinds)) + "\n")
 
 
 def read_sweep_csv(path):
-    """Parse a sweep CSV back into (rows, aggregates)."""
-    rows, aggregates = [], []
-    section = None
-    with open(path) as fh:
+    """Parse a sweep CSV back into (rows, aggregates).  A line that does not
+    fit the block it is in is a ConfigurationError."""
+    blocks = {header: [] for header in _SWEEP_BLOCKS}
+    header = None
+    with open(path, errors="replace") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            if line == "m,algorithm,trial,restart,final_error":
-                section = "rows"
-                continue
-            if line == "m,algorithm,mean,stderr":
-                section = "agg"
-                continue
-            parts = line.split(",")
-            if section == "rows":
-                rows.append({"m": int(parts[0]), "algorithm": parts[1],
-                             "trial": int(parts[2]), "restart": int(parts[3]),
-                             "final_error": float(parts[4])})
-            elif section == "agg":
-                aggregates.append({"m": int(parts[0]), "algorithm": parts[1],
-                                   "mean": float(parts[2]), "stderr": float(parts[3])})
-            else:
-                raise ConfigurationError(f"unexpected line before header: {line!r}")
+            if line in blocks:
+                header = line
+            elif line:
+                kinds, cells = _SWEEP_BLOCKS.get(header, ()), line.split(",")
+                try:   # strict: a cell too many or too few is a ValueError too
+                    values = [kind(cell) for kind, cell in zip(kinds, cells, strict=True)]
+                except ValueError:
+                    raise ConfigurationError(f"malformed sweep CSV line in {path}: "
+                                             f"{line!r}") from None
+                blocks[header].append(dict(zip(header.split(","), values)))
+    rows, aggregates = blocks.values()
     if not rows and not aggregates:
         raise ConfigurationError(f"no sweep data found in {path}")
     return rows, aggregates
@@ -397,8 +384,6 @@ def emit_outputs(result: SweepResult, fmt: str, path) -> Path:
     if fmt == "csv":
         write_sweep_csv(result, path)
     elif fmt == "svg":
-        if not result.aggregates:
-            raise ConfigurationError("empty sweep result; nothing to plot")
         render_sweep_svg(result.aggregates, path)
     else:
         raise ConfigurationError(f"unknown output format {fmt!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError, raise_problems
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -55,20 +55,20 @@ class LinkModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        problems = []
         if self.sigma < 0:
-            raise ConfigurationError(f"link.sigma: must be nonnegative, got {self.sigma}")
+            problems.append(f"link.sigma: must be nonnegative, got {self.sigma}")
         if self.name not in BUILTIN_LINKS and self.name != "custom":
-            raise ConfigurationError(f"link.name: unknown link {self.name!r}")
-        if self.name == "custom":
+            problems.append(f"link.name: unknown link {self.name!r}")
+        elif self.name == "custom":
             bad = [k for k in self.params if k not in PRIMITIVES]
             if bad:
-                raise ConfigurationError(
-                    f"link.params: unknown custom-link primitives {bad}; "
-                    f"known: {sorted(PRIMITIVES)}")
+                problems.append(f"link.params: unknown custom-link primitives {bad}; "
+                                f"known: {sorted(PRIMITIVES)}")
         elif self.params:
-            raise ConfigurationError(
-                f"link.params: only the custom link takes params; the built-in link "
-                f"{self.name!r} got {sorted(self.params)}")
+            problems.append(f"link.params: only the custom link takes params; the built-in "
+                            f"link {self.name!r} got {sorted(self.params)}")
+        raise_problems(problems)
 
 
 def apply_link(link: LinkModel, g, eta):
@@ -103,6 +103,8 @@ def sample_measurements(link: LinkModel, signal, m: int, seed: int) -> Measureme
     signal = np.asarray(signal, dtype=float)
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
+    if not np.isfinite(signal).all():
+        raise NumericalError("signal contains NaN or Inf")
     if abs(np.linalg.norm(signal) - 1.0) > 1e-12:
         raise ConfigurationError("signal must be a unit vector")
     n = signal.shape[0]

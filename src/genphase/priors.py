@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError
+    ProjectionFailureError, raise_problems
 from .seeds import flatten_seed
 
 
@@ -140,14 +139,16 @@ class ProjectionConfig:
     latent_init: str = "gaussian"   # "gaussian" | "warm-start"
 
     def __post_init__(self):
+        problems = []
         if self.steps < 1:
-            raise ConfigurationError("projection.steps: must be >= 1")
+            problems.append("projection.steps: must be >= 1")
         if self.restarts < 1:
-            raise ConfigurationError("projection.restarts: must be >= 1")
+            problems.append("projection.restarts: must be >= 1")
         if self.learning_rate <= 0:
-            raise ConfigurationError("projection.learning_rate: must be positive")
+            problems.append("projection.learning_rate: must be positive")
         if self.latent_init not in ("gaussian", "warm-start"):
-            raise ConfigurationError(f"projection.latent_init: unknown value {self.latent_init!r}")
+            problems.append(f"projection.latent_init: unknown value {self.latent_init!r}")
+        raise_problems(problems)
 
 
 @dataclass
@@ -173,11 +174,9 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
         point = w[:, 0].copy()
         latent = np.zeros(prior.k)
         latent[0] = min(1.0, prior.r)
-        return ProjectionResult(point=point, latent=latent,
-                                objective=float(np.linalg.norm(point - v)),
-                                restart_index=0)
-    point = p / np_
-    latent = clip_to_ball(c, prior.r)
+    else:
+        point = p / np_
+        latent = clip_to_ball(c, prior.r)
     return ProjectionResult(point=point, latent=latent,
                             objective=float(np.linalg.norm(point - v)),
                             restart_index=0)
@@ -273,9 +272,22 @@ def save_prior(prior: GenerativePrior, path) -> None:
 
 
 def load_prior(path) -> GenerativePrior:
-    with open(path) as fh:
-        doc = json.load(fh)
-    layers = [np.array(w, dtype=float) for w in doc["layers"]]
-    return GenerativePrior(kind=doc["kind"], k=doc["k"], n=doc["n"], r=doc["r"],
-                           layers=layers, activation=doc["activation"],
-                           seed=doc["seed"], lipschitz_proxy=doc["lipschitz_proxy"])
+    """Read a model file.  A file that is not JSON, lacks a key or whose
+    layers do not map k to n is a ConfigurationError; a NaN or Inf weight is
+    a NumericalError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        layers = [np.array(w, dtype=float) for w in doc["layers"]]
+        prior = GenerativePrior(kind=doc["kind"], k=doc["k"], n=doc["n"], r=doc["r"],
+                                layers=layers, activation=doc["activation"],
+                                seed=doc["seed"], lipschitz_proxy=doc["lipschitz_proxy"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed model file {path}: {exc!r}") from exc
+    dims = [prior.k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
+    if not layers or dims[-1] != prior.n or \
+            any(w.shape != (out, fan_in) for w, fan_in, out in zip(layers, dims, dims[1:])):
+        raise ConfigurationError(f"malformed model file {path}: layers do not map k to n")
+    if not all(np.isfinite(w).all() for w in layers):
+        raise NumericalError(f"model file {path} has a NaN or Inf weight")
+    return prior

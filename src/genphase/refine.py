@@ -3,9 +3,11 @@ inverse step size.
 
 Each iteration estimates the scale factor nu_hat = (1/m) sum (y_i - ybar)
 (a_i^T x)^2, forms pseudo-observations ytil_i = (y_i - ybar)(a_i^T x), takes
-the gradient step of the induced linear model with step size zeta, and
-projects back onto the prior's range.  In adaptive mode zeta = 1/nu_hat so
-the update is invariant to a positive rescaling of the observations.
+the gradient step of the induced linear model with step size
+zeta = 1/max(nu, NU_FLOOR), and projects back onto the prior's range.  In
+adaptive mode nu is the current nu_hat, so the update is invariant to a
+positive rescaling of the observations; in fixed mode (mprgf) nu is the
+first step's nu_hat, frozen for the whole run.
 
 A step has two forms with the same result up to rounding:
 
@@ -32,24 +34,22 @@ from .runtrace import Step, step_at
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix
 
+# Floor on nu in the step size, so that nu_hat <= 0 (the warning case) still
+# takes a finite positive step.
+NU_FLOOR = 1e-3
+
 
 @dataclass
 class RefineConfig:
     t2: int = 30
     zeta_mode: str = "adaptive"        # "adaptive" | "fixed"
-    zeta_fixed: float | None = None    # fixed mode: explicit zeta; None derives 1/nu_hat(0)
     proj_cfg: ProjectionConfig = field(default_factory=ProjectionConfig)
-    nu_floor: float = 1e-3
 
     def __post_init__(self):
         if self.t2 < 0:
             raise ConfigurationError("t2: must be >= 0")
         if self.zeta_mode not in ("adaptive", "fixed"):
             raise ConfigurationError(f"zeta_mode: unknown mode {self.zeta_mode!r}")
-        if self.zeta_fixed is not None and self.zeta_fixed <= 0:
-            raise ConfigurationError("zeta_fixed: must be positive when given")
-        if self.nu_floor <= 0:
-            raise ConfigurationError("nu_floor: must be positive")
 
 
 def empirical_mean_y(data: MeasurementSet) -> float:
@@ -69,7 +69,7 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
                 spec: SpectralMatrix | None = None) -> Step:
     """One refinement iteration, in n-space when spec has a Gram matrix.  In
     fixed mode, frozen_nu (the t=0 estimate) replaces the per-iteration
-    nu_hat inside the gradient."""
+    nu_hat inside the gradient and the step size."""
     x_t = state.iterate
     gram = spec.gram if spec is not None else None
     if gram is None:
@@ -82,10 +82,7 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
         nu_hat = float(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
     nu = frozen_nu if cfg.zeta_mode == "fixed" and frozen_nu is not None else nu_hat
     warn = nu <= 0
-    if cfg.zeta_mode == "adaptive":
-        zeta = 1.0 / max(nu, cfg.nu_floor)
-    else:
-        zeta = cfg.zeta_fixed if cfg.zeta_fixed is not None else 1.0 / max(nu, cfg.nu_floor)
+    zeta = 1.0 / max(nu, NU_FLOOR)
     if gram is None:
         x_til = x_t - (zeta / data.m) * (data.sensing.T @ (nu * g - ytil))
     else:

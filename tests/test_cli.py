@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from genphase import load_measurements, load_prior, read_sweep_csv
 from genphase.cli import main
@@ -111,9 +112,12 @@ def test_config_unknown_nested_key_exit_code(tmp_path, capsys):
 
 
 def test_config_unknown_top_level_key_exit_code(tmp_path, capsys):
-    code, err = _sweep_config_error(tmp_path, capsys, {"trails": 2})
-    assert code == 2
-    assert "trails" in err
+    # select_by, nu_floor and zeta_fixed were sweep-config keys; they are gone
+    for key, value in (("trails", 2), ("select_by", "residual"), ("nu_floor", 1e-3),
+                       ("zeta_fixed", 0.7)):
+        code, err = _sweep_config_error(tmp_path, capsys, {key: value})
+        assert code == 2, key
+        assert f"{key}: unknown key" in err, key
 
 
 def test_config_builtin_link_params_exit_code(tmp_path, capsys):
@@ -169,3 +173,65 @@ def test_custom_link_cli(tmp_path, capsys):
                  json.dumps({"square": 2.0, "sin-abs": 3.0}),
                  "--samples", "20000"]) == 0
     capsys.readouterr()
+
+
+def _model_file(tmp_path, edit):
+    """A gen-model file passed through edit(doc) -> doc, or written as the
+    text edit returns when that is a string."""
+    model = tmp_path / "prior.json"
+    main(["gen-model", "--kind", "relu-mlp", "--k", "3", "--n", "12", "--hidden", "8",
+          "--seed", "1", "--out", str(model)])
+    doc = edit(json.loads(model.read_text()))
+    model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return model
+
+
+def _drop_layers(doc):
+    del doc["layers"]
+    return doc
+
+
+def _nan_weight(doc):
+    doc["layers"][0][0][0] = float("nan")   # json.dumps writes NaN, json.load reads it
+    return doc
+
+
+def _wrong_k(doc):
+    doc["k"] = 4
+    return doc
+
+
+@pytest.mark.parametrize("edit, code, frag", [
+    (_drop_layers, 2, "'layers'"),
+    (lambda doc: "{not json", 2, "malformed model file"),
+    (_wrong_k, 2, "do not map k to n"),
+    (_nan_weight, 3, "NaN or Inf weight"),
+], ids=["missing-key", "not-json", "layer-shapes", "nan-weight"])
+def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
+    model = _model_file(tmp_path, edit)
+    capsys.readouterr()
+    csv = tmp_path / "meas.csv"
+    assert main(["simulate", "--model", str(model), "--m", "20", "--out", str(csv)]) == code
+    err = capsys.readouterr().err
+    assert frag in err and "Traceback" not in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("line", ["60,mprg,0.5,0,0.1", "60,mprg,0,0", "60,mprg,0,0,0.1,7",
+                                  "60,mprg,x,0,0.1"])
+def test_malformed_sweep_csv_exit_code(tmp_path, capsys, line):
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("m,algorithm,trial,restart,final_error\n" + line + "\n"
+                   "m,algorithm,mean,stderr\n60,mprg,0.1,0.0\n")
+    assert main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed sweep CSV line" in err and repr(line) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_sweep_csv_that_is_not_text_exit_code(tmp_path, capsys):
+    csv = tmp_path / "sweep.csv"
+    csv.write_bytes(b"\xff\xfe\x00garbage\n")
+    assert main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "x.svg")]) == 2
+    assert "configuration error" in capsys.readouterr().err

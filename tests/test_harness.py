@@ -21,22 +21,21 @@ def _tiny_cfg(**kw):
 
 def test_validate_collects_all_problems():
     cfg = ExperimentConfig(k=0, n=0, trials=0, restarts=0, m_grid=(5, 3),
-                           algorithms=("bogus",), t1=0, tau=-1.0, nu_floor=0.0,
-                           sigma=-1.0, select_by="nope")
+                           algorithms=("bogus",), t1=0, tau=-1.0, sigma=-1.0)
     with pytest.raises(ConfigurationError) as exc:
         validate_config(cfg)
     msg = str(exc.value)
     for frag in ("k:", "trials:", "restarts:", "m_grid:", "algorithms:",
-                 "t1:", "tau:", "nu_floor:", "sigma:", "select_by:"):
+                 "t1:", "tau:", "sigma:"):
         assert frag in msg, frag
 
 
 def test_validate_uses_link_and_refine_checks():
-    # LinkModel or RefineConfig rejects each; validate_config lists it with
-    # the other problems instead of leaving it to the run
+    # LinkModel's own checks and the t2 check; validate_config lists each
+    # with the other problems instead of leaving it to the run
     for kw, frag in ((dict(link_name="bogus"), "link.name:"),
                      (dict(link_name="custom", link_params={"cube": 1.0}), "link.params:"),
-                     (dict(zeta_fixed=-1.0), "zeta_fixed:")):
+                     (dict(t2=-1), "t2:")):
         with pytest.raises(ConfigurationError) as exc:
             validate_config(_tiny_cfg(trials=0, **kw))
         assert frag in str(exc.value) and "trials:" in str(exc.value), frag
@@ -83,6 +82,19 @@ def test_config_from_dict_names_projection_field():
                        ({"latent_init": "zero"}, "projection.latent_init:")):
         with pytest.raises(ConfigurationError, match=frag):
             config_from_dict({"projection": proj})
+
+
+def test_config_from_dict_lists_every_value_problem():
+    # the projection and link sections are checked with the rest, not alone
+    for doc, frags in (({"trials": 0, "projection": {"steps": 0, "restarts": 0}},
+                        ("trials:", "projection.steps:", "projection.restarts:")),
+                       ({"link": {"name": "bogus", "sigma": -1.0}, "t2": -1},
+                        ("link.name:", "link.sigma:", "t2:"))):
+        with pytest.raises(ConfigurationError) as exc:
+            config_from_dict(doc)
+        msg = str(exc.value)
+        assert msg.startswith("invalid experiment config:\n  ")
+        assert all(f"\n  {frag}" in msg for frag in frags), msg
 
 
 def test_config_from_file_rejects_bad_json(tmp_path):
@@ -169,11 +181,6 @@ def test_best_of_restarts_never_hurts():
     two = run_experiment(_tiny_cfg(restarts=2))
     for a, b in zip(one.rows, two.rows):
         assert b["final_error"] <= a["final_error"] + 1e-12
-
-
-def test_residual_selection_mode_runs():
-    result = run_experiment(_tiny_cfg(select_by="residual"))
-    assert all(np.isfinite(r["final_error"]) for r in result.rows)
 
 
 def test_sweep_csv_round_trip(tmp_path):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, LinkModel, apply_link, load_measurements,
-                      population_nu, sample_measurements, save_measurements,
-                      subexp_norm_proxy)
+from genphase import (ConfigurationError, LinkModel, NumericalError, apply_link,
+                      load_measurements, population_nu, sample_measurements,
+                      save_measurements, subexp_norm_proxy)
 from genphase.links import BUILTIN_LINKS
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -84,6 +84,12 @@ def test_negative_sigma_rejected():
         LinkModel("linear", sigma=-0.1)
 
 
+def test_link_lists_every_problem():
+    with pytest.raises(ConfigurationError) as exc:
+        LinkModel("bogus", sigma=-0.1)
+    assert "link.sigma:" in str(exc.value) and "link.name:" in str(exc.value)
+
+
 def _unit(n, j=0):
     e = np.zeros(n)
     e[j] = 1.0
@@ -108,6 +114,12 @@ def test_sample_rejects_bad_inputs():
         sample_measurements(LinkModel("linear"), _unit(4), 0, seed=0)
     with pytest.raises(ConfigurationError):
         sample_measurements(LinkModel("linear"), 2.0 * _unit(4), 5, seed=0)
+    # abs(norm - 1) > tol is false for NaN, so a NaN signal needs its own check
+    for bad in (np.nan, np.inf):
+        signal = _unit(4)
+        signal[1] = bad
+        with pytest.raises(NumericalError):
+            sample_measurements(LinkModel("linear"), signal, 5, seed=0)
 
 
 def test_abs_mean_matches_monte_carlo_oracle():

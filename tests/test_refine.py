@@ -8,6 +8,7 @@ from genphase import (ConfigurationError, LinkModel, MeasurementSet, RefineConfi
                       estimate_nu_hat, evaluate, initial_vector,
                       linear_subspace_prior, population_nu, projected_power,
                       refine_step, run_refine, sample_measurements, shifted_matrix)
+from genphase.refine import NU_FLOOR
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -129,23 +130,13 @@ def test_fixed_mode_freezes_nu():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 2000, seed=3)
-    cfg = RefineConfig(t2=5, zeta_mode="fixed", zeta_fixed=None)
+    cfg = RefineConfig(t2=5, zeta_mode="fixed")
     for form in FORMS:
         states = run_refine(data, prior, x, cfg, truth=x, spec=_spec(data, form))
         nus = {s.nu_hat for s in states}
         assert len(nus) == 1, form
         # derived step size is 1/nu_hat(0)
         assert states[1].zeta == pytest.approx(1.0 / states[0].nu_hat, rel=1e-12), form
-
-
-def test_fixed_mode_explicit_zeta():
-    prior = linear_subspace_prior(5, 100, seed=2)
-    x = _range_signal(prior, latent_seed=1)
-    data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 2000, seed=3)
-    cfg = RefineConfig(t2=3, zeta_mode="fixed", zeta_fixed=0.7)
-    for form in FORMS:
-        states = run_refine(data, prior, x, cfg, truth=x, spec=_spec(data, form))
-        assert all(s.zeta == 0.7 for s in states[1:]), form
 
 
 def test_run_refine_trajectory_contract():
@@ -232,8 +223,7 @@ def test_warn_never_fires_on_square_noise():
 
 
 def test_refine_config_validation():
-    for bad in (dict(t2=-1), dict(zeta_mode="nope"), dict(zeta_fixed=0.0),
-                dict(nu_floor=0.0)):
+    for bad in (dict(t2=-1), dict(zeta_mode="nope")):
         with pytest.raises(ConfigurationError):
             RefineConfig(**bad)
 
@@ -278,9 +268,8 @@ def _close(a, b, rel=1e-12):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("cfg", [RefineConfig(), RefineConfig(zeta_mode="fixed"),
-                                 RefineConfig(zeta_mode="fixed", zeta_fixed=0.7)],
-                         ids=["adaptive", "fixed-derived", "fixed-explicit"])
+@pytest.mark.parametrize("cfg", [RefineConfig(), RefineConfig(zeta_mode="fixed")],
+                         ids=["adaptive", "fixed-derived"])
 def test_refine_step_forms_agree(cfg, sign):
     # mixed-sign observations y = +-(|g| - 0.7 + noise): nu > 0 for sign +1,
     # nu < 0 (so nu_hat <= 0 and the warning fires) for sign -1
@@ -303,4 +292,6 @@ def test_refine_step_forms_agree(cfg, sign):
         assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
         assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
         assert n_step.warn == m_step.warn == (sign < 0)
+        if sign < 0:   # nu <= 0 takes the floored step
+            assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
 
