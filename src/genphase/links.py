@@ -202,18 +202,29 @@ def save_measurements(data: MeasurementSet, csv_path) -> None:
 
 
 def load_measurements(csv_path) -> MeasurementSet:
+    """Read a CSV and its metadata sidecar.  Metadata that is not JSON or
+    lacks a key, a CSV cell that is not a number, or shapes that do not match
+    the metadata are a ConfigurationError; a NaN or Inf observation, sensing
+    entry or signal entry is a NumericalError."""
     csv_path = Path(csv_path)
-    with open(meta_path_for(csv_path)) as fh:
-        meta = json.load(fh)
-    link = LinkModel(name=meta["link"]["name"], sigma=meta["link"]["sigma"],
-                     params=meta["link"]["params"])
-    signal = np.array([float(v) for v in meta["signal"]])
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with open(meta_path_for(csv_path)) as fh:
+            meta = json.load(fh)
+        link = LinkModel(name=meta["link"]["name"], sigma=meta["link"]["sigma"],
+                         params=meta["link"]["params"])
+        n, m, seed = meta["n"], meta["m"], meta["seed"]
+        signal = np.array([float(v) for v in meta["signal"]])
+        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed measurement file {csv_path}: {exc!r}") from exc
     y = raw[:, 0]
     sensing = raw[:, 1:]
-    if sensing.shape != (meta["m"], meta["n"]):
+    if sensing.shape != (m, n) or signal.shape != (n,):
         raise ConfigurationError(
-            f"CSV shape {sensing.shape} does not match metadata (m={meta['m']}, n={meta['n']})"
-        )
-    return MeasurementSet(n=meta["n"], m=meta["m"], signal=signal, sensing=sensing,
-                          observations=y, seed=meta["seed"], link=link)
+            f"CSV shape {sensing.shape} and signal length {signal.size} do not match "
+            f"metadata (m={m}, n={n})")
+    for what, values in (("observation", y), ("sensing entry", sensing), ("signal entry", signal)):
+        if not np.isfinite(values).all():
+            raise NumericalError(f"measurement file {csv_path} has a NaN or Inf {what}")
+    return MeasurementSet(n=n, m=m, signal=signal, sensing=sensing,
+                          observations=y, seed=seed, link=link)

@@ -9,6 +9,15 @@ The iterative projector minimizes ||G(z) - v||^2 over the latent ball by
 adaptive-moment gradient descent with restarts, using exact backpropagation
 through the layers and the output normalization.  Restart 0 starts from a
 scaled Gaussian latent or, with latent_init="warm-start", from a given one.
+
+The projector runs hundreds of thousands of steps on k- to n-vectors per
+sweep, so its per-step arithmetic is written for few numpy dispatches, and
+its order is pinned bit for bit (tests/test_priors.py keeps a plain-numpy
+reference).  A vector norm is sqrt(x.dot(x)), numpy's own formula for
+np.linalg.norm; products use .dot.  The Adam moments are Python floats
+updated with the same IEEE operations in the same order as array code,
+because k is small: a whole projection is faster that way up to k = 20 and
+slower from about k = 50 on.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0
 
 
 def clip_to_ball(z, r: float):
-    nz = np.linalg.norm(z)
+    nz = math.sqrt(z.dot(z))
     if nz > r:
         return z * (r / nz)
     return z
@@ -90,7 +99,7 @@ def _forward(prior: GenerativePrior, z):
     pres = []
     last = len(prior.layers) - 1
     for l, w in enumerate(prior.layers):
-        pre = w @ a
+        pre = w.dot(a)
         pres.append(pre)
         if prior.activation == "relu" and l < last:
             a = np.maximum(pre, 0.0)
@@ -104,7 +113,7 @@ def evaluate(prior: GenerativePrior, z):
     ball are radially clipped first."""
     z = clip_to_ball(np.asarray(z, dtype=float), prior.r)
     h, _ = _forward(prior, z)
-    nh = np.linalg.norm(h)
+    nh = math.sqrt(h.dot(h))
     if nh == 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     return h / nh
@@ -114,20 +123,20 @@ def projection_loss_grad(prior: GenerativePrior, z, target):
     """Loss ||G(z) - target||^2 and its gradient w.r.t. z, by exact backprop
     through the layers and the output normalization."""
     h, pres = _forward(prior, z)
-    nh = np.linalg.norm(h)
+    nh = math.sqrt(h.dot(h))
     if nh == 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     u = h / nh
     diff = u - target
-    loss = float(diff @ diff)
+    loss = float(diff.dot(diff))
     g_u = 2.0 * diff
     # Jacobian of h -> h/||h|| applied to g_u.
-    g = (g_u - u * (u @ g_u)) / nh
+    g = (g_u - u * u.dot(g_u)) / nh
     last = len(prior.layers) - 1
     for l in range(last, -1, -1):
         if prior.activation == "relu" and l < last:
-            g = g * (pres[l] > 0)
-        g = prior.layers[l].T @ g
+            g = g * (pres[l] > 0.0)
+        g = g.dot(prior.layers[l])     # W^T g: the same gemv as W.T @ g
     return loss, g
 
 
@@ -167,9 +176,9 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
         raise ConfigurationError("project_exact requires a linear-subspace prior")
     v = _finite_target(v)
     w = prior.layers[0]
-    c = w.T @ v
-    p = w @ c
-    np_ = np.linalg.norm(p)
+    c = v.dot(w)
+    p = w.dot(c)
+    np_ = math.sqrt(p.dot(p))
     if np_ == 0:
         point = w[:, 0].copy()
         latent = np.zeros(prior.k)
@@ -177,8 +186,8 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     else:
         point = p / np_
         latent = clip_to_ball(c, prior.r)
-    return ProjectionResult(point=point, latent=latent,
-                            objective=float(np.linalg.norm(point - v)),
+    d = point - v
+    return ProjectionResult(point=point, latent=latent, objective=math.sqrt(d.dot(d)),
                             restart_index=0)
 
 
@@ -196,6 +205,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")
     key = flatten_seed(seed)
+    lr = cfg.learning_rate
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([key, restart])
@@ -204,24 +214,29 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
         else:
             z = 0.1 * rng.standard_normal(prior.k)
         z = clip_to_ball(z, prior.r)
-        m1 = np.zeros(prior.k)
-        m2 = np.zeros(prior.k)
+        m1 = [0.0] * prior.k
+        m2 = [0.0] * prior.k
         restart_best = None
         try:
+            # Every z is a new array that nothing writes to, so keeping it
+            # needs no copy.
             for step in range(cfg.steps):
                 loss, grad = projection_loss_grad(prior, z, v)
                 obj = math.sqrt(loss)
                 if restart_best is None or obj < restart_best[0]:
-                    restart_best = (obj, z.copy())
-                m1 = 0.9 * m1 + 0.1 * grad
-                m2 = 0.999 * m2 + 0.001 * grad * grad
-                mh = m1 / (1.0 - 0.9 ** (step + 1))
-                vh = m2 / (1.0 - 0.999 ** (step + 1))
-                z = clip_to_ball(z - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8), prior.r)
+                    restart_best = (obj, z)
+                c1 = 1.0 - 0.9 ** (step + 1)
+                c2 = 1.0 - 0.999 ** (step + 1)
+                z_next = []
+                for i, (x, g) in enumerate(zip(z.tolist(), grad.tolist())):
+                    m1[i] = mi = 0.9 * m1[i] + 0.1 * g
+                    m2[i] = vi = 0.999 * m2[i] + 0.001 * g * g
+                    z_next.append(x - lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8))
+                z = clip_to_ball(np.array(z_next), prior.r)
             loss, _ = projection_loss_grad(prior, z, v)
             obj = math.sqrt(loss)
             if obj < restart_best[0]:
-                restart_best = (obj, z.copy())
+                restart_best = (obj, z)
         except DegenerateLatentError:
             if restart_best is None:
                 continue
@@ -272,7 +287,9 @@ def save_prior(prior: GenerativePrior, path) -> None:
 
 
 def load_prior(path) -> GenerativePrior:
-    """Read a model file.  A file that is not JSON, lacks a key or whose
+    """Read a model file.  A file that is not JSON, lacks a key, names a kind
+    and activation other than linear-subspace/none (one layer) or
+    relu-mlp/relu, has a radius that is not a positive number, or whose
     layers do not map k to n is a ConfigurationError; a NaN or Inf weight is
     a NumericalError."""
     try:
@@ -284,6 +301,14 @@ def load_prior(path) -> GenerativePrior:
                                 seed=doc["seed"], lipschitz_proxy=doc["lipschitz_proxy"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model file {path}: {exc!r}") from exc
+    if (prior.kind, prior.activation) not in (("linear-subspace", "none"), ("relu-mlp", "relu")) \
+            or (prior.kind == "linear-subspace" and len(layers) != 1):
+        raise ConfigurationError(
+            f"malformed model file {path}: kind {prior.kind!r}, activation "
+            f"{prior.activation!r} and {len(layers)} layer(s) is not a prior; need "
+            "linear-subspace with activation none and one layer, or relu-mlp with relu")
+    if not (isinstance(prior.r, (int, float)) and prior.r > 0):
+        raise ConfigurationError(f"malformed model file {path}: radius {prior.r!r} is not positive")
     dims = [prior.k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
     if not layers or dims[-1] != prior.n or \
             any(w.shape != (out, fan_in) for w, fan_in, out in zip(layers, dims, dims[1:])):

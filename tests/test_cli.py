@@ -201,12 +201,31 @@ def _wrong_k(doc):
     return doc
 
 
+def _radius(r):
+    return lambda doc: {**doc, "r": r}
+
+
+def _kind(kind, activation):
+    # the file has two layers, so linear-subspace is wrong even with activation none
+    return lambda doc: {**doc, "kind": kind, "activation": activation}
+
+
 @pytest.mark.parametrize("edit, code, frag", [
     (_drop_layers, 2, "'layers'"),
     (lambda doc: "{not json", 2, "malformed model file"),
     (_wrong_k, 2, "do not map k to n"),
     (_nan_weight, 3, "NaN or Inf weight"),
-], ids=["missing-key", "not-json", "layer-shapes", "nan-weight"])
+    (_kind("bogus", "tanh"), 2, "is not a prior"),
+    (_kind("relu-mlp", "tanh"), 2, "is not a prior"),
+    (_kind("relu-mlp", "none"), 2, "is not a prior"),
+    (_kind("linear-subspace", "relu"), 2, "is not a prior"),
+    (_kind("linear-subspace", "none"), 2, "is not a prior"),
+    (_radius(-1.0), 2, "radius"),
+    (_radius("abc"), 2, "radius"),
+    (_radius(float("nan")), 2, "radius"),
+], ids=["missing-key", "not-json", "layer-shapes", "nan-weight", "unknown-kind",
+        "unknown-activation", "relu-mlp-without-relu", "subspace-with-relu",
+        "subspace-with-two-layers", "negative-radius", "text-radius", "nan-radius"])
 def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     model = _model_file(tmp_path, edit)
     capsys.readouterr()
@@ -215,6 +234,12 @@ def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     err = capsys.readouterr().err
     assert frag in err and "Traceback" not in err
     assert not csv.exists()
+    traj = tmp_path / "traj.csv"
+    assert main(["run", "--model", str(model), "--algorithm", "mprg", "--m", "50",
+                 "--t1", "2", "--t2", "2", "--out", str(traj)]) == code
+    err = capsys.readouterr().err
+    assert frag in err and "Traceback" not in err
+    assert not traj.exists()
 
 
 @pytest.mark.parametrize("line", ["60,mprg,0.5,0,0.1", "60,mprg,0,0", "60,mprg,0,0,0.1,7",

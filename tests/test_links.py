@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -204,3 +205,58 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.signal, data.signal)
     assert np.array_equal(back.sensing, data.sensing)
     assert np.array_equal(back.observations, data.observations)
+
+
+def _saved_measurements(tmp_path):
+    path = tmp_path / "meas.csv"
+    save_measurements(sample_measurements(LinkModel("abs-tanh", 0.25), _unit(4, 1), 6, seed=3),
+                      path)
+    return path, tmp_path / "meas.csv.meta.json"
+
+
+def _edit_meta(meta_path, edit):
+    doc = json.loads(meta_path.read_text())
+    edit(doc)
+    meta_path.write_text(json.dumps(doc))
+
+
+def _edit_csv_cell(csv_path, row, col, text):
+    lines = csv_path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
+def _set_signal_entry(bad):
+    def edit(doc):
+        doc["signal"][0] = bad
+    return edit
+
+
+@pytest.mark.parametrize("damage", [
+    lambda csv, meta: meta.write_text("{not json"),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.pop("signal")),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc["link"].pop("name")),
+    lambda csv, meta: meta.write_text("[1, 2]"),
+    lambda csv, meta: _edit_csv_cell(csv, 2, 3, "x"),
+    lambda csv, meta: _edit_csv_cell(csv, 2, 4, ""),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc["signal"].pop()),
+], ids=["meta-not-json", "meta-no-signal", "meta-no-link-name", "meta-not-object",
+        "csv-text-cell", "csv-empty-cell", "signal-length"])
+def test_load_measurements_malformed_is_configuration_error(tmp_path, damage):
+    damage(*_saved_measurements(tmp_path))
+    with pytest.raises(ConfigurationError):
+        load_measurements(tmp_path / "meas.csv")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where, damage", [
+    ("observation", lambda csv, meta, bad: _edit_csv_cell(csv, 3, 0, bad)),
+    ("sensing entry", lambda csv, meta, bad: _edit_csv_cell(csv, 1, 2, bad)),
+    ("signal entry", lambda csv, meta, bad: _edit_meta(meta, _set_signal_entry(bad))),
+], ids=["observation", "sensing", "signal"])
+def test_load_measurements_non_finite_is_numerical_error(tmp_path, where, damage, bad):
+    damage(*_saved_measurements(tmp_path), bad)
+    with pytest.raises(NumericalError, match=where):
+        load_measurements(tmp_path / "meas.csv")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior
                       project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
 from genphase.priors import clip_to_ball, default_radius
+from genphase.seeds import flatten_seed
 
 
 def test_default_radius():
@@ -227,3 +230,175 @@ def test_invalid_dims_rejected():
         linear_subspace_prior(10, 10)
     with pytest.raises(ConfigurationError):
         relu_mlp_prior(10, [8], 10)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity: the projector's arithmetic is pinned to this plain-numpy
+# reference (np.linalg.norm, @ and array-valued Adam moments).
+# ---------------------------------------------------------------------------
+
+def _ref_clip(z, r):
+    nz = np.linalg.norm(z)
+    return z * (r / nz) if nz > r else z
+
+
+def _ref_forward(prior, z):
+    a, pres = z, []
+    last = len(prior.layers) - 1
+    for l, w in enumerate(prior.layers):
+        pre = w @ a
+        pres.append(pre)
+        a = np.maximum(pre, 0.0) if prior.activation == "relu" and l < last else pre
+    return a, pres
+
+
+def _ref_evaluate(prior, z):
+    h, _ = _ref_forward(prior, _ref_clip(np.asarray(z, dtype=float), prior.r))
+    nh = np.linalg.norm(h)
+    if nh == 0:
+        raise DegenerateLatentError("latent maps to the zero vector")
+    return h / nh
+
+
+def _ref_loss_grad(prior, z, target):
+    h, pres = _ref_forward(prior, z)
+    nh = np.linalg.norm(h)
+    if nh == 0:
+        raise DegenerateLatentError("latent maps to the zero vector")
+    u = h / nh
+    diff = u - target
+    g_u = 2.0 * diff
+    g = (g_u - u * (u @ g_u)) / nh
+    last = len(prior.layers) - 1
+    for l in range(last, -1, -1):
+        if prior.activation == "relu" and l < last:
+            g = g * (pres[l] > 0)
+        g = prior.layers[l].T @ g
+    return float(diff @ diff), g
+
+
+def _ref_project_iterative(prior, v, cfg, seed, warm_start=None):
+    """Returns (point, latent, objective, restart_index, degenerate restarts)."""
+    key = flatten_seed(seed)
+    best, degenerate = None, 0
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([key, restart])
+        if restart == 0 and cfg.latent_init == "warm-start" and warm_start is not None:
+            z = np.array(warm_start, dtype=float)
+        else:
+            z = 0.1 * rng.standard_normal(prior.k)
+        z = _ref_clip(z, prior.r)
+        m1 = np.zeros(prior.k)
+        m2 = np.zeros(prior.k)
+        restart_best = None
+        try:
+            for step in range(cfg.steps):
+                loss, grad = _ref_loss_grad(prior, z, v)
+                obj = math.sqrt(loss)
+                if restart_best is None or obj < restart_best[0]:
+                    restart_best = (obj, z.copy())
+                m1 = 0.9 * m1 + 0.1 * grad
+                m2 = 0.999 * m2 + 0.001 * grad * grad
+                mh = m1 / (1.0 - 0.9 ** (step + 1))
+                vh = m2 / (1.0 - 0.999 ** (step + 1))
+                z = _ref_clip(z - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8), prior.r)
+            loss, _ = _ref_loss_grad(prior, z, v)
+            obj = math.sqrt(loss)
+            if obj < restart_best[0]:
+                restart_best = (obj, z.copy())
+        except DegenerateLatentError:
+            degenerate += 1
+            if restart_best is None:
+                continue
+        obj, z_best = restart_best
+        if best is None or obj < best[2]:
+            best = (_ref_evaluate(prior, z_best), z_best, obj, restart)
+    return (*best, degenerate)
+
+
+def _half_space_prior(k, seed):
+    """A ReLU prior whose hidden units all read mostly z[0], so a latent with
+    z[0] < 0 maps to zero: a Gaussian restart is often degenerate."""
+    prior = relu_mlp_prior(k, [24], 40, seed=seed)
+    w = np.abs(prior.layers[0])
+    w[:, 1:] *= 0.01
+    prior.layers[0] = w
+    return prior
+
+
+def _assert_same_projection(prior, v, cfg, seed, warm_start=None):
+    got = project_iterative(prior, v, cfg, seed=seed, warm_start=warm_start)
+    point, latent, objective, restart_index, degenerate = \
+        _ref_project_iterative(prior, v, cfg, seed, warm_start)
+    assert np.array_equal(got.point, point)
+    assert np.array_equal(got.latent, latent)
+    assert got.objective == objective
+    assert got.restart_index == restart_index
+    return degenerate
+
+
+@pytest.mark.parametrize("k", [4, 5, 10, 20])
+@pytest.mark.parametrize("latent_init", ["gaussian", "warm-start"])
+@pytest.mark.parametrize("radius", [None, 0.05])
+def test_project_iterative_bit_identical_to_reference(k, latent_init, radius):
+    prior = relu_mlp_prior(k, [32], 60, r=radius, seed=k)
+    rng = np.random.default_rng(100 + k)
+    v = rng.standard_normal(60)
+    cfg = ProjectionConfig(steps=40, learning_rate=0.1, restarts=3, latent_init=latent_init)
+    _assert_same_projection(prior, v, cfg, [k, 7], warm_start=rng.standard_normal(k))
+
+
+def test_project_iterative_bit_identical_after_file_roundtrip(tmp_path):
+    path = tmp_path / "prior.json"
+    save_prior(relu_mlp_prior(5, [16, 24], 50, seed=21), path)
+    prior = load_prior(path)
+    v = np.random.default_rng(22).standard_normal(50)
+    cfg = ProjectionConfig(steps=60, learning_rate=0.05, restarts=3)
+    _assert_same_projection(prior, v, cfg, 23)
+
+
+def test_project_iterative_bit_identical_with_degenerate_restart():
+    prior = _half_space_prior(4, seed=24)
+    v = np.random.default_rng(25).standard_normal(40)
+    cfg = ProjectionConfig(steps=30, learning_rate=0.1, restarts=4)
+    assert _assert_same_projection(prior, v, cfg, 26) > 0
+
+
+def test_project_exact_and_evaluate_bit_identical_to_reference():
+    rng = np.random.default_rng(27)
+    for k in (4, 5, 10, 20):
+        sub = linear_subspace_prior(k, 60, r=0.5, seed=k)
+        mlp = relu_mlp_prior(k, [32], 60, r=0.5, seed=k)
+        for _ in range(5):
+            v = rng.standard_normal(60)
+            w = sub.layers[0]
+            c = w.T @ v
+            p = w @ c
+            got = project_exact(sub, v)
+            assert np.array_equal(got.point, p / np.linalg.norm(p))
+            assert np.array_equal(got.latent, _ref_clip(c, sub.r))
+            assert got.objective == float(np.linalg.norm(got.point - v))
+            z = rng.standard_normal(k)     # |z| > r: clipping is active
+            for prior in (sub, mlp):
+                assert np.array_equal(evaluate(prior, z), _ref_evaluate(prior, z))
+                assert np.array_equal(evaluate(prior, 0.01 * z), _ref_evaluate(prior, 0.01 * z))
+            loss, grad = projection_loss_grad(mlp, z, v)
+            ref_loss, ref_grad = _ref_loss_grad(mlp, z, v)
+            assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+
+def test_project_iterative_calls_loss_grad_through_module_global(monkeypatch):
+    import genphase.priors as priors_module
+    calls = []
+    inner = priors_module.projection_loss_grad
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(priors_module, "projection_loss_grad", counting)
+    prior = relu_mlp_prior(5, [16], 40, seed=28)
+    v = np.random.default_rng(29).standard_normal(40)
+    cfg = ProjectionConfig(steps=17, learning_rate=0.05, restarts=3)
+    project_iterative(prior, v, cfg, seed=30)
+    assert len(calls) == cfg.restarts * (cfg.steps + 1)
