@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_number
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .refine import RefineConfig, run_refine
@@ -34,8 +34,8 @@ class AppgdConfig:
     proj_cfg: ProjectionConfig = field(default_factory=ProjectionConfig)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be positive")
+        if not (is_finite_number(self.tau) and self.tau > 0):
+            raise ConfigurationError(f"tau: must be a finite positive number, got {self.tau!r}")
 
 
 def appgd_step(data: MeasurementSet, state, cfg: AppgdConfig,

@@ -21,6 +21,14 @@ from .runtrace import write_trajectory_csv
 from .svg import render_sweep_svg
 
 
+def nonnegative_seed(text):
+    """argparse type of a seed: a nonnegative int, as numpy's seeding needs."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _add_link_args(p):
     p.add_argument("--link", default="abs-noise-out",
                    help="link name (abs-noise-out, abs-noise-in, square-noise, "
@@ -51,21 +59,22 @@ def _build_parser():
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--hidden", type=int, nargs="*", default=None,
                    help="hidden layer widths for relu-mlp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="sample a measurement set and write CSV + metadata")
     p.add_argument("--model", required=True, help="prior model file from gen-model")
-    p.add_argument("--latent-seed", type=int, default=0, help="seed for the signal latent")
+    p.add_argument("--latent-seed", type=nonnegative_seed, default=0,
+                   help="seed for the signal latent")
     _add_link_args(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="measurement sampling seed")
+    p.add_argument("--seed", type=nonnegative_seed, default=0, help="measurement sampling seed")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("nu", help="print the population moment report for a link")
     _add_link_args(p)
     p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_seed, default=0)
 
     p = sub.add_parser("run", help="run one algorithm on a fresh simulation, "
                                    "write its trajectory CSV")
@@ -73,8 +82,8 @@ def _build_parser():
     p.add_argument("--algorithm", choices=list(ALGORITHMS), default="mprg")
     _add_link_args(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--latent-seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--latent-seed", type=nonnegative_seed, default=0)
+    p.add_argument("--seed", type=nonnegative_seed, default=0)
     p.add_argument("--t1", type=int, default=20)
     p.add_argument("--t2", type=int, default=30)
     p.add_argument("--tau", type=float, default=0.9)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and validation helpers shared across the package."""
+
+import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -9,6 +12,18 @@ def raise_problems(problems, heading=None) -> None:
     """Raise one ConfigurationError listing the problems, if any, one per line."""
     if problems:
         raise ConfigurationError("\n  ".join(([heading] if heading else []) + problems))
+
+
+def is_finite_number(v) -> bool:
+    """A real number, not a bool, that is neither NaN nor infinite and fits a
+    float.  Python's json reads NaN and Infinity literals, and a range check
+    such as x <= 0 lets NaN through."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:      # an int too large for a float
+        return False
 
 
 class NumericalError(RuntimeError):

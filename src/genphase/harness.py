@@ -18,7 +18,8 @@ import numpy as np
 from scipy import stats
 
 from .baselines import ALGORITHMS, refine_step_count, run_algorithm
-from .errors import ConfigurationError, InsufficientDataError, raise_problems
+from .errors import ConfigurationError, InsufficientDataError, is_finite_number, \
+    raise_problems
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, project, relu_mlp_prior
@@ -72,12 +73,16 @@ def _config_problems(cfg: ExperimentConfig) -> list:
     problems = []
     if cfg.prior_kind not in ("linear-subspace", "relu-mlp"):
         problems.append(f"prior_kind: unknown kind {cfg.prior_kind!r}")
+    if cfg.prior_seed < 0:
+        problems.append("prior.seed: must be >= 0")
+    if cfg.master_seed < 0:
+        problems.append("master_seed: must be >= 0")
     if not cfg.k >= 1:
         problems.append("k: must be >= 1")
     if not cfg.k < cfg.n:
         problems.append("k/n: need k < n")
-    if cfg.r is not None and not cfg.r > 0:
-        problems.append("r: must be positive")
+    if cfg.r is not None and not (is_finite_number(cfg.r) and cfg.r > 0):
+        problems.append("r: must be a finite positive number")
     if any(width < 1 for width in cfg.hidden):
         problems.append("hidden: widths must be >= 1")
     if cfg.trials < 1:
@@ -97,8 +102,8 @@ def _config_problems(cfg: ExperimentConfig) -> list:
         problems.append("t1: must be >= 1")
     if cfg.t2 < 0:
         problems.append("t2: must be >= 0")
-    if cfg.tau <= 0:
-        problems.append("tau: must be positive")
+    if not (is_finite_number(cfg.tau) and cfg.tau > 0):
+        problems.append("tau: must be a finite positive number")
     try:
         _link(cfg)
     except ConfigurationError as exc:
@@ -111,12 +116,12 @@ def _config_problems(cfg: ExperimentConfig) -> list:
 _CONFIG_KEYS = {
     "": {"prior": "object", "link": "object", "projection": "object",
          "m_grid": "integer list", "trials": "integer", "restarts": "integer",
-         "algorithms": "string list", "t1": "integer", "t2": "integer", "tau": "number",
+         "algorithms": "string list", "t1": "integer", "t2": "integer", "tau": "finite number",
          "master_seed": "integer"},
-    "prior": {"kind": "string", "k": "integer", "n": "integer", "r": "number or null",
+    "prior": {"kind": "string", "k": "integer", "n": "integer", "r": "finite number or null",
               "seed": "integer", "hidden": "integer list"},
-    "link": {"name": "string", "sigma": "number", "params": "number map"},
-    "projection": {"steps": "integer", "learning_rate": "number", "restarts": "integer",
+    "link": {"name": "string", "sigma": "finite number", "params": "finite number map"},
+    "projection": {"steps": "integer", "learning_rate": "finite number", "restarts": "integer",
                    "latent_init": "string"},
 }
 
@@ -125,23 +130,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
 _TYPE_CHECKS = {
     "integer": _is_int,
-    "number": _is_number,
+    "finite number": is_finite_number,
     "string": _is_str,
-    "number or null": lambda v: v is None or _is_number(v),
+    "finite number or null": lambda v: v is None or is_finite_number(v),
     "integer list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
     "string list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_str, v)),
     "object": lambda v: isinstance(v, dict),
-    "number map": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "finite number map": lambda v: isinstance(v, dict) and all(map(is_finite_number, v.values())),
 }
 
 

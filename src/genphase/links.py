@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, raise_problems
+from .errors import ConfigurationError, NumericalError, is_finite_number, raise_problems
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -56,15 +56,21 @@ class LinkModel:
 
     def __post_init__(self):
         problems = []
-        if self.sigma < 0:
-            problems.append(f"link.sigma: must be nonnegative, got {self.sigma}")
+        if not (is_finite_number(self.sigma) and self.sigma >= 0):
+            problems.append(f"link.sigma: must be a finite nonnegative number, got {self.sigma!r}")
         if self.name not in BUILTIN_LINKS and self.name != "custom":
             problems.append(f"link.name: unknown link {self.name!r}")
+        elif not isinstance(self.params, dict):
+            problems.append(f"link.params: expected a map primitive->coefficient, "
+                            f"got {self.params!r}")
         elif self.name == "custom":
             bad = [k for k in self.params if k not in PRIMITIVES]
             if bad:
                 problems.append(f"link.params: unknown custom-link primitives {bad}; "
                                 f"known: {sorted(PRIMITIVES)}")
+            bad = {k: c for k, c in self.params.items() if not is_finite_number(c)}
+            if bad:
+                problems.append(f"link.params: coefficients must be finite numbers, got {bad}")
         elif self.params:
             problems.append(f"link.params: only the custom link takes params; the built-in "
                             f"link {self.name!r} got {sorted(self.params)}")

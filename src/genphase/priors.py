@@ -10,14 +10,24 @@ adaptive-moment gradient descent with restarts, using exact backpropagation
 through the layers and the output normalization.  Restart 0 starts from a
 scaled Gaussian latent or, with latent_init="warm-start", from a given one.
 
-The projector runs hundreds of thousands of steps on k- to n-vectors per
-sweep, so its per-step arithmetic is written for few numpy dispatches, and
-its order is pinned bit for bit (tests/test_priors.py keeps a plain-numpy
-reference).  A vector norm is sqrt(x.dot(x)), numpy's own formula for
-np.linalg.norm; products use .dot.  The Adam moments are Python floats
-updated with the same IEEE operations in the same order as array code,
-because k is small: a whole projection is faster that way up to k = 20 and
-slower from about k = 50 on.
+The projector runs hundreds of thousands of steps per sweep, so each step
+works in hidden space.  The last layer W_L is linear and the output is
+normalized, so c = W_L^T v, v^T v and Q = W_L^T W_L, prepared once per
+projection, give the loss and its gradient from the last hidden activation
+alone (projection_loss_grad); G(z) is formed only for the kept latent.  A
+step then costs O(h_L^2) for the last hidden width h_L instead of O(n h_L),
+which is cheaper unless h_L is well above n: at (k, hidden, n) =
+(5, [32], 100) a 120-step projection takes about 2.3 ms against 3.0 ms
+through the output, at (5, [512], 100) 13 ms against 6 ms.  No shipped
+config has such a wide last layer.
+
+The per-step arithmetic is written for few numpy dispatches, and its order
+is pinned bit for bit (tests/test_priors.py keeps a plain-numpy reference).
+A vector norm is sqrt(x.dot(x)), numpy's own formula for np.linalg.norm;
+products use .dot.  The Adam moments are Python floats updated with the
+same IEEE operations in the same order as array code, because k is small: a
+whole projection is faster that way up to k = 20 and slower from about
+k = 50 on.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError, raise_problems
+    ProjectionFailureError, is_finite_number, raise_problems
 from .seeds import flatten_seed
 
 
@@ -50,6 +60,14 @@ def default_radius(k: int) -> float:
     return 10.0 * math.sqrt(k)
 
 
+def _radius(k: int, r) -> float:
+    if r is None:
+        return default_radius(k)
+    if not (is_finite_number(r) and r > 0):
+        raise ConfigurationError(f"r: must be a finite positive number, got {r!r}")
+    return r
+
+
 def _lipschitz_proxy(layers) -> float:
     """Product of the layers' exact spectral norms (largest singular values):
     an upper bound on the Lipschitz constant of the unnormalized network,
@@ -59,12 +77,11 @@ def _lipschitz_proxy(layers) -> float:
 
 def linear_subspace_prior(k: int, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """Random k-dimensional subspace of R^n with orthonormalized basis."""
-    if not k < n:
-        raise ConfigurationError(f"need k < n, got k={k}, n={n}")
+    if not 1 <= k < n:
+        raise ConfigurationError(f"need 1 <= k < n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     w, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return GenerativePrior(kind="linear-subspace", k=k, n=n,
-                           r=default_radius(k) if r is None else r,
+    return GenerativePrior(kind="linear-subspace", k=k, n=n, r=_radius(k, r),
                            layers=[w], activation="none", seed=seed,
                            lipschitz_proxy=_lipschitz_proxy([w]))
 
@@ -73,14 +90,15 @@ def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0
     """ReLU MLP with no bias terms and zero-mean Gaussian weights of variance
     1/fan-in.  ReLU is applied after every layer except the last.  An empty
     (or None) hidden gives one hidden layer of width max(4k, 16)."""
-    if not k < n:
-        raise ConfigurationError(f"need k < n, got k={k}, n={n}")
+    if not 1 <= k < n:
+        raise ConfigurationError(f"need 1 <= k < n, got k={k}, n={n}")
+    if hidden and min(hidden) < 1:
+        raise ConfigurationError(f"hidden: widths must be >= 1, got {list(hidden)}")
     dims = [k, *(hidden or (max(4 * k, 16),)), n]
     rng = np.random.default_rng(seed)
     layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
               for i in range(len(dims) - 1)]
-    return GenerativePrior(kind="relu-mlp", k=k, n=n,
-                           r=default_radius(k) if r is None else r,
+    return GenerativePrior(kind="relu-mlp", k=k, n=n, r=_radius(k, r),
                            layers=layers, activation="relu", seed=seed,
                            lipschitz_proxy=_lipschitz_proxy(layers))
 
@@ -92,19 +110,16 @@ def clip_to_ball(z, r: float):
     return z
 
 
-def _forward(prior: GenerativePrior, z):
-    """Forward pass.  Returns the pre-normalization output and the list of
-    pre-activations (one per layer) needed for backprop."""
+def _hidden(prior: GenerativePrior, z):
+    """Forward pass through every layer but the last.  Returns the last
+    hidden activation (z itself for a one-layer prior) and the hidden
+    pre-activations, which backprop needs for the ReLU masks."""
     a = z
     pres = []
-    last = len(prior.layers) - 1
-    for l, w in enumerate(prior.layers):
+    for w in prior.layers[:-1]:
         pre = w.dot(a)
         pres.append(pre)
-        if prior.activation == "relu" and l < last:
-            a = np.maximum(pre, 0.0)
-        else:
-            a = pre
+        a = np.maximum(pre, 0.0) if prior.activation == "relu" else pre
     return a, pres
 
 
@@ -112,29 +127,52 @@ def evaluate(prior: GenerativePrior, z):
     """G(z): forward pass then division by the l2 norm.  Latents outside the
     ball are radially clipped first."""
     z = clip_to_ball(np.asarray(z, dtype=float), prior.r)
-    h, _ = _forward(prior, z)
+    a, _ = _hidden(prior, z)
+    h = prior.layers[-1].dot(a)
     nh = math.sqrt(h.dot(h))
     if nh == 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     return h / nh
 
 
+@dataclass(frozen=True)
+class _HiddenTarget:
+    """A projection target t seen from the last hidden layer, for a last
+    layer W_L: c = W_L^T t, tt = t^T t and q = W_L^T W_L."""
+    c: np.ndarray
+    tt: float
+    q: np.ndarray
+
+
+def _hidden_target(prior: GenerativePrior, target) -> _HiddenTarget:
+    w = prior.layers[-1]
+    t = np.asarray(target, dtype=float)
+    return _HiddenTarget(c=t.dot(w), tt=float(t.dot(t)), q=w.T.dot(w))
+
+
 def projection_loss_grad(prior: GenerativePrior, z, target):
-    """Loss ||G(z) - target||^2 and its gradient w.r.t. z, by exact backprop
-    through the layers and the output normalization."""
-    h, pres = _forward(prior, z)
-    nh = math.sqrt(h.dot(h))
-    if nh == 0:
+    """Loss ||G(z) - target||^2 and its gradient w.r.t. z, by exact backprop.
+
+    The last layer is linear and the output is normalized, so with a the
+    last hidden activation, c = W_L^T target, Q = W_L^T W_L and
+    nh^2 = a^T Q a, the loss is 1 - 2 a^T c / nh + target^T target and its
+    gradient w.r.t. a is (2 / nh) ((a^T c / nh^2) Q a - c): no n-vector is
+    formed.  target is an n-vector or the _HiddenTarget that
+    project_iterative prepares once per call; a vector is prepared here.
+    A loss that rounds below zero (target in the range) is returned as 0."""
+    if not isinstance(target, _HiddenTarget):
+        target = _hidden_target(prior, target)
+    a, pres = _hidden(prior, z)
+    qa = target.q.dot(a)
+    nh2 = float(a.dot(qa))
+    if nh2 <= 0:
         raise DegenerateLatentError("latent maps to the zero vector")
-    u = h / nh
-    diff = u - target
-    loss = float(diff.dot(diff))
-    g_u = 2.0 * diff
-    # Jacobian of h -> h/||h|| applied to g_u.
-    g = (g_u - u * u.dot(g_u)) / nh
-    last = len(prior.layers) - 1
-    for l in range(last, -1, -1):
-        if prior.activation == "relu" and l < last:
+    nh = math.sqrt(nh2)
+    ac = float(a.dot(target.c))
+    loss = max(1.0 - 2.0 * ac / nh + target.tt, 0.0)
+    g = (qa * (ac / nh2) - target.c) * (2.0 / nh)
+    for l in range(len(pres) - 1, -1, -1):
+        if prior.activation == "relu":
             g = g * (pres[l] > 0.0)
         g = g.dot(prior.layers[l])     # W^T g: the same gemv as W.T @ g
     return loss, g
@@ -153,8 +191,9 @@ class ProjectionConfig:
             problems.append("projection.steps: must be >= 1")
         if self.restarts < 1:
             problems.append("projection.restarts: must be >= 1")
-        if self.learning_rate <= 0:
-            problems.append("projection.learning_rate: must be positive")
+        if not (is_finite_number(self.learning_rate) and self.learning_rate > 0):
+            problems.append(f"projection.learning_rate: must be a finite positive number, "
+                            f"got {self.learning_rate!r}")
         if self.latent_init not in ("gaussian", "warm-start"):
             problems.append(f"projection.latent_init: unknown value {self.latent_init!r}")
         raise_problems(problems)
@@ -204,6 +243,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     v = _finite_target(v)
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")
+    target = _hidden_target(prior, v)
     key = flatten_seed(seed)
     lr = cfg.learning_rate
     best = None
@@ -221,7 +261,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
             # Every z is a new array that nothing writes to, so keeping it
             # needs no copy.
             for step in range(cfg.steps):
-                loss, grad = projection_loss_grad(prior, z, v)
+                loss, grad = projection_loss_grad(prior, z, target)
                 obj = math.sqrt(loss)
                 if restart_best is None or obj < restart_best[0]:
                     restart_best = (obj, z)
@@ -233,7 +273,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
                     m2[i] = vi = 0.999 * m2[i] + 0.001 * g * g
                     z_next.append(x - lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8))
                 z = clip_to_ball(np.array(z_next), prior.r)
-            loss, _ = projection_loss_grad(prior, z, v)
+            loss, _ = projection_loss_grad(prior, z, target)
             obj = math.sqrt(loss)
             if obj < restart_best[0]:
                 restart_best = (obj, z)
@@ -307,8 +347,9 @@ def load_prior(path) -> GenerativePrior:
             f"malformed model file {path}: kind {prior.kind!r}, activation "
             f"{prior.activation!r} and {len(layers)} layer(s) is not a prior; need "
             "linear-subspace with activation none and one layer, or relu-mlp with relu")
-    if not (isinstance(prior.r, (int, float)) and prior.r > 0):
-        raise ConfigurationError(f"malformed model file {path}: radius {prior.r!r} is not positive")
+    if not (is_finite_number(prior.r) and prior.r > 0):
+        raise ConfigurationError(f"malformed model file {path}: radius {prior.r!r} is not "
+                                 "a finite positive number")
     dims = [prior.k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
     if not layers or dims[-1] != prior.n or \
             any(w.shape != (out, fan_in) for w, fan_in, out in zip(layers, dims, dims[1:])):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,122 @@ def test_config_builtin_link_params_exit_code(tmp_path, capsys):
         tmp_path, capsys, {"link": {"name": "abs-noise-out", "params": {"square": 2.0}}})
     assert code == 2
     assert "link.params" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"projection": {"learning_rate": float("nan")}}, "projection.learning_rate"),
+    ({"projection": {"learning_rate": float("inf")}}, "projection.learning_rate"),
+    ({"tau": float("nan")}, "tau"),
+    ({"tau": float("-inf")}, "tau"),
+    ({"link": {"sigma": float("nan")}}, "link.sigma"),
+    ({"link": {"name": "custom", "params": {"abs": float("nan")}}}, "link.params"),
+    ({"prior": {"r": float("inf")}}, "prior.r"),
+])
+def test_config_non_finite_number_exit_code(tmp_path, capsys, doc, field):
+    # json.dumps writes NaN and Infinity literals, which json.load reads back
+    code, err = _sweep_config_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"{field}: expected finite number" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--sigma", "nan"], "link.sigma"),
+    (["run", "--sigma", "inf"], "link.sigma"),
+    (["run", "--algorithm", "appgd", "--tau", "nan"], "tau"),
+    (["run", "--link", "custom", "--link-params", '{"abs": NaN}'], "link.params"),
+    (["run", "--link", "custom", "--link-params", '{"abs": "x"}'], "link.params"),
+    (["run", "--link", "custom", "--link-params", "[1]"], "link.params"),
+    (["gen-model", "--r", "nan"], "r"),
+])
+def test_cli_non_finite_number_exit_code(tmp_path, capsys, argv, field):
+    model = tmp_path / "prior.json"
+    main(["gen-model", "--k", "3", "--n", "12", "--seed", "1", "--out", str(model)])
+    out = tmp_path / "out.csv"
+    args = ["--model", str(model), "--m", "40", "--t1", "2", "--t2", "2"] \
+        if argv[0] == "run" else []
+    capsys.readouterr()
+    assert main(argv + args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# Seeded property test: sweep configs with up to three values replaced by
+# wrong types, non-finite numbers, empty or out-of-range values, or dropped.
+# Every integer an integer field can get is small, so no sweep allocates much;
+# an int too large for a float goes only to number fields.
+_ODD_VALUES = [-1, 0, 1, 2, -0.5, 1e300, True, None, "", "x", [], [0], [3, 2], {},
+               {"abs": float("nan")}]
+_NUMBER_FIELDS = [("", "tau"), ("prior", "r"), ("link", "sigma"), ("projection", "learning_rate")]
+_NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
+
+
+def _base_sweep_doc(rng):
+    kind = ("linear-subspace", "relu-mlp")[rng.integers(2)]
+    link = ("abs-noise-out", "square-sin", "custom")[rng.integers(3)]
+    return {
+        "prior": {"kind": kind, "k": 2, "n": int(rng.integers(6, 16)), "r": 5.0, "seed": 1,
+                  "hidden": [6]},
+        "link": {"name": link, "sigma": 0.1,
+                 **({"params": {"square": 1.0}} if link == "custom" else {})},
+        "projection": {"steps": 8, "learning_rate": 0.05, "restarts": 1,
+                       "latent_init": "warm-start"},
+        "m_grid": [30, 60], "trials": 1, "restarts": 2,
+        "algorithms": ["mprg", "appgd", "step2"], "t1": 2, "t2": 2, "tau": 0.9,
+        "master_seed": int(rng.integers(1000)),
+    }
+
+
+def _mutate(doc, rng):
+    if rng.random() < 0.3:
+        section, key = _NUMBER_FIELDS[rng.integers(len(_NUMBER_FIELDS))]
+        value = _NON_FINITE[rng.integers(len(_NON_FINITE))]
+    else:
+        section = ("", "prior", "link", "projection")[rng.integers(4)]
+        key, value = None, _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+    values = doc.get(section) if section else doc
+    if not (isinstance(values, dict) and values):
+        return
+    key = key or sorted(values)[rng.integers(len(values))]
+    if rng.random() < 0.15:
+        values.pop(key, None)
+    else:
+        values[key] = value
+
+
+def _has_non_finite(value):
+    if isinstance(value, dict):
+        return any(map(_has_non_finite, value.values()))
+    if isinstance(value, list):
+        return any(map(_has_non_finite, value))
+    # NaN, the infinities and ints too large for a float
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and not abs(value) <= sys.float_info.max
+
+
+def test_sweep_property_random_configs(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    cfg_path, csv = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    codes = []
+    for case in range(300):
+        doc = _base_sweep_doc(rng)
+        for _ in range(rng.integers(4)):
+            _mutate(doc, rng)
+        cfg_path.write_text(json.dumps(doc))
+        csv.unlink(missing_ok=True)
+        code = main(["sweep", "--config", str(cfg_path), "--out-csv", str(csv)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert code in (0, 2, 3), (case, doc, err)
+        assert "Traceback" not in err, (case, doc, err)
+        if _has_non_finite(doc):
+            assert code == 2, (case, doc, err)
+        if code == 0:
+            cells = csv.read_text().replace("\n", ",").split(",")
+            assert not any(c.lower() in ("nan", "inf", "-inf") for c in cells), (case, doc)
+        else:
+            assert not csv.exists(), (case, doc)
+    assert {0, 2} <= set(codes)
 
 
 def test_sweep_and_plot(tmp_path):

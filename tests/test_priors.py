@@ -230,11 +230,17 @@ def test_invalid_dims_rejected():
         linear_subspace_prior(10, 10)
     with pytest.raises(ConfigurationError):
         relu_mlp_prior(10, [8], 10)
+    for k, hidden in ((0, [8]), (-2, [8]), (3, [0]), (3, [8, 0])):
+        with pytest.raises(ConfigurationError):
+            relu_mlp_prior(k, hidden, 10)
+    with pytest.raises(ConfigurationError):
+        linear_subspace_prior(0, 10)
 
 
 # ---------------------------------------------------------------------------
 # Bit identity: the projector's arithmetic is pinned to this plain-numpy
-# reference (np.linalg.norm, @ and array-valued Adam moments).
+# reference (np.linalg.norm, @ and array-valued Adam moments).  The loss and
+# gradient are the hidden-space form; evaluate() keeps the full forward pass.
 # ---------------------------------------------------------------------------
 
 def _ref_clip(z, r):
@@ -242,39 +248,56 @@ def _ref_clip(z, r):
     return z * (r / nz) if nz > r else z
 
 
-def _ref_forward(prior, z):
+def _ref_hidden(prior, z):
     a, pres = z, []
-    last = len(prior.layers) - 1
-    for l, w in enumerate(prior.layers):
+    for w in prior.layers[:-1]:
         pre = w @ a
         pres.append(pre)
-        a = np.maximum(pre, 0.0) if prior.activation == "relu" and l < last else pre
+        a = np.maximum(pre, 0.0) if prior.activation == "relu" else pre
     return a, pres
 
 
 def _ref_evaluate(prior, z):
-    h, _ = _ref_forward(prior, _ref_clip(np.asarray(z, dtype=float), prior.r))
+    a, _ = _ref_hidden(prior, _ref_clip(np.asarray(z, dtype=float), prior.r))
+    h = prior.layers[-1] @ a
     nh = np.linalg.norm(h)
     if nh == 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     return h / nh
 
 
+def _ref_backprop(prior, g, pres):
+    for l in range(len(pres) - 1, -1, -1):
+        if prior.activation == "relu":
+            g = g * (pres[l] > 0)
+        g = prior.layers[l].T @ g
+    return g
+
+
 def _ref_loss_grad(prior, z, target):
-    h, pres = _ref_forward(prior, z)
-    nh = np.linalg.norm(h)
-    if nh == 0:
+    w = prior.layers[-1]
+    c, q = w.T @ target, w.T @ w
+    a, pres = _ref_hidden(prior, z)
+    qa = q @ a
+    nh2 = a @ qa
+    if nh2 <= 0:
         raise DegenerateLatentError("latent maps to the zero vector")
+    nh = np.sqrt(nh2)
+    ac = a @ c
+    loss = max(1.0 - 2.0 * ac / nh + target @ target, 0.0)
+    return float(loss), _ref_backprop(prior, (qa * (ac / nh2) - c) * (2.0 / nh), pres)
+
+
+def _output_space_loss_grad(prior, z, target):
+    """Direct backprop through the last layer and the output normalization."""
+    a, pres = _ref_hidden(prior, z)
+    h = prior.layers[-1] @ a
+    nh = np.linalg.norm(h)
     u = h / nh
     diff = u - target
     g_u = 2.0 * diff
-    g = (g_u - u * (u @ g_u)) / nh
-    last = len(prior.layers) - 1
-    for l in range(last, -1, -1):
-        if prior.activation == "relu" and l < last:
-            g = g * (pres[l] > 0)
-        g = prior.layers[l].T @ g
-    return float(diff @ diff), g
+    g = prior.layers[-1].T @ ((g_u - u * (u @ g_u)) / nh)
+    return float(diff @ diff), _ref_backprop(prior, g, pres)
 
 
 def _ref_project_iterative(prior, v, cfg, seed, warm_start=None):
@@ -402,3 +425,42 @@ def test_project_iterative_calls_loss_grad_through_module_global(monkeypatch):
     cfg = ProjectionConfig(steps=17, learning_rate=0.05, restarts=3)
     project_iterative(prior, v, cfg, seed=30)
     assert len(calls) == cfg.restarts * (cfg.steps + 1)
+
+
+@pytest.mark.parametrize("hidden", [[8], [40], [16, 24], [40, 8], [12, 30, 16]])
+def test_loss_grad_matches_output_space_backprop(hidden):
+    # hidden widths below and above n = 20, one to three hidden layers
+    prior = relu_mlp_prior(4, hidden, 20, seed=len(hidden))
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        z = rng.standard_normal(prior.k)
+        v = rng.standard_normal(prior.n)
+        if np.count_nonzero(_ref_hidden(prior, z)[0]) < 2:
+            continue    # G is locally constant: both gradients are rounding noise
+        for target in (v, v / np.linalg.norm(v)):
+            loss, grad = projection_loss_grad(prior, z, target)
+            ref_loss, ref_grad = _output_space_loss_grad(prior, z, target)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+
+def test_target_in_range_clamps_loss_at_zero():
+    # about half of these losses round below zero before the clamp
+    prior = relu_mlp_prior(5, [32], 100, seed=32)
+    rng = np.random.default_rng(33)
+    cfg = ProjectionConfig(steps=5, learning_rate=0.05, latent_init="warm-start")
+    for _ in range(20):
+        z = rng.standard_normal(5)
+        v = evaluate(prior, z)
+        loss, _ = projection_loss_grad(prior, z, v)
+        assert 0.0 <= loss <= 1e-14
+        res = project_iterative(prior, v, cfg, warm_start=z)
+        assert 0.0 <= res.objective <= 1e-6
+
+
+def test_zero_hidden_activation_is_degenerate():
+    prior = _half_space_prior(4, seed=34)
+    z = np.array([-1.0, 0.1, 0.2, 0.3])
+    assert not np.any(np.maximum(prior.layers[0] @ z, 0.0))
+    with pytest.raises(DegenerateLatentError):
+        projection_loss_grad(prior, z, np.random.default_rng(35).standard_normal(40))
