@@ -5,7 +5,8 @@ Step 1 builds the weighted second-moment matrix V = (1/m) sum y_i (a_i a_i^T - I
 the shifted matrix with the largest diagonal entry.  Step 2 converts the
 problem into an approximately linear one through pseudo-observations
 ytil_i = (y_i - ybar)(a_i^T x) and descends with the adaptive step size
-1/nu_hat, projecting after every move.
+1/nu_hat, projecting after every move.  Each step takes plain values: the
+iteration counts t1 and t2 (and, for a fixed step size, fixed=True).
 
 Magnitude-only links cannot distinguish x from -x when the range is symmetric,
 so we run the spectral start with both signs and keep the better branch --
@@ -13,9 +14,9 @@ the same restart policy the experiment harness uses.
 """
 import numpy as np
 
-from genphase import (LinkModel, RefineConfig, build_spectral_matrix, evaluate,
-                      initial_vector, linear_subspace_prior, projected_power,
-                      run_refine, sample_measurements, shifted_matrix)
+from genphase import (LinkModel, build_spectral_matrix, evaluate, initial_vector,
+                      linear_subspace_prior, projected_power, run_refine,
+                      sample_measurements, shifted_matrix)
 
 prior = linear_subspace_prior(k=5, n=100, seed=2)
 z = np.random.default_rng(3).standard_normal(5)
@@ -37,7 +38,7 @@ for i in sorted(set(range(0, len(states), 4)) | {len(states) - 1}):
     s = states[i]
     print(f"  t={s.t:>2}  error={s.error:.4f}  correlation={s.correlation:+.4f}")
 
-refined = run_refine(data, prior, states[-1].iterate, RefineConfig(t2=30), truth=x)
+refined = run_refine(data, prior, states[-1].iterate, t2=30, truth=x)
 print("\nstep 2: adaptive refinement (zeta = 1/nu_hat)")
 for i in sorted(set(range(0, len(refined), 6)) | {len(refined) - 1}):
     s = refined[i]
@@ -49,7 +50,7 @@ print(f"\nfinal error {refined[-1].error:.4f} "
 
 # the same pipeline on the linear link shows the nu ~ 0 failure mode
 data_lin = sample_measurements(LinkModel("linear", 0.0), x, m=2000, seed=7)
-bad = run_refine(data_lin, prior, x, RefineConfig(t2=10), truth=x)
+bad = run_refine(data_lin, prior, x, t2=10, truth=x)
 warns = sum(s.warn for s in bad)
 print(f"\nlinear link (nu = 0): warn flag raised on {warns}/{len(bad)} iterations "
       "-- the model is outside the solvable class")

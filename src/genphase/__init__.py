@@ -8,7 +8,7 @@ gradient refinement.  Baselines, synthetic priors, and a seeded experiment
 harness are included.
 """
 
-from .baselines import ALGORITHMS, AppgdConfig, appgd_step, run_algorithm
+from .baselines import ALGORITHMS, appgd_step, run_algorithm
 from .errors import (ConfigurationError, DegenerateLatentError, InsufficientDataError,
                      NumericalError, ProjectionFailureError)
 from .harness import (ExperimentConfig, SlopeFit, SweepResult, config_from_dict,
@@ -16,13 +16,12 @@ from .harness import (ExperimentConfig, SlopeFit, SweepResult, config_from_dict,
                       read_sweep_csv, run_experiment, validate_config)
 from .links import (LinkModel, MeasurementSet, MomentReport, apply_link,
                     load_measurements, population_nu, sample_measurements,
-                    save_measurements, subexp_norm_proxy)
+                    save_measurements)
 from .priors import (GenerativePrior, ProjectionConfig, ProjectionResult, evaluate,
                      linear_subspace_prior, load_prior, project, project_exact,
                      project_iterative, projection_loss_grad, relu_mlp_prior,
                      save_prior)
-from .refine import (RefineConfig, empirical_mean_y, estimate_nu_hat, refine_step,
-                     run_refine)
+from .refine import empirical_mean_y, estimate_nu_hat, refine_step, run_refine
 from .runtrace import RunTrace, Step, write_trajectory_csv
 from .spectral import (SpectralMatrix, build_spectral_matrix, initial_vector,
                        projected_power, shifted_matrix)

@@ -7,47 +7,56 @@ ppower : power iterations only, run for the full t1+t2 budget.
 step2  : refinement only, from the projected starting vector, full budget.
 appgd  : alternating-phase projected gradient descent, initialized by the
          spectral step, using sign(a_i^T x) as the phase estimate.
+
+The solvers take plain values; run_problems lists the rule of every run
+argument, and run_algorithm checks them all before any work.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, is_finite_number
+from .errors import is_finite_number, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
-from .refine import RefineConfig, run_refine
+from .refine import run_refine, t2_problems
 from .runtrace import RunTrace, step_at
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, \
-    projected_power, shifted_matrix
+    projected_power, shifted_matrix, t1_problems
 
 ALGORITHMS = ("mprg", "mprgf", "ppower", "step2", "appgd")
 
 
-@dataclass
-class AppgdConfig:
-    tau: float = 0.9
-    proj_cfg: ProjectionConfig = field(default_factory=ProjectionConfig)
-
-    def __post_init__(self):
-        if not (is_finite_number(self.tau) and self.tau > 0):
-            raise ConfigurationError(f"tau: must be a finite positive number, got {self.tau!r}")
+def tau_problems(tau) -> list:
+    """The rule on the appgd step size, as a list of problems."""
+    ok = is_finite_number(tau) and tau > 0
+    return [] if ok else [f"tau: must be a finite positive number, got {tau!r}"]
 
 
-def appgd_step(data: MeasurementSet, state, cfg: AppgdConfig,
-               prior: GenerativePrior, seed=0):
+def run_problems(algorithms, t1, t2, tau) -> list:
+    """One line per invalid run argument: an unknown or missing algorithm
+    name, and the t1, t2 and tau rules."""
+    problems = [f"algorithms: unknown algorithm {a!r}; known: {ALGORITHMS}"
+                for a in algorithms if a not in ALGORITHMS]
+    if not algorithms:
+        problems.append("algorithms: must be nonempty")
+    return problems + t1_problems(t1) + t2_problems(t2) + tau_problems(tau)
+
+
+def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
+               proj_cfg: ProjectionConfig | None = None, seed=0):
     """x <- P_G(x - (tau/m) sum ((a_i^T x) - y_i sign(a_i^T x)) a_i),
     with sign(0) = +1."""
+    raise_problems(tau_problems(tau))
     x_t = np.asarray(state, dtype=float)
     g = data.sensing @ x_t
     s = np.where(g >= 0, 1.0, -1.0)
     resid = g - data.observations * s
-    x_til = x_t - (cfg.tau / data.m) * (data.sensing.T @ resid)
-    return project(prior, x_til, cfg.proj_cfg, seed=seed).point
+    x_til = x_t - (tau / data.m) * (data.sensing.T @ resid)
+    return project(prior, x_til, proj_cfg, seed=seed).point
 
 
 def refine_step_count(name: str, t1: int, t2: int) -> int:
@@ -65,11 +74,10 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
     spectral iterations that start mprg, mprgf and appgd come first.
     Refinement runs in n-space when spec carries a Gram matrix; a spec built
-    here gets one when this run's refinement steps pay for it.
+    here gets one when this run's refinement steps pay for it.  Every run
+    argument is checked (run_problems) before any work.
     """
-    if name not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {name!r}; known: {ALGORITHMS}")
-    proj_cfg = proj_cfg or ProjectionConfig()
+    raise_problems(run_problems([name], t1, t2, tau), "invalid run arguments:")
     truth = data.signal
     start = time.perf_counter()
     steps = refine_step_count(name, t1, t2)
@@ -88,21 +96,18 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                                seed=[seed, 1], truth=truth)
     elif name == "step2":
         x0 = project(prior, w0, proj_cfg, seed=[seed, 1]).point
-        cfg = RefineConfig(t2=steps, proj_cfg=proj_cfg)
-        head = run_refine(data, prior, x0, cfg, seed=[seed, 2], truth=truth, spec=spec)
+        head = run_refine(data, prior, x0, steps, proj_cfg=proj_cfg, seed=[seed, 2],
+                          truth=truth, spec=spec)
     elif name in ("mprg", "mprgf"):
         power = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
-        cfg = RefineConfig(t2=steps, zeta_mode="fixed" if name == "mprgf" else "adaptive",
-                           proj_cfg=proj_cfg)
         head = power[:-1]
-        tail = run_refine(data, prior, power[-1].iterate, cfg,
-                          seed=[seed, 2], truth=truth, spec=spec)
+        tail = run_refine(data, prior, power[-1].iterate, steps, fixed=name == "mprgf",
+                          proj_cfg=proj_cfg, seed=[seed, 2], truth=truth, spec=spec)
     else:  # appgd
         head = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
-        cfg = AppgdConfig(tau=tau, proj_cfg=proj_cfg)
         x = head[-1].iterate
         for t in range(1, t2 + 1):
-            x = appgd_step(data, x, cfg, prior, seed=[seed, 2, t])
+            x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t])
             tail.append(step_at(x, t, truth))
 
     records = [s.record() for s in head] + [s.record(t1) for s in tail]

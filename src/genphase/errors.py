@@ -14,6 +14,12 @@ def raise_problems(problems, heading=None) -> None:
         raise ConfigurationError("\n  ".join(([heading] if heading else []) + problems))
 
 
+def is_integer(v) -> bool:
+    """An int that is not a bool: json reads true and false as bools, which
+    are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_finite_number(v) -> bool:
     """A real number, not a bool, that is neither NaN nor infinite and fits a
     float.  Python's json reads NaN and Infinity literals, and a range check

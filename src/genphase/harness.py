@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .baselines import ALGORITHMS, refine_step_count, run_algorithm
+from .baselines import refine_step_count, run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, is_finite_number, \
-    raise_problems
+    is_integer, raise_problems
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, project, relu_mlp_prior
@@ -93,17 +93,7 @@ def _config_problems(cfg: ExperimentConfig) -> list:
         problems.append("m_grid: must be nonempty")
     elif any(b <= a for a, b in zip(cfg.m_grid, cfg.m_grid[1:])) or min(cfg.m_grid) < 1:
         problems.append("m_grid: must be strictly increasing positive counts")
-    for a in cfg.algorithms:
-        if a not in ALGORITHMS:
-            problems.append(f"algorithms: unknown algorithm {a!r}")
-    if not cfg.algorithms:
-        problems.append("algorithms: must be nonempty")
-    if cfg.t1 < 1:
-        problems.append("t1: must be >= 1")
-    if cfg.t2 < 0:
-        problems.append("t2: must be >= 0")
-    if not (is_finite_number(cfg.tau) and cfg.tau > 0):
-        problems.append("tau: must be a finite positive number")
+    problems += run_problems(cfg.algorithms, cfg.t1, cfg.t2, cfg.tau)
     try:
         _link(cfg)
     except ConfigurationError as exc:
@@ -126,20 +116,16 @@ _CONFIG_KEYS = {
 }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
 _TYPE_CHECKS = {
-    "integer": _is_int,
+    "integer": is_integer,
     "finite number": is_finite_number,
     "string": _is_str,
     "finite number or null": lambda v: v is None or is_finite_number(v),
-    "integer list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    "integer list": lambda v: isinstance(v, (list, tuple)) and all(map(is_integer, v)),
     "string list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_str, v)),
     "object": lambda v: isinstance(v, dict),
     "finite number map": lambda v: isinstance(v, dict) and all(map(is_finite_number, v.values())),
@@ -200,10 +186,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_from_file(path) -> ExperimentConfig:
+    """Read and validate a JSON config file.  A file that is not UTF-8 text or
+    not JSON is a ConfigurationError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
         raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc
     return config_from_dict(doc)
 

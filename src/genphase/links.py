@@ -140,19 +140,11 @@ def _draw_y(link, mc_samples, seed):
 
 
 def _subexp_proxy(y) -> float:
+    """Finite-p proxy for the sub-exponential norm of y: the maximum over
+    p in {1..8} of p^-1 (E|y|^p)^(1/p).  Diagnostic only; never used in
+    algorithm control flow."""
     ay = np.abs(y)
     return max(np.mean(ay**p) ** (1.0 / p) / p for p in range(1, 9))
-
-
-def subexp_norm_proxy(link: LinkModel, mc_samples: int = 10**5, seed: int = 0) -> float:
-    """Finite-p proxy for the sub-exponential norm of y: the maximum over
-    p in {1..8} of p^-1 (E|y|^p)^(1/p), estimated by Monte Carlo.
-
-    Diagnostic only; never used in algorithm control flow.
-    """
-    if mc_samples < 10**4:
-        raise ConfigurationError("mc_samples must be >= 1e4")
-    return _subexp_proxy(_draw_y(link, mc_samples, seed)[1])
 
 
 def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> MomentReport:
@@ -160,11 +152,12 @@ def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> Mo
 
     Uses registered closed forms for the linear and square-noise links
     (stderr reported as 0); otherwise a seeded Monte Carlo estimate with its
-    standard error.  The sub-exponential proxy is always Monte Carlo.
+    standard error.  The sub-exponential proxy is always Monte Carlo, so every
+    link needs mc_samples >= 1e4.
     """
+    if not mc_samples >= 10**4:
+        raise ConfigurationError(f"mc_samples: must be >= 1e4, got {mc_samples!r}")
     analytic = _ANALYTIC_MOMENTS.get(link.name)
-    if analytic is None and mc_samples < 10**4:
-        raise ConfigurationError("mc_samples must be >= 1e4 when no analytic form is registered")
     g, y = _draw_y(link, mc_samples, seed)
     proxy = _subexp_proxy(y)
     if analytic is not None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError, is_finite_number, raise_problems
+    ProjectionFailureError, is_finite_number, is_integer, raise_problems
 from .seeds import flatten_seed
 
 
@@ -329,9 +329,10 @@ def save_prior(prior: GenerativePrior, path) -> None:
 def load_prior(path) -> GenerativePrior:
     """Read a model file.  A file that is not JSON, lacks a key, names a kind
     and activation other than linear-subspace/none (one layer) or
-    relu-mlp/relu, has a radius that is not a positive number, or whose
-    layers do not map k to n is a ConfigurationError; a NaN or Inf weight is
-    a NumericalError."""
+    relu-mlp/relu, has a k or n that is not an integer, a radius that is not
+    a positive number or a Lipschitz proxy that is not a finite number, or
+    whose layers do not map k to n is a ConfigurationError; a NaN or Inf
+    weight is a NumericalError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -347,9 +348,15 @@ def load_prior(path) -> GenerativePrior:
             f"malformed model file {path}: kind {prior.kind!r}, activation "
             f"{prior.activation!r} and {len(layers)} layer(s) is not a prior; need "
             "linear-subspace with activation none and one layer, or relu-mlp with relu")
+    if not (is_integer(prior.k) and is_integer(prior.n)):
+        raise ConfigurationError(f"malformed model file {path}: k {prior.k!r} and n "
+                                 f"{prior.n!r} must be integers")
     if not (is_finite_number(prior.r) and prior.r > 0):
         raise ConfigurationError(f"malformed model file {path}: radius {prior.r!r} is not "
                                  "a finite positive number")
+    if not is_finite_number(prior.lipschitz_proxy):
+        raise ConfigurationError(f"malformed model file {path}: lipschitz_proxy "
+                                 f"{prior.lipschitz_proxy!r} is not a finite number")
     dims = [prior.k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
     if not layers or dims[-1] != prior.n or \
             any(w.shape != (out, fan_in) for w, fan_in, out in zip(layers, dims, dims[1:])):

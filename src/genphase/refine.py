@@ -23,11 +23,9 @@ A step has two forms with the same result up to rounding:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, step_at
@@ -39,17 +37,9 @@ from .spectral import SpectralMatrix
 NU_FLOOR = 1e-3
 
 
-@dataclass
-class RefineConfig:
-    t2: int = 30
-    zeta_mode: str = "adaptive"        # "adaptive" | "fixed"
-    proj_cfg: ProjectionConfig = field(default_factory=ProjectionConfig)
-
-    def __post_init__(self):
-        if self.t2 < 0:
-            raise ConfigurationError("t2: must be >= 0")
-        if self.zeta_mode not in ("adaptive", "fixed"):
-            raise ConfigurationError(f"zeta_mode: unknown mode {self.zeta_mode!r}")
+def t2_problems(t2) -> list:
+    """The rule on the refinement step count, as a list of problems."""
+    return [] if t2 >= 0 else ["t2: must be >= 0"]
 
 
 def empirical_mean_y(data: MeasurementSet) -> float:
@@ -64,11 +54,11 @@ def estimate_nu_hat(data: MeasurementSet, ybar: float, x_t) -> float:
 
 
 def refine_step(data: MeasurementSet, ybar: float, state: Step,
-                cfg: RefineConfig, prior: GenerativePrior, seed=0,
-                truth=None, frozen_nu: float | None = None,
+                prior: GenerativePrior, proj_cfg: ProjectionConfig | None = None,
+                seed=0, truth=None, frozen_nu: float | None = None,
                 spec: SpectralMatrix | None = None) -> Step:
-    """One refinement iteration, in n-space when spec has a Gram matrix.  In
-    fixed mode, frozen_nu (the t=0 estimate) replaces the per-iteration
+    """One refinement iteration, in n-space when spec has a Gram matrix.  A
+    given frozen_nu (fixed mode: the t=0 estimate) replaces the per-iteration
     nu_hat inside the gradient and the step size."""
     x_t = state.iterate
     gram = spec.gram if spec is not None else None
@@ -80,34 +70,37 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
         gx = gram @ x_t
         vx = spec.v @ x_t
         nu_hat = float(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
-    nu = frozen_nu if cfg.zeta_mode == "fixed" and frozen_nu is not None else nu_hat
+    nu = nu_hat if frozen_nu is None else frozen_nu
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
     if gram is None:
         x_til = x_t - (zeta / data.m) * (data.sensing.T @ (nu * g - ytil))
     else:
         x_til = x_t - zeta * ((nu + ybar) * gx - vx - ybar * x_t)
-    res = project(prior, x_til, cfg.proj_cfg, seed=seed)
+    res = project(prior, x_til, proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)
 
 
-def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, cfg: RefineConfig,
+def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, t2: int,
+               fixed: bool = False, proj_cfg: ProjectionConfig | None = None,
                seed=0, truth=None, spec: SpectralMatrix | None = None) -> list[Step]:
-    """Chain cfg.t2 refinement steps from x0 (assumed in the prior's range),
-    in n-space when spec has a Gram matrix.  The returned trajectory includes
-    the initial state at t=0, whose nu_hat is the first step's estimate at x0
-    (computed on its own only when t2 = 0)."""
+    """Chain t2 refinement steps from x0 (assumed in the prior's range), in
+    n-space when spec has a Gram matrix; with fixed, nu stays at the first
+    step's nu_hat.  The returned trajectory includes the initial state at
+    t=0, whose nu_hat is the first step's estimate at x0 (computed on its own
+    only when t2 = 0)."""
+    raise_problems(t2_problems(t2))
     x0 = np.asarray(x0, dtype=float)
     ybar = empirical_mean_y(data)
     states = [step_at(x0, 0, truth)]
     frozen = None
     base = flatten_seed(seed)
-    for t in range(cfg.t2):
-        states.append(refine_step(data, ybar, states[-1], cfg, prior, seed=[base, t + 1],
+    for t in range(t2):
+        states.append(refine_step(data, ybar, states[-1], prior, proj_cfg, seed=[base, t + 1],
                                   truth=truth, frozen_nu=frozen, spec=spec))
-        if cfg.zeta_mode == "fixed":
+        if fixed:
             frozen = states[1].nu_hat
-    nu0 = states[1].nu_hat if cfg.t2 else estimate_nu_hat(data, ybar, x0)
+    nu0 = states[1].nu_hat if t2 else estimate_nu_hat(data, ybar, x0)
     states[0].nu_hat, states[0].warn = nu0, nu0 <= 0
     return states

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, step_at
@@ -36,7 +36,6 @@ from .seeds import flatten_seed
 @dataclass
 class SpectralMatrix:
     v: np.ndarray             # n x n, exactly symmetric
-    m_used: int
     diag_shifted: np.ndarray  # diagonal of (1/m) sum_i y_i a_i a_i^T
     ybar: float
     gram: np.ndarray | None = None  # A^T A / m, exactly symmetric, when built
@@ -108,7 +107,7 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
                              "contain NaN or Inf")
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
-    return SpectralMatrix(v=s, m_used=m, diag_shifted=diag_shifted, ybar=ybar, gram=gram)
+    return SpectralMatrix(v=s, diag_shifted=diag_shifted, ybar=ybar, gram=gram)
 
 
 def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:
@@ -134,14 +133,18 @@ def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray
     return col / nc
 
 
+def t1_problems(t1) -> list:
+    """The rule on the power iteration count, as a list of problems."""
+    return [] if t1 >= 1 else ["t1: must be >= 1"]
+
+
 def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
                     proj_cfg: ProjectionConfig | None = None, seed=0,
                     truth=None) -> list[Step]:
     """Run t1 projected power iterations w <- P_G(V w) from w0 (normalized,
     not pre-projected).  Returns the trajectory including the initial state.
     Correlation and error are recorded when the ground truth is supplied."""
-    if t1 < 1:
-        raise ConfigurationError("t1 must be >= 1")
+    raise_problems(t1_problems(t1))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
     states = [step_at(w, 0, truth)]

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from genphase import (ExperimentConfig, LinkModel, MeasurementSet,
-                      ProjectionConfig, RefineConfig, SpectralMatrix, Step,
+                      ProjectionConfig, SpectralMatrix, Step,
                       build_spectral_matrix, empirical_mean_y, evaluate,
                       initial_vector, linear_subspace_prior, population_nu,
                       project, project_exact, project_iterative,
                       projected_power, projection_loss_grad, refine_step,
-                      run_experiment, run_refine, sample_measurements,
-                      shifted_matrix)
+                      run_experiment, run_refine, sample_measurements)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -89,7 +88,7 @@ def _refine_trajectories():
         rng = np.random.default_rng([41, s])
         x0 = project(prior, x + 0.18 * evaluate(prior, rng.standard_normal(5))).point
         assert np.linalg.norm(x0 - x) < 0.2
-        states = run_refine(data, prior, x0, RefineConfig(t2=30), truth=x)
+        states = run_refine(data, prior, x0, 30, truth=x)
         errs = np.array([st.error for st in states])
         plateau = next(t for t, e in enumerate(errs) if e < 1.2 * errs[-1])
         out.append((errs, plateau))
@@ -195,23 +194,21 @@ def test_criterion_9_fixed_point_suite():
                           observations=np.ones(20), seed=0,
                           link=LinkModel("abs-noise-out"))
     nxt = refine_step(data, empirical_mean_y(data),
-                      Step(iterate=x_t, t=0, nu_hat=0.0),
-                      RefineConfig(), prior)
+                      Step(iterate=x_t, t=0, nu_hat=0.0), prior)
     ok &= bool(np.array_equal(nxt.pre_projection, x_t))
     ok &= bool(np.allclose(nxt.iterate, x_t, atol=1e-12))
 
     # rank-one one-step convergence of projected power
     x = _range_signal(prior, latent_seed=3)
     v = 0.8 * np.outer(x, x)
-    spec = SpectralMatrix(v=v, m_used=1, diag_shifted=np.diag(v).copy(), ybar=0.0)
+    spec = SpectralMatrix(v=v, diag_shifted=np.diag(v).copy(), ybar=0.0)
     w0 = x + 0.3 * np.random.default_rng(4).standard_normal(30)
     states = projected_power(spec, prior, w0, 1, truth=x)
     ok &= bool(np.linalg.norm(states[-1].iterate - x) <= 1e-9)
 
     # starting-vector tie-break to the lowest index
     shifted = np.array([[2.0, 0.0], [0.0, 2.0]])
-    tspec = SpectralMatrix(v=shifted, m_used=1, diag_shifted=np.diag(shifted).copy(),
-                           ybar=0.0)
+    tspec = SpectralMatrix(v=shifted, diag_shifted=np.diag(shifted).copy(), ybar=0.0)
     ok &= bool(np.array_equal(initial_vector(tspec, shifted), np.array([1.0, 0.0])))
 
     # determinism round-trips: sampling and full runs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genphase import (ALGORITHMS, AppgdConfig, ConfigurationError, GenerativePrior,
+from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior,
                       LinkModel, MeasurementSet, NumericalError, appgd_step,
                       build_spectral_matrix, evaluate, linear_subspace_prior,
                       run_algorithm, sample_measurements)
@@ -41,7 +41,7 @@ def test_appgd_noiseless_fixed_point():
     x = _range_signal(prior, latent_seed=1)
     a = np.random.default_rng(2).standard_normal((200, 40))
     data = _manual_set(a, np.abs(a @ x))
-    out = appgd_step(data, x, AppgdConfig(), prior)
+    out = appgd_step(data, x, prior, 0.9)
     assert np.allclose(out, x, atol=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_appgd_single_measurement_hand_value():
     prior = _axis_prior(2, 4)
     data = _manual_set(np.array([[1.0, 0.0, 0.0, 0.0]]), [3.0])
     x = np.array([1.0, 0.0, 0.0, 0.0])
-    out = appgd_step(data, x, AppgdConfig(tau=1.0), prior)
+    out = appgd_step(data, x, prior, 1.0)
     assert np.allclose(out, x, atol=1e-15)
 
 
@@ -60,15 +60,20 @@ def test_appgd_sign_zero_convention():
     prior = _axis_prior(2, 3)
     data = _manual_set(np.array([[0.0, 1.0, 0.0]]), [2.0])
     x = np.array([1.0, 0.0, 0.0])
-    out = appgd_step(data, x, AppgdConfig(tau=1.0), prior)
+    out = appgd_step(data, x, prior, 1.0)
     # pre-projection = e1 - (0 - 2*(+1)) e2 = e1 + 2 e2; normalized in range
     expect = np.array([1.0, 2.0, 0.0]) / np.sqrt(5.0)
     assert np.allclose(out, expect, atol=1e-12)
 
 
-def test_appgd_config_validation():
-    with pytest.raises(ConfigurationError):
-        AppgdConfig(tau=0.0)
+def test_appgd_step_rejects_bad_tau():
+    # appgd_step checks its own step size
+    prior = _axis_prior(2, 3)
+    data = _manual_set(np.array([[0.0, 1.0, 0.0]]), [2.0])
+    x = np.array([1.0, 0.0, 0.0])
+    for tau in (0.0, -1.0, float("nan"), float("inf"), True, "0.9"):
+        with pytest.raises(ConfigurationError, match="tau: must be a finite positive number"):
+            appgd_step(data, x, prior, tau)
 
 
 def _desk_data(latent_seed=1, m=1000, seed=30, link=None):
@@ -140,6 +145,32 @@ def test_unknown_algorithm_rejected():
     prior, x, data = _desk_data()
     with pytest.raises(ConfigurationError):
         run_algorithm("nope", data, prior)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_checks_every_argument_first(name, monkeypatch):
+    # every rule holds for every algorithm, also one that does not use the
+    # argument (step2 has no power phase, only appgd uses tau), and the check
+    # comes before any work
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a spectral matrix before checking the arguments")
+
+    monkeypatch.setattr(baselines, "build_spectral_matrix", no_build)
+    prior, x, data = _desk_data()
+    for kw, field in ((dict(t1=0), "t1"), (dict(t1=-10), "t1"), (dict(t2=-5), "t2"),
+                      (dict(tau=float("nan")), "tau"), (dict(tau=0.0), "tau")):
+        with pytest.raises(ConfigurationError, match=f"invalid run arguments:\n  {field}: "):
+            run_algorithm(name, data, prior, **kw)
+
+
+def test_run_algorithm_lists_every_bad_argument():
+    prior, x, data = _desk_data()
+    with pytest.raises(ConfigurationError) as exc:
+        run_algorithm("nope", data, prior, t1=0, t2=-1, tau=float("inf"))
+    lines = str(exc.value).split("\n  ")
+    assert lines[0] == "invalid run arguments:"
+    assert [line.split(":")[0] for line in lines[1:]] == ["algorithms", "t1", "t2", "tau"]
+    assert lines[1:] == baselines.run_problems(["nope"], 0, -1, float("inf"))
 
 
 def test_mprg_recovers_on_clean_abs_link():

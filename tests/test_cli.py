@@ -7,6 +7,7 @@ import pytest
 
 from genphase import load_measurements, load_prior, read_sweep_csv
 from genphase.cli import main
+from genphase.errors import is_finite_number, is_integer
 
 
 def test_gen_model_and_simulate(tmp_path, capsys):
@@ -166,6 +167,31 @@ def test_cli_non_finite_number_exit_code(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--algorithm", "appgd", "--t2", "-5"], "t2"),
+    (["run", "--algorithm", "ppower", "--t1", "-10"], "t1"),
+    (["run", "--algorithm", "step2", "--t1", "0"], "t1"),
+    (["run", "--algorithm", "mprg", "--tau", "nan"], "tau"),
+    (["nu", "--samples", "-1"], "mc_samples"),
+    (["nu", "--link", "linear", "--samples", "0"], "mc_samples"),
+])
+def test_cli_run_argument_exit_code(tmp_path, capsys, argv, field):
+    # every rule holds for every algorithm, also one that does not use the
+    # argument; the nu report needs 1e4 samples for every link
+    out = tmp_path / "out.csv"
+    if argv[0] == "run":
+        model = tmp_path / "prior.json"
+        main(["gen-model", "--k", "3", "--n", "12", "--seed", "1", "--out", str(model)])
+        argv = argv + ["--model", str(model), "--m", "40", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert f"{field}: must be" in captured.err
+    assert "Traceback" not in captured.err and "nan" not in captured.out
+    assert not out.exists()
+
+
 # Seeded property test: sweep configs with up to three values replaced by
 # wrong types, non-finite numbers, empty or out-of-range values, or dropped.
 # Every integer an integer field can get is small, so no sweep allocates much;
@@ -264,6 +290,16 @@ def test_sweep_and_plot(tmp_path):
     assert svg2.read_text() == svg.read_text()
 
 
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["sweep", "--config", str(bad), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot parse config file" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"trials": 0}))
@@ -313,13 +349,8 @@ def _nan_weight(doc):
     return doc
 
 
-def _wrong_k(doc):
-    doc["k"] = 4
-    return doc
-
-
-def _radius(r):
-    return lambda doc: {**doc, "r": r}
+def _field(key, value):
+    return lambda doc: {**doc, key: value}
 
 
 def _kind(kind, activation):
@@ -330,19 +361,23 @@ def _kind(kind, activation):
 @pytest.mark.parametrize("edit, code, frag", [
     (_drop_layers, 2, "'layers'"),
     (lambda doc: "{not json", 2, "malformed model file"),
-    (_wrong_k, 2, "do not map k to n"),
+    (_field("k", 4), 2, "do not map k to n"),
     (_nan_weight, 3, "NaN or Inf weight"),
     (_kind("bogus", "tanh"), 2, "is not a prior"),
     (_kind("relu-mlp", "tanh"), 2, "is not a prior"),
     (_kind("relu-mlp", "none"), 2, "is not a prior"),
     (_kind("linear-subspace", "relu"), 2, "is not a prior"),
     (_kind("linear-subspace", "none"), 2, "is not a prior"),
-    (_radius(-1.0), 2, "radius"),
-    (_radius("abc"), 2, "radius"),
-    (_radius(float("nan")), 2, "radius"),
+    (_field("r", -1.0), 2, "radius"),
+    (_field("r", "abc"), 2, "radius"),
+    (_field("r", float("nan")), 2, "radius"),
+    (_field("k", 3.0), 2, "must be integers"),
+    (_field("n", 12.0), 2, "must be integers"),
+    (_field("lipschitz_proxy", "abc"), 2, "lipschitz_proxy 'abc'"),
 ], ids=["missing-key", "not-json", "layer-shapes", "nan-weight", "unknown-kind",
         "unknown-activation", "relu-mlp-without-relu", "subspace-with-relu",
-        "subspace-with-two-layers", "negative-radius", "text-radius", "nan-radius"])
+        "subspace-with-two-layers", "negative-radius", "text-radius", "nan-radius",
+        "float-k", "float-n", "text-lipschitz-proxy"])
 def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     model = _model_file(tmp_path, edit)
     capsys.readouterr()
@@ -357,6 +392,74 @@ def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     err = capsys.readouterr().err
     assert frag in err and "Traceback" not in err
     assert not traj.exists()
+
+
+# Seeded property test: model files with up to three mutations each (a
+# dropped key, a wrong-typed or out-of-range value, k or n as a float, a NaN
+# or infinite weight, a ragged or short layer) run through `genphase run`.
+_MODEL_KEYS = ["kind", "k", "n", "r", "seed", "activation", "lipschitz_proxy", "layers"]
+_MODEL_ODD_VALUES = [-1, 0, 1, 2.5, 1e300, True, None, "", "abc", [], [[1.0]], {},
+                     float("nan"), float("inf"), float("-inf")]
+_BAD_WEIGHTS = [float("nan"), float("inf"), float("-inf"), None, "x"]
+
+
+def _mutate_model(doc, rng):
+    layers = doc.get("layers")
+    has_rows = isinstance(layers, list) and layers and all(
+        isinstance(w, list) and w and all(isinstance(row, list) and row for row in w)
+        for w in layers)
+    kind = rng.integers(6 if has_rows else 3)
+    if kind == 0:
+        doc.pop(_MODEL_KEYS[rng.integers(len(_MODEL_KEYS))], None)
+    elif kind == 1:
+        key = _MODEL_KEYS[rng.integers(len(_MODEL_KEYS))]
+        doc[key] = _MODEL_ODD_VALUES[rng.integers(len(_MODEL_ODD_VALUES))]
+    elif kind == 2:
+        key = ("k", "n")[rng.integers(2)]
+        if is_integer(doc.get(key)):
+            doc[key] = float(doc[key])
+    else:
+        w = layers[rng.integers(len(layers))]
+        row = w[rng.integers(len(w))]
+        if kind == 3:
+            row[rng.integers(len(row))] = _BAD_WEIGHTS[rng.integers(len(_BAD_WEIGHTS))]
+        elif kind == 4:
+            row.pop()           # ragged, or a row of zero width
+        else:
+            w.pop()             # one row short
+
+
+def test_run_property_random_model_files(tmp_path, capsys):
+    bases = []
+    for kind in ("linear-subspace", "relu-mlp"):
+        path = tmp_path / f"{kind}.json"
+        main(["gen-model", "--kind", kind, "--k", "2", "--n", "8", "--hidden", "5",
+              "--seed", "3", "--out", str(path)])
+        bases.append(path.read_text())
+    rng = np.random.default_rng(77)
+    model, traj = tmp_path / "model.json", tmp_path / "traj.csv"
+    codes = []
+    for case in range(200):
+        doc = json.loads(bases[rng.integers(2)])
+        for _ in range(1 + rng.integers(3)):
+            _mutate_model(doc, rng)
+        model.write_text(json.dumps(doc))
+        traj.unlink(missing_ok=True)
+        algorithm = ("mprg", "mprgf", "ppower", "step2", "appgd")[rng.integers(5)]
+        argv = ["run", "--model", str(model), "--algorithm", algorithm, "--m", "30",
+                "--t1", "2", "--t2", "2", "--out", str(traj)]
+        try:
+            code = main(argv)
+        except Exception as exc:   # what the command line would show as a traceback
+            pytest.fail(f"case {case}: {exc!r} from {doc}")
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert code in (0, 2, 3), (case, doc, err)
+        assert traj.exists() == (code == 0), (case, doc, err)
+        ints_ok = all(is_integer(doc.get(key, 0)) for key in ("k", "n"))
+        if not ints_ok or not is_finite_number(doc.get("lipschitz_proxy", 0.0)):
+            assert code == 2, (case, doc, err)
+    assert {0, 2, 3} <= set(codes)
 
 
 @pytest.mark.parametrize("line", ["60,mprg,0.5,0,0.1", "60,mprg,0,0", "60,mprg,0,0,0.1,7",

@@ -6,8 +6,8 @@ import pytest
 
 from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataError,
                       config_from_dict, config_from_file, draw_signal, emit_outputs,
-                      fit_slope, linear_subspace_prior, read_sweep_csv,
-                      run_experiment, validate_config)
+                      fit_slope, read_sweep_csv, run_experiment, validate_config)
+from genphase.baselines import run_problems
 from genphase.harness import build_prior
 from genphase.svg import render_sweep_svg
 
@@ -39,6 +39,16 @@ def test_validate_uses_link_and_refine_checks():
         with pytest.raises(ConfigurationError) as exc:
             validate_config(_tiny_cfg(trials=0, **kw))
         assert frag in str(exc.value) and "trials:" in str(exc.value), frag
+
+
+def test_validate_uses_the_run_rules():
+    # the algorithm, t1, t2 and tau lines are run_algorithm's own rules,
+    # listed with the other problems
+    cfg = _tiny_cfg(trials=0, algorithms=("bogus",), t1=0, t2=-1, tau=float("nan"))
+    with pytest.raises(ConfigurationError) as exc:
+        validate_config(cfg)
+    assert str(exc.value).split("\n  ")[1:] == \
+        ["trials: must be >= 1"] + run_problems(cfg.algorithms, cfg.t1, cfg.t2, cfg.tau)
 
 
 def test_validate_rejects_bad_radius_and_width():

@@ -1,12 +1,14 @@
-"""Every name a genphase module imports at the top level is used in it."""
+"""Every name a genphase module, test or demo imports at the top level is
+used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "genphase").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "genphase").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -21,7 +23,7 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -6,7 +6,7 @@ import pytest
 
 from genphase import (ConfigurationError, LinkModel, NumericalError, apply_link,
                       load_measurements, population_nu, sample_measurements,
-                      save_measurements, subexp_norm_proxy)
+                      save_measurements)
 from genphase.links import BUILTIN_LINKS
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -169,7 +169,7 @@ def test_nu_invariant_to_noise_out_sigma():
 
 
 def test_subexp_proxy_zero_link():
-    assert subexp_norm_proxy(LinkModel("custom", params={}), 10**4, seed=0) == 0.0
+    assert population_nu(LinkModel("custom", params={}), 10**4, seed=0).subexp_norm_proxy == 0.0
 
 
 def test_subexp_proxy_linear_matches_gaussian_moments():
@@ -178,20 +178,23 @@ def test_subexp_proxy_linear_matches_gaussian_moments():
         return 2 ** (p / 2.0) * math.gamma((p + 1) / 2.0) / math.sqrt(math.pi)
 
     exact = max(abs_moment(p) ** (1.0 / p) / p for p in range(1, 9))
-    got = subexp_norm_proxy(LinkModel("linear", 0.0), 10**6, seed=3)
+    got = population_nu(LinkModel("linear", 0.0), 10**6, seed=3).subexp_norm_proxy
     assert got == pytest.approx(exact, rel=0.02)
     assert 0.5 <= got <= 1.5
 
 
 def test_subexp_proxy_square_dominates_linear():
-    lin = subexp_norm_proxy(LinkModel("linear", 0.0), 10**5, seed=4)
-    sq = subexp_norm_proxy(LinkModel("square-noise", 0.0), 10**5, seed=4)
+    lin = population_nu(LinkModel("linear", 0.0), 10**5, seed=4).subexp_norm_proxy
+    sq = population_nu(LinkModel("square-noise", 0.0), 10**5, seed=4).subexp_norm_proxy
     assert sq > lin
 
 
 def test_proxy_requires_enough_samples():
-    with pytest.raises(ConfigurationError):
-        subexp_norm_proxy(LinkModel("linear"), 100, seed=0)
+    # the proxy is Monte Carlo for every link, also one with a closed-form nu
+    for name in ("linear", "square-noise", "abs-noise-out"):
+        for samples in (9999, 100, 0, -1):
+            with pytest.raises(ConfigurationError, match="mc_samples: must be >= 1e4"):
+                population_nu(LinkModel(name), samples, seed=0)
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

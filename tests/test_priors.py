@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior,
-                      NumericalError, ProjectionConfig, evaluate, linear_subspace_prior, load_prior,
+from genphase import (ConfigurationError, DegenerateLatentError, NumericalError,
+                      ProjectionConfig, evaluate, linear_subspace_prior, load_prior,
                       project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
 from genphase.priors import clip_to_ball, default_radius

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, LinkModel, MeasurementSet, RefineConfig,
+from genphase import (ConfigurationError, LinkModel, MeasurementSet,
                       Step, build_spectral_matrix, empirical_mean_y,
                       estimate_nu_hat, evaluate, initial_vector,
                       linear_subspace_prior, population_nu, projected_power,
@@ -99,7 +99,7 @@ def test_refine_step_zero_gradient_fixed_point():
     data = _manual_set(np.random.default_rng(1).standard_normal((20, 30)),
                        np.ones(20))
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
-    nxt = refine_step(data, empirical_mean_y(data), state, RefineConfig(), prior)
+    nxt = refine_step(data, empirical_mean_y(data), state, prior)
     assert np.array_equal(nxt.pre_projection, x_t)
     assert np.allclose(nxt.iterate, x_t, atol=1e-12)
     assert nxt.nu_hat == 0.0 and nxt.warn
@@ -118,7 +118,7 @@ def test_refine_step_hand_computed_update():
     # x_til = x - (2/2) * a^T resid = (1.5, 0, 0, 0)
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
     for form in FORMS:
-        nxt = refine_step(data, ybar, state, RefineConfig(), prior, spec=_spec(data, form))
+        nxt = refine_step(data, ybar, state, prior, spec=_spec(data, form))
         assert nxt.nu_hat == 0.5, form
         assert nxt.zeta == 2.0, form
         assert not nxt.warn, form
@@ -130,9 +130,8 @@ def test_fixed_mode_freezes_nu():
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 2000, seed=3)
-    cfg = RefineConfig(t2=5, zeta_mode="fixed")
     for form in FORMS:
-        states = run_refine(data, prior, x, cfg, truth=x, spec=_spec(data, form))
+        states = run_refine(data, prior, x, 5, fixed=True, truth=x, spec=_spec(data, form))
         nus = {s.nu_hat for s in states}
         assert len(nus) == 1, form
         # derived step size is 1/nu_hat(0)
@@ -144,7 +143,7 @@ def test_run_refine_trajectory_contract():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 1000, seed=4)
     for form in FORMS:
-        states = run_refine(data, prior, x, RefineConfig(t2=7), truth=x,
+        states = run_refine(data, prior, x, 7, truth=x,
                             spec=_spec(data, form))
         assert len(states) == 8, form
         assert [s.t for s in states] == list(range(8)), form
@@ -156,7 +155,7 @@ def test_run_refine_zero_iterations():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 500, seed=5)
     for form in FORMS:
-        states = run_refine(data, prior, x, RefineConfig(t2=0), truth=x,
+        states = run_refine(data, prior, x, 0, truth=x,
                             spec=_spec(data, form))
         assert len(states) == 1 and states[0].t == 0, form
 
@@ -173,7 +172,7 @@ def test_one_step_error_decrease_from_spectral_init():
         init = min((projected_power(spec, prior, s * w0, 20, truth=x)[-1]
                     for s in (1.0, -1.0)), key=lambda st: st.error)
         for form in FORMS:
-            states = run_refine(data, prior, init.iterate, RefineConfig(t2=1), truth=x,
+            states = run_refine(data, prior, init.iterate, 1, truth=x,
                                 spec=_spec(data, form))
             hits[form] += states[1].error <= states[0].error
     assert min(hits.values()) >= 8, hits
@@ -190,8 +189,8 @@ def test_adaptive_update_scale_equivariant():
                            observations=2.0 * data.observations,
                            seed=data.seed, link=data.link)
     for form in FORMS:
-        s1 = run_refine(data, prior, x, RefineConfig(t2=10), truth=x, spec=_spec(data, form))
-        s2 = run_refine(data2, prior, x, RefineConfig(t2=10), truth=x,
+        s1 = run_refine(data, prior, x, 10, truth=x, spec=_spec(data, form))
+        s2 = run_refine(data2, prior, x, 10, truth=x,
                         spec=_spec(data2, form))
         for a, b in zip(s1, s2):
             assert np.array_equal(a.iterate, b.iterate), form
@@ -205,7 +204,7 @@ def test_linear_link_trips_warnings():
     x = _range_signal(prior, latent_seed=0)
     data = sample_measurements(LinkModel("linear", 0.0), x, 2000, seed=51)
     for form in FORMS:
-        states = run_refine(data, prior, x, RefineConfig(t2=20), truth=x,
+        states = run_refine(data, prior, x, 20, truth=x,
                             spec=_spec(data, form))
         warns = sum(s.warn for s in states)
         assert warns >= len(states) / 2, form
@@ -217,15 +216,20 @@ def test_warn_never_fires_on_square_noise():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("square-noise", 0.1), x, 2000, seed=8)
     for form in FORMS:
-        states = run_refine(data, prior, x, RefineConfig(t2=10), truth=x,
+        states = run_refine(data, prior, x, 10, truth=x,
                             spec=_spec(data, form))
         assert not any(s.warn for s in states), form
 
 
-def test_refine_config_validation():
-    for bad in (dict(t2=-1), dict(zeta_mode="nope")):
-        with pytest.raises(ConfigurationError):
-            RefineConfig(**bad)
+def test_run_refine_rejects_bad_t2():
+    # run_refine checks its own step count, in both modes
+    prior = linear_subspace_prior(5, 100, seed=2)
+    x = _range_signal(prior, latent_seed=1)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 200, seed=4)
+    for t2 in (-1, -30, float("nan")):
+        for fixed in (False, True):
+            with pytest.raises(ConfigurationError, match="t2: must be >= 0"):
+                run_refine(data, prior, x, t2, fixed=fixed)
 
 
 def _counting(sensing):
@@ -241,9 +245,9 @@ def _counting(sensing):
     return np.asarray(sensing).view(Counting)
 
 
-@pytest.mark.parametrize("zeta_mode", ["adaptive", "fixed"])
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("t2", [0, 1, 4])
-def test_run_refine_products_with_a(zeta_mode, t2):
+def test_run_refine_products_with_a(fixed, t2):
     # m-space: two products with A per step and none more, since the t=0
     # nu_hat comes from the first step's A x0; only t2 = 0 estimates it
     # on its own.  n-space: no product with A at all.
@@ -253,11 +257,10 @@ def test_run_refine_products_with_a(zeta_mode, t2):
     spec = _spec(data, "n-space")
     data.sensing = _counting(data.sensing)
     counter = type(data.sensing)
-    cfg = RefineConfig(t2=t2, zeta_mode=zeta_mode)
-    states = run_refine(data, prior, x, cfg, truth=x)
+    states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
     assert counter.matmuls == (2 * t2 if t2 else 1)
     counter.matmuls = 0
-    nspace = run_refine(data, prior, x, cfg, truth=x, spec=spec)
+    nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
     assert counter.matmuls == (0 if t2 else 1)
     assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
     assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
@@ -268,9 +271,8 @@ def _close(a, b, rel=1e-12):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("cfg", [RefineConfig(), RefineConfig(zeta_mode="fixed")],
-                         ids=["adaptive", "fixed-derived"])
-def test_refine_step_forms_agree(cfg, sign):
+@pytest.mark.parametrize("mode", ["adaptive", "fixed-derived"])
+def test_refine_step_forms_agree(mode, sign):
     # mixed-sign observations y = +-(|g| - 0.7 + noise): nu > 0 for sign +1,
     # nu < 0 (so nu_hat <= 0 and the warning fires) for sign -1
     prior = linear_subspace_prior(5, 40, seed=3)
@@ -284,14 +286,15 @@ def test_refine_step_forms_agree(cfg, sign):
     start = x + 0.3 * rng.standard_normal(40)
     state = Step(iterate=start / np.linalg.norm(start), t=0)
     spec = _spec(data, "n-space")
-    for frozen in (None, 0.4 * sign):
-        m_step, n_step = (refine_step(data, ybar, state, cfg, prior, frozen_nu=frozen,
-                                      spec=s) for s in (None, spec))
-        assert _close(m_step.pre_projection, n_step.pre_projection)
-        assert _close(m_step.iterate, n_step.iterate)
-        assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
-        assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
-        assert n_step.warn == m_step.warn == (sign < 0)
-        if sign < 0:   # nu <= 0 takes the floored step
-            assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
+    # fixed mode: a given frozen_nu replaces nu_hat
+    frozen = None if mode == "adaptive" else 0.4 * sign
+    m_step, n_step = (refine_step(data, ybar, state, prior, frozen_nu=frozen, spec=s)
+                      for s in (None, spec))
+    assert _close(m_step.pre_projection, n_step.pre_projection)
+    assert _close(m_step.iterate, n_step.iterate)
+    assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
+    assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
+    assert n_step.warn == m_step.warn == (sign < 0)
+    if sign < 0:   # nu <= 0 takes the floored step
+        assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
 

@@ -84,7 +84,6 @@ def _check_against_naive(data):
     else:
         assert spec.gram is None
     assert spec.ybar == data.observations.mean()
-    assert spec.m_used == data.m
     # the +-ybar shift of the diagonal round-trips to within one rounding
     full = shifted_matrix(spec)
     eps = np.finfo(float).eps
@@ -185,8 +184,7 @@ def test_spectral_concentration_single_seed():
 
 def test_initial_vector_argmax_column():
     shifted = np.array([[1.0, 0.5], [0.5, 3.0]])
-    spec = SpectralMatrix(v=shifted - np.eye(2), m_used=1,
-                          diag_shifted=np.diag(shifted).copy(), ybar=1.0)
+    spec = SpectralMatrix(v=shifted - np.eye(2), diag_shifted=np.diag(shifted).copy(), ybar=1.0)
     w0 = initial_vector(spec, shifted)
     expect = shifted[:, 1] / np.linalg.norm(shifted[:, 1])
     assert np.allclose(w0, expect, atol=1e-15)
@@ -194,8 +192,7 @@ def test_initial_vector_argmax_column():
 
 def test_initial_vector_tie_breaks_low_index():
     shifted = np.array([[2.0, 0.0, 0.1], [0.0, 2.0, 0.0], [0.1, 0.0, 1.0]])
-    spec = SpectralMatrix(v=shifted, m_used=1, diag_shifted=np.diag(shifted).copy(),
-                          ybar=0.0)
+    spec = SpectralMatrix(v=shifted, diag_shifted=np.diag(shifted).copy(), ybar=0.0)
     w0 = initial_vector(spec, shifted)
     expect = shifted[:, 0] / np.linalg.norm(shifted[:, 0])
     assert np.array_equal(w0, expect)
@@ -203,7 +200,7 @@ def test_initial_vector_tie_breaks_low_index():
 
 def test_initial_vector_zero_column_fallback():
     shifted = np.zeros((3, 3))
-    spec = SpectralMatrix(v=shifted, m_used=1, diag_shifted=np.zeros(3), ybar=0.0)
+    spec = SpectralMatrix(v=shifted, diag_shifted=np.zeros(3), ybar=0.0)
     w0 = initial_vector(spec, shifted)
     assert np.array_equal(w0, np.array([1.0, 0.0, 0.0]))
 
@@ -235,7 +232,7 @@ def test_projected_power_rank_one_one_step():
     prior = linear_subspace_prior(5, 30, seed=1)
     x = _range_signal(prior, latent_seed=3)
     v = 0.8 * np.outer(x, x)
-    spec = SpectralMatrix(v=v, m_used=1, diag_shifted=np.diag(v).copy(), ybar=0.0)
+    spec = SpectralMatrix(v=v, diag_shifted=np.diag(v).copy(), ybar=0.0)
     w0 = x + 0.3 * np.random.default_rng(4).standard_normal(30)
     assert x @ w0 > 0
     states = projected_power(spec, prior, w0, 1, truth=x)
@@ -245,7 +242,7 @@ def test_projected_power_rank_one_one_step():
 def test_projected_power_identity_fixed_point():
     prior = linear_subspace_prior(5, 30, seed=1)
     x = _range_signal(prior, latent_seed=5)
-    spec = SpectralMatrix(v=np.eye(30), m_used=1, diag_shifted=np.ones(30), ybar=0.0)
+    spec = SpectralMatrix(v=np.eye(30), diag_shifted=np.ones(30), ybar=0.0)
     states = projected_power(spec, prior, x, 3)
     for s in states:
         assert np.allclose(s.iterate, x, atol=1e-9)
@@ -279,8 +276,8 @@ def test_projected_power_determinism():
 
 def test_projected_power_rejects_zero_iterations():
     prior = linear_subspace_prior(5, 50, seed=2)
-    spec = SpectralMatrix(v=np.eye(50), m_used=1, diag_shifted=np.ones(50), ybar=0.0)
-    with pytest.raises(ConfigurationError):
+    spec = SpectralMatrix(v=np.eye(50), diag_shifted=np.ones(50), ybar=0.0)
+    with pytest.raises(ConfigurationError, match="t1: must be >= 1"):
         projected_power(spec, prior, np.ones(50), 0)
 
 
