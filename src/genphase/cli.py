@@ -14,18 +14,17 @@ import numpy as np
 
 from . import harness
 from .baselines import ALGORITHMS, run_algorithm
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, raise_problems, seed_problems
 from .links import LinkModel, population_nu, sample_measurements, save_measurements
-from .priors import linear_subspace_prior, load_prior, relu_mlp_prior, save_prior
+from .priors import load_prior, save_prior
 from .runtrace import write_trajectory_csv
 from .svg import render_sweep_svg
 
 
 def nonnegative_seed(text):
-    """argparse type of a seed: a nonnegative int, as numpy's seeding needs."""
+    """argparse type of a seed: an int that keeps the seed rule."""
     value = int(text)
-    if value < 0:
-        raise ValueError(text)
+    raise_problems(seed_problems(value))   # a ValueError, which argparse reports
     return value
 
 
@@ -108,10 +107,9 @@ def _signal_from_model(model_path, latent_seed):
 
 
 def _cmd_gen_model(args):
-    if args.kind == "linear-subspace":
-        prior = linear_subspace_prior(args.k, args.n, r=args.r, seed=args.seed)
-    else:
-        prior = relu_mlp_prior(args.k, args.hidden, args.n, r=args.r, seed=args.seed)
+    prior = harness.build_prior(harness.ExperimentConfig(
+        prior_kind=args.kind, k=args.k, n=args.n, r=args.r, hidden=args.hidden or (),
+        prior_seed=args.seed))
     save_prior(prior, args.out)
     print(f"wrote {args.kind} prior (k={prior.k}, n={prior.n}, r={prior.r:.6g}, "
           f"L-proxy={prior.lipschitz_proxy:.6g}) to {args.out}")

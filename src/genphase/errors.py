@@ -15,9 +15,16 @@ def raise_problems(problems, heading=None) -> None:
 
 
 def is_integer(v) -> bool:
-    """An int that is not a bool: json reads true and false as bools, which
-    are ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer (a numpy one too) that is not a bool: json reads true and
+    false as bools, which are ints."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def seed_problems(seed, name="seed") -> list:
+    """The seed rule, as a list of problems: a nonnegative integer, as
+    numpy's seeding needs."""
+    ok = is_integer(seed) and seed >= 0
+    return [] if ok else [f"{name}: must be a nonnegative integer, got {seed!r}"]
 
 
 def is_finite_number(v) -> bool:

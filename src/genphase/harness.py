@@ -19,10 +19,10 @@ from scipy import stats
 
 from .baselines import refine_step_count, run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, is_finite_number, \
-    is_integer, raise_problems
+    is_integer, raise_problems, seed_problems
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
-    linear_subspace_prior, project, relu_mlp_prior
+    linear_subspace_prior, prior_problems, project, relu_mlp_prior
 from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
@@ -70,21 +70,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _config_problems(cfg: ExperimentConfig) -> list:
-    problems = []
-    if cfg.prior_kind not in ("linear-subspace", "relu-mlp"):
-        problems.append(f"prior_kind: unknown kind {cfg.prior_kind!r}")
-    if cfg.prior_seed < 0:
-        problems.append("prior.seed: must be >= 0")
-    if cfg.master_seed < 0:
-        problems.append("master_seed: must be >= 0")
-    if not cfg.k >= 1:
-        problems.append("k: must be >= 1")
-    if not cfg.k < cfg.n:
-        problems.append("k/n: need k < n")
-    if cfg.r is not None and not (is_finite_number(cfg.r) and cfg.r > 0):
-        problems.append("r: must be a finite positive number")
-    if any(width < 1 for width in cfg.hidden):
-        problems.append("hidden: widths must be >= 1")
+    problems = [f"prior.{p}" for p in prior_problems(cfg.prior_kind, cfg.k, cfg.n, cfg.r,
+                                                       cfg.hidden, cfg.prior_seed)]
+    problems += seed_problems(cfg.master_seed, "master_seed")
     if cfg.trials < 1:
         problems.append("trials: must be >= 1")
     if cfg.restarts < 1:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, is_finite_number, raise_problems
+from .errors import ConfigurationError, NumericalError, is_finite_number, is_integer, \
+    raise_problems, seed_problems
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -103,17 +104,25 @@ class MeasurementSet:
     link: LinkModel
 
 
+def measurement_problems(m, n, seed, signal, source="the measurement set") -> list:
+    """One line per field of a measurement set that breaks its rule: integers
+    m >= 1 and n, the seed rule, and a unit signal of length n.  A NaN or Inf
+    signal entry, which the norm test lets through, is a NumericalError."""
+    if not np.isfinite(signal).all():
+        raise NumericalError(f"{source} has a NaN or Inf signal entry")
+    ok = is_integer(m) and is_integer(n) and m >= 1
+    problems = [] if ok else [f"m: m and n must be integers with m >= 1, got m={m!r}, n={n!r}"]
+    if signal.shape != (n,) or abs(np.linalg.norm(signal) - 1.0) > 1e-12:
+        problems.append(f"signal: must be a unit vector of length n={n!r}")
+    return problems + seed_problems(seed)
+
+
 def sample_measurements(link: LinkModel, signal, m: int, seed: int) -> MeasurementSet:
     """Draw m i.i.d. standard Gaussian sensing rows and the matching noisy
     observations, fully reproducible from the seed."""
     signal = np.asarray(signal, dtype=float)
-    if m < 1:
-        raise ConfigurationError(f"m must be >= 1, got {m}")
-    if not np.isfinite(signal).all():
-        raise NumericalError("signal contains NaN or Inf")
-    if abs(np.linalg.norm(signal) - 1.0) > 1e-12:
-        raise ConfigurationError("signal must be a unit vector")
-    n = signal.shape[0]
+    n = signal.size
+    raise_problems(measurement_problems(m, n, seed, signal))
     rng = np.random.default_rng(seed)
     sensing = rng.standard_normal((m, n))
     eta = link.sigma * rng.standard_normal(m)
@@ -189,8 +198,8 @@ def save_measurements(data: MeasurementSet, csv_path) -> None:
             cells = [data.observations[i], *data.sensing[i]]
             fh.write(",".join(map(format_cell, cells)) + "\n")
     meta = {
-        "n": data.n,
-        "m": data.m,
+        "n": int(data.n),
+        "m": int(data.m),
         "seed": int(data.seed),
         "link": {"name": data.link.name, "sigma": data.link.sigma,
                  "params": dict(data.link.params)},
@@ -202,9 +211,10 @@ def save_measurements(data: MeasurementSet, csv_path) -> None:
 
 def load_measurements(csv_path) -> MeasurementSet:
     """Read a CSV and its metadata sidecar.  Metadata that is not JSON or
-    lacks a key, a CSV cell that is not a number, or shapes that do not match
-    the metadata are a ConfigurationError; a NaN or Inf observation, sensing
-    entry or signal entry is a NumericalError."""
+    lacks a key, a CSV cell that is not a number, a measurement_problems
+    rule broken or a CSV shape that does not match the metadata are a
+    ConfigurationError; a NaN or Inf observation, sensing entry or signal
+    entry is a NumericalError."""
     csv_path = Path(csv_path)
     try:
         with open(meta_path_for(csv_path)) as fh:
@@ -216,14 +226,14 @@ def load_measurements(csv_path) -> MeasurementSet:
         raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed measurement file {csv_path}: {exc!r}") from exc
-    y = raw[:, 0]
-    sensing = raw[:, 1:]
-    if sensing.shape != (m, n) or signal.shape != (n,):
-        raise ConfigurationError(
-            f"CSV shape {sensing.shape} and signal length {signal.size} do not match "
-            f"metadata (m={m}, n={n})")
-    for what, values in (("observation", y), ("sensing entry", sensing), ("signal entry", signal)):
+    y, sensing = raw[:, 0], raw[:, 1:]
+    source = f"measurement file {csv_path}"
+    problems = measurement_problems(m, n, seed, signal, source)
+    if sensing.shape != (m, n):
+        problems.append(f"CSV shape {sensing.shape} does not match metadata (m={m}, n={n})")
+    raise_problems(problems, f"malformed {source}:")
+    for what, values in (("observation", y), ("sensing entry", sensing)):
         if not np.isfinite(values).all():
-            raise NumericalError(f"measurement file {csv_path} has a NaN or Inf {what}")
+            raise NumericalError(f"{source} has a NaN or Inf {what}")
     return MeasurementSet(n=n, m=m, signal=signal, sensing=sensing,
                           observations=y, seed=seed, link=link)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError, is_finite_number, is_integer, raise_problems
+    ProjectionFailureError, is_finite_number, is_integer, raise_problems, seed_problems
 from .seeds import flatten_seed
 
 
@@ -48,11 +48,15 @@ class GenerativePrior:
     kind: str                 # "linear-subspace" | "relu-mlp"
     k: int
     n: int
-    r: float
+    r: float                  # None at construction means default_radius(k)
     layers: list              # weight matrices, each of shape (fan_out, fan_in)
     activation: str           # "relu" | "none"
     seed: int
     lipschitz_proxy: float
+
+    def __post_init__(self):
+        if self.r is None:
+            self.r = default_radius(self.k)
 
 
 def default_radius(k: int) -> float:
@@ -60,12 +64,19 @@ def default_radius(k: int) -> float:
     return 10.0 * math.sqrt(k)
 
 
-def _radius(k: int, r) -> float:
-    if r is None:
-        return default_radius(k)
-    if not (is_finite_number(r) and r > 0):
-        raise ConfigurationError(f"r: must be a finite positive number, got {r!r}")
-    return r
+def prior_problems(kind, k, n, r, hidden, seed) -> list:
+    """One line per field of a prior that breaks its rule: a known kind,
+    integers 1 <= k < n, a latent radius that is None (the default) or a
+    finite positive number, integer hidden widths >= 1, and the seed rule."""
+    known = kind in ("linear-subspace", "relu-mlp")
+    problems = [] if known else [f"kind: unknown kind {kind!r}"]
+    if not (is_integer(k) and is_integer(n) and 1 <= k < n):
+        problems.append(f"k: k and n must be integers with 1 <= k < n, got k={k!r}, n={n!r}")
+    if not (r is None or is_finite_number(r) and r > 0):
+        problems.append(f"r: the latent radius must be a finite positive number, got {r!r}")
+    if not all(is_integer(width) and width >= 1 for width in hidden):
+        problems.append(f"hidden: widths must be integers >= 1, got {list(hidden)}")
+    return problems + seed_problems(seed)
 
 
 def _lipschitz_proxy(layers) -> float:
@@ -77,30 +88,22 @@ def _lipschitz_proxy(layers) -> float:
 
 def linear_subspace_prior(k: int, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """Random k-dimensional subspace of R^n with orthonormalized basis."""
-    if not 1 <= k < n:
-        raise ConfigurationError(f"need 1 <= k < n, got k={k}, n={n}")
+    raise_problems(prior_problems("linear-subspace", k, n, r, (), seed))
     rng = np.random.default_rng(seed)
     w, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return GenerativePrior(kind="linear-subspace", k=k, n=n, r=_radius(k, r),
-                           layers=[w], activation="none", seed=seed,
-                           lipschitz_proxy=_lipschitz_proxy([w]))
+    return GenerativePrior("linear-subspace", k, n, r, [w], "none", seed, _lipschitz_proxy([w]))
 
 
 def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """ReLU MLP with no bias terms and zero-mean Gaussian weights of variance
     1/fan-in.  ReLU is applied after every layer except the last.  An empty
     (or None) hidden gives one hidden layer of width max(4k, 16)."""
-    if not 1 <= k < n:
-        raise ConfigurationError(f"need 1 <= k < n, got k={k}, n={n}")
-    if hidden and min(hidden) < 1:
-        raise ConfigurationError(f"hidden: widths must be >= 1, got {list(hidden)}")
+    raise_problems(prior_problems("relu-mlp", k, n, r, hidden or (), seed))
     dims = [k, *(hidden or (max(4 * k, 16),)), n]
     rng = np.random.default_rng(seed)
     layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
               for i in range(len(dims) - 1)]
-    return GenerativePrior(kind="relu-mlp", k=k, n=n, r=_radius(k, r),
-                           layers=layers, activation="relu", seed=seed,
-                           lipschitz_proxy=_lipschitz_proxy(layers))
+    return GenerativePrior("relu-mlp", k, n, r, layers, "relu", seed, _lipschitz_proxy(layers))
 
 
 def clip_to_ball(z, r: float):
@@ -314,8 +317,8 @@ def project(prior: GenerativePrior, v, cfg: ProjectionConfig | None = None,
 def save_prior(prior: GenerativePrior, path) -> None:
     doc = {
         "kind": prior.kind,
-        "k": prior.k,
-        "n": prior.n,
+        "k": int(prior.k),
+        "n": int(prior.n),
         "r": prior.r,
         "seed": int(prior.seed),
         "activation": prior.activation,
@@ -327,40 +330,33 @@ def save_prior(prior: GenerativePrior, path) -> None:
 
 
 def load_prior(path) -> GenerativePrior:
-    """Read a model file.  A file that is not JSON, lacks a key, names a kind
-    and activation other than linear-subspace/none (one layer) or
-    relu-mlp/relu, has a k or n that is not an integer, a radius that is not
-    a positive number or a Lipschitz proxy that is not a finite number, or
-    whose layers do not map k to n is a ConfigurationError; a NaN or Inf
-    weight is a NumericalError."""
+    """Read a model file.  A file that is not JSON or lacks a key, breaks a
+    prior_problems rule (its hidden widths are the layers' fan-ins after the
+    first), pairs kind and activation wrongly, has a non-finite Lipschitz
+    proxy or layers that do not map k to n is a ConfigurationError; a NaN or
+    Inf weight is a NumericalError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         layers = [np.array(w, dtype=float) for w in doc["layers"]]
-        prior = GenerativePrior(kind=doc["kind"], k=doc["k"], n=doc["n"], r=doc["r"],
-                                layers=layers, activation=doc["activation"],
-                                seed=doc["seed"], lipschitz_proxy=doc["lipschitz_proxy"])
+        kind, k, n, r, seed = (doc[key] for key in ("kind", "k", "n", "r", "seed"))
+        activation, lipschitz_proxy = doc["activation"], doc["lipschitz_proxy"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model file {path}: {exc!r}") from exc
-    if (prior.kind, prior.activation) not in (("linear-subspace", "none"), ("relu-mlp", "relu")) \
-            or (prior.kind == "linear-subspace" and len(layers) != 1):
-        raise ConfigurationError(
-            f"malformed model file {path}: kind {prior.kind!r}, activation "
-            f"{prior.activation!r} and {len(layers)} layer(s) is not a prior; need "
-            "linear-subspace with activation none and one layer, or relu-mlp with relu")
-    if not (is_integer(prior.k) and is_integer(prior.n)):
-        raise ConfigurationError(f"malformed model file {path}: k {prior.k!r} and n "
-                                 f"{prior.n!r} must be integers")
-    if not (is_finite_number(prior.r) and prior.r > 0):
-        raise ConfigurationError(f"malformed model file {path}: radius {prior.r!r} is not "
-                                 "a finite positive number")
-    if not is_finite_number(prior.lipschitz_proxy):
-        raise ConfigurationError(f"malformed model file {path}: lipschitz_proxy "
-                                 f"{prior.lipschitz_proxy!r} is not a finite number")
-    dims = [prior.k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
-    if not layers or dims[-1] != prior.n or \
+    problems = prior_problems(kind, k, n, r, [w.shape[1] for w in layers[1:] if w.ndim == 2],
+                              seed)
+    if (kind, activation) not in (("linear-subspace", "none"), ("relu-mlp", "relu")) \
+            or (kind == "linear-subspace" and len(layers) != 1):
+        problems.append(f"kind {kind!r}, activation {activation!r} and {len(layers)} layer(s) "
+                        "is not a prior; need linear-subspace with activation none and one "
+                        "layer, or relu-mlp with relu")
+    if not is_finite_number(lipschitz_proxy):
+        problems.append(f"lipschitz_proxy {lipschitz_proxy!r} is not a finite number")
+    raise_problems(problems, f"malformed model file {path}:")
+    dims = [k] + [w.shape[0] if w.ndim == 2 else -1 for w in layers]
+    if not layers or dims[-1] != n or \
             any(w.shape != (out, fan_in) for w, fan_in, out in zip(layers, dims, dims[1:])):
         raise ConfigurationError(f"malformed model file {path}: layers do not map k to n")
     if not all(np.isfinite(w).all() for w in layers):
         raise NumericalError(f"model file {path} has a NaN or Inf weight")
-    return prior
+    return GenerativePrior(kind, k, n, r, layers, activation, seed, lipschitz_proxy)

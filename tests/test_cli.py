@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from genphase import load_measurements, load_prior, read_sweep_csv
+from genphase import ConfigurationError, config_from_dict, load_measurements, load_prior, \
+    read_sweep_csv, relu_mlp_prior, save_prior
 from genphase.cli import main
 from genphase.errors import is_finite_number, is_integer
 
@@ -353,6 +355,16 @@ def _field(key, value):
     return lambda doc: {**doc, key: value}
 
 
+def _k_equals_n(doc):
+    # n cut down to k = 3, with the last layer cut to match: the layers map k to n
+    return {**doc, "n": doc["k"], "layers": [doc["layers"][0], doc["layers"][1][:doc["k"]]]}
+
+
+def _zero_k(doc):
+    # k = 0 with a first layer of zero columns, so the layers map k to n
+    return {**doc, "k": 0, "layers": [[[] for _ in doc["layers"][0]], doc["layers"][1]]}
+
+
 def _kind(kind, activation):
     # the file has two layers, so linear-subspace is wrong even with activation none
     return lambda doc: {**doc, "kind": kind, "activation": activation}
@@ -374,10 +386,16 @@ def _kind(kind, activation):
     (_field("k", 3.0), 2, "must be integers"),
     (_field("n", 12.0), 2, "must be integers"),
     (_field("lipschitz_proxy", "abc"), 2, "lipschitz_proxy 'abc'"),
+    (_field("seed", "abc"), 2, "\n  seed:"),
+    (_field("seed", -1), 2, "\n  seed:"),
+    (_field("seed", 1.5), 2, "\n  seed:"),
+    (_k_equals_n, 2, "\n  k:"),
+    (_zero_k, 2, "\n  k:"),
 ], ids=["missing-key", "not-json", "layer-shapes", "nan-weight", "unknown-kind",
         "unknown-activation", "relu-mlp-without-relu", "subspace-with-relu",
         "subspace-with-two-layers", "negative-radius", "text-radius", "nan-radius",
-        "float-k", "float-n", "text-lipschitz-proxy"])
+        "float-k", "float-n", "text-lipschitz-proxy", "text-seed", "negative-seed",
+        "float-seed", "k-equals-n", "zero-k"])
 def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     model = _model_file(tmp_path, edit)
     capsys.readouterr()
@@ -394,9 +412,50 @@ def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     assert not traj.exists()
 
 
+def _named_fields(message):
+    """The fields a problem list names: each line that starts with a field
+    name and a colon, without the sweep config's "prior." section."""
+    return set(re.findall(r"(?m)^\s*(?:prior\.)?(\w+):", message))
+
+
+def _zero_width_layer(doc):
+    # the last layer reads a hidden layer of width 0
+    return {**doc, "layers": [doc["layers"][0], [[] for _ in doc["layers"][1]]]}
+
+
+@pytest.mark.parametrize("field, value, file_edit", [
+    ("k", 0, _field("k", 0)),
+    ("k", 12, _field("k", 12)),
+    ("r", 0.0, _field("r", 0.0)),
+    ("r", float("nan"), _field("r", float("nan"))),
+    ("hidden", [0], _zero_width_layer),
+    ("seed", -1, _field("seed", -1)),
+], ids=["k-zero", "k-equals-n", "r-zero", "r-nan", "hidden-zero", "seed-negative"])
+def test_prior_rule_is_the_same_on_every_path(tmp_path, capsys, field, value, file_edit):
+    # one bad field of the relu-mlp prior k=3, hidden [8], n=12, seed 1, as a
+    # sweep config's prior, as a constructor argument and in a model file
+    fields = dict(k=3, hidden=[8], n=12, seed=1)
+    bad = {**fields, field: value}
+    with pytest.raises(ConfigurationError) as exc:
+        config_from_dict({"prior": {"kind": "relu-mlp", **bad}})
+    from_config = str(exc.value)
+    with pytest.raises(ConfigurationError) as exc:
+        relu_mlp_prior(**bad)
+    from_constructor = str(exc.value)
+    model = _model_file(tmp_path, file_edit)
+    capsys.readouterr()
+    assert main(["run", "--model", str(model), "--m", "50", "--t1", "2", "--t2", "2",
+                 "--out", str(tmp_path / "traj.csv")]) == 2
+    from_file = capsys.readouterr().err
+    assert "Traceback" not in from_file
+    for message in (from_config, from_constructor, from_file):
+        assert _named_fields(message) == {field}, message
+
+
 # Seeded property test: model files with up to three mutations each (a
 # dropped key, a wrong-typed or out-of-range value, k or n as a float, a NaN
 # or infinite weight, a ragged or short layer) run through `genphase run`.
+# A model that runs must also write back (save_prior) and read again as it was.
 _MODEL_KEYS = ["kind", "k", "n", "r", "seed", "activation", "lipschitz_proxy", "layers"]
 _MODEL_ODD_VALUES = [-1, 0, 1, 2.5, 1e300, True, None, "", "abc", [], [[1.0]], {},
                      float("nan"), float("inf"), float("-inf")]
@@ -437,7 +496,7 @@ def test_run_property_random_model_files(tmp_path, capsys):
               "--seed", "3", "--out", str(path)])
         bases.append(path.read_text())
     rng = np.random.default_rng(77)
-    model, traj = tmp_path / "model.json", tmp_path / "traj.csv"
+    model, traj, back = tmp_path / "model.json", tmp_path / "traj.csv", tmp_path / "back.json"
     codes = []
     for case in range(200):
         doc = json.loads(bases[rng.integers(2)])
@@ -457,8 +516,20 @@ def test_run_property_random_model_files(tmp_path, capsys):
         assert code in (0, 2, 3), (case, doc, err)
         assert traj.exists() == (code == 0), (case, doc, err)
         ints_ok = all(is_integer(doc.get(key, 0)) for key in ("k", "n"))
-        if not ints_ok or not is_finite_number(doc.get("lipschitz_proxy", 0.0)):
+        seed = doc.get("seed", 0)
+        seed_ok = is_integer(seed) and seed >= 0
+        if not (ints_ok and seed_ok) or not is_finite_number(doc.get("lipschitz_proxy", 0.0)):
             assert code == 2, (case, doc, err)
+        if code == 0:   # the loaded prior writes back and reads again unchanged
+            prior = load_prior(model)
+            save_prior(prior, back)
+            again = load_prior(back)
+            assert all(np.array_equal(a, b) for a, b in zip(again.layers, prior.layers))
+            assert len(again.layers) == len(prior.layers)
+            assert (again.kind, again.k, again.n, again.r, again.activation, again.seed,
+                    again.lipschitz_proxy) == (prior.kind, prior.k, prior.n, prior.r,
+                                               prior.activation, prior.seed,
+                                               prior.lipschitz_proxy), (case, doc)
     assert {0, 2, 3} <= set(codes)
 
 

@@ -245,12 +245,45 @@ def _set_signal_entry(bad):
     lambda csv, meta: _edit_csv_cell(csv, 2, 3, "x"),
     lambda csv, meta: _edit_csv_cell(csv, 2, 4, ""),
     lambda csv, meta: _edit_meta(meta, lambda doc: doc["signal"].pop()),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(n=float(doc["n"]))),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(m=float(doc["m"]))),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(seed="abc")),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(seed=-3)),
+    lambda csv, meta: _edit_meta(meta, _scale_signal(2.0)),
 ], ids=["meta-not-json", "meta-no-signal", "meta-no-link-name", "meta-not-object",
-        "csv-text-cell", "csv-empty-cell", "signal-length"])
+        "csv-text-cell", "csv-empty-cell", "signal-length", "float-n", "float-m",
+        "text-seed", "negative-seed", "signal-norm-2"])
 def test_load_measurements_malformed_is_configuration_error(tmp_path, damage):
     damage(*_saved_measurements(tmp_path))
     with pytest.raises(ConfigurationError):
         load_measurements(tmp_path / "meas.csv")
+
+
+def _scale_signal(c):
+    def edit(doc):
+        doc["signal"] = [repr(c * float(v)) for v in doc["signal"]]
+    return edit
+
+
+def test_sample_measurements_checks_the_measurement_set_rules():
+    # a negative seed used to reach numpy's seeding as a bare ValueError, a
+    # float m its sensing draw as a TypeError
+    for kw, frag in ((dict(seed=-1), "seed:"), (dict(seed=True), "seed:"),
+                     (dict(m=5.0), "m:"), (dict(m=0), "m:")):
+        with pytest.raises(ConfigurationError, match=frag):
+            sample_measurements(LinkModel("linear"), _unit(4), **{"m": 5, "seed": 0, **kw})
+    # a numpy integer is a seed, the same as the int
+    a = sample_measurements(LinkModel("linear"), _unit(4), np.int64(5), seed=np.int64(7))
+    b = sample_measurements(LinkModel("linear"), _unit(4), 5, seed=7)
+    assert np.array_equal(a.sensing, b.sensing)
+
+
+def test_numpy_integer_fields_write_back(tmp_path):
+    data = sample_measurements(LinkModel("linear"), _unit(4), np.int64(5), seed=np.int64(7))
+    save_measurements(data, tmp_path / "meas.csv")
+    back = load_measurements(tmp_path / "meas.csv")
+    assert (back.m, back.n, back.seed) == (5, 4, 7)
+    assert np.array_equal(back.sensing, data.sensing)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

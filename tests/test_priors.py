@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -235,6 +236,42 @@ def test_invalid_dims_rejected():
             relu_mlp_prior(k, hidden, 10)
     with pytest.raises(ConfigurationError):
         linear_subspace_prior(0, 10)
+
+
+def test_constructors_check_the_seed_and_list_every_problem():
+    # a negative seed used to reach numpy's seeding as a bare ValueError
+    for bad in (-1, True, 1.5):
+        with pytest.raises(ConfigurationError, match="seed:"):
+            linear_subspace_prior(3, 8, seed=bad)
+        with pytest.raises(ConfigurationError, match="seed:"):
+            relu_mlp_prior(3, [8], 8, seed=bad)
+    # every bad argument is listed in one error, not only the first
+    with pytest.raises(ConfigurationError) as exc:
+        relu_mlp_prior(0, [0], 0, r=-1)
+    lines = str(exc.value).split("\n  ")
+    assert [line.split(":")[0] for line in lines] == ["k", "r", "hidden"], lines
+    assert "k=0, n=0" in lines[0] and "-1" in lines[1] and "[0]" in lines[2]
+    # a numpy integer is a seed, the same as the int
+    assert np.array_equal(linear_subspace_prior(3, 8, seed=np.int64(4)).layers[0],
+                          linear_subspace_prior(3, 8, seed=4).layers[0])
+
+
+def test_model_file_null_radius_is_the_default(tmp_path):
+    # the radius rule of the constructors: None (null) is the default radius
+    path = tmp_path / "prior.json"
+    save_prior(linear_subspace_prior(3, 8, seed=2), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "r": None}))
+    assert load_prior(path).r == default_radius(3)
+
+
+def test_numpy_integer_fields_write_back(tmp_path):
+    # numpy integers keep the prior rules, so the model file takes them too
+    prior = relu_mlp_prior(np.int64(3), [np.int64(8)], np.int64(12), seed=np.int64(5))
+    save_prior(prior, tmp_path / "prior.json")
+    back = load_prior(tmp_path / "prior.json")
+    assert (back.k, back.n, back.seed) == (3, 12, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(back.layers, prior.layers))
 
 
 # ---------------------------------------------------------------------------
