@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .errors import is_finite_number, raise_problems
+from .errors import is_finite_number, raise_problems, seed_key_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .refine import run_refine, t2_problems
@@ -75,9 +75,10 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     spectral iterations that start mprg, mprgf and appgd come first.
     Refinement runs in n-space when spec carries a Gram matrix; a spec built
     here gets one when this run's refinement steps pay for it.  Every run
-    argument is checked (run_problems) before any work.
+    argument is checked (run_problems and the seed rule) before any work.
     """
-    raise_problems(run_problems([name], t1, t2, tau), "invalid run arguments:")
+    raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed),
+                   "invalid run arguments:")
     truth = data.signal
     start = time.perf_counter()
     steps = refine_step_count(name, t1, t2)

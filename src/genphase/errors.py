@@ -27,6 +27,15 @@ def seed_problems(seed, name="seed") -> list:
     return [] if ok else [f"{name}: must be a nonnegative integer, got {seed!r}"]
 
 
+def seed_key_problems(seed, name="seed") -> list:
+    """The seed rule for a random-stream key: one seed, or a list or tuple of
+    seeds (a SeedSequence key such as [seed, 1])."""
+    parts = seed if isinstance(seed, (list, tuple)) else [seed]
+    ok = not any(seed_problems(s) for s in parts)
+    return [] if ok else [f"{name}: must be a nonnegative integer or a list of them, "
+                          f"got {seed!r}"]
+
+
 def is_finite_number(v) -> bool:
     """A real number, not a bool, that is neither NaN nor infinite and fits a
     float.  Python's json reads NaN and Infinity literals, and a range check

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .baselines import refine_step_count, run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, is_finite_number, \
@@ -207,6 +207,36 @@ def draw_signal(prior: GenerativePrior, master_seed: int, m_index: int, trial: i
     return canonical_signal(prior, rng.standard_normal(prior.k))
 
 
+def _t_central_mass(theta: float, df: int) -> float:
+    """P(|T| <= sqrt(df) tan(theta)) for Student's t with an integer df >= 1:
+    the finite cosine series of Abramowitz & Stegun 26.7.3 (odd df) and
+    26.7.4 (even df), df // 2 terms in either case."""
+    c2 = math.cos(theta) ** 2
+    odd = df % 2
+    total, term = 0.0, 1.0
+    for j in range(df // 2):
+        total += term
+        term *= c2 * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    return math.sin(theta) * total
+
+
+def t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with an integer df >= 1, which is the
+    half-width of its central 95% interval.  Bisection in theta = atan(t /
+    sqrt(df)) on the central mass runs until the bracket cannot shrink."""
+    lo, hi = 0.0, math.pi / 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _t_central_mass(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
+
+
 @dataclass
 class SlopeFit:
     slope: float
@@ -216,20 +246,29 @@ class SlopeFit:
 
 def fit_slope(points) -> SlopeFit:
     """OLS of log(mean error) on log(m).  Nonpositive errors are dropped with
-    a warning; fewer than 3 surviving points is an error.  ci95 is the
-    half-width of the 95% confidence interval of the slope."""
+    a warning; fewer than 3 surviving points, or a single distinct m, is an
+    InsufficientDataError.  ci95 is the half-width of the 95% confidence
+    interval of the slope.  The arithmetic is scipy.stats.linregress's (biased
+    moments from np.cov); errors that do not vary give ci95 = 0 where
+    linregress gives NaN."""
     points = list(points)
     clean = [(m, e) for m, e in points if e > 0]
     if len(clean) < len(points):
-        import warnings
         warnings.warn("fit_slope: dropped nonpositive error values")
     if len(clean) < 3:
         raise InsufficientDataError("need at least 3 positive points for a slope fit")
     lx = np.log([m for m, _ in clean])
     ly = np.log([e for _, e in clean])
-    res = stats.linregress(lx, ly)
-    ci95 = float(stats.t.ppf(0.975, len(clean) - 2) * res.stderr)
-    return SlopeFit(slope=float(res.slope), intercept=float(res.intercept), ci95=ci95)
+    if lx.max() == lx.min():
+        raise InsufficientDataError("need at least 2 distinct m for a slope fit")
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    # the correlation, clipped to [-1, 1] against rounding
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym > 0.0 else 0.0
+    slope = ssxym / ssxm
+    df = len(clean) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    return SlopeFit(slope=float(slope), intercept=float(np.mean(ly) - slope * np.mean(lx)),
+                    ci95=float(t_quantile_975(df) * stderr))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, is_finite_number, is_integer, \
-    raise_problems, seed_problems
+    raise_problems, seed_key_problems, seed_problems
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -164,8 +164,8 @@ def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> Mo
     standard error.  The sub-exponential proxy is always Monte Carlo, so every
     link needs mc_samples >= 1e4.
     """
-    if not mc_samples >= 10**4:
-        raise ConfigurationError(f"mc_samples: must be >= 1e4, got {mc_samples!r}")
+    problems = [] if mc_samples >= 10**4 else [f"mc_samples: must be >= 1e4, got {mc_samples!r}"]
+    raise_problems(problems + seed_key_problems(seed))
     analytic = _ANALYTIC_MOMENTS.get(link.name)
     g, y = _draw_y(link, mc_samples, seed)
     proxy = _subexp_proxy(y)

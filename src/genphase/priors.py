@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError, is_finite_number, is_integer, raise_problems, seed_problems
+    ProjectionFailureError, is_finite_number, is_integer, raise_problems, seed_key_problems, \
+    seed_problems
 from .seeds import flatten_seed
 
 
@@ -243,6 +244,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     index.  Restart 0 may start from warm_start; later restarts always draw a
     fresh scaled-Gaussian latent.
     """
+    raise_problems(seed_key_problems(seed))
     v = _finite_target(v)
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")

@@ -6,6 +6,7 @@ from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior,
                       build_spectral_matrix, evaluate, linear_subspace_prior,
                       run_algorithm, sample_measurements)
 from genphase import baselines
+from genphase.seeds import flatten_seed
 
 
 def _range_signal(prior, latent_seed=0):
@@ -171,6 +172,19 @@ def test_run_algorithm_lists_every_bad_argument():
     assert lines[0] == "invalid run arguments:"
     assert [line.split(":")[0] for line in lines[1:]] == ["algorithms", "t1", "t2", "tau"]
     assert lines[1:] == baselines.run_problems(["nope"], 0, -1, float("inf"))
+
+
+def test_run_algorithm_checks_the_seed_rule():
+    # a negative seed used to reach numpy's seeding as a bare ValueError,
+    # after the spectral build
+    prior, x, data = _desk_data(m=200)
+    for bad in (-1, True, 1.5, [5, -1]):
+        with pytest.raises(ConfigurationError, match="invalid run arguments:\n  seed: "):
+            run_algorithm("mprg", data, prior, t1=2, t2=2, seed=bad)
+    # a key is a seed: the same run as its flattened int
+    a = run_algorithm("mprg", data, prior, t1=2, t2=2, seed=[5, 1])
+    b = run_algorithm("mprg", data, prior, t1=2, t2=2, seed=flatten_seed([5, 1]))
+    assert a.records == b.records
 
 
 def test_mprg_recovers_on_clean_abs_link():

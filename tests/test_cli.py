@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -251,25 +252,30 @@ def test_sweep_property_random_configs(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     cfg_path, csv = tmp_path / "cfg.json", tmp_path / "sweep.csv"
     codes = []
-    for case in range(300):
-        doc = _base_sweep_doc(rng)
-        for _ in range(rng.integers(4)):
-            _mutate(doc, rng)
-        cfg_path.write_text(json.dumps(doc))
-        csv.unlink(missing_ok=True)
-        code = main(["sweep", "--config", str(cfg_path), "--out-csv", str(csv)])
-        err = capsys.readouterr().err
-        codes.append(code)
-        assert code in (0, 2, 3), (case, doc, err)
-        assert "Traceback" not in err, (case, doc, err)
-        if _has_non_finite(doc):
-            assert code == 2, (case, doc, err)
-        if code == 0:
-            cells = csv.read_text().replace("\n", ",").split(",")
-            assert not any(c.lower() in ("nan", "inf", "-inf") for c in cells), (case, doc)
-        else:
-            assert not csv.exists(), (case, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for case in range(300):
+            doc = _base_sweep_doc(rng)
+            for _ in range(rng.integers(4)):
+                _mutate(doc, rng)
+            cfg_path.write_text(json.dumps(doc))
+            csv.unlink(missing_ok=True)
+            code = main(["sweep", "--config", str(cfg_path), "--out-csv", str(csv)])
+            err = capsys.readouterr().err
+            codes.append(code)
+            assert code in (0, 2, 3), (case, doc, err)
+            assert "Traceback" not in err, (case, doc, err)
+            if _has_non_finite(doc):
+                assert code == 2, (case, doc, err)
+            if code == 0:
+                cells = csv.read_text().replace("\n", ",").split(",")
+                assert not any(c.lower() in ("nan", "inf", "-inf") for c in cells), (case, doc)
+            else:
+                assert not csv.exists(), (case, doc)
     assert {0, 2} <= set(codes)
+    # a random config can have a zero mean error at some m, which the slope
+    # fit drops; any other warning is new
+    assert {str(w.message) for w in caught} <= {"fit_slope: dropped nonpositive error values"}
 
 
 def test_sweep_and_plot(tmp_path):

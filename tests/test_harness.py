@@ -8,7 +8,7 @@ from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataErro
                       config_from_dict, config_from_file, draw_signal, emit_outputs,
                       fit_slope, read_sweep_csv, run_experiment, validate_config)
 from genphase.baselines import run_problems
-from genphase.harness import build_prior
+from genphase.harness import build_prior, t_quantile_975
 from genphase.svg import render_sweep_svg
 
 
@@ -149,6 +149,38 @@ def test_fit_slope_drops_nonpositive():
     with pytest.warns(UserWarning):
         fit = fit_slope(p for p in [(10, 1.0), (100, 0.0), (1000, 0.1), (10000, 0.01)])
     assert fit.slope < 0
+
+
+# t_{0.975}(df) as scipy.stats.t.ppf(0.975, df) gives it in scipy 1.17.1
+T975 = {1: 12.706204736174694, 2: 4.302652729749462, 3: 3.1824463052837078,
+        4: 2.7764451051977934, 5: 2.5705818356363146, 10: 2.228138851986274,
+        30: 2.0422724563012378, 100: 1.9839715185235518}
+
+
+@pytest.mark.parametrize("df", sorted(T975))
+def test_t_quantile_975_reference_values(df):
+    assert t_quantile_975(df) == pytest.approx(T975[df], rel=1e-13, abs=0)
+
+
+def test_fit_slope_matches_scipy_linregress():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        size = int(rng.integers(3, 12))
+        m = np.sort(rng.choice(np.arange(10, 10**5), size, replace=False))
+        err = np.exp(rng.standard_normal(size)) / np.sqrt(m)
+        fit = fit_slope(zip(m.tolist(), err.tolist()))
+        ref = stats.linregress(np.log(m), np.log(err))
+        # the same arithmetic, so the same bits
+        assert (fit.slope, fit.intercept) == (ref.slope, ref.intercept)
+        assert fit.ci95 == pytest.approx(stats.t.ppf(0.975, size - 2) * ref.stderr,
+                                         rel=1e-13, abs=0)
+
+
+def test_fit_slope_single_m_is_insufficient_data():
+    # scipy's linregress raised its own ValueError here
+    with pytest.raises(InsufficientDataError, match="distinct m"):
+        fit_slope([(100, 0.3), (100, 0.2), (100, 0.1)])
 
 
 def test_run_experiment_row_cardinality():

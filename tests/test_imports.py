@@ -1,7 +1,10 @@
 """Every name a genphase module, test or demo imports at the top level is
-used in it."""
+used in it, and importing the package loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,14 @@ def test_no_unused_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def test_package_imports_no_scipy():
+    # a fresh interpreter, since this one may have loaded scipy for a test;
+    # scipy.stats alone costs most of a second at every import
+    code = ("import sys, genphase, genphase.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "[]"

@@ -197,6 +197,17 @@ def test_proxy_requires_enough_samples():
                 population_nu(LinkModel(name), samples, seed=0)
 
 
+def test_population_nu_checks_the_seed_rule():
+    # a negative seed used to reach numpy's seeding as a bare ValueError
+    for bad in (-1, True, 1.5, [3, -1]):
+        with pytest.raises(ConfigurationError, match="seed: must be a nonnegative integer"):
+            population_nu(LinkModel("abs-noise-out"), 10**4, seed=bad)
+    # a key is a seed too, and each bad argument is listed
+    assert population_nu(LinkModel("abs-noise-out"), 10**4, seed=[3, 1]).nu > 0
+    with pytest.raises(ConfigurationError, match="mc_samples: .*\n  seed: "):
+        population_nu(LinkModel("linear"), 0, seed=-1)
+
+
 def test_csv_roundtrip_bit_exact(tmp_path):
     link = LinkModel("abs-tanh", 0.25)
     data = sample_measurements(link, _unit(7, 2), 13, seed=42)

@@ -167,6 +167,19 @@ def test_project_iterative_determinism():
     assert a.objective == b.objective and a.restart_index == b.restart_index
 
 
+def test_project_iterative_checks_the_seed_rule():
+    # a negative seed used to reach numpy's seeding as a bare ValueError; a
+    # key is a list of seeds, each under the same rule
+    prior = relu_mlp_prior(3, [8], 12, seed=1)
+    v = np.random.default_rng(2).standard_normal(12)
+    cfg = ProjectionConfig(steps=3, restarts=1)
+    for bad in (-1, True, 1.5, [4, -2], [4, 2.0], "7"):
+        with pytest.raises(ConfigurationError, match="seed: must be a nonnegative integer"):
+            project_iterative(prior, v, cfg, seed=bad)
+    for good in (np.int64(4), [4, 2], (4, np.int64(2))):
+        project_iterative(prior, v, cfg, seed=good)
+
+
 def test_project_iterative_rejects_bad_target():
     prior = relu_mlp_prior(5, [16], 40, seed=11)
     cfg = ProjectionConfig(steps=10)
