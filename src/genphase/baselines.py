@@ -37,12 +37,13 @@ def tau_problems(tau) -> list:
 
 
 def run_problems(algorithms, t1, t2, tau) -> list:
-    """One line per invalid run argument: an unknown or missing algorithm
-    name, and the t1, t2 and tau rules."""
-    problems = [f"algorithms: unknown algorithm {a!r}; known: {ALGORITHMS}"
-                for a in algorithms if a not in ALGORITHMS]
-    if not algorithms:
-        problems.append("algorithms: must be nonempty")
+    """One line per invalid run argument: algorithms that are not a nonempty
+    list or tuple of known names, and the t1, t2 and tau rules."""
+    if isinstance(algorithms, (list, tuple)) and algorithms:
+        problems = [f"algorithms: unknown algorithm {a!r}; known: {ALGORITHMS}"
+                    for a in algorithms if a not in ALGORITHMS]
+    else:
+        problems = [f"algorithms: must be a nonempty list, got {algorithms!r}"]
     return problems + t1_problems(t1) + t2_problems(t2) + tau_problems(tau)
 
 

@@ -20,6 +20,13 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def count_problems(value, name, least) -> list:
+    """The rule on a count (samples, steps, restarts), as a list of
+    problems: an integer, not a bool, >= least."""
+    ok = is_integer(value) and value >= least
+    return [] if ok else [f"{name}: must be an integer >= {least}, got {value!r}"]
+
+
 def seed_problems(seed, name="seed") -> list:
     """The seed rule, as a list of problems: a nonnegative integer, as
     numpy's seeding needs."""

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import refine_step_count, run_algorithm, run_problems
-from .errors import ConfigurationError, InsufficientDataError, is_finite_number, \
-    is_integer, raise_problems, seed_problems
+from .errors import ConfigurationError, InsufficientDataError, count_problems, \
+    is_finite_number, is_integer, raise_problems, seed_problems
 from .links import LinkModel, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, \
     linear_subspace_prior, prior_problems, project, relu_mlp_prior
@@ -73,15 +73,16 @@ def _config_problems(cfg: ExperimentConfig) -> list:
     problems = [f"prior.{p}" for p in prior_problems(cfg.prior_kind, cfg.k, cfg.n, cfg.r,
                                                        cfg.hidden, cfg.prior_seed)]
     problems += seed_problems(cfg.master_seed, "master_seed")
-    if cfg.trials < 1:
-        problems.append("trials: must be >= 1")
-    if cfg.restarts < 1:
-        problems.append("restarts: must be >= 1")
-    if len(cfg.m_grid) == 0:
-        problems.append("m_grid: must be nonempty")
-    elif any(b <= a for a, b in zip(cfg.m_grid, cfg.m_grid[1:])) or min(cfg.m_grid) < 1:
-        problems.append("m_grid: must be strictly increasing positive counts")
+    problems += count_problems(cfg.trials, "trials", 1) + \
+        count_problems(cfg.restarts, "restarts", 1)
+    grid = cfg.m_grid
+    if not (isinstance(grid, (list, tuple)) and grid and all(map(is_integer, grid))
+            and grid[0] >= 1 and all(b > a for a, b in zip(grid, grid[1:]))):
+        problems.append("m_grid: must be a nonempty, strictly increasing list of positive "
+                        f"integers, got {grid!r}")
     problems += run_problems(cfg.algorithms, cfg.t1, cfg.t2, cfg.tau)
+    if not isinstance(cfg.projection, ProjectionConfig):
+        problems.append(f"projection: must be a ProjectionConfig, got {cfg.projection!r}")
     try:
         _link(cfg)
     except ConfigurationError as exc:
@@ -89,85 +90,47 @@ def _config_problems(cfg: ExperimentConfig) -> list:
     return problems
 
 
-# JSON config schema: the type name of every key, at the top level ("") and
-# in the "prior", "link" and "projection" objects.
+# The JSON config's keys, at the top level ("") and in its "prior", "link"
+# and "projection" objects, and the ExperimentConfig field each key sets (the
+# ProjectionConfig field inside "projection").  The top-level keys without a
+# field are the nested objects.
 _CONFIG_KEYS = {
-    "": {"prior": "object", "link": "object", "projection": "object",
-         "m_grid": "integer list", "trials": "integer", "restarts": "integer",
-         "algorithms": "string list", "t1": "integer", "t2": "integer", "tau": "finite number",
-         "master_seed": "integer"},
-    "prior": {"kind": "string", "k": "integer", "n": "integer", "r": "finite number or null",
-              "seed": "integer", "hidden": "integer list"},
-    "link": {"name": "string", "sigma": "finite number", "params": "finite number map"},
-    "projection": {"steps": "integer", "learning_rate": "finite number", "restarts": "integer",
-                   "latent_init": "string"},
+    "": {"prior": None, "link": None, "projection": None, "m_grid": "m_grid",
+         "trials": "trials", "restarts": "restarts", "algorithms": "algorithms", "t1": "t1",
+         "t2": "t2", "tau": "tau", "master_seed": "master_seed"},
+    "prior": {"kind": "prior_kind", "k": "k", "n": "n", "r": "r", "seed": "prior_seed",
+              "hidden": "hidden"},
+    "link": {"name": "link_name", "sigma": "sigma", "params": "link_params"},
+    "projection": {"steps": "steps", "learning_rate": "learning_rate", "restarts": "restarts",
+                   "latent_init": "latent_init"},
 }
-
-
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
-_TYPE_CHECKS = {
-    "integer": is_integer,
-    "finite number": is_finite_number,
-    "string": _is_str,
-    "finite number or null": lambda v: v is None or is_finite_number(v),
-    "integer list": lambda v: isinstance(v, (list, tuple)) and all(map(is_integer, v)),
-    "string list": lambda v: isinstance(v, (list, tuple)) and all(map(_is_str, v)),
-    "object": lambda v: isinstance(v, dict),
-    "finite number map": lambda v: isinstance(v, dict) and all(map(is_finite_number, v.values())),
-}
-
-
-# JSON keys whose ExperimentConfig field has another name.
-_FIELD_NAMES = {"prior.kind": "prior_kind", "prior.seed": "prior_seed",
-                "link.name": "link_name", "link.params": "link_params"}
-
-
-def _sections(doc: dict) -> list:
-    """(section, values) for the top level ("") and each nested object."""
-    return [("", doc)] + [(name, doc[name]) for name in ("prior", "link", "projection")
-                          if isinstance(doc.get(name), dict)]
-
-
-def _schema_problems(doc: dict) -> list:
-    """One line per unknown key or wrong-typed value in a config document."""
-    problems = []
-    for section, values in _sections(doc):
-        for key, value in values.items():
-            where = f"{section}.{key}" if section else key
-            kind = _CONFIG_KEYS[section].get(key)
-            if kind is None:
-                problems.append(f"{where}: unknown key")
-            elif not _TYPE_CHECKS[kind](value):
-                problems.append(f"{where}: expected {kind}, got {value!r}")
-    return problems
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build and validate a config from its JSON document.  Unknown keys and
-    wrong-typed values raise ConfigurationError naming the field; then every
-    out-of-range value is listed in one ConfigurationError.  An absent key
-    takes the ExperimentConfig (or ProjectionConfig) field default."""
+    """Build and validate a config from its JSON document, with lists read
+    as tuples.  Every unknown key, nested value that is not an object and
+    value that breaks its field's rule is listed in one ConfigurationError
+    naming the field; each field's rule covers its type and its range and is
+    the one the library applies.  An absent key takes the ExperimentConfig
+    (or ProjectionConfig) field default."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{_INVALID} expected a JSON object")
-    problems = _schema_problems(doc)
-    raise_problems(problems, _INVALID)
-    fields = {}
-    for section, values in _sections(doc):
-        if section == "projection":
-            try:
-                fields["projection"] = ProjectionConfig(**values)
-            except ConfigurationError as exc:
-                problems.append(str(exc))
+    problems, fields, projection = [], {}, {}
+    for section, names in _CONFIG_KEYS.items():
+        values = doc.get(section, {}) if section else doc
+        if not isinstance(values, dict):
+            problems.append(f"{section}: must be a JSON object, got {values!r}")
             continue
         for key, value in values.items():
-            kind = _CONFIG_KEYS[section][key]
-            if kind != "object":
-                where = f"{section}.{key}" if section else key
-                fields[_FIELD_NAMES.get(where, key)] = \
-                    tuple(value) if kind.endswith("list") else value
+            if key not in names:
+                problems.append(f"{section}{'.' if section else ''}{key}: unknown key")
+            elif names[key]:
+                (projection if section == "projection" else fields)[names[key]] = \
+                    tuple(value) if isinstance(value, list) else value
+    try:
+        fields["projection"] = ProjectionConfig(**projection)
+    except ConfigurationError as exc:
+        problems.append(str(exc))
     cfg = ExperimentConfig(**fields)
     raise_problems(problems + _config_problems(cfg), _INVALID)
     return cfg
@@ -245,13 +208,17 @@ class SlopeFit:
 
 
 def fit_slope(points) -> SlopeFit:
-    """OLS of log(mean error) on log(m).  Nonpositive errors are dropped with
-    a warning; fewer than 3 surviving points, or a single distinct m, is an
-    InsufficientDataError.  ci95 is the half-width of the 95% confidence
+    """OLS of log(mean error) on log(m).  A point whose m is not a finite
+    number >= 1 or whose error is not finite is a ConfigurationError;
+    nonpositive errors are dropped with a warning; fewer than 3 surviving
+    points, or a single distinct m, is an InsufficientDataError.  ci95 is the half-width of the 95% confidence
     interval of the slope.  The arithmetic is scipy.stats.linregress's (biased
     moments from np.cov); errors that do not vary give ci95 = 0 where
     linregress gives NaN."""
     points = list(points)
+    raise_problems([f"fit_slope: point (m={m!r}, error={e!r}) needs a finite m >= 1 and a "
+                    "finite error" for m, e in points
+                    if not (is_finite_number(m) and m >= 1 and is_finite_number(e))])
     clean = [(m, e) for m, e in points if e > 0]
     if len(clean) < len(points):
         warnings.warn("fit_slope: dropped nonpositive error values")

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, is_finite_number, is_integer, \
-    raise_problems, seed_key_problems, seed_problems
+from .errors import ConfigurationError, NumericalError, count_problems, is_finite_number, \
+    is_integer, raise_problems, seed_key_problems, seed_problems
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -59,7 +59,8 @@ class LinkModel:
         problems = []
         if not (is_finite_number(self.sigma) and self.sigma >= 0):
             problems.append(f"link.sigma: must be a finite nonnegative number, got {self.sigma!r}")
-        if self.name not in BUILTIN_LINKS and self.name != "custom":
+        if not isinstance(self.name, str) or \
+                self.name not in BUILTIN_LINKS and self.name != "custom":
             problems.append(f"link.name: unknown link {self.name!r}")
         elif not isinstance(self.params, dict):
             problems.append(f"link.params: expected a map primitive->coefficient, "
@@ -162,10 +163,9 @@ def population_nu(link: LinkModel, mc_samples: int = 10**6, seed: int = 0) -> Mo
     Uses registered closed forms for the linear and square-noise links
     (stderr reported as 0); otherwise a seeded Monte Carlo estimate with its
     standard error.  The sub-exponential proxy is always Monte Carlo, so every
-    link needs mc_samples >= 1e4.
+    link needs an integer mc_samples >= 1e4.
     """
-    problems = [] if mc_samples >= 10**4 else [f"mc_samples: must be >= 1e4, got {mc_samples!r}"]
-    raise_problems(problems + seed_key_problems(seed))
+    raise_problems(count_problems(mc_samples, "mc_samples", 10**4) + seed_key_problems(seed))
     analytic = _ANALYTIC_MOMENTS.get(link.name)
     g, y = _draw_y(link, mc_samples, seed)
     proxy = _subexp_proxy(y)

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
-    ProjectionFailureError, is_finite_number, is_integer, raise_problems, seed_key_problems, \
-    seed_problems
+    ProjectionFailureError, count_problems, is_finite_number, is_integer, raise_problems, \
+    seed_key_problems, seed_problems
 from .seeds import flatten_seed
 
 
@@ -68,15 +68,16 @@ def default_radius(k: int) -> float:
 def prior_problems(kind, k, n, r, hidden, seed) -> list:
     """One line per field of a prior that breaks its rule: a known kind,
     integers 1 <= k < n, a latent radius that is None (the default) or a
-    finite positive number, integer hidden widths >= 1, and the seed rule."""
+    finite positive number, a list or tuple of integer hidden widths >= 1,
+    and the seed rule."""
     known = kind in ("linear-subspace", "relu-mlp")
     problems = [] if known else [f"kind: unknown kind {kind!r}"]
     if not (is_integer(k) and is_integer(n) and 1 <= k < n):
         problems.append(f"k: k and n must be integers with 1 <= k < n, got k={k!r}, n={n!r}")
     if not (r is None or is_finite_number(r) and r > 0):
         problems.append(f"r: the latent radius must be a finite positive number, got {r!r}")
-    if not all(is_integer(width) and width >= 1 for width in hidden):
-        problems.append(f"hidden: widths must be integers >= 1, got {list(hidden)}")
+    if not (isinstance(hidden, (list, tuple)) and all(is_integer(w) and w >= 1 for w in hidden)):
+        problems.append(f"hidden: must be a list of integer widths >= 1, got {hidden!r}")
     return problems + seed_problems(seed)
 
 
@@ -99,7 +100,8 @@ def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0
     """ReLU MLP with no bias terms and zero-mean Gaussian weights of variance
     1/fan-in.  ReLU is applied after every layer except the last.  An empty
     (or None) hidden gives one hidden layer of width max(4k, 16)."""
-    raise_problems(prior_problems("relu-mlp", k, n, r, hidden or (), seed))
+    hidden = () if hidden is None else hidden
+    raise_problems(prior_problems("relu-mlp", k, n, r, hidden, seed))
     dims = [k, *(hidden or (max(4 * k, 16),)), n]
     rng = np.random.default_rng(seed)
     layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
@@ -190,11 +192,8 @@ class ProjectionConfig:
     latent_init: str = "gaussian"   # "gaussian" | "warm-start"
 
     def __post_init__(self):
-        problems = []
-        if self.steps < 1:
-            problems.append("projection.steps: must be >= 1")
-        if self.restarts < 1:
-            problems.append("projection.restarts: must be >= 1")
+        problems = count_problems(self.steps, "projection.steps", 1) + \
+            count_problems(self.restarts, "projection.restarts", 1)
         if not (is_finite_number(self.learning_rate) and self.learning_rate > 0):
             problems.append(f"projection.learning_rate: must be a finite positive number, "
                             f"got {self.learning_rate!r}")

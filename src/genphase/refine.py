@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, raise_problems
+from .errors import ConfigurationError, count_problems, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, step_at
@@ -39,7 +39,7 @@ NU_FLOOR = 1e-3
 
 def t2_problems(t2) -> list:
     """The rule on the refinement step count, as a list of problems."""
-    return [] if t2 >= 0 else ["t2: must be >= 0"]
+    return count_problems(t2, "t2", 0)
 
 
 def empirical_mean_y(data: MeasurementSet) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, raise_problems
+from .errors import NumericalError, count_problems, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, step_at
@@ -135,7 +135,7 @@ def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray
 
 def t1_problems(t1) -> list:
     """The rule on the power iteration count, as a list of problems."""
-    return [] if t1 >= 1 else ["t1: must be >= 1"]
+    return count_problems(t1, "t1", 1)
 
 
 def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,10 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from genphase import ConfigurationError, config_from_dict, load_measurements, load_prior, \
-    read_sweep_csv, relu_mlp_prior, save_prior
+from genphase import ALGORITHMS, ConfigurationError, ExperimentConfig, LinkModel, \
+    NumericalError, ProjectionConfig, build_spectral_matrix, config_from_dict, draw_signal, \
+    linear_subspace_prior, load_measurements, load_prior, population_nu, projected_power, \
+    read_sweep_csv, relu_mlp_prior, run_algorithm, run_experiment, sample_measurements, \
+    save_prior, validate_config
 from genphase.cli import main
 from genphase.errors import is_finite_number, is_integer
+from genphase.harness import build_prior
 
 
 def test_gen_model_and_simulate(tmp_path, capsys):
@@ -142,10 +147,11 @@ def test_config_builtin_link_params_exit_code(tmp_path, capsys):
     ({"prior": {"r": float("inf")}}, "prior.r"),
 ])
 def test_config_non_finite_number_exit_code(tmp_path, capsys, doc, field):
-    # json.dumps writes NaN and Infinity literals, which json.load reads back
+    # json.dumps writes NaN and Infinity literals, which json.load reads back;
+    # the field's own rule rejects them
     code, err = _sweep_config_error(tmp_path, capsys, doc)
     assert code == 2
-    assert f"{field}: expected finite number" in err
+    assert re.search(rf"(?m)^  {re.escape(field)}: .*finite", err), err
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -276,6 +282,121 @@ def test_sweep_property_random_configs(tmp_path, capsys):
     # a random config can have a zero mean error at some m, which the slope
     # fit drops; any other warning is new
     assert {str(w.message) for w in caught} <= {"fit_slope: dropped nonpositive error values"}
+
+
+# Seeded twin of the sweep property test on the library path: the same odd
+# values go straight into up to three fields of an ExperimentConfig (checked
+# by validate_config and, if they pass, run by run_experiment) or arguments
+# of run_algorithm, ProjectionConfig, population_nu, relu_mlp_prior and
+# LinkModel.  A call returns or raises ConfigurationError; any other
+# exception is a rule that assumed its value's type.  A checked config may
+# still fail numerically (NumericalError, exit 3), e.g. a relu-mlp prior
+# whose narrow layers send every latent to zero.
+def _odd_arguments(rng, names):
+    return {names[rng.integers(len(names))]: _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+            for _ in range(1 + rng.integers(3))}
+
+
+def _validate_and_run(cfg):
+    validate_config(cfg)
+    try:
+        run_experiment(cfg)
+    except NumericalError:
+        pass
+
+
+def test_library_property_random_arguments():
+    rng = np.random.default_rng(2025)
+    cfg = ExperimentConfig(prior_kind="relu-mlp", k=2, n=8, hidden=(6,), prior_seed=1,
+                           link_name="square-sin", sigma=0.1, m_grid=(30, 60), trials=1,
+                           algorithms=("mprg", "appgd", "step2"), t1=2, t2=2,
+                           projection=ProjectionConfig(steps=8, latent_init="warm-start"))
+    prior = build_prior(cfg)
+    data = sample_measurements(LinkModel("square-sin", 0.1), draw_signal(prior, 0, 0, 0),
+                               30, 1)
+    entries = {
+        "ExperimentConfig": (lambda **kw: _validate_and_run(dataclasses.replace(cfg, **kw)),
+                             [f.name for f in dataclasses.fields(cfg)]),
+        "run_algorithm": (lambda name, **kw: run_algorithm(
+            name, data, prior, **{"t1": 2, "t2": 2, "proj_cfg": cfg.projection, **kw}),
+            ["name", "t1", "t2", "tau", "seed"]),
+        "ProjectionConfig": (ProjectionConfig, ["steps", "learning_rate", "restarts",
+                                                "latent_init"]),
+        "population_nu": (lambda **kw: population_nu(
+            LinkModel("square-sin", 0.1), **{"mc_samples": 10**4, **kw}),
+            ["mc_samples", "seed"]),
+        "relu_mlp_prior": (lambda **kw: relu_mlp_prior(**{"k": 2, "hidden": [6], "n": 8, **kw}),
+                           ["k", "hidden", "n", "r", "seed"]),
+        "LinkModel": (lambda **kw: LinkModel(**{"name": "custom", "params": {"abs": 1.0}, **kw}),
+                      ["name", "sigma", "params"]),
+    }
+    outcomes = set()
+    for case in range(300):
+        entry = sorted(entries)[rng.integers(len(entries))]
+        call, names = entries[entry]
+        kw = _odd_arguments(rng, names)
+        if entry == "run_algorithm":
+            kw.setdefault("name", ALGORITHMS[rng.integers(len(ALGORITHMS))])
+        try:
+            call(**kw)
+            outcomes.add((entry, "pass"))
+        except ConfigurationError:
+            outcomes.add((entry, "rejected"))
+        except Exception as exc:   # what the command line would show as a traceback
+            pytest.fail(f"case {case}: {entry}({kw!r}) raised {exc!r}")
+    assert outcomes == {(entry, outcome) for entry in entries
+                        for outcome in ("pass", "rejected")}
+
+
+def _small_problem():
+    prior = linear_subspace_prior(3, 12, seed=1)
+    data = sample_measurements(LinkModel("abs-noise-out"), draw_signal(prior, 0, 0, 0), 40, 1)
+    return prior, data, build_spectral_matrix(data)
+
+
+def test_each_count_rule_checks_its_type():
+    # each call raised a bare TypeError, except t1=True (which ran) and
+    # steps=2.5 (which failed only in the projection)
+    prior, data, spec = _small_problem()
+    cases = [
+        ("t1", lambda: run_algorithm("mprg", data, prior, t1=2.5)),
+        ("t1", lambda: run_algorithm("mprg", data, prior, t1=True)),
+        ("t2", lambda: run_algorithm("mprg", data, prior, t2=2.5)),
+        ("t1", lambda: projected_power(spec, prior, np.ones(12), 2.0)),
+        ("projection.steps", lambda: ProjectionConfig(steps="3")),
+        ("projection.steps", lambda: ProjectionConfig(steps=2.5)),
+        ("trials", lambda: run_experiment(ExperimentConfig(trials=1.5))),
+        ("restarts", lambda: run_experiment(ExperimentConfig(restarts=1.5))),
+        ("trials", lambda: validate_config(ExperimentConfig(trials="2"))),
+        ("mc_samples", lambda: population_nu(LinkModel("linear"), mc_samples=1e5)),
+        ("mc_samples", lambda: population_nu(LinkModel("linear"), mc_samples="20000")),
+        ("hidden", lambda: relu_mlp_prior(3, 5, 12)),
+        ("link.name", lambda: LinkModel(name=["x"])),
+    ]
+    for i, (field, call) in enumerate(cases):
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        # the field each line of the message names, section and all
+        named = set(re.findall(r"(?m)^\s*([\w.]+):", str(exc.value)))
+        assert named == {field}, (i, str(exc.value))
+
+
+@pytest.mark.parametrize("t1", [2.5, True, 0])
+def test_t1_rule_is_the_same_on_every_path(t1):
+    # one bad t1 as a sweep config key, an ExperimentConfig field, a run
+    # argument and a power iteration count
+    prior, data, spec = _small_problem()
+    calls = (lambda: config_from_dict({"t1": t1}),
+             lambda: validate_config(ExperimentConfig(t1=t1)),
+             lambda: run_algorithm("mprg", data, prior, t1=t1),
+             lambda: projected_power(spec, prior, np.ones(12), t1))
+    lines = []
+    for call in calls:
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        lines.append([line.strip() for line in str(exc.value).splitlines()
+                      if line.strip().startswith("t1:")])
+    assert lines == [[f"t1: must be an integer >= 1, got {t1!r}"]] * len(calls)
 
 
 def test_sweep_and_plot(tmp_path):

@@ -48,7 +48,7 @@ def test_validate_uses_the_run_rules():
     with pytest.raises(ConfigurationError) as exc:
         validate_config(cfg)
     assert str(exc.value).split("\n  ")[1:] == \
-        ["trials: must be >= 1"] + run_problems(cfg.algorithms, cfg.t1, cfg.t2, cfg.tau)
+        ["trials: must be an integer >= 1, got 0"] + run_problems(cfg.algorithms, cfg.t1, cfg.t2, cfg.tau)
 
 
 def test_validate_rejects_bad_radius_and_width():
@@ -149,6 +149,20 @@ def test_fit_slope_drops_nonpositive():
     with pytest.warns(UserWarning):
         fit = fit_slope(p for p in [(10, 1.0), (100, 0.0), (1000, 0.1), (10000, 0.01)])
     assert fit.slope < 0
+
+
+def test_fit_slope_rejects_m_below_one():
+    # log(-5) gave SlopeFit(nan, nan, nan) with only a numpy RuntimeWarning
+    with pytest.raises(ConfigurationError, match=r"point \(m=-5, error=1.0\)"):
+        fit_slope([(-5, 1.0), (10, 0.5), (100, 0.2)])
+
+
+def test_fit_slope_rejects_non_finite_error():
+    # an infinite error gave SlopeFit(nan, nan, nan); a NaN one was dropped
+    # as nonpositive
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match=rf"point \(m=10, error={bad!r}\)"):
+            fit_slope([(10, bad), (100, 0.5), (1000, 0.2)])
 
 
 # t_{0.975}(df) as scipy.stats.t.ppf(0.975, df) gives it in scipy 1.17.1

@@ -193,7 +193,7 @@ def test_proxy_requires_enough_samples():
     # the proxy is Monte Carlo for every link, also one with a closed-form nu
     for name in ("linear", "square-noise", "abs-noise-out"):
         for samples in (9999, 100, 0, -1):
-            with pytest.raises(ConfigurationError, match="mc_samples: must be >= 1e4"):
+            with pytest.raises(ConfigurationError, match="mc_samples: must be an integer >= 10000"):
                 population_nu(LinkModel(name), samples, seed=0)
 
 

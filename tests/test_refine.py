@@ -228,7 +228,7 @@ def test_run_refine_rejects_bad_t2():
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 200, seed=4)
     for t2 in (-1, -30, float("nan")):
         for fixed in (False, True):
-            with pytest.raises(ConfigurationError, match="t2: must be >= 0"):
+            with pytest.raises(ConfigurationError, match="t2: must be an integer >= 0"):
                 run_refine(data, prior, x, t2, fixed=fixed)
 
 

@@ -277,7 +277,7 @@ def test_projected_power_determinism():
 def test_projected_power_rejects_zero_iterations():
     prior = linear_subspace_prior(5, 50, seed=2)
     spec = SpectralMatrix(v=np.eye(50), diag_shifted=np.ones(50), ybar=0.0)
-    with pytest.raises(ConfigurationError, match="t1: must be >= 1"):
+    with pytest.raises(ConfigurationError, match="t1: must be an integer >= 1"):
         projected_power(spec, prior, np.ones(50), 0)
 
 
