@@ -26,7 +26,7 @@ from .priors import GenerativePrior, ProjectionConfig, evaluate, \
 from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
-from .svg import render_sweep_svg
+from .svg import aggregate_problems, render_sweep_svg
 
 # Substream roles (last element of the SeedSequence key).
 ROLE_SIGNAL = 1
@@ -324,6 +324,21 @@ _SWEEP_BLOCKS = {"m,algorithm,trial,restart,final_error": (int, str, int, int, f
                  "m,algorithm,mean,stderr": (int, str, float, float)}
 
 
+def trial_row_problems(row) -> list:
+    """The rule on a per-trial sweep row (keys m, algorithm, trial, restart,
+    final_error), as a list of problems: integers m >= 1, trial >= 0 and
+    restart >= 0, and a finite final_error >= 0."""
+    ok = is_integer(row["m"]) and row["m"] >= 1 and \
+        all(is_integer(row[key]) and row[key] >= 0 for key in ("trial", "restart")) and \
+        is_finite_number(row["final_error"]) and row["final_error"] >= 0
+    return [] if ok else ["a per-trial row needs integers m >= 1, trial >= 0 and restart >= 0 "
+                          f"and a finite final_error >= 0, got {row!r}"]
+
+
+# The rule each block's rows keep, which read_sweep_csv checks.
+_ROW_RULES = dict(zip(_SWEEP_BLOCKS, (trial_row_problems, aggregate_problems)))
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     if not result.rows:
         raise ConfigurationError("empty sweep result; nothing to write")
@@ -338,7 +353,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 def read_sweep_csv(path):
     """Parse a sweep CSV back into (rows, aggregates).  A line that does not
-    fit the block it is in is a ConfigurationError."""
+    fit the block it is in, or breaks the block's row rule
+    (trial_row_problems, svg.aggregate_problems), is a ConfigurationError."""
     blocks = {header: [] for header in _SWEEP_BLOCKS}
     header = None
     with open(path, errors="replace") as fh:
@@ -350,10 +366,12 @@ def read_sweep_csv(path):
                 kinds, cells = _SWEEP_BLOCKS.get(header, ()), line.split(",")
                 try:   # strict: a cell too many or too few is a ValueError too
                     values = [kind(cell) for kind, cell in zip(kinds, cells, strict=True)]
-                except ValueError:
+                    row = dict(zip(header.split(","), values))
+                    raise_problems(_ROW_RULES[header](row))
+                except ValueError as exc:   # a ConfigurationError too
                     raise ConfigurationError(f"malformed sweep CSV line in {path}: "
-                                             f"{line!r}") from None
-                blocks[header].append(dict(zip(header.split(","), values)))
+                                             f"{line!r}: {exc}") from None
+                blocks[header].append(row)
     rows, aggregates = blocks.values()
     if not rows and not aggregates:
         raise ConfigurationError(f"no sweep data found in {path}")

@@ -153,7 +153,10 @@ class _HiddenTarget:
 def _hidden_target(prior: GenerativePrior, target) -> _HiddenTarget:
     w = prior.layers[-1]
     t = np.asarray(target, dtype=float)
-    return _HiddenTarget(c=t.dot(w), tt=float(t.dot(t)), q=w.T.dot(w))
+    tt = float(t.dot(t))
+    if not math.isfinite(tt):
+        raise NumericalError("projection target overflows: its squared norm is not finite")
+    return _HiddenTarget(c=t.dot(w), tt=tt, q=w.T.dot(w))
 
 
 def projection_loss_grad(prior: GenerativePrior, z, target):
@@ -213,14 +216,18 @@ class ProjectionResult:
 def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     """Closed-form projection onto the range of a linear-subspace prior:
     the normalized orthogonal projection W W^T v.  When W W^T v = 0 the
-    deterministic fallback is the first basis column."""
+    deterministic fallback is the first basis column; when its squared norm
+    overflows, a NumericalError."""
     if prior.kind != "linear-subspace":
         raise ConfigurationError("project_exact requires a linear-subspace prior")
     v = _finite_target(v)
     w = prior.layers[0]
     c = v.dot(w)
     p = w.dot(c)
-    np_ = math.sqrt(p.dot(p))
+    pp = p.dot(p)
+    if not math.isfinite(pp):
+        raise NumericalError("projection overflows: the squared norm of W W^T v is not finite")
+    np_ = math.sqrt(pp)
     if np_ == 0:
         point = w[:, 0].copy()
         latent = np.zeros(prior.k)
@@ -237,11 +244,12 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
                       seed=0, warm_start=None) -> ProjectionResult:
     """Latent-space descent on ||G(z) - v||^2 with restarts.
 
-    Each restart runs cfg.steps adaptive-moment updates (decay 0.9/0.999,
-    epsilon 1e-8), radially clipping z to the latent ball after every update.
-    The best objective across restarts wins, ties broken by lowest restart
-    index.  Restart 0 may start from warm_start; later restarts always draw a
-    fresh scaled-Gaussian latent.
+    Each restart scores its start and the iterates of cfg.steps
+    adaptive-moment updates (decay 0.9/0.999, epsilon 1e-8, z radially
+    clipped to the latent ball after each) and keeps its best.  The best
+    objective across restarts wins, ties broken by lowest restart index.
+    Restart 0 starts from warm_start when cfg.latent_init is "warm-start",
+    the only place that reads it; other starts are scaled-Gaussian latents.
     """
     raise_problems(seed_key_problems(seed))
     v = _finite_target(v)
@@ -249,26 +257,26 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
         raise ConfigurationError("projection target must be nonzero")
     target = _hidden_target(prior, v)
     key = flatten_seed(seed)
-    lr = cfg.learning_rate
-    best = None
+    steps, lr, k, r = cfg.steps, cfg.learning_rate, prior.k, prior.r
+    best = None   # (objective, latent, restart) of the best restart so far
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng([key, restart])
         if restart == 0 and cfg.latent_init == "warm-start" and warm_start is not None:
             z = np.array(warm_start, dtype=float)
         else:
-            z = 0.1 * rng.standard_normal(prior.k)
-        z = clip_to_ball(z, prior.r)
-        m1 = [0.0] * prior.k
-        m2 = [0.0] * prior.k
-        restart_best = None
+            z = 0.1 * np.random.default_rng([key, restart]).standard_normal(k)
+        z = clip_to_ball(z, r)
+        m1, m2 = [0.0] * k, [0.0] * k
+        kept = None   # (objective, latent) of this restart's best iterate
         try:
             # Every z is a new array that nothing writes to, so keeping it
-            # needs no copy.
-            for step in range(cfg.steps):
+            # needs no copy.  The last iterate is scored but not updated.
+            for step in range(steps + 1):
                 loss, grad = projection_loss_grad(prior, z, target)
                 obj = math.sqrt(loss)
-                if restart_best is None or obj < restart_best[0]:
-                    restart_best = (obj, z)
+                if kept is None or obj < kept[0]:
+                    kept = (obj, z)
+                if step == steps:
+                    break
                 c1 = 1.0 - 0.9 ** (step + 1)
                 c2 = 1.0 - 0.999 ** (step + 1)
                 z_next = []
@@ -276,21 +284,15 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
                     m1[i] = mi = 0.9 * m1[i] + 0.1 * g
                     m2[i] = vi = 0.999 * m2[i] + 0.001 * g * g
                     z_next.append(x - lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8))
-                z = clip_to_ball(np.array(z_next), prior.r)
-            loss, _ = projection_loss_grad(prior, z, target)
-            obj = math.sqrt(loss)
-            if obj < restart_best[0]:
-                restart_best = (obj, z)
+                z = clip_to_ball(np.array(z_next), r)
         except DegenerateLatentError:
-            if restart_best is None:
-                continue
-        obj, z_best = restart_best
-        if best is None or obj < best.objective:
-            best = ProjectionResult(point=evaluate(prior, z_best), latent=z_best,
-                                    objective=obj, restart_index=restart)
+            pass   # keep the iterates scored before it, if any
+        if kept is not None and (best is None or kept[0] < best[0]):
+            best = (*kept, restart)
     if best is None:
         raise ProjectionFailureError("all projection restarts hit degenerate latents")
-    return best
+    obj, z, restart = best
+    return ProjectionResult(evaluate(prior, z), z, obj, restart)
 
 
 def _finite_target(v):

@@ -142,18 +142,16 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
                     proj_cfg: ProjectionConfig | None = None, seed=0,
                     truth=None) -> list[Step]:
     """Run t1 projected power iterations w <- P_G(V w) from w0 (normalized,
-    not pre-projected).  Returns the trajectory including the initial state.
-    Correlation and error are recorded when the ground truth is supplied."""
+    not pre-projected), each offered the last latent as a warm start.  Returns
+    the trajectory with its initial state, and correlation and error given truth."""
     raise_problems(t1_problems(t1))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
     states = [step_at(w, 0, truth)]
-    warm = None
+    latent = None
     base = flatten_seed(seed)
     for t in range(1, t1 + 1):
-        res = project(prior, spec.v @ w, proj_cfg, seed=[base, t], warm_start=warm)
-        if proj_cfg is not None and proj_cfg.latent_init == "warm-start":
-            warm = res.latent
-        w = res.point
+        res = project(prior, spec.v @ w, proj_cfg, seed=[base, t], warm_start=latent)
+        w, latent = res.point, res.latent
         states.append(step_at(w, t, truth))
     return states

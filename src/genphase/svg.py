@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_number, is_integer, raise_problems
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
@@ -23,25 +23,36 @@ def _fmt(v: float) -> str:
     return format(v, ".2f")
 
 
+def aggregate_problems(row) -> list:
+    """The rule on an aggregate row (keys m, algorithm, mean, stderr), as a
+    list of problems: an integer m >= 1 and a finite mean and stderr >= 0
+    whose sum is finite, so that every point and error-bar end has a log."""
+    m, mean, stderr = row["m"], row["mean"], row["stderr"]
+    ok = is_integer(m) and m >= 1 and \
+        all(is_finite_number(v) and v >= 0 for v in (mean, stderr)) and math.isfinite(mean + stderr)
+    return [] if ok else ["an aggregate row needs an integer m >= 1 and a finite mean and "
+                          f"stderr >= 0 with a finite sum, got {row!r}"]
+
+
 def render_sweep_svg(aggregates, path) -> None:
-    """aggregates: iterable of dicts with keys m, algorithm, mean, stderr."""
+    """aggregates: iterable of dicts with keys m, algorithm, mean, stderr,
+    each keeping the aggregate_problems rule."""
     rows = [dict(r) for r in aggregates]
     if not rows:
         raise ConfigurationError("no aggregate rows to plot")
+    raise_problems([p for r in rows for p in aggregate_problems(r)])
     algos = sorted({r["algorithm"] for r in rows})
-    pts = [(r, math.log10(r["m"]), math.log10(max(r["mean"], 1e-300))) for r in rows
-           if r["mean"] > 0]
+    # (row, log m, log mean, log of the error bar's low end or None, of its high end)
+    pts = []
+    for r in rows:
+        if r["mean"] > 0:
+            lo, hi = r["mean"] - r["stderr"], r["mean"] + r["stderr"]
+            pts.append((r, math.log10(r["m"]), math.log10(max(r["mean"], 1e-300)),
+                        math.log10(lo) if lo > 0 else None, math.log10(hi)))
     if not pts:
         raise ConfigurationError("all aggregate means are nonpositive")
     xs = [p[1] for p in pts]
-    ys = [p[2] for p in pts]
-    # include error-bar extents in the y range
-    for r, _, _ in pts:
-        lo = r["mean"] - r["stderr"]
-        hi = r["mean"] + r["stderr"]
-        if lo > 0:
-            ys.append(math.log10(lo))
-        ys.append(math.log10(hi))
+    ys = [y for p in pts for y in p[2:] if y is not None]   # the error bars too
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
@@ -68,21 +79,19 @@ def render_sweep_svg(aggregates, path) -> None:
         f'transform="rotate(-90 16 {HEIGHT // 2})">mean error (log scale)</text>',
     ]
     # x tick labels at the distinct m values
-    for m in sorted({r["m"] for r, _, _ in pts}):
+    for m in sorted({p[0]["m"] for p in pts}):
         parts.append(f'<text x="{_fmt(px(math.log10(m)))}" y="{HEIGHT - MARGIN_B + 18}" '
                      f'text-anchor="middle" font-size="11">{m}</text>')
     for i, algo in enumerate(algos):
         color = PALETTE[i % len(PALETTE)]
         series = sorted((p for p in pts if p[0]["algorithm"] == algo), key=lambda p: p[1])
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for _, x, y in series)
+        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for _, x, y, _, _ in series)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-        for r, x, _ in series:
-            lo = r["mean"] - r["stderr"]
-            hi = r["mean"] + r["stderr"]
-            if r["stderr"] > 0 and lo > 0:
-                parts.append(f'<line x1="{_fmt(px(x))}" y1="{_fmt(py(math.log10(lo)))}" '
-                             f'x2="{_fmt(px(x))}" y2="{_fmt(py(math.log10(hi)))}" '
+        for r, x, _, lo, hi in series:
+            if r["stderr"] > 0 and lo is not None:
+                parts.append(f'<line x1="{_fmt(px(x))}" y1="{_fmt(py(lo))}" '
+                             f'x2="{_fmt(px(x))}" y2="{_fmt(py(hi))}" '
                              f'stroke="{color}" stroke-width="1"/>')
         ty = MARGIN_T + 16 * (i + 1)
         parts.append(f'<text x="{WIDTH - MARGIN_R - 110}" y="{ty}" font-size="12" '

@@ -429,6 +429,40 @@ def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "sweep", 3, None])
+def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, doc):
+    code, err = _sweep_config_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "expected a JSON object" in err
+
+
+def test_sweep_prints_a_slope_per_algorithm(tmp_path, capsys):
+    # three m values are the fewest a slope fit takes
+    cfg = {"prior": {"k": 3, "n": 12, "seed": 4}, "m_grid": [40, 80, 160], "trials": 2,
+           "restarts": 1, "algorithms": ["mprg", "appgd"], "t1": 2, "t2": 2, "master_seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--out-csv", str(tmp_path / "s.csv")]) == 0
+    out = capsys.readouterr().out
+    for algo in cfg["algorithms"]:
+        assert re.search(rf"(?m)^{algo}: log-log slope -?\d+\.\d{{3}} \+/- \d+\.\d{{3}}$", out)
+
+
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_run_projection_overflow_exit_code(tmp_path, capsys, kind):
+    # a finite tau of 1e200 overflows the squared norm of APPGD's first
+    # projection target; numpy warns, and the projector raises
+    model = tmp_path / "prior.json"
+    assert main(["gen-model", "--kind", kind, "--k", "3", "--n", "12", "--out", str(model)]) == 0
+    out = tmp_path / "traj.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["run", "--model", str(model), "--algorithm", "appgd", "--tau", "1e200",
+                     "--m", "40", "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: projection" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"trials": 0}))
@@ -660,17 +694,47 @@ def test_run_property_random_model_files(tmp_path, capsys):
     assert {0, 2, 3} <= set(codes)
 
 
-@pytest.mark.parametrize("line", ["60,mprg,0.5,0,0.1", "60,mprg,0,0", "60,mprg,0,0,0.1,7",
-                                  "60,mprg,x,0,0.1"])
-def test_malformed_sweep_csv_exit_code(tmp_path, capsys, line):
+def _plot_exit_code(tmp_path, capsys, text):
     csv = tmp_path / "sweep.csv"
-    csv.write_text("m,algorithm,trial,restart,final_error\n" + line + "\n"
-                   "m,algorithm,mean,stderr\n60,mprg,0.1,0.0\n")
-    assert main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "x.svg")]) == 2
+    csv.write_text(text)
+    code = main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "x.svg")])
     err = capsys.readouterr().err
-    assert "malformed sweep CSV line" in err and repr(line) in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.svg").exists()
+    return code, err
+
+
+# the cells must parse, and the per-trial row rule holds: integers m >= 1,
+# trial >= 0 and restart >= 0, and a finite final_error >= 0
+@pytest.mark.parametrize("line", ["60,mprg,0.5,0,0.1", "60,mprg,0,0", "60,mprg,0,0,0.1,7",
+                                  "60,mprg,x,0,0.1", "0,mprg,0,0,0.1", "60,mprg,-1,0,0.1",
+                                  "60,mprg,0,-1,0.1", "60,mprg,0,0,-0.1", "60,mprg,0,0,nan",
+                                  "60,mprg,0,0,inf"])
+def test_malformed_sweep_csv_exit_code(tmp_path, capsys, line):
+    code, err = _plot_exit_code(tmp_path, capsys, "m,algorithm,trial,restart,final_error\n"
+                                + line + "\nm,algorithm,mean,stderr\n60,mprg,0.1,0.0\n")
+    assert code == 2
+    assert "malformed sweep CSV line" in err and repr(line) in err
+
+
+# the aggregate row rule: an integer m >= 1 and a finite mean and stderr >= 0
+# with a finite sum; each of these used to exit 1 with a math domain error or
+# write nan coordinates
+@pytest.mark.parametrize("line", ["100,mprg,0.5,-1", "0,mprg,0.5,0.1", "100,mprg,inf,0.1",
+                                  "100,mprg,nan,0.1", "100,mprg,-0.5,0.1", "100,mprg,0.5,inf",
+                                  "100,mprg,1e308,1e308"])
+def test_malformed_sweep_csv_aggregate_exit_code(tmp_path, capsys, line):
+    code, err = _plot_exit_code(tmp_path, capsys, "m,algorithm,trial,restart,final_error\n"
+                                "100,mprg,0,0,0.5\nm,algorithm,mean,stderr\n" + line + "\n")
+    assert code == 2
+    assert "malformed sweep CSV line" in err and repr(line) in err
+
+
+def test_sweep_csv_with_headers_only_exit_code(tmp_path, capsys):
+    code, err = _plot_exit_code(tmp_path, capsys, "m,algorithm,trial,restart,final_error\n"
+                                "m,algorithm,mean,stderr\n")
+    assert code == 2
+    assert "no sweep data found" in err
 
 
 def test_sweep_csv_that_is_not_text_exit_code(tmp_path, capsys):

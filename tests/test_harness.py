@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataError,
-                      config_from_dict, config_from_file, draw_signal, emit_outputs,
-                      fit_slope, read_sweep_csv, run_experiment, validate_config)
+                      ProjectionConfig, config_from_dict, config_from_file, draw_signal,
+                      emit_outputs, fit_slope, read_sweep_csv, run_experiment, validate_config)
 from genphase.baselines import run_problems
 from genphase.harness import build_prior, t_quantile_975
 from genphase.svg import render_sweep_svg
@@ -305,3 +305,64 @@ def test_svg_rejects_nonpositive_means(tmp_path):
                          tmp_path / "x.svg")
     with pytest.raises(ConfigurationError):
         render_sweep_svg([], tmp_path / "y.svg")
+
+
+@pytest.mark.parametrize("rows, polyline", [
+    # one m: the x range widens to one decade around it, centring the point
+    ([{"m": 100, "algorithm": "a", "mean": 0.5, "stderr": 0.1},
+      {"m": 100, "algorithm": "b", "mean": 0.2, "stderr": 0.0}], "345.00,"),
+    # one mean and no error bar: the y range widens the same way
+    ([{"m": 100, "algorithm": "a", "mean": 0.5, "stderr": 0.0},
+      {"m": 400, "algorithm": "a", "mean": 0.5, "stderr": 0.0}], "70.00,225.00 620.00,225.00"),
+], ids=["single-m", "constant-mean"])
+def test_svg_degenerate_ranges_widen(tmp_path, rows, polyline):
+    path = tmp_path / "plot.svg"
+    render_sweep_svg(rows, path)
+    assert f'<polyline points="{polyline}' in path.read_text()
+
+
+@pytest.mark.parametrize("bad", [dict(m=0), dict(m=2.5), dict(mean=float("inf")),
+                                 dict(mean=float("nan")), dict(mean=-0.1), dict(stderr=-1.0),
+                                 dict(stderr=float("nan")), dict(mean=1e308, stderr=1e308)],
+                         ids=["m-0", "m-float", "mean-inf", "mean-nan", "mean-negative",
+                              "stderr-negative", "stderr-nan", "sum-overflows"])
+def test_svg_rejects_rows_that_break_the_aggregate_rule(tmp_path, bad):
+    rows = [{"m": 100, "algorithm": "a", "mean": 0.5, "stderr": 0.1},
+            {"m": 200, "algorithm": "a", "mean": 0.3, "stderr": 0.1, **bad}]
+    with pytest.raises(ConfigurationError, match="aggregate row"):
+        render_sweep_svg(rows, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_random_restart_start_is_one_unit_range_point_for_every_algorithm(monkeypatch, kind):
+    # restarts 0 and 1 start from +-w0; each later one from a seeded random
+    # range point, which is a function of (master seed, m index, trial,
+    # restart) alone, so every algorithm of a cell gets the same one
+    from genphase import harness
+    start_of, starts = harness._restart_start, {}
+
+    def recording(prior, spec, w0, master_seed, m_index, trial, restart):
+        out = start_of(prior, spec, w0, master_seed, m_index, trial, restart)
+        starts.setdefault((m_index, trial, restart), []).append(out)
+        return out
+
+    monkeypatch.setattr(harness, "_restart_start", recording)
+    cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (), m_grid=(60,),
+                    restarts=4, algorithms=("mprg", "appgd"),
+                    projection=ProjectionConfig(steps=5))
+    run_experiment(cfg)
+    prior = build_prior(cfg)
+    randoms = {key: outs for key, outs in starts.items() if key[2] >= 2}
+    assert len(randoms) == cfg.trials * 2
+    for (m_index, trial, restart), outs in randoms.items():
+        assert len(outs) == len(cfg.algorithms)
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+        assert np.linalg.norm(outs[0]) == pytest.approx(1.0, abs=1e-12)
+        again = start_of(prior, None, None, cfg.master_seed, m_index, trial, restart)
+        assert np.array_equal(again, outs[0])
+        if kind == "linear-subspace":   # a point of the range: its own projection
+            w = prior.layers[0]
+            assert np.allclose(w @ (w.T @ outs[0]), outs[0], atol=1e-12)
+    firsts = [outs[0] for outs in randoms.values()]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[:i])

@@ -261,9 +261,11 @@ def _set_signal_entry(bad):
     lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(seed="abc")),
     lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(seed=-3)),
     lambda csv, meta: _edit_meta(meta, _scale_signal(2.0)),
+    lambda csv, meta: _edit_meta(meta, lambda doc: doc.update(m=doc["m"] + 1)),
+    lambda csv, meta: csv.write_text("".join(csv.read_text().splitlines(True)[:-1])),
 ], ids=["meta-not-json", "meta-no-signal", "meta-no-link-name", "meta-not-object",
         "csv-text-cell", "csv-empty-cell", "signal-length", "float-n", "float-m",
-        "text-seed", "negative-seed", "signal-norm-2"])
+        "text-seed", "negative-seed", "signal-norm-2", "meta-m-above-rows", "csv-row-missing"])
 def test_load_measurements_malformed_is_configuration_error(tmp_path, damage):
     damage(*_saved_measurements(tmp_path))
     with pytest.raises(ConfigurationError):

@@ -108,6 +108,27 @@ def test_project_exact_rejects_non_finite_target(bad):
         project_exact(prior, v)
 
 
+def test_project_exact_requires_a_subspace_prior():
+    with pytest.raises(ConfigurationError, match="linear-subspace"):
+        project_exact(relu_mlp_prior(3, [8], 12, seed=1), np.ones(12))
+
+
+# A finite target whose squared norm overflows used to give a zero "point"
+# with objective inf (exact) or an inf objective at every iterate
+# (iterative), each with only numpy's overflow warning.
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_projection_overflow_is_a_numerical_error(kind):
+    prior = linear_subspace_prior(3, 12, seed=1) if kind == "linear-subspace" else \
+        relu_mlp_prior(3, [8], 12, seed=1)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="overflows"):
+            project(prior, np.full(12, 1e200), ProjectionConfig(steps=3))
+    if kind == "relu-mlp":
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="overflows"):
+                projection_loss_grad(prior, np.ones(3), np.full(12, 1e200))
+
+
 def test_project_exact_beats_random_range_points():
     # brute-force oracle: no sampled range point is closer than the projector's
     prior = linear_subspace_prior(4, 20, seed=9)

@@ -52,6 +52,11 @@ def test_empirical_mean_trivial():
     assert empirical_mean_y(data) == 3.0
 
 
+def test_empirical_mean_needs_a_measurement():
+    with pytest.raises(ConfigurationError, match="at least one measurement"):
+        empirical_mean_y(_manual_set(np.zeros((0, 3)), []))
+
+
 def test_empirical_mean_large_sample():
     x = np.zeros(5)
     x[0] = 1.0
