@@ -15,8 +15,9 @@ import numpy as np
 from . import harness
 from .baselines import ALGORITHMS, run_algorithm
 from .errors import ConfigurationError, NumericalError, raise_problems, seed_problems
-from .links import LinkModel, population_nu, sample_measurements, save_measurements
-from .priors import load_prior, save_prior
+from .links import BUILTIN_LINKS, LinkModel, population_nu, sample_measurements, \
+    save_measurements
+from .priors import PRIOR_KINDS, load_prior, make_prior, save_prior
 from .runtrace import write_trajectory_csv
 from .svg import render_sweep_svg
 
@@ -30,8 +31,7 @@ def nonnegative_seed(text):
 
 def _add_link_args(p):
     p.add_argument("--link", default="abs-noise-out",
-                   help="link name (abs-noise-out, abs-noise-in, square-noise, "
-                        "abs-tanh, square-sin, linear, custom)")
+                   help=f"link name ({', '.join([*BUILTIN_LINKS, 'custom'])})")
     p.add_argument("--sigma", type=float, default=0.0, help="noise std dev")
     p.add_argument("--link-params", default="{}",
                    help="JSON map primitive->coefficient for custom links")
@@ -45,6 +45,24 @@ def _link_from_args(args) -> LinkModel:
     return LinkModel(name=args.link, sigma=args.sigma, params=params)
 
 
+def _add_simulation_args(p):
+    """A model file, the latent seed of its signal, a link and a draw of m."""
+    p.add_argument("--model", required=True, help="prior model file from gen-model")
+    p.add_argument("--latent-seed", type=nonnegative_seed, default=0,
+                   help="seed for the signal latent")
+    _add_link_args(p)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_seed, default=0, help="measurement sampling seed")
+
+
+def _simulation_from_args(args):
+    """The model file's prior and measurements at a seeded signal in its range."""
+    prior = load_prior(args.model)
+    z = np.random.default_rng(args.latent_seed).standard_normal(prior.k)
+    x = harness.canonical_signal(prior, z)
+    return prior, sample_measurements(_link_from_args(args), x, args.m, args.seed)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="genphase",
                                  description="Misspecified phase retrieval with "
@@ -52,7 +70,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-model", help="draw a generative prior and write its model file")
-    p.add_argument("--kind", choices=["linear-subspace", "relu-mlp"], default="linear-subspace")
+    p.add_argument("--kind", choices=list(PRIOR_KINDS), default="linear-subspace")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--r", type=float, default=None)
@@ -62,12 +80,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="sample a measurement set and write CSV + metadata")
-    p.add_argument("--model", required=True, help="prior model file from gen-model")
-    p.add_argument("--latent-seed", type=nonnegative_seed, default=0,
-                   help="seed for the signal latent")
-    _add_link_args(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=nonnegative_seed, default=0, help="measurement sampling seed")
+    _add_simulation_args(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("nu", help="print the population moment report for a link")
@@ -77,12 +90,8 @@ def _build_parser():
 
     p = sub.add_parser("run", help="run one algorithm on a fresh simulation, "
                                    "write its trajectory CSV")
-    p.add_argument("--model", required=True)
+    _add_simulation_args(p)
     p.add_argument("--algorithm", choices=list(ALGORITHMS), default="mprg")
-    _add_link_args(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--latent-seed", type=nonnegative_seed, default=0)
-    p.add_argument("--seed", type=nonnegative_seed, default=0)
     p.add_argument("--t1", type=int, default=20)
     p.add_argument("--t2", type=int, default=30)
     p.add_argument("--tau", type=float, default=0.9)
@@ -100,24 +109,15 @@ def _build_parser():
     return ap
 
 
-def _signal_from_model(model_path, latent_seed):
-    prior = load_prior(model_path)
-    z = np.random.default_rng(latent_seed).standard_normal(prior.k)
-    return prior, harness.canonical_signal(prior, z)
-
-
 def _cmd_gen_model(args):
-    prior = harness.build_prior(harness.ExperimentConfig(
-        prior_kind=args.kind, k=args.k, n=args.n, r=args.r, hidden=args.hidden or (),
-        prior_seed=args.seed))
+    prior = make_prior(args.kind, args.k, args.n, args.r, args.hidden or (), args.seed)
     save_prior(prior, args.out)
     print(f"wrote {args.kind} prior (k={prior.k}, n={prior.n}, r={prior.r:.6g}, "
           f"L-proxy={prior.lipschitz_proxy:.6g}) to {args.out}")
 
 
 def _cmd_simulate(args):
-    _, x = _signal_from_model(args.model, args.latent_seed)
-    data = sample_measurements(_link_from_args(args), x, args.m, args.seed)
+    _, data = _simulation_from_args(args)
     save_measurements(data, args.out)
     print(f"wrote {data.m} measurements (n={data.n}) to {args.out}")
 
@@ -132,8 +132,7 @@ def _cmd_nu(args):
 
 
 def _cmd_run(args):
-    prior, x = _signal_from_model(args.model, args.latent_seed)
-    data = sample_measurements(_link_from_args(args), x, args.m, args.seed)
+    prior, data = _simulation_from_args(args)
     trace = run_algorithm(args.algorithm, data, prior, t1=args.t1, t2=args.t2,
                           tau=args.tau, seed=args.seed)
     write_trajectory_csv(trace.records, args.out)

@@ -21,8 +21,8 @@ from .baselines import refine_step_count, run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, count_problems, \
     is_finite_number, is_integer, raise_problems, seed_problems
 from .links import LinkModel, sample_measurements
-from .priors import GenerativePrior, ProjectionConfig, evaluate, \
-    linear_subspace_prior, prior_problems, project, relu_mlp_prior
+from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, prior_problems, \
+    project
 from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
@@ -148,9 +148,7 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def build_prior(cfg: ExperimentConfig) -> GenerativePrior:
-    if cfg.prior_kind == "linear-subspace":
-        return linear_subspace_prior(cfg.k, cfg.n, r=cfg.r, seed=cfg.prior_seed)
-    return relu_mlp_prior(cfg.k, cfg.hidden, cfg.n, r=cfg.r, seed=cfg.prior_seed)
+    return make_prior(cfg.prior_kind, cfg.k, cfg.n, cfg.r, cfg.hidden, cfg.prior_seed)
 
 
 def canonical_signal(prior: GenerativePrior, z):

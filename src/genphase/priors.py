@@ -46,12 +46,11 @@ from .seeds import flatten_seed
 
 @dataclass
 class GenerativePrior:
-    kind: str                 # "linear-subspace" | "relu-mlp"
+    kind: str                 # a key of PRIOR_KINDS
     k: int
     n: int
     r: float                  # None at construction means default_radius(k)
     layers: list              # weight matrices, each of shape (fan_out, fan_in)
-    activation: str           # "relu" | "none"
     seed: int
     lipschitz_proxy: float
 
@@ -65,12 +64,16 @@ def default_radius(k: int) -> float:
     return 10.0 * math.sqrt(k)
 
 
+# Each prior kind and the activation its model files name.
+PRIOR_KINDS = {"linear-subspace": "none", "relu-mlp": "relu"}
+
+
 def prior_problems(kind, k, n, r, hidden, seed) -> list:
-    """One line per field of a prior that breaks its rule: a known kind,
-    integers 1 <= k < n, a latent radius that is None (the default) or a
-    finite positive number, a list or tuple of integer hidden widths >= 1,
-    and the seed rule."""
-    known = kind in ("linear-subspace", "relu-mlp")
+    """One line per field of a prior that breaks its rule: a kind of
+    PRIOR_KINDS, integers 1 <= k < n, a latent radius that is None (the
+    default) or a finite positive number, a list or tuple of integer hidden
+    widths >= 1 (none for a linear subspace), and the seed rule."""
+    known = isinstance(kind, str) and kind in PRIOR_KINDS
     problems = [] if known else [f"kind: unknown kind {kind!r}"]
     if not (is_integer(k) and is_integer(n) and 1 <= k < n):
         problems.append(f"k: k and n must be integers with 1 <= k < n, got k={k!r}, n={n!r}")
@@ -78,6 +81,8 @@ def prior_problems(kind, k, n, r, hidden, seed) -> list:
         problems.append(f"r: the latent radius must be a finite positive number, got {r!r}")
     if not (isinstance(hidden, (list, tuple)) and all(is_integer(w) and w >= 1 for w in hidden)):
         problems.append(f"hidden: must be a list of integer widths >= 1, got {hidden!r}")
+    elif kind == "linear-subspace" and hidden:
+        problems.append(f"hidden: a linear-subspace prior has no hidden widths, got {hidden!r}")
     return problems + seed_problems(seed)
 
 
@@ -90,23 +95,27 @@ def _lipschitz_proxy(layers) -> float:
 
 def linear_subspace_prior(k: int, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """Random k-dimensional subspace of R^n with orthonormalized basis."""
-    raise_problems(prior_problems("linear-subspace", k, n, r, (), seed))
-    rng = np.random.default_rng(seed)
-    w, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return GenerativePrior("linear-subspace", k, n, r, [w], "none", seed, _lipschitz_proxy([w]))
+    return make_prior("linear-subspace", k, n, r, (), seed)
 
 
 def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0) -> GenerativePrior:
     """ReLU MLP with no bias terms and zero-mean Gaussian weights of variance
     1/fan-in.  ReLU is applied after every layer except the last.  An empty
     (or None) hidden gives one hidden layer of width max(4k, 16)."""
-    hidden = () if hidden is None else hidden
-    raise_problems(prior_problems("relu-mlp", k, n, r, hidden, seed))
-    dims = [k, *(hidden or (max(4 * k, 16),)), n]
+    return make_prior("relu-mlp", k, n, r, () if hidden is None else hidden, seed)
+
+
+def make_prior(kind, k, n, r=None, hidden=(), seed=0) -> GenerativePrior:
+    """The prior of a kind, after the prior_problems rule on all its fields."""
+    raise_problems(prior_problems(kind, k, n, r, hidden, seed))
     rng = np.random.default_rng(seed)
-    layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
-              for i in range(len(dims) - 1)]
-    return GenerativePrior("relu-mlp", k, n, r, layers, "relu", seed, _lipschitz_proxy(layers))
+    if kind == "linear-subspace":
+        layers = [np.linalg.qr(rng.standard_normal((n, k)))[0]]
+    else:
+        dims = [k, *(hidden or (max(4 * k, 16),)), n]
+        layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
+                  for i in range(len(dims) - 1)]
+    return GenerativePrior(kind, k, n, r, layers, seed, _lipschitz_proxy(layers))
 
 
 def clip_to_ball(z, r: float):
@@ -117,15 +126,15 @@ def clip_to_ball(z, r: float):
 
 
 def _hidden(prior: GenerativePrior, z):
-    """Forward pass through every layer but the last.  Returns the last
-    hidden activation (z itself for a one-layer prior) and the hidden
-    pre-activations, which backprop needs for the ReLU masks."""
+    """Forward pass through every layer but the last (a ReLU MLP's hidden
+    layers).  Returns the last hidden activation (z itself for a one-layer
+    prior) and the pre-activations, which backprop needs for the ReLU masks."""
     a = z
     pres = []
     for w in prior.layers[:-1]:
         pre = w.dot(a)
         pres.append(pre)
-        a = np.maximum(pre, 0.0) if prior.activation == "relu" else pre
+        a = np.maximum(pre, 0.0)
     return a, pres
 
 
@@ -181,9 +190,7 @@ def projection_loss_grad(prior: GenerativePrior, z, target):
     loss = max(1.0 - 2.0 * ac / nh + target.tt, 0.0)
     g = (qa * (ac / nh2) - target.c) * (2.0 / nh)
     for l in range(len(pres) - 1, -1, -1):
-        if prior.activation == "relu":
-            g = g * (pres[l] > 0.0)
-        g = g.dot(prior.layers[l])     # W^T g: the same gemv as W.T @ g
+        g = (g * (pres[l] > 0.0)).dot(prior.layers[l])     # W^T g: the same gemv as W.T @ g
     return loss, g
 
 
@@ -217,7 +224,7 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     """Closed-form projection onto the range of a linear-subspace prior:
     the normalized orthogonal projection W W^T v.  When W W^T v = 0 the
     deterministic fallback is the first basis column; when its squared norm
-    overflows, a NumericalError."""
+    or the squared distance to v overflows, a NumericalError."""
     if prior.kind != "linear-subspace":
         raise ConfigurationError("project_exact requires a linear-subspace prior")
     v = _finite_target(v)
@@ -236,7 +243,10 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
         point = p / np_
         latent = clip_to_ball(c, prior.r)
     d = point - v
-    return ProjectionResult(point=point, latent=latent, objective=math.sqrt(d.dot(d)),
+    dd = d.dot(d)
+    if not math.isfinite(dd):
+        raise NumericalError("projection overflows: the squared distance to v is not finite")
+    return ProjectionResult(point=point, latent=latent, objective=math.sqrt(dd),
                             restart_index=0)
 
 
@@ -312,9 +322,9 @@ def project(prior: GenerativePrior, v, cfg: ProjectionConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Model files: JSON with kind, dims, radius, seed, activation and the raw
-# weight arrays.  Loading reproduces evaluate() bit-identically from the
-# stored weights (they are not re-derived from the seed).
+# Model files: JSON with kind, dims, radius, seed, activation (PRIOR_KINDS)
+# and the raw weight arrays.  Loading reproduces evaluate() bit-identically
+# from the stored weights (they are not re-derived from the seed).
 # ---------------------------------------------------------------------------
 
 def save_prior(prior: GenerativePrior, path) -> None:
@@ -324,7 +334,7 @@ def save_prior(prior: GenerativePrior, path) -> None:
         "n": int(prior.n),
         "r": prior.r,
         "seed": int(prior.seed),
-        "activation": prior.activation,
+        "activation": PRIOR_KINDS[prior.kind],
         "lipschitz_proxy": prior.lipschitz_proxy,
         "layers": [[[float(v) for v in row] for row in w] for w in prior.layers],
     }
@@ -335,9 +345,9 @@ def save_prior(prior: GenerativePrior, path) -> None:
 def load_prior(path) -> GenerativePrior:
     """Read a model file.  A file that is not JSON or lacks a key, breaks a
     prior_problems rule (its hidden widths are the layers' fan-ins after the
-    first), pairs kind and activation wrongly, has a non-finite Lipschitz
-    proxy or layers that do not map k to n is a ConfigurationError; a NaN or
-    Inf weight is a NumericalError."""
+    first), names an activation other than its kind's, has a non-finite
+    Lipschitz proxy or layers that do not map k to n is a ConfigurationError;
+    a NaN or Inf weight is a NumericalError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -348,11 +358,9 @@ def load_prior(path) -> GenerativePrior:
         raise ConfigurationError(f"malformed model file {path}: {exc!r}") from exc
     problems = prior_problems(kind, k, n, r, [w.shape[1] for w in layers[1:] if w.ndim == 2],
                               seed)
-    if (kind, activation) not in (("linear-subspace", "none"), ("relu-mlp", "relu")) \
-            or (kind == "linear-subspace" and len(layers) != 1):
-        problems.append(f"kind {kind!r}, activation {activation!r} and {len(layers)} layer(s) "
-                        "is not a prior; need linear-subspace with activation none and one "
-                        "layer, or relu-mlp with relu")
+    if not (isinstance(kind, str) and PRIOR_KINDS.get(kind) == activation):
+        problems.append(f"kind {kind!r} with activation {activation!r} is not a prior; need "
+                        + " or ".join(f"{key} with {act}" for key, act in PRIOR_KINDS.items()))
     if not is_finite_number(lipschitz_proxy):
         problems.append(f"lipschitz_proxy {lipschitz_proxy!r} is not a finite number")
     raise_problems(problems, f"malformed model file {path}:")
@@ -362,4 +370,4 @@ def load_prior(path) -> GenerativePrior:
         raise ConfigurationError(f"malformed model file {path}: layers do not map k to n")
     if not all(np.isfinite(w).all() for w in layers):
         raise NumericalError(f"model file {path} has a NaN or Inf weight")
-    return GenerativePrior(kind, k, n, r, layers, activation, seed, lipschitz_proxy)
+    return GenerativePrior(kind, k, n, r, layers, seed, lipschitz_proxy)

@@ -4,7 +4,8 @@ power iterations.
 The matrix V = (1/m) sum_i y_i (a_i a_i^T - I) has expectation nu * x x^T, so
 power iterations interleaved with projection onto the prior's range recover
 the signal direction.  The starting vector is the column of the shifted
-matrix (1/m) sum_i y_i a_i a_i^T with the largest diagonal entry.
+matrix (1/m) sum_i y_i a_i a_i^T with the largest diagonal entry, which is
+V's largest diagonal entry too: the shift is uniform.
 
 Building V reads the m x n sensing matrix A once, in row blocks, and
 accumulates only the upper block triangle: about (c+1)/(2c) * 2mn^2 flops
@@ -36,7 +37,6 @@ from .seeds import flatten_seed
 @dataclass
 class SpectralMatrix:
     v: np.ndarray             # n x n, exactly symmetric
-    diag_shifted: np.ndarray  # diagonal of (1/m) sum_i y_i a_i a_i^T
     ybar: float
     gram: np.ndarray | None = None  # A^T A / m, exactly symmetric, when built
 
@@ -101,13 +101,12 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
     if gram is not None:
         gram /= m
         _mirror_upper(gram, starts, width)
-    diag_shifted = np.diag(s).copy()
-    if not np.isfinite(diag_shifted).all():
+    if not np.isfinite(np.diag(s)).all():
         raise NumericalError("spectral matrix is not finite: the measurements "
                              "contain NaN or Inf")
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
-    return SpectralMatrix(v=s, diag_shifted=diag_shifted, ybar=ybar, gram=gram)
+    return SpectralMatrix(v=s, ybar=ybar, gram=gram)
 
 
 def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:
@@ -118,12 +117,12 @@ def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:
 
 
 def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray:
-    """Column of the shifted matrix at the largest diagonal entry, normalized.
+    """Column of the shifted matrix at V's largest diagonal entry, normalized.
 
     Ties break to the lowest index (argmax convention); an all-zero column
     falls back to e_1.
     """
-    j = int(np.argmax(spec.diag_shifted))
+    j = int(np.argmax(np.diag(spec.v)))
     col = np.array(shifted_full[:, j], dtype=float)
     nc = np.linalg.norm(col)
     if nc == 0:

@@ -25,13 +25,14 @@ def _fmt(v: float) -> str:
 
 def aggregate_problems(row) -> list:
     """The rule on an aggregate row (keys m, algorithm, mean, stderr), as a
-    list of problems: an integer m >= 1 and a finite mean and stderr >= 0
-    whose sum is finite, so that every point and error-bar end has a log."""
-    m, mean, stderr = row["m"], row["mean"], row["stderr"]
-    ok = is_integer(m) and m >= 1 and \
+    list of problems: an algorithm, an integer m >= 1 and a finite mean and
+    stderr >= 0 whose sum is finite, so that every point and error-bar end
+    has a log."""
+    m, mean, stderr = (row.get(key) for key in ("m", "mean", "stderr"))
+    ok = "algorithm" in row and is_integer(m) and m >= 1 and \
         all(is_finite_number(v) and v >= 0 for v in (mean, stderr)) and math.isfinite(mean + stderr)
-    return [] if ok else ["an aggregate row needs an integer m >= 1 and a finite mean and "
-                          f"stderr >= 0 with a finite sum, got {row!r}"]
+    return [] if ok else ["an aggregate row needs an algorithm, an integer m >= 1 and a finite "
+                          f"mean and stderr >= 0 with a finite sum, got {row!r}"]
 
 
 def render_sweep_svg(aggregates, path) -> None:

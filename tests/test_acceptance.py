@@ -201,14 +201,14 @@ def test_criterion_9_fixed_point_suite():
     # rank-one one-step convergence of projected power
     x = _range_signal(prior, latent_seed=3)
     v = 0.8 * np.outer(x, x)
-    spec = SpectralMatrix(v=v, diag_shifted=np.diag(v).copy(), ybar=0.0)
+    spec = SpectralMatrix(v=v, ybar=0.0)
     w0 = x + 0.3 * np.random.default_rng(4).standard_normal(30)
     states = projected_power(spec, prior, w0, 1, truth=x)
     ok &= bool(np.linalg.norm(states[-1].iterate - x) <= 1e-9)
 
     # starting-vector tie-break to the lowest index
     shifted = np.array([[2.0, 0.0], [0.0, 2.0]])
-    tspec = SpectralMatrix(v=shifted, diag_shifted=np.diag(shifted).copy(), ybar=0.0)
+    tspec = SpectralMatrix(v=shifted, ybar=0.0)
     ok &= bool(np.array_equal(initial_vector(tspec, shifted), np.array([1.0, 0.0])))
 
     # determinism round-trips: sampling and full runs

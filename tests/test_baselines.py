@@ -23,7 +23,7 @@ def _axis_prior(k, n):
     w = np.zeros((n, k))
     w[:k, :k] = np.eye(k)
     return GenerativePrior(kind="linear-subspace", k=k, n=n, r=10.0, layers=[w],
-                           activation="none", seed=0, lipschitz_proxy=1.0)
+                           seed=0, lipschitz_proxy=1.0)
 
 
 def _manual_set(sensing, y):

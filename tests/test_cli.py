@@ -137,6 +137,34 @@ def test_config_builtin_link_params_exit_code(tmp_path, capsys):
     assert "link.params" in err
 
 
+# a linear subspace has no hidden layers; its kind and the widths are both
+# valid alone, so the rule is the only thing that stops the widths being dropped
+def test_config_subspace_with_hidden_widths_exit_code(tmp_path, capsys):
+    code, err = _sweep_config_error(
+        tmp_path, capsys, {"prior": {"kind": "linear-subspace", "k": 3, "n": 12, "hidden": [8]}})
+    assert code == 2
+    assert re.search(r"(?m)^  prior\.hidden: a linear-subspace prior has no hidden widths", err)
+    assert "Traceback" not in err
+
+
+def test_gen_model_subspace_with_hidden_widths_exit_code(tmp_path, capsys):
+    model = tmp_path / "prior.json"
+    assert main(["gen-model", "--kind", "linear-subspace", "--k", "3", "--n", "12",
+                 "--hidden", "32", "--out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "hidden: a linear-subspace prior has no hidden widths" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("kind", [{}, [], 3, None], ids=["object", "list", "int", "null"])
+def test_config_non_string_kind_exit_code(tmp_path, capsys, kind):
+    # an unhashable kind must not reach a dict lookup
+    code, err = _sweep_config_error(tmp_path, capsys, {"prior": {"kind": kind}})
+    assert code == 2
+    assert "prior.kind: unknown kind" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"projection": {"learning_rate": float("nan")}}, "projection.learning_rate"),
     ({"projection": {"learning_rate": float("inf")}}, "projection.learning_rate"),
@@ -216,7 +244,7 @@ def _base_sweep_doc(rng):
     link = ("abs-noise-out", "square-sin", "custom")[rng.integers(3)]
     return {
         "prior": {"kind": kind, "k": 2, "n": int(rng.integers(6, 16)), "r": 5.0, "seed": 1,
-                  "hidden": [6]},
+                  "hidden": [6] if kind == "relu-mlp" else []},
         "link": {"name": link, "sigma": 0.1,
                  **({"params": {"square": 1.0}} if link == "custom" else {})},
         "projection": {"steps": 8, "learning_rate": 0.05, "restarts": 1,
@@ -540,7 +568,9 @@ def _kind(kind, activation):
     (_kind("relu-mlp", "tanh"), 2, "is not a prior"),
     (_kind("relu-mlp", "none"), 2, "is not a prior"),
     (_kind("linear-subspace", "relu"), 2, "is not a prior"),
-    (_kind("linear-subspace", "none"), 2, "is not a prior"),
+    (_kind("linear-subspace", "none"), 2, "a linear-subspace prior has no hidden widths"),
+    (_field("kind", {}), 2, "unknown kind {}"),
+    (_field("kind", ["relu-mlp"]), 2, "unknown kind ['relu-mlp']"),
     (_field("r", -1.0), 2, "radius"),
     (_field("r", "abc"), 2, "radius"),
     (_field("r", float("nan")), 2, "radius"),
@@ -554,9 +584,9 @@ def _kind(kind, activation):
     (_zero_k, 2, "\n  k:"),
 ], ids=["missing-key", "not-json", "layer-shapes", "nan-weight", "unknown-kind",
         "unknown-activation", "relu-mlp-without-relu", "subspace-with-relu",
-        "subspace-with-two-layers", "negative-radius", "text-radius", "nan-radius",
-        "float-k", "float-n", "text-lipschitz-proxy", "text-seed", "negative-seed",
-        "float-seed", "k-equals-n", "zero-k"])
+        "subspace-with-two-layers", "object-kind", "list-kind", "negative-radius",
+        "text-radius", "nan-radius", "float-k", "float-n", "text-lipschitz-proxy", "text-seed",
+        "negative-seed", "float-seed", "k-equals-n", "zero-k"])
 def test_malformed_model_exit_code(tmp_path, capsys, edit, code, frag):
     model = _model_file(tmp_path, edit)
     capsys.readouterr()
@@ -651,9 +681,9 @@ def _mutate_model(doc, rng):
 
 def test_run_property_random_model_files(tmp_path, capsys):
     bases = []
-    for kind in ("linear-subspace", "relu-mlp"):
+    for kind, hidden in (("linear-subspace", []), ("relu-mlp", ["--hidden", "5"])):
         path = tmp_path / f"{kind}.json"
-        main(["gen-model", "--kind", kind, "--k", "2", "--n", "8", "--hidden", "5",
+        main(["gen-model", "--kind", kind, "--k", "2", "--n", "8", *hidden,
               "--seed", "3", "--out", str(path)])
         bases.append(path.read_text())
     rng = np.random.default_rng(77)
@@ -687,10 +717,9 @@ def test_run_property_random_model_files(tmp_path, capsys):
             again = load_prior(back)
             assert all(np.array_equal(a, b) for a, b in zip(again.layers, prior.layers))
             assert len(again.layers) == len(prior.layers)
-            assert (again.kind, again.k, again.n, again.r, again.activation, again.seed,
+            assert (again.kind, again.k, again.n, again.r, again.seed,
                     again.lipschitz_proxy) == (prior.kind, prior.k, prior.n, prior.r,
-                                               prior.activation, prior.seed,
-                                               prior.lipschitz_proxy), (case, doc)
+                                               prior.seed, prior.lipschitz_proxy), (case, doc)
     assert {0, 2, 3} <= set(codes)
 
 

@@ -321,14 +321,21 @@ def test_svg_degenerate_ranges_widen(tmp_path, rows, polyline):
     assert f'<polyline points="{polyline}' in path.read_text()
 
 
+_MISSING = object()   # a key the row lacks
+
+
 @pytest.mark.parametrize("bad", [dict(m=0), dict(m=2.5), dict(mean=float("inf")),
                                  dict(mean=float("nan")), dict(mean=-0.1), dict(stderr=-1.0),
-                                 dict(stderr=float("nan")), dict(mean=1e308, stderr=1e308)],
+                                 dict(stderr=float("nan")), dict(mean=1e308, stderr=1e308),
+                                 dict(m=_MISSING), dict(algorithm=_MISSING),
+                                 dict(mean=_MISSING), dict(stderr=_MISSING)],
                          ids=["m-0", "m-float", "mean-inf", "mean-nan", "mean-negative",
-                              "stderr-negative", "stderr-nan", "sum-overflows"])
+                              "stderr-negative", "stderr-nan", "sum-overflows", "no-m",
+                              "no-algorithm", "no-mean", "no-stderr"])
 def test_svg_rejects_rows_that_break_the_aggregate_rule(tmp_path, bad):
+    row = {"m": 200, "algorithm": "a", "mean": 0.3, "stderr": 0.1, **bad}
     rows = [{"m": 100, "algorithm": "a", "mean": 0.5, "stderr": 0.1},
-            {"m": 200, "algorithm": "a", "mean": 0.3, "stderr": 0.1, **bad}]
+            {key: value for key, value in row.items() if value is not _MISSING}]
     with pytest.raises(ConfigurationError, match="aggregate row"):
         render_sweep_svg(rows, tmp_path / "x.svg")
     assert not (tmp_path / "x.svg").exists()

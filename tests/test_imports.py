@@ -1,5 +1,6 @@
 """Every name a genphase module, test or demo imports at the top level is
-used in it, and importing the package loads no scipy module."""
+used in it, every top-level function, class and constant of a genphase
+module is used somewhere, and importing the package loads no scipy module."""
 
 import ast
 import os
@@ -32,6 +33,37 @@ def test_no_unused_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def _defined_names(tree):
+    """The module-level functions, classes and constants a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _read_names(tree):
+    """The names read in a file: loaded variables and attributes.  A
+    definition, an assignment target or an import reads nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_definition():
+    # src, tests, demos and the benchmark harness all count as users
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    read = {name for p in files for name in _read_names(ast.parse(p.read_text()))}
+    dead = {p.name: names for p in MODULES
+            if (names := sorted(set(_defined_names(ast.parse(p.read_text()))) - read))}
+    assert not dead, f"defined but never used: {dead}"
 
 
 def test_package_imports_no_scipy():

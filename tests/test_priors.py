@@ -127,6 +127,16 @@ def test_projection_overflow_is_a_numerical_error(kind):
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericalError, match="overflows"):
                 projection_loss_grad(prior, np.ones(3), np.full(12, 1e200))
+    else:
+        # W W^T v stays finite, but the distance from v to its projection
+        # overflows: v is huge only outside the range
+        w = prior.layers[0]
+        u = np.random.default_rng(0).standard_normal(12)
+        u -= w.dot(u.dot(w))
+        u /= np.linalg.norm(u)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="overflows"):
+                project_exact(prior, 1e160 * u + w[:, 0])
 
 
 def test_project_exact_beats_random_range_points():
@@ -255,7 +265,10 @@ def test_prior_roundtrip_file(tmp_path):
         save_prior(prior, path)
         back = load_prior(path)
         assert back.kind == prior.kind and back.k == prior.k and back.n == prior.n
-        assert back.r == prior.r and back.activation == prior.activation
+        assert back.r == prior.r
+        # the file names the kind's activation
+        assert json.loads(path.read_text())["activation"] == \
+            {"linear-subspace": "none", "relu-mlp": "relu"}[prior.kind]
         z = np.random.default_rng(15).standard_normal(5)
         assert np.array_equal(evaluate(back, z), evaluate(prior, z))
 
@@ -324,7 +337,7 @@ def _ref_hidden(prior, z):
     for w in prior.layers[:-1]:
         pre = w @ a
         pres.append(pre)
-        a = np.maximum(pre, 0.0) if prior.activation == "relu" else pre
+        a = np.maximum(pre, 0.0)
     return a, pres
 
 
@@ -339,9 +352,7 @@ def _ref_evaluate(prior, z):
 
 def _ref_backprop(prior, g, pres):
     for l in range(len(pres) - 1, -1, -1):
-        if prior.activation == "relu":
-            g = g * (pres[l] > 0)
-        g = prior.layers[l].T @ g
+        g = prior.layers[l].T @ (g * (pres[l] > 0))
     return g
 
 

@@ -34,7 +34,7 @@ def test_build_single_measurement_formula():
     data = _manual_set([[1.0, 0.0]], [2.0])
     spec = build_spectral_matrix(data)
     assert np.array_equal(spec.v, np.diag([0.0, -2.0]))
-    assert np.array_equal(spec.diag_shifted, np.array([2.0, 0.0]))
+    assert np.array_equal(np.diag(shifted_matrix(spec)), np.array([2.0, 0.0]))
     assert spec.ybar == 2.0
 
 
@@ -52,8 +52,13 @@ def test_shifted_matrix_consistency():
     data = sample_measurements(LinkModel("square-noise", 0.2), x, 300, seed=2)
     spec = build_spectral_matrix(data)
     full = shifted_matrix(spec)
-    assert np.allclose(np.diag(full), spec.diag_shifted, atol=1e-12)
+    assert np.allclose(np.diag(full), _naive_diag_shifted(data), atol=1e-12)
     assert np.allclose(full - spec.ybar * np.eye(6), spec.v, atol=1e-12)
+
+
+def _naive_diag_shifted(data):
+    """The diagonal of (1/m) sum_i y_i a_i a_i^T: the mean of y * a^2."""
+    return np.mean(data.observations[:, None] * data.sensing ** 2, axis=0)
 
 
 def _naive_v(data):
@@ -84,11 +89,10 @@ def _check_against_naive(data):
     else:
         assert spec.gram is None
     assert spec.ybar == data.observations.mean()
-    # the +-ybar shift of the diagonal round-trips to within one rounding
+    # shifting V's diagonal back by ybar gives the naive shifted diagonal
     full = shifted_matrix(spec)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(np.diag(full) - spec.diag_shifted)
-                  <= eps * (np.abs(spec.diag_shifted) + abs(spec.ybar)))
+    ref_diag = _naive_diag_shifted(data)
+    assert np.abs(np.diag(full) - ref_diag).max() <= 1e-12 * np.abs(ref_diag).max()
     off = ~np.eye(data.n, dtype=bool)
     assert np.array_equal(full[off], spec.v[off])
     return spec
@@ -151,7 +155,6 @@ def test_build_single_block_equals_one_gemm():
     shifted = a.T @ (a * y[:, None]) / data.m
     shifted = np.triu(shifted) + np.triu(shifted, 1).T
     spec = build_spectral_matrix(data)
-    assert np.array_equal(spec.diag_shifted, np.diag(shifted))
     assert np.array_equal(spec.v, shifted - spec.ybar * np.eye(30))
 
 
@@ -184,7 +187,7 @@ def test_spectral_concentration_single_seed():
 
 def test_initial_vector_argmax_column():
     shifted = np.array([[1.0, 0.5], [0.5, 3.0]])
-    spec = SpectralMatrix(v=shifted - np.eye(2), diag_shifted=np.diag(shifted).copy(), ybar=1.0)
+    spec = SpectralMatrix(v=shifted - np.eye(2), ybar=1.0)
     w0 = initial_vector(spec, shifted)
     expect = shifted[:, 1] / np.linalg.norm(shifted[:, 1])
     assert np.allclose(w0, expect, atol=1e-15)
@@ -192,7 +195,7 @@ def test_initial_vector_argmax_column():
 
 def test_initial_vector_tie_breaks_low_index():
     shifted = np.array([[2.0, 0.0, 0.1], [0.0, 2.0, 0.0], [0.1, 0.0, 1.0]])
-    spec = SpectralMatrix(v=shifted, diag_shifted=np.diag(shifted).copy(), ybar=0.0)
+    spec = SpectralMatrix(v=shifted, ybar=0.0)
     w0 = initial_vector(spec, shifted)
     expect = shifted[:, 0] / np.linalg.norm(shifted[:, 0])
     assert np.array_equal(w0, expect)
@@ -200,9 +203,20 @@ def test_initial_vector_tie_breaks_low_index():
 
 def test_initial_vector_zero_column_fallback():
     shifted = np.zeros((3, 3))
-    spec = SpectralMatrix(v=shifted, diag_shifted=np.zeros(3), ybar=0.0)
+    spec = SpectralMatrix(v=shifted, ybar=0.0)
     w0 = initial_vector(spec, shifted)
     assert np.array_equal(w0, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_initial_vector_column_is_the_naive_argmax(seed):
+    # the start column is where the naive mean(y * a^2) peaks, although the
+    # build ranks V's diagonal, which is shifted by ybar
+    data = _random_set(300, 25, seed=20 + seed)
+    spec = build_spectral_matrix(data)
+    j = int(np.argmax(_naive_diag_shifted(data)))
+    col = shifted_matrix(spec)[:, j]
+    assert np.array_equal(initial_vector(spec, shifted_matrix(spec)), col / np.linalg.norm(col))
 
 
 def test_initial_vector_mean_correlation():
@@ -232,7 +246,7 @@ def test_projected_power_rank_one_one_step():
     prior = linear_subspace_prior(5, 30, seed=1)
     x = _range_signal(prior, latent_seed=3)
     v = 0.8 * np.outer(x, x)
-    spec = SpectralMatrix(v=v, diag_shifted=np.diag(v).copy(), ybar=0.0)
+    spec = SpectralMatrix(v=v, ybar=0.0)
     w0 = x + 0.3 * np.random.default_rng(4).standard_normal(30)
     assert x @ w0 > 0
     states = projected_power(spec, prior, w0, 1, truth=x)
@@ -242,7 +256,7 @@ def test_projected_power_rank_one_one_step():
 def test_projected_power_identity_fixed_point():
     prior = linear_subspace_prior(5, 30, seed=1)
     x = _range_signal(prior, latent_seed=5)
-    spec = SpectralMatrix(v=np.eye(30), diag_shifted=np.ones(30), ybar=0.0)
+    spec = SpectralMatrix(v=np.eye(30), ybar=0.0)
     states = projected_power(spec, prior, x, 3)
     for s in states:
         assert np.allclose(s.iterate, x, atol=1e-9)
@@ -276,7 +290,7 @@ def test_projected_power_determinism():
 
 def test_projected_power_rejects_zero_iterations():
     prior = linear_subspace_prior(5, 50, seed=2)
-    spec = SpectralMatrix(v=np.eye(50), diag_shifted=np.ones(50), ybar=0.0)
+    spec = SpectralMatrix(v=np.eye(50), ybar=0.0)
     with pytest.raises(ConfigurationError, match="t1: must be an integer >= 1"):
         projected_power(spec, prior, np.ones(50), 0)
 
