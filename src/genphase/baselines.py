@@ -21,7 +21,7 @@ import numpy as np
 from .errors import is_finite_number, raise_problems, seed_key_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
-from .refine import run_refine, t2_problems
+from .refine import run_refine, stream_products, t2_problems
 from .runtrace import RunTrace, step_at
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, \
@@ -53,10 +53,10 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
     with sign(0) = +1."""
     raise_problems(tau_problems(tau))
     x_t = np.asarray(state, dtype=float)
-    g = data.sensing @ x_t
-    s = np.where(g >= 0, 1.0, -1.0)
-    resid = g - data.observations * s
-    x_til = x_t - (tau / data.m) * (data.sensing.T @ resid)
+    y = data.observations
+    grad = stream_products(data.sensing, x_t,
+                           lambda g, rows: g - y[rows] * np.where(g >= 0, 1.0, -1.0))
+    x_til = x_t - (tau / data.m) * grad
     return project(prior, x_til, proj_cfg, seed=seed).point
 
 

@@ -15,10 +15,11 @@ plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
 When the caller will run enough refinement steps on the same measurements,
 the same pass also accumulates the Gram matrix G = A^T A / m (another n^2
 floats and as many flops again).  A refinement step then costs 4n^2 flops
-from G and V instead of 4mn from two passes over A (see refine.py).  The
-build pays for G when 2 * refine_steps * (m - n) > m * n, the flop
-break-even between one extra 2mn^2 build and saving 4n(m - n) per step; it
-never holds for m <= n.
+from G and V instead of an m-space step's one streamed pass over A (see
+refine.py).  The build pays for G when 2 * refine_steps * (m - n) > m * n,
+the flop break-even between one extra 2mn^2 build and saving 4n(m - n) per
+step against a 4mn m-space step; it never holds for m <= n.  The streamed
+m-space step does 6mn flops, but its time is that of one read of A.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def _block_sizes(n: int) -> tuple[int, int]:
 def gram_pays_off(m: int, n: int, refine_steps: int) -> bool:
     """Whether building G = A^T A / m (2mn^2 flops) beside V costs less than
     the 4n(m - n) flops per step it saves over refine_steps refinement
-    steps."""
+    steps, counting an m-space step as 4mn flops.  A flop rule: the build is
+    compute-bound, and the streamed m-space step is bound by its one read
+    of A."""
     return 2 * refine_steps * (m - n) > m * n
 
 

@@ -1,18 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, LinkModel, MeasurementSet,
-                      Step, build_spectral_matrix, empirical_mean_y,
-                      estimate_nu_hat, evaluate, initial_vector,
-                      linear_subspace_prior, population_nu, projected_power,
+from genphase import (ConfigurationError, LinkModel, MeasurementSet, NumericalError,
+                      SpectralMatrix, Step, appgd_step, build_spectral_matrix,
+                      empirical_mean_y, estimate_nu_hat, evaluate, initial_vector,
+                      linear_subspace_prior, population_nu, project, projected_power,
                       refine_step, run_refine, sample_measurements, shifted_matrix)
+from genphase import refine
 from genphase.refine import NU_FLOOR
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# The two forms of a refinement step: two passes over A (m-space), or
+# The two forms of a refinement step: one streamed pass over A (m-space), or
 # products with V and the Gram matrix A^T A / m (n-space).  The trajectory
 # and convergence checks below run each form in turn.
 FORMS = ("m-space", "n-space")
@@ -237,38 +242,220 @@ def test_run_refine_rejects_bad_t2():
                 run_refine(data, prior, x, t2, fixed=fixed)
 
 
-def _counting(sensing):
-    """sensing as an ndarray subclass that counts its products with vectors
-    (its transpose is a view of the same subclass, so A^T r counts too)."""
-    class Counting(np.ndarray):
-        matmuls = 0
+# Row budgets of the m-space stream for the m = 300, n = 40 sets below (a row
+# is 8 * 40 = 320 bytes): the default, whose block rows exceed m; block rows
+# equal to m; block rows that m is not a multiple of (4 * 64 + 44); and one
+# row per block (a budget below one row).
+BUDGETS = {"below": None, "equal": 300 * 320, "not-a-multiple": 64 * 320, "one-row": 8}
 
-        def __matmul__(self, other):
-            Counting.matmuls += 1
-            return np.asarray(self) @ other
 
-    return np.asarray(sensing).view(Counting)
+def _set_budget(monkeypatch, budget):
+    if BUDGETS[budget] is not None:
+        monkeypatch.setattr(refine, "_STREAM_BYTES", BUDGETS[budget])
+
+
+def _block_rows(budget, m=300, n=40):
+    return min(m, max(1, (BUDGETS[budget] or refine._STREAM_BYTES) // (8 * n)))
+
+
+def _recording(sensing, log):
+    """sensing as an ndarray subclass that appends (kind, first row, rows,
+    vectors) to log for every product with it or one of its row blocks:
+    forward when it is the left operand (A_b x), else backward (R_b A_b,
+    with R_b one vector or a stack of them)."""
+    base = np.asarray(sensing)
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                for pos, arr in enumerate(inputs):
+                    if isinstance(arr, Recording):
+                        first = (arr.ctypes.data - base.ctypes.data) // base.strides[0]
+                        other = np.shape(inputs[1 - pos])
+                        log.append(("forward", first, arr.shape[0], 1) if pos == 0 else
+                                   ("backward", first, arr.shape[0],
+                                    other[0] if len(other) == 2 else 1))
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    return base.view(Recording)
+
+
+def _passes(log, m):
+    """Split a product log into passes over A, checking that each pass reads
+    the row blocks of A in order, each once forward, with every backward
+    product on the block just read forward.  Returns, per pass and block,
+    the block's rows and the vector count of each backward product."""
+    passes = []
+    for kind, first, rows, vectors in log:
+        if kind == "forward":
+            if first == 0:
+                passes.append([])
+            assert passes and first == sum(r for r, _ in passes[-1]), log
+            passes[-1].append([rows, []])
+        else:
+            assert passes and [first, rows] == [sum(r for r, _ in passes[-1][:-1]),
+                                                passes[-1][-1][0]], log
+            passes[-1][-1][1].append(vectors)
+    assert all(sum(r for r, _ in p) == m for p in passes), log
+    return passes
+
+
+def _one_pass(rows, vectors, m=300):
+    """The blocks of one pass over m rows in blocks of rows, each read
+    backward once, by a product with the given number of vectors."""
+    return [[min(rows, m - r0), [vectors]] for r0 in range(0, m, rows)]
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("t2", [0, 1, 4])
-def test_run_refine_products_with_a(fixed, t2):
-    # m-space: two products with A per step and none more, since the t=0
-    # nu_hat comes from the first step's A x0; only t2 = 0 estimates it
-    # on its own.  n-space: no product with A at all.
+def test_run_refine_products_with_a(t2, fixed, monkeypatch):
+    # m-space: one streamed pass per step, each row block read forward once
+    # and then backward once, for g and ytil together (A^T g and A^T ytil),
+    # while it is in cache; the t=0 nu_hat comes from the first step's pass,
+    # and only t2 = 0 estimates it in a pass of its own.  n-space: no
+    # product with A at all.
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
     spec = _spec(data, "n-space")
-    data.sensing = _counting(data.sensing)
-    counter = type(data.sensing)
-    states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
-    assert counter.matmuls == (2 * t2 if t2 else 1)
-    counter.matmuls = 0
-    nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
-    assert counter.matmuls == (0 if t2 else 1)
-    assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
-    assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
+    log = []
+    data.sensing = _recording(data.sensing, log)
+    for budget in BUDGETS:
+        with monkeypatch.context() as patch:
+            _set_budget(patch, budget)
+            log.clear()
+            states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
+            assert _passes(log, 300) == [_one_pass(_block_rows(budget), 2)] * max(t2, 1)
+            log.clear()
+            nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
+            assert len(_passes(log, 300)) == (0 if t2 else 1)
+            assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
+            assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
+
+
+def _stream_problem():
+    """A prior, an m = 300, n = 40 measurement set and a start off the signal."""
+    prior = linear_subspace_prior(5, 40, seed=3)
+    x = _range_signal(prior, latent_seed=4)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=11)
+    start = x + 0.3 * np.random.default_rng(12).standard_normal(40)
+    return prior, data, start / np.linalg.norm(start)
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+def test_appgd_step_reads_a_once(budget, monkeypatch):
+    _set_budget(monkeypatch, budget)
+    prior, data, start = _stream_problem()
+    log = []
+    data.sensing = _recording(data.sensing, log)
+    appgd_step(data, start, prior, 0.9)
+    assert _passes(log, 300) == [_one_pass(_block_rows(budget), 1)]
+
+
+def _two_pass_refine(data, ybar, x, frozen_nu=None):
+    """nu_hat and the pre-projection of an m-space step, from g = A x and a
+    second pass for A^T (nu g - ytil)."""
+    g = data.sensing @ x
+    ytil = (data.observations - ybar) * g
+    nu_hat = float(np.mean(ytil * g))
+    nu = nu_hat if frozen_nu is None else frozen_nu
+    zeta = 1.0 / max(nu, NU_FLOOR)
+    return nu_hat, x - (zeta / data.m) * (data.sensing.T @ (nu * g - ytil))
+
+
+def _two_pass_appgd(data, x, tau):
+    """The pre-projection of an appgd step, from g = A x and A^T r."""
+    g = data.sensing @ x
+    resid = g - data.observations * np.where(g >= 0, 1.0, -1.0)
+    return x - (tau / data.m) * (data.sensing.T @ resid)
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+@pytest.mark.parametrize("frozen", [None, 0.4], ids=["adaptive", "fixed"])
+def test_streamed_refine_step_matches_two_passes(frozen, budget, monkeypatch):
+    _set_budget(monkeypatch, budget)
+    prior, data, start = _stream_problem()
+    ybar = empirical_mean_y(data)
+    nu_hat, target = _two_pass_refine(data, ybar, start, frozen)
+    step = refine_step(data, ybar, Step(iterate=start, t=0), prior, frozen_nu=frozen)
+    assert _close(target, step.pre_projection)
+    assert estimate_nu_hat(data, ybar, start) == pytest.approx(nu_hat, rel=1e-12)
+    assert step.nu_hat == (pytest.approx(nu_hat, rel=1e-12) if frozen is None else frozen)
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+def test_streamed_appgd_step_matches_two_passes(budget, monkeypatch):
+    _set_budget(monkeypatch, budget)
+    prior, data, start = _stream_problem()
+    expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
+    assert _close(expect, appgd_step(data, start, prior, 0.9))
+
+
+def test_single_block_appgd_step_keeps_the_two_pass_bits():
+    # one block: its products are A x and r^T A, and r^T A is A^T r bit for bit
+    prior, data, start = _stream_problem()
+    assert _block_rows("below") == data.m
+    expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
+    assert np.array_equal(appgd_step(data, start, prior, 0.9), expect)
+
+
+# Several row blocks at the default budget (262 rows at n = 500), each large
+# enough for OpenBLAS to split a product across threads.
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from genphase import (LinkModel, Step, appgd_step, empirical_mean_y, evaluate,
+                      linear_subspace_prior, refine_step, sample_measurements)
+prior = linear_subspace_prior(5, 500, seed=2)
+x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
+data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
+start = x + 0.3 * np.random.default_rng(2).standard_normal(500)
+state = Step(iterate=start / np.linalg.norm(start), t=0)
+ybar = empirical_mean_y(data)
+steps = [refine_step(data, ybar, state, prior, frozen_nu=f) for f in (None, 0.4)]
+out = [a for s in steps for a in (s.pre_projection, s.iterate, np.array([s.nu_hat, s.zeta]))]
+out.append(appgd_step(data, state.iterate, prior, 0.9))
+sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
+"""
+
+
+def test_streamed_steps_ignore_the_blas_thread_count():
+    assert 3000 > refine._STREAM_BYTES // (8 * 500) > 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+            for threads in (1, 2)]
+    assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("t2", [0, 1, 3])
+def test_non_finite_nu_hat_is_a_numerical_error_in_m_space(t2, fixed):
+    # the mean of +-1e307 observations overflows, and with it nu_hat
+    prior = linear_subspace_prior(3, 12, seed=1)
+    x = _range_signal(prior, latent_seed=0)
+    a = np.random.default_rng(1).standard_normal((40, 12))
+    data = _manual_set(a, np.r_[np.full(30, 1e307), np.full(10, -1e307)])
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="nu_hat"):
+            run_refine(data, prior, x, t2, fixed=fixed)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
+def test_non_finite_nu_hat_is_a_numerical_error_in_n_space(fixed):
+    # V x, and so x^T V x, overflows for a hand-built V = 1e308 s s^T with
+    # s = sign(x): x^T V x = 1e308 (sum |x_i|)^2 and sum |x_i| > |x| = 1
+    prior = linear_subspace_prior(3, 12, seed=1)
+    x = _range_signal(prior, latent_seed=0)
+    data = _manual_set(np.random.default_rng(1).standard_normal((40, 12)), np.ones(40))
+    s = np.sign(x)
+    spec = SpectralMatrix(v=1e308 * np.outer(s, s), ybar=1.0, gram=np.eye(12))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="nu_hat"):
+            run_refine(data, prior, x, 1, fixed=fixed, spec=spec)
 
 
 def _close(a, b, rel=1e-12):
