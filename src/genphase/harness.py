@@ -246,8 +246,8 @@ class SweepResult:
 def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
     """Initial vector policy across restarts: the spectral start, its
     negation, then random range elements.  With an exact (deterministic)
-    projector this is what makes restarts informative; it also resolves the
-    x vs -x ambiguity of even links by best-of-restarts selection."""
+    projector this is what makes restarts informative, and the +-w0 pair
+    gives a restart rule both signs to choose from under an even link."""
     if restart == 0:
         return w0
     if restart == 1:
@@ -257,44 +257,52 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
                    seed=[master_seed, m_index, trial, restart, ROLE_INIT]).point
 
 
-def run_experiment(cfg: ExperimentConfig) -> SweepResult:
-    """Full sweep: for each (m, trial) draw a fresh signal and measurement
-    set, run every algorithm with cfg.restarts initializations, and keep the
-    restart with the smallest final error per (m, algorithm, trial), an
-    oracle selection that uses the ground truth.  The cell's spectral build
-    also makes the Gram matrix for n-space refinement when the refinement
-    steps of all its restarts pay for it (spectral.gram_pays_off)."""
-    validate_config(cfg)
-    prior = build_prior(cfg)
-    link = _link(cfg)
-    # every restart of every algorithm refines on the same cell's V (and G)
+def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int) -> dict:
+    """Solve one (m, trial) cell of a validated config: draw its signal and
+    measurements, build V once (with the Gram matrix when the refinement steps
+    of every restart of every algorithm pay for it, spectral.gram_pays_off),
+    take w0 once and run each algorithm from each _restart_start.  Returns
+    {algorithm: [RunTrace per restart]} in config order; A and V are freed on return."""
     refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
                                       for a in cfg.algorithms)
+    x = draw_signal(prior, cfg.master_seed, m_index, trial)
+    data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
+                               flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
+    spec = build_spectral_matrix(data, refine_steps=refine_steps)
+    w0 = initial_vector(spec, shifted_matrix(spec))
+    traces = {algo: [] for algo in cfg.algorithms}
+    for algo_index, algo in enumerate(cfg.algorithms):
+        for restart in range(cfg.restarts):
+            start = _restart_start(prior, spec, w0, cfg.master_seed, m_index, trial, restart)
+            traces[algo].append(run_algorithm(
+                algo, data, prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
+                tau=cfg.tau, spec=spec, w0_override=start,
+                seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
+                                   ROLE_ALGO + algo_index])))
+    return traces
+
+
+def oracle_restart(traces) -> int:
+    """The restart rule of a sweep: the index of the trace with the smallest
+    final_error, the lowest index on a tie.  final_error is the distance to
+    the true signal, so this rule reads the ground truth (oracle selection):
+    it reports the best restart, not one a user without x could pick."""
+    return min(range(len(traces)), key=lambda restart: traces[restart].final_error)
+
+
+def run_experiment(cfg: ExperimentConfig) -> SweepResult:
+    """Full sweep: solve every (m, trial) cell (solve_cell) and report, per
+    (m, algorithm, trial), the restart that oracle_restart picks; then
+    aggregate over trials and fit the log-log slopes."""
+    validate_config(cfg)
+    prior = build_prior(cfg)
     rows = []
     for m_index, m in enumerate(cfg.m_grid):
         for trial in range(cfg.trials):
-            x = draw_signal(prior, cfg.master_seed, m_index, trial)
-            data = sample_measurements(
-                link, x, m, flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
-            spec = build_spectral_matrix(data, refine_steps=refine_steps)
-            w0 = initial_vector(spec, shifted_matrix(spec))
-            for algo_index, algo in enumerate(cfg.algorithms):
-                best = None
-                for restart in range(cfg.restarts):
-                    start = _restart_start(prior, spec, w0, cfg.master_seed,
-                                           m_index, trial, restart)
-                    trace = run_algorithm(
-                        algo, data, prior, t1=cfg.t1, t2=cfg.t2,
-                        proj_cfg=cfg.projection, tau=cfg.tau,
-                        seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
-                                           ROLE_ALGO + algo_index]),
-                        spec=spec, w0_override=start)
-                    if best is None or trace.final_error < best[1]:
-                        best = (restart, trace.final_error)
+            for algo, traces in solve_cell(cfg, prior, m_index, trial).items():
+                best = oracle_restart(traces)
                 rows.append({"m": m, "algorithm": algo, "trial": trial,
-                             "restart": best[0], "final_error": best[1]})
-            # Free A and V before the next trial draws its own.
-            del data, spec
+                             "restart": best, "final_error": traces[best].final_error})
     aggregates = []
     for m in cfg.m_grid:
         for algo in cfg.algorithms:
@@ -338,11 +346,15 @@ _ROW_RULES = dict(zip(_SWEEP_BLOCKS, (trial_row_problems, aggregate_problems)))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
+    """Write the sweep CSV, or raise a ConfigurationError and write nothing
+    when a row breaks its block's rule, which read_sweep_csv would refuse."""
     if not result.rows:
         raise ConfigurationError("empty sweep result; nothing to write")
+    blocks = list(zip(_SWEEP_BLOCKS.items(), (result.rows, result.aggregates)))
+    raise_problems([problem for (header, _), block in blocks for row in block
+                    for problem in _ROW_RULES[header](row)], f"cannot write sweep CSV {path}:")
     with open(path, "w") as fh:
-        for (header, kinds), block in zip(_SWEEP_BLOCKS.items(),
-                                          (result.rows, result.aggregates)):
+        for (header, kinds), block in blocks:
             fh.write(header + "\n")
             for r in block:
                 fh.write(",".join(format_cell(r[key]) if kind is float else str(r[key])
@@ -378,7 +390,9 @@ def read_sweep_csv(path):
 
 def emit_outputs(result: SweepResult, fmt: str, path) -> Path:
     """Write the sweep result as `csv` or `svg`.  Errors out (writing
-    nothing) on an empty result."""
+    nothing) on an empty result or on a row its reader would refuse: a CSV
+    row that breaks its block's rule (trial_row_problems,
+    svg.aggregate_problems) or an SVG aggregate row that breaks the latter."""
     path = Path(path)
     if fmt == "csv":
         write_sweep_csv(result, path)

@@ -8,7 +8,8 @@ from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataErro
                       ProjectionConfig, config_from_dict, config_from_file, draw_signal,
                       emit_outputs, fit_slope, read_sweep_csv, run_experiment, validate_config)
 from genphase.baselines import run_problems
-from genphase.harness import build_prior, t_quantile_975
+from genphase.harness import build_prior, oracle_restart, solve_cell, t_quantile_975
+from genphase.runtrace import RunTrace
 from genphase.svg import render_sweep_svg
 
 
@@ -237,6 +238,55 @@ def test_best_of_restarts_never_hurts():
     two = run_experiment(_tiny_cfg(restarts=2))
     for a, b in zip(one.rows, two.rows):
         assert b["final_error"] <= a["final_error"] + 1e-12
+
+
+@pytest.mark.parametrize("prior", [dict(prior_kind="relu-mlp", hidden=(8,),
+                                        projection=ProjectionConfig(steps=5)),
+                                   dict(prior_kind="linear-subspace")],
+                         ids=["relu-mlp", "linear-subspace"])
+def test_solve_cell_traces_and_oracle_rule_give_the_rows(prior):
+    # a cell's traces: cfg.restarts per algorithm, in config order; the
+    # sweep's rows are the oracle rule applied to them, cell by cell
+    cfg = _tiny_cfg(algorithms=("appgd", "mprg"), restarts=3, **prior)
+    prior_obj = build_prior(cfg)
+    rows = []
+    for m_index, m in enumerate(cfg.m_grid):
+        for trial in range(cfg.trials):
+            cell = solve_cell(cfg, prior_obj, m_index, trial)
+            assert list(cell) == list(cfg.algorithms)
+            for algo, traces in cell.items():
+                assert len(traces) == cfg.restarts
+                assert all(t.algorithm == algo for t in traces)
+                best = oracle_restart(traces)
+                rows.append({"m": m, "algorithm": algo, "trial": trial,
+                             "restart": best, "final_error": traces[best].final_error})
+    assert run_experiment(cfg).rows == rows
+
+
+def test_oracle_restart_breaks_ties_to_the_lowest_restart():
+    def traces(*errors):
+        return [RunTrace(algorithm="mprg", final_error=e) for e in errors]
+
+    assert oracle_restart(traces(0.3, 0.2, 0.2, 0.5)) == 1
+    assert oracle_restart(traces(0.2, 0.2)) == 0
+    assert oracle_restart(traces(0.4, 0.3, 0.1)) == 2
+    assert oracle_restart(traces(0.7)) == 0
+
+
+@pytest.mark.parametrize("block, bad", [("rows", dict(final_error=float("nan"))),
+                                        ("rows", dict(restart=-1)),
+                                        ("aggregates", dict(mean=float("nan")))],
+                         ids=["nan-error", "negative-restart", "nan-mean"])
+def test_sweep_csv_writer_refuses_what_its_reader_refuses(tmp_path, block, bad):
+    from genphase.harness import SweepResult
+    rows = [{"m": 60, "algorithm": "mprg", "trial": 0, "restart": 0, "final_error": 0.5}]
+    aggregates = [{"m": 60, "algorithm": "mprg", "mean": 0.5, "stderr": 0.0}]
+    result = SweepResult(rows=rows, aggregates=aggregates, slopes={})
+    getattr(result, block)[0].update(bad)
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigurationError, match="cannot write sweep CSV"):
+        emit_outputs(result, "csv", path)
+    assert not path.exists()
 
 
 def test_sweep_csv_round_trip(tmp_path):
