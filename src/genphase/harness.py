@@ -5,6 +5,12 @@ emission.
 Every random stream is derived from the master seed through SeedSequence
 keys of the form [master_seed, m_index, trial, restart, role], so the whole
 experiment is a pure function of its configuration.
+
+A linear-subspace cell is solved in k+1 coordinates (spectral.
+reduce_to_subspace): the n-space V is built only for the spectral start w0,
+and one O(mnk) reduction replaces every later pass over A.  The extra basis
+vector beside W is w0's residual off range(W), which the first power step
+multiplies; with it every record matches the n-space solve up to rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, pri
     project
 from .runtrace import format_cell
 from .seeds import flatten_seed
-from .spectral import build_spectral_matrix, initial_vector, shifted_matrix
+from .spectral import build_spectral_matrix, initial_vector, reduce_to_subspace, \
+    shifted_matrix
 from .svg import aggregate_problems, render_sweep_svg
 
 # Substream roles (last element of the SeedSequence key).
@@ -259,26 +266,38 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
 
 def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int) -> dict:
     """Solve one (m, trial) cell of a validated config: draw its signal and
-    measurements, build V once (with the Gram matrix when the refinement steps
-    of every restart of every algorithm pay for it, spectral.gram_pays_off),
-    take w0 once and run each algorithm from each _restart_start.  Returns
-    {algorithm: [RunTrace per restart]} in config order; A and V are freed on return."""
+    measurements, build V once, take w0 once and run each algorithm from each
+    _restart_start.  A linear-subspace cell's V serves w0 alone: the cell is
+    solved in k+1 coordinates (spectral.reduce_to_subspace), each start
+    entering as basis^T start and each final_iterate mapped back.  The
+    matrices the solves use carry the Gram matrix when the refinement steps
+    of every restart of every algorithm pay for it (spectral.gram_pays_off).
+    Returns {algorithm: [RunTrace per restart]} in config order; A and V are
+    freed on return."""
     refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
                                       for a in cfg.algorithms)
+    subspace = prior.kind == "linear-subspace"
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
                                flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
-    spec = build_spectral_matrix(data, refine_steps=refine_steps)
+    spec = build_spectral_matrix(data, refine_steps=0 if subspace else refine_steps)
     w0 = initial_vector(spec, shifted_matrix(spec))
+    reduced = reduce_to_subspace(data, prior, w0, refine_steps) if subspace else None
+    solve_data, solve_prior, solve_spec = (data, prior, spec) if reduced is None else \
+        (reduced.data, reduced.prior, reduced.spec)
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):
         for restart in range(cfg.restarts):
             start = _restart_start(prior, spec, w0, cfg.master_seed, m_index, trial, restart)
-            traces[algo].append(run_algorithm(
-                algo, data, prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
-                tau=cfg.tau, spec=spec, w0_override=start,
+            trace = run_algorithm(
+                algo, solve_data, solve_prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
+                tau=cfg.tau, spec=solve_spec,
+                w0_override=start if reduced is None else start @ reduced.basis,
                 seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
-                                   ROLE_ALGO + algo_index])))
+                                   ROLE_ALGO + algo_index]))
+            if reduced is not None:
+                trace.final_iterate = reduced.basis @ trace.final_iterate
+            traces[algo].append(trace)
     return traces
 
 

@@ -15,7 +15,8 @@ A step has two forms with the same result up to rounding:
 - m-space (the default): one streamed pass over A (stream_products) gives
   A^T g and A^T ytil for g = A x, so nu_hat = x^T A^T ytil / m and the
   gradient is (1/m) (nu_hat A^T g - A^T ytil); 6mn flops per step, with A
-  read from memory once.
+  read from memory once.  With nu frozen, the pass streams the one residual
+  nu g - ytil instead (4mn flops).
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix
   G = A^T A / m (see spectral.gram_pays_off):
   nu_hat = x^T V x + ybar (x^T x - x^T G x) and the gradient
@@ -107,17 +108,22 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
     nu_hat inside the gradient and the step size."""
     x_t = state.iterate
     gram = spec.gram if spec is not None else None
-    if gram is None:
-        nu_hat, atg, aty = _m_space_moments(data, ybar, x_t)
-    else:
+    if gram is not None:
         gx = gram @ x_t
         vx = spec.v @ x_t
-        nu_hat = _finite_nu(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
-    nu = nu_hat if frozen_nu is None else frozen_nu
+        nu = frozen_nu if frozen_nu is not None else \
+            _finite_nu(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
+    elif frozen_nu is None:
+        nu, atg, aty = _m_space_moments(data, ybar, x_t)
+        resid = nu * atg - aty
+    else:   # a frozen nu needs no nu_hat: stream the one row nu g - ytil
+        nu, y = frozen_nu, data.observations
+        resid = stream_products(data.sensing, x_t,
+                                lambda g, rows: nu * g - (y[rows] - ybar) * g)
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
     if gram is None:
-        x_til = x_t - (zeta / data.m) * (nu * atg - aty)
+        x_til = x_t - (zeta / data.m) * resid
     else:
         x_til = x_t - zeta * ((nu + ybar) * gx - vx - ybar * x_t)
     res = project(prior, x_til, proj_cfg, seed=seed)

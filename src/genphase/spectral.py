@@ -20,6 +20,16 @@ refine.py).  The build pays for G when 2 * refine_steps * (m - n) > m * n,
 the flop break-even between one extra 2mn^2 build and saving 4n(m - n) per
 step against a 4mn m-space step; it never holds for m <= n.  The streamed
 m-space step does 6mn flops, but its time is that of one read of A.
+
+A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace).
+Every projection lands in range(W), so the power and refinement iterates are
+x = W z, and the first power step multiplies the start w0 itself, which need
+not lie in range(W).  With u the unit residual of w0 off range(W), the basis
+W^ = [W | u] spans every iterate and start.  One O(mnk) pass gives
+B^ = A W^ (m x (k+1)); V_k = W^T V W^ and G_k = W^T G W^ are built from it
+at O(m(k+1)^2), and the exact projector in these coordinates is the one of
+the basis eye(k+1, k).  Without u, W^T V W W^T w0 would stand in for
+W^T V w0, a different first step.
 """
 
 from __future__ import annotations
@@ -110,6 +120,59 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
     return SpectralMatrix(v=s, ybar=ybar, gram=gram)
+
+
+# Bytes of the row blocks A W^ is computed in: a block stays in L2 cache
+# across its k+1 GEMVs, so the pass reads A from memory once.  As GEMVs
+# (A_b @ w_j) the products gave the same bits at 1 and 2 BLAS threads, where
+# A W^ as one GEMM, or as one GEMM per block, did not.
+_REDUCE_BYTES = 1 << 20
+
+
+@dataclass
+class SubspaceReduction:
+    """A linear-subspace problem in the coordinates z of x = basis @ z."""
+    basis: np.ndarray         # n x (k+1), orthonormal columns [W | u] (W alone when u = 0)
+    data: MeasurementSet      # sensing A @ basis, signal basis^T x, the same observations
+    prior: GenerativePrior    # linear subspace with basis eye(k+1, k)
+    spec: SpectralMatrix      # built from data
+
+
+def _times_columns(a, basis) -> np.ndarray:
+    """a @ basis, as one GEMV per column of basis and row block of a."""
+    cols = np.ascontiguousarray(basis.T)
+    out = np.empty((a.shape[0], cols.shape[0]))
+    step = max(1, _REDUCE_BYTES // (8 * a.shape[1]))
+    for r0 in range(0, a.shape[0], step):
+        a_b = a[r0:r0 + step]
+        for j, col in enumerate(cols):
+            out[r0:r0 + step, j] = a_b @ col
+    return out
+
+
+def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0,
+                       refine_steps: int = 0) -> SubspaceReduction:
+    """The problem of a linear-subspace prior with basis W in the coordinates
+    of W^ = [W | u], u the unit residual of the start w0 off range(W)
+    (orthogonalized twice), or of W alone when that residual is no larger
+    than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
+    as W^T start, and an iterate z maps back as W^ z; the reduced spectral
+    matrix is build_spectral_matrix of the reduced data, with G_k when
+    refine_steps pay for it."""
+    w = prior.layers[0]
+    w0 = np.asarray(w0, dtype=float)
+    resid = w0 - w @ (w0 @ w)
+    resid -= w @ (resid @ w)
+    size = np.linalg.norm(resid)
+    if size > prior.n * np.finfo(float).eps * np.linalg.norm(w0):
+        w = np.column_stack((w, resid / size))
+    dim = w.shape[1]
+    reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w,
+                             sensing=_times_columns(data.sensing, w),
+                             observations=data.observations, seed=data.seed, link=data.link)
+    coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
+                             [np.eye(dim, prior.k)], prior.seed, 1.0)
+    return SubspaceReduction(w, reduced, coords, build_spectral_matrix(reduced, refine_steps))
 
 
 def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataError,
-                      ProjectionConfig, config_from_dict, config_from_file, draw_signal,
-                      emit_outputs, fit_slope, read_sweep_csv, run_experiment, validate_config)
-from genphase.baselines import run_problems
+                      ProjectionConfig, build_spectral_matrix, config_from_dict,
+                      config_from_file, draw_signal, emit_outputs, fit_slope, initial_vector,
+                      read_sweep_csv, run_algorithm, run_experiment, sample_measurements,
+                      shifted_matrix, validate_config)
+from genphase.baselines import ALGORITHMS, refine_step_count, run_problems
 from genphase.harness import build_prior, oracle_restart, solve_cell, t_quantile_975
 from genphase.runtrace import RunTrace
+from genphase.seeds import flatten_seed
 from genphase.svg import render_sweep_svg
 
 
@@ -209,20 +212,34 @@ def test_run_experiment_row_cardinality():
     assert result.slopes == {"mprg": None, "ppower": None}
 
 
-def test_run_experiment_builds_for_all_refine_steps(monkeypatch):
-    # each cell's build is told the refinement steps of every restart of
-    # every algorithm: 2 restarts x (mprg t2 + step2 t1+t2 + appgd 0)
-    from genphase import harness
-    seen = []
-    build = harness.build_spectral_matrix
+@pytest.mark.parametrize("prior", [dict(prior_kind="relu-mlp", hidden=(8,),
+                                        projection=ProjectionConfig(steps=5)),
+                                   dict(prior_kind="linear-subspace")],
+                         ids=["relu-mlp", "linear-subspace"])
+def test_run_experiment_builds_for_all_refine_steps(monkeypatch, prior):
+    # the build of the matrices a cell's solves use is told the refinement
+    # steps of every restart of every algorithm: 2 restarts x (mprg t2 +
+    # step2 t1+t2 + appgd 0).  A relu-mlp cell solves with its n-space V; a
+    # linear-subspace cell's n-space V serves only the start, and its solves
+    # use the reduced build
+    from genphase import harness, spectral
+    seen = {"n-space": [], "reduced": []}
 
-    def recording(data, refine_steps=0):
-        seen.append(refine_steps)
-        return build(data, refine_steps=refine_steps)
+    def recording(where, build):
+        def record(data, refine_steps=0):
+            seen[where].append(refine_steps)
+            return build(data, refine_steps=refine_steps)
+        return record
 
-    monkeypatch.setattr(harness, "build_spectral_matrix", recording)
-    run_experiment(_tiny_cfg(algorithms=("mprg", "step2", "appgd"), t1=3, t2=4))
-    assert seen == [2 * (4 + 7 + 0)] * 4
+    monkeypatch.setattr(harness, "build_spectral_matrix",
+                        recording("n-space", harness.build_spectral_matrix))
+    monkeypatch.setattr(spectral, "build_spectral_matrix",
+                        recording("reduced", spectral.build_spectral_matrix))
+    run_experiment(_tiny_cfg(algorithms=("mprg", "step2", "appgd"), t1=3, t2=4, **prior))
+    if prior["prior_kind"] == "relu-mlp":
+        assert seen == {"n-space": [2 * (4 + 7 + 0)] * 4, "reduced": []}
+    else:
+        assert seen == {"n-space": [0] * 4, "reduced": [2 * (4 + 7 + 0)] * 4}
 
 
 def test_run_experiment_determinism():
@@ -261,6 +278,62 @@ def test_solve_cell_traces_and_oracle_rule_give_the_rows(prior):
                 rows.append({"m": m, "algorithm": algo, "trial": trial,
                              "restart": best, "final_error": traces[best].final_error})
     assert run_experiment(cfg).rows == rows
+
+
+def _n_space_cell(cfg, prior, m_index, trial):
+    """A linear-subspace cell solved in n-space, as before its reduction:
+    the same data, starts and seeds, and V with the Gram matrix when it pays."""
+    from genphase import harness
+    steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2) for a in cfg.algorithms)
+    x = draw_signal(prior, cfg.master_seed, m_index, trial)
+    data = sample_measurements(harness._link(cfg), x, cfg.m_grid[m_index],
+                               flatten_seed([cfg.master_seed, m_index, trial, harness.ROLE_MEAS]))
+    spec = build_spectral_matrix(data, refine_steps=steps)
+    w0 = initial_vector(spec, shifted_matrix(spec))
+    return {algo: [run_algorithm(algo, data, prior, t1=cfg.t1, t2=cfg.t2, tau=cfg.tau, spec=spec,
+                                 w0_override=harness._restart_start(
+                                     prior, spec, w0, cfg.master_seed, m_index, trial, restart),
+                                 seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
+                                                    harness.ROLE_ALGO + index]))
+                   for restart in range(cfg.restarts)]
+            for index, algo in enumerate(cfg.algorithms)}
+
+
+@pytest.mark.parametrize("k, n, m_grid", [(3, 12, (40, 120)), (5, 100, (250, 1000))],
+                         ids=["k3-n12", "k5-n100"])
+def test_subspace_cell_in_k_plus_1_coordinates_matches_n_space(monkeypatch, k, n, m_grid):
+    # every record to rounding, the same oracle restart, and final iterates
+    # that are unit range points; every solve sees a (k+1)-column sensing
+    # matrix, so a fall-back to n-space fails here
+    from genphase import harness
+    solve, columns = harness.run_algorithm, []
+
+    def recording(name, data, *args, **kwargs):
+        columns.append(data.sensing.shape[1])
+        return solve(name, data, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_algorithm", recording)
+    cfg = _tiny_cfg(k=k, n=n, m_grid=m_grid, trials=1, restarts=3, algorithms=ALGORITHMS)
+    prior = build_prior(cfg)
+    w = prior.layers[0]
+    for m_index in range(len(m_grid)):
+        reduced = solve_cell(cfg, prior, m_index, 0)
+        full = _n_space_cell(cfg, prior, m_index, 0)
+        for algo in ALGORITHMS:
+            assert oracle_restart(reduced[algo]) == oracle_restart(full[algo])
+            for got, want in zip(reduced[algo], full[algo]):
+                assert len(got.records) == len(want.records)
+                for r, s in zip(got.records, want.records):
+                    assert r.keys() == s.keys() and r["t"] == s["t"]
+                    assert r.get("warn") == s.get("warn")
+                    for key in ("error", "correlation", "nu_hat", "zeta"):
+                        if key in r:
+                            assert r[key] == pytest.approx(s[key], rel=1e-12, abs=0), key
+                f = got.final_iterate
+                assert f.shape == (n,) and np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(w @ (f @ w) - f) <= 1e-12
+                assert np.linalg.norm(f - want.final_iterate) <= 1e-12
+    assert columns == [k + 1] * (len(m_grid) * cfg.restarts * len(ALGORITHMS))
 
 
 def test_oracle_restart_breaks_ties_to_the_lowest_restart():

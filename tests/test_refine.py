@@ -312,8 +312,9 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
     # m-space: one streamed pass per step, each row block read forward once
     # and then backward once, for g and ytil together (A^T g and A^T ytil),
     # while it is in cache; the t=0 nu_hat comes from the first step's pass,
-    # and only t2 = 0 estimates it in a pass of its own.  n-space: no
-    # product with A at all.
+    # and only t2 = 0 estimates it in a pass of its own.  In fixed mode the
+    # steps after the first, whose nu is frozen, read each block backward
+    # for the one residual nu g - ytil.  n-space: no product with A at all.
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
@@ -325,7 +326,9 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
             _set_budget(patch, budget)
             log.clear()
             states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
-            assert _passes(log, 300) == [_one_pass(_block_rows(budget), 2)] * max(t2, 1)
+            rows = _block_rows(budget)
+            assert _passes(log, 300) == [_one_pass(rows, 2)] + \
+                [_one_pass(rows, 1 if fixed else 2)] * max(t2 - 1, 0)
             log.clear()
             nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
             assert len(_passes(log, 300)) == (0 if t2 else 1)
@@ -460,6 +463,24 @@ def test_non_finite_nu_hat_is_a_numerical_error_in_n_space(fixed):
 
 def _close(a, b, rel=1e-12):
     return np.linalg.norm(np.subtract(a, b)) <= rel * np.linalg.norm(a)
+
+
+def test_fixed_mode_runs_agree_across_forms():
+    # a whole fixed-mode run: nu_hat frozen at the first step's estimate,
+    # then the one-row residual nu g - ytil streamed in m-space
+    prior, data, start = _stream_problem()
+    start = project(prior, start).point
+    m_run, n_run = (run_refine(data, prior, start, 4, fixed=True, truth=data.signal, spec=s)
+                    for s in (None, _spec(data, "n-space")))
+    for m_step, n_step in zip(m_run, n_run, strict=True):
+        assert _close(m_step.iterate, n_step.iterate)
+        assert n_step.error == pytest.approx(m_step.error, rel=1e-12)
+        assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
+        assert n_step.warn == m_step.warn
+    for m_step, n_step in zip(m_run[1:], n_run[1:]):
+        assert _close(m_step.pre_projection, n_step.pre_projection)
+        assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
+    assert len({s.nu_hat for s in m_run}) == 1
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,81 @@ def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
         data.sensing[33, 17] = bad
     with pytest.raises(NumericalError):
         build_spectral_matrix(data)
+
+
+def _subspace_problem(k, n, m, seed=0):
+    """A linear-subspace prior, measurements of a range signal and a unit
+    start off the range."""
+    prior = linear_subspace_prior(k, n, seed=seed)
+    x = evaluate(prior, np.random.default_rng(seed + 1).standard_normal(k))
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, m, seed=seed + 2)
+    w0 = np.random.default_rng(seed + 3).standard_normal(n)
+    return prior, data, w0 / np.linalg.norm(w0)
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch, block_rows):
+    # W^ = [W | u]: orthonormal, W first, and w0 in its span; the reduced
+    # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^ and
+    # W^T G W^, with m = 37 in one row block or in blocks of 5 rows
+    if block_rows is not None:
+        monkeypatch.setattr(spectral, "_REDUCE_BYTES", 8 * 12 * block_rows)
+    prior, data, w0 = _subspace_problem(3, 12, 37)
+    red = spectral.reduce_to_subspace(data, prior, w0, refine_steps=10**6)
+    basis, w = red.basis, prior.layers[0]
+    assert basis.shape == (12, 4) and np.array_equal(basis[:, :3], w)
+    assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-15, rtol=0)
+    assert np.linalg.norm(basis @ (w0 @ basis) - w0) <= 1e-15
+    assert (red.data.m, red.data.n) == (37, 4)
+    assert red.data.observations is data.observations
+    assert np.allclose(red.data.sensing, data.sensing @ basis, atol=1e-14, rtol=0)
+    assert np.allclose(red.data.signal, data.signal @ basis, atol=1e-15, rtol=0)
+    full = build_spectral_matrix(data, refine_steps=10**6)
+    assert red.spec.ybar == full.ybar
+    assert np.allclose(red.spec.v, basis.T @ full.v @ basis, atol=1e-13, rtol=0)
+    assert np.allclose(red.spec.gram, basis.T @ full.gram @ basis, atol=1e-13, rtol=0)
+    assert red.prior.kind == "linear-subspace" and (red.prior.k, red.prior.n) == (3, 4)
+    assert np.array_equal(red.prior.layers[0], np.eye(4, 3)) and red.prior.r == prior.r
+    assert spectral.reduce_to_subspace(data, prior, w0).spec.gram is None
+
+
+def test_reduce_to_subspace_drops_a_zero_residual():
+    # a start in range(W) has no residual to keep: the basis is W itself
+    prior, data, _ = _subspace_problem(3, 12, 37)
+    w = prior.layers[0]
+    red = spectral.reduce_to_subspace(data, prior, w[:, 0])
+    assert np.array_equal(red.basis, w)
+    assert red.data.sensing.shape == (37, 3) and red.data.n == 3
+    assert np.array_equal(red.prior.layers[0], np.eye(3))
+
+
+# Several row blocks of A W^ at the default budget (262 rows at n = 500), each
+# large enough for OpenBLAS to split a product across threads.
+_REDUCE_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from genphase import LinkModel, evaluate, linear_subspace_prior, sample_measurements
+from genphase.spectral import reduce_to_subspace
+prior = linear_subspace_prior(5, 500, seed=2)
+x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
+data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
+w0 = np.random.default_rng(2).standard_normal(500)
+red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0), refine_steps=60)
+out = (red.basis, red.data.sensing, red.data.signal, red.spec.v, red.spec.gram)
+sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
+"""
+
+
+def test_reduction_ignores_the_blas_thread_count():
+    assert 3000 > spectral._REDUCE_BYTES // (8 * 500) > 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", _REDUCE_THREADS_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+            for threads in (1, 2)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_spectral_concentration_single_seed():
