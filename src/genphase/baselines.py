@@ -25,7 +25,7 @@ from .refine import run_refine, stream_products, t2_problems
 from .runtrace import RunTrace, step_at
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, \
-    projected_power, shifted_matrix, t1_problems
+    projected_power, shifted_matrix, start_problems, t1_problems
 
 ALGORITHMS = ("mprg", "mprgf", "ppower", "step2", "appgd")
 
@@ -76,9 +76,11 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     spectral iterations that start mprg, mprgf and appgd come first.
     Refinement runs in n-space when spec carries a Gram matrix; a spec built
     here gets one when this run's refinement steps pay for it.  Every run
-    argument is checked (run_problems and the seed rule) before any work.
+    argument is checked (run_problems, the seed rule and, for a given
+    w0_override, start_problems) before any work.
     """
-    raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed),
+    starts = [] if w0_override is None else start_problems(w0_override)
+    raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed) + starts,
                    "invalid run arguments:")
     truth = data.signal
     start = time.perf_counter()

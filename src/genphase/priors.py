@@ -306,8 +306,11 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
 
 
 def _finite_target(v):
+    """v as a float array, or a NumericalError when an entry is NaN or Inf.
+    Such an entry always makes v.v non-finite, so the entrywise check runs
+    only when that one dot product is not finite (or overflows)."""
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise NumericalError("projection target contains NaN or Inf")
     return v
 

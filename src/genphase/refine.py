@@ -91,7 +91,7 @@ def _m_space_moments(data: MeasurementSet, ybar: float, x_t):
     y = data.observations
     atg, aty = stream_products(data.sensing, x_t,
                                lambda g, rows: np.array((g, (y[rows] - ybar) * g)))
-    return _finite_nu(x_t @ aty / data.m), atg, aty
+    return _finite_nu(x_t.dot(aty) / data.m), atg, aty
 
 
 def estimate_nu_hat(data: MeasurementSet, ybar: float, x_t) -> float:
@@ -109,10 +109,10 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
     x_t = state.iterate
     gram = spec.gram if spec is not None else None
     if gram is not None:
-        gx = gram @ x_t
-        vx = spec.v @ x_t
+        gx = gram.dot(x_t)
+        vx = spec.v.dot(x_t)
         nu = frozen_nu if frozen_nu is not None else \
-            _finite_nu(x_t @ vx + ybar * (x_t @ x_t - x_t @ gx))
+            _finite_nu(x_t.dot(vx) + ybar * (x_t.dot(x_t) - x_t.dot(gx)))
     elif frozen_nu is None:
         nu, atg, aty = _m_space_moments(data, ybar, x_t)
         resid = nu * atg - aty

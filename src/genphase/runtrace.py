@@ -42,8 +42,8 @@ def step_at(x, t: int, truth=None, **refine_fields) -> Step:
     <truth, x> when the truth is given."""
     if truth is None:
         return Step(x, t, **refine_fields)
-    d = x - truth  # sqrt(d @ d) is how np.linalg.norm computes it, minus overhead
-    return Step(x, t, math.sqrt(d @ d), float(truth @ x), **refine_fields)
+    d = x - truth  # sqrt(d.dot(d)) is how np.linalg.norm computes it, minus overhead
+    return Step(x, t, math.sqrt(d.dot(d)), float(truth.dot(x)), **refine_fields)
 
 
 @dataclass

@@ -34,6 +34,7 @@ W^T V w0, a different first step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,20 +204,29 @@ def t1_problems(t1) -> list:
     return count_problems(t1, "t1", 1)
 
 
+def start_problems(w0) -> list:
+    """The rule on a start vector, as a list of problems: a finite nonzero
+    norm, which the first power step divides by."""
+    size = float(np.linalg.norm(w0))
+    ok = math.isfinite(size) and size > 0
+    return [] if ok else [f"w0: the start vector must have a finite nonzero norm, got {size}"]
+
+
 def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
                     proj_cfg: ProjectionConfig | None = None, seed=0,
                     truth=None) -> list[Step]:
     """Run t1 projected power iterations w <- P_G(V w) from w0 (normalized,
     not pre-projected), each offered the last latent as a warm start.  Returns
-    the trajectory with its initial state, and correlation and error given truth."""
-    raise_problems(t1_problems(t1))
+    the trajectory with its initial state, and correlation and error given truth.
+    A w0 of zero or non-finite norm is a ConfigurationError (start_problems)."""
+    raise_problems(t1_problems(t1) + start_problems(w0))
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
     states = [step_at(w, 0, truth)]
     latent = None
     base = flatten_seed(seed)
     for t in range(1, t1 + 1):
-        res = project(prior, spec.v @ w, proj_cfg, seed=[base, t], warm_start=latent)
+        res = project(prior, spec.v.dot(w), proj_cfg, seed=[base, t], warm_start=latent)
         w, latent = res.point, res.latent
         states.append(step_at(w, t, truth))
     return states

@@ -152,14 +152,17 @@ def test_unknown_algorithm_rejected():
 def test_run_algorithm_checks_every_argument_first(name, monkeypatch):
     # every rule holds for every algorithm, also one that does not use the
     # argument (step2 has no power phase, only appgd uses tau), and the check
-    # comes before any work
+    # comes before any work.  A zero start used to fail as "projection target
+    # contains NaN or Inf" (exit 3), which blamed the projector.
     def no_build(*args, **kwargs):
         raise AssertionError("built a spectral matrix before checking the arguments")
 
     monkeypatch.setattr(baselines, "build_spectral_matrix", no_build)
     prior, x, data = _desk_data()
     for kw, field in ((dict(t1=0), "t1"), (dict(t1=-10), "t1"), (dict(t2=-5), "t2"),
-                      (dict(tau=float("nan")), "tau"), (dict(tau=0.0), "tau")):
+                      (dict(tau=float("nan")), "tau"), (dict(tau=0.0), "tau"),
+                      (dict(w0_override=np.zeros(100)), "w0"),
+                      (dict(w0_override=np.full(100, np.nan)), "w0")):
         with pytest.raises(ConfigurationError, match=f"invalid run arguments:\n  {field}: "):
             run_algorithm(name, data, prior, **kw)
 

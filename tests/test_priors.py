@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, DegenerateLatentError, NumericalError,
-                      ProjectionConfig, evaluate, linear_subspace_prior, load_prior,
-                      project, project_exact, project_iterative,
+from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior,
+                      NumericalError, ProjectionConfig, evaluate, linear_subspace_prior,
+                      load_prior, project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
 from genphase.priors import clip_to_ball, default_radius
 from genphase.seeds import flatten_seed
@@ -99,13 +99,24 @@ def test_project_exact_zero_target_fallback_is_basis_column():
     assert np.array_equal(res.point, prior.layers[0][:, 0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_project_exact_rejects_non_finite_target(bad):
-    prior = linear_subspace_prior(4, 30, seed=5)
-    v = np.random.default_rng(5).standard_normal(30)
-    v[7] = bad
-    with pytest.raises(NumericalError):
-        project_exact(prior, v)
+def _reduced_prior(k):
+    """The prior of a reduced linear-subspace problem: basis eye(k+1, k),
+    whose last row is all zeros."""
+    return GenerativePrior("linear-subspace", k, k + 1, None, [np.eye(k + 1, k)], 0, 1.0)
+
+
+# The first three cases put the bad entry inside a random basis's support;
+# the reduced ones put it in the coordinate that no basis column reaches.
+@pytest.mark.parametrize("bad, reduced, projector", [
+    *(pytest.param(bad, False, project_exact, id=str(bad)) for bad in (np.nan, np.inf, -np.inf)),
+    *(pytest.param(bad, True, fn, id=f"reduced-{fn.__name__}-{bad}")
+      for fn in (project, project_exact) for bad in (np.nan, np.inf, -np.inf))])
+def test_project_exact_rejects_non_finite_target(bad, reduced, projector):
+    prior = _reduced_prior(5) if reduced else linear_subspace_prior(4, 30, seed=5)
+    v = np.random.default_rng(5).standard_normal(prior.n)
+    v[-1 if reduced else 7] = bad
+    with pytest.raises(NumericalError, match="NaN or Inf"):
+        projector(prior, v)
 
 
 def test_project_exact_requires_a_subspace_prior():

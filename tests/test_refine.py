@@ -7,13 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genphase import (ConfigurationError, LinkModel, MeasurementSet, NumericalError,
-                      SpectralMatrix, Step, appgd_step, build_spectral_matrix,
-                      empirical_mean_y, estimate_nu_hat, evaluate, initial_vector,
-                      linear_subspace_prior, population_nu, project, projected_power,
-                      refine_step, run_refine, sample_measurements, shifted_matrix)
+from genphase import (ConfigurationError, GenerativePrior, LinkModel, MeasurementSet,
+                      NumericalError, ProjectionConfig, SpectralMatrix, Step, appgd_step,
+                      build_spectral_matrix, empirical_mean_y, estimate_nu_hat, evaluate,
+                      initial_vector, linear_subspace_prior, population_nu, project,
+                      projected_power, refine_step, relu_mlp_prior, run_refine,
+                      sample_measurements, shifted_matrix)
 from genphase import refine
 from genphase.refine import NU_FLOOR
+from genphase.runtrace import step_at
+from genphase.seeds import flatten_seed
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -511,3 +514,50 @@ def test_refine_step_forms_agree(mode, sign):
     if sign < 0:   # nu <= 0 takes the floored step
         assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
 
+
+@pytest.mark.parametrize("dim", [6, 11, 100])
+def test_step_path_keeps_the_bits_of_plain_matmul(dim):
+    # The step path computes its products with ndarray.dot, which dispatches
+    # faster than @ on short vectors; both call the same BLAS routine.  Plain
+    # @ formulas must give the same bits: a reduced linear-subspace problem
+    # in k+1 = 6 and 11 coordinates (basis eye(k+1, k)), and a relu-mlp
+    # problem at n = 100.
+    if dim == 100:
+        prior, cfg = relu_mlp_prior(5, [32], 100, seed=3), ProjectionConfig(steps=5)
+    else:
+        prior = GenerativePrior("linear-subspace", dim - 1, dim, None, [np.eye(dim, dim - 1)],
+                                0, 1.0)
+        cfg = None
+    truth = _range_signal(prior, latent_seed=4)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 400, seed=5)
+    spec = _spec(data, "n-space")
+    ybar = empirical_mean_y(data)
+    x = _range_signal(prior, latent_seed=6)
+    state = Step(iterate=x, t=0)
+
+    def record(point):   # step_at's error and correlation, as plain @ formulas
+        d = point - truth
+        return math.sqrt(d @ d), float(truth @ point)
+
+    gx, vx = spec.gram @ x, spec.v @ x
+    for frozen in (None, 0.7):
+        nu = frozen if frozen is not None else x @ vx + ybar * (x @ x - x @ gx)
+        zeta = 1.0 / max(nu, NU_FLOOR)
+        x_til = x - zeta * ((nu + ybar) * gx - vx - ybar * x)
+        point = project(prior, x_til, cfg, seed=[7, 1]).point
+        got = refine_step(data, ybar, state, prior, cfg, seed=[7, 1], truth=truth,
+                          frozen_nu=frozen, spec=spec)
+        assert (got.nu_hat, got.zeta) == (nu, zeta)
+        assert np.array_equal(got.pre_projection, x_til)
+        assert np.array_equal(got.iterate, point)
+        assert (got.error, got.correlation) == record(point)
+
+    w0 = np.random.default_rng(8).standard_normal(dim)
+    w = w0 / np.linalg.norm(w0)
+    point = project(prior, spec.v @ w, cfg, seed=[flatten_seed(9), 1]).point
+    power = projected_power(spec, prior, w0, 1, cfg, seed=9, truth=truth)
+    assert np.array_equal(power[0].iterate, w)
+    assert np.array_equal(power[1].iterate, point)
+    assert (power[1].error, power[1].correlation) == record(point)
+    one = step_at(x, 3, truth)
+    assert (one.t, one.error, one.correlation) == (3, *record(x))

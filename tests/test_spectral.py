@@ -374,6 +374,18 @@ def test_projected_power_rejects_zero_iterations():
         projected_power(spec, prior, np.ones(50), 0)
 
 
+@pytest.mark.parametrize("w0", [np.zeros(50), np.full(50, np.nan), np.r_[np.inf, np.ones(49)]],
+                         ids=["zero", "nan", "inf"])
+def test_projected_power_rejects_a_zero_or_non_finite_start(w0):
+    # a zero start used to warn "invalid value encountered in divide" and then
+    # fail as a NaN projection target, which blamed the projector
+    prior = linear_subspace_prior(5, 50, seed=2)
+    spec = SpectralMatrix(v=np.eye(50), ybar=0.0)
+    with pytest.raises(ConfigurationError, match="w0: the start vector must have a finite "
+                                                 "nonzero norm"):
+        projected_power(spec, prior, w0, 3)
+
+
 def test_frobenius_residual_decreases_with_m():
     # median over 10 seeds of ||V - nu x x^T||_F drops as m grows
     x = np.zeros(10)
