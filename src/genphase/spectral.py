@@ -12,6 +12,24 @@ accumulates only the upper block triangle: about (c+1)/(2c) * 2mn^2 flops
 for c column blocks (c = 1 up to n = 724, 8 at n = 2000), and memory for A
 plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
 
+The build splits its output by column block ("tile"): the tile I gets, for
+every row block in order, the GEMMs S[I, I:] += A_b[:, I]^T Y_b[:, I:] (and
+the same for G), whichever thread runs it, so V and G have the same bits
+for any number of threads.  The tiles are shared greedily, by their work
+width * (n - i0), among min(CPUs, tiles) groups, where CPUs counts the CPUs
+this process may run on (os.sched_getaffinity, so `taskset` limits them);
+the calling thread runs one group and a thread each runs the others.  One
+tile (every n <= 724) starts no thread.  While the tiles run, OpenBLAS is
+pinned to one thread, through its own *_set_num_threads found with ctypes,
+and its previous count is restored after, also on an error.  The pin holds
+for the whole process while the build runs, and it makes the build's bits
+the same at any OpenBLAS thread count.  Where those calls cannot be found
+(another BLAS), the tiles run in the calling thread at the BLAS's own
+thread count: threads over a multi-threaded BLAS were slower than its own.
+The caller allocates every buffer a worker writes (its Y_b block and its
+product tile), since blocks that threads allocate and free stay in glibc's
+per-thread arenas and raise the peak memory.
+
 When the caller will run enough refinement steps on the same measurements,
 the same pass also accumulates the Gram matrix G = A^T A / m (another n^2
 floats and as many flops again).  A refinement step then costs 4n^2 flops
@@ -34,8 +52,15 @@ W^T V w0, a different first step.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -84,16 +109,118 @@ def _mirror_upper(mat: np.ndarray, starts, width: int) -> None:
         mat[i1:, i0:i1] = mat[i0:i1, i1:].T
 
 
+@cache
+def _openblas_thread_calls():
+    """OpenBLAS's (get, set) thread-count functions, or None where numpy's
+    bundled OpenBLAS or the symbols cannot be found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block and restore its count after;
+    yields whether it could."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, put = calls
+    saved = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(saved)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _tile_groups(n: int, width: int, workers: int) -> list[list[int]]:
+    """The column-block starts, each given to the group with the least work
+    so far; a tile's work is width * (n - i0), largest first."""
+    groups = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i0 in range(0, n, width):
+        g = loads.index(min(loads))
+        groups[g].append(i0)
+        loads[g] += min(width, n - i0) * (n - i0)
+    return groups
+
+
+def _accumulate(a, y, rows: int, width: int, starts, s, gram, y_buf, prod_buf) -> None:
+    """For every row block A_b of a, in order, and every tile I = [i0, i0 +
+    width) with i0 in starts: s[I, i0:] += A_b[:, I]^T Y_b[:, i0:], Y_b =
+    A_b * y_b, and gram[I, i0:] += A_b[:, I]^T A_b[:, i0:] unless gram is
+    None.  Y_b and each product are written into y_buf and prod_buf."""
+    n = a.shape[1]
+    for r0 in range(0, a.shape[0], rows):
+        a_b = a[r0:r0 + rows]
+        y_b = y_buf[:len(a_b)]
+        # columns left of the first tile are never read
+        np.multiply(a_b[:, starts[0]:], y[r0:r0 + rows, None], out=y_b[:, starts[0]:])
+        for i0 in starts:
+            i1 = min(i0 + width, n)
+            prod = prod_buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+            s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
+            if gram is not None:
+                gram[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, a_b[:, i0:], out=prod)
+
+
+def _run_groups(count: int, work) -> None:
+    """work(0) in the calling thread and work(g), g = 1 .. count-1, each on
+    a thread of its own, with the caller's context; joins every thread
+    started and re-raises the first exception raised."""
+    errors = []
+
+    def run(g):
+        try:
+            work(g)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for g in range(1, count):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, g),
+                                      name=f"genphase-build-{g}")
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> SpectralMatrix:
     """V = (1/m) A^T diag(y) A - ybar I, and G = A^T A / m when
     gram_pays_off(m, n, refine_steps).
 
     For each row block A_b of A, with Y_b = A_b * y_b, only the upper block
     triangle S[I, J>=I] += A_b[:, I]^T Y_b[:, J>=I] of S = A^T diag(y) A is
-    accumulated, one GEMM per column block I (and likewise for A^T A); S is
-    then mirrored and shifted in place.  Raises NumericalError when a
-    diagonal entry of S is not finite, which any NaN or infinity in y or A
-    causes.
+    accumulated, one GEMM per column block I (and likewise for A^T A), with
+    the column blocks shared among threads (module docstring); S is then
+    mirrored and shifted in place.  Raises NumericalError when a diagonal
+    entry of S is not finite, which any NaN or infinity in y or A causes.
     """
     a = data.sensing
     y = data.observations
@@ -102,13 +229,14 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
     starts = range(0, n, width)
     s = np.zeros((n, n))
     gram = np.zeros((n, n)) if gram_pays_off(m, n, refine_steps) else None
-    for r0 in range(0, m, rows):
-        a_b = a[r0:r0 + rows]
-        y_b = a_b * y[r0:r0 + rows, None]
-        for i0 in starts:
-            s[i0:i0 + width, i0:] += a_b[:, i0:i0 + width].T @ y_b[:, i0:]
-            if gram is not None:
-                gram[i0:i0 + width, i0:] += a_b[:, i0:i0 + width].T @ a_b[:, i0:]
+    with _one_blas_thread() as pinned:
+        groups = _tile_groups(n, width, min(_cpu_count(), len(starts)) if pinned else 1)
+        bufs = [(np.empty((min(rows, m), n)), np.empty(min(width, n) * n)) for _ in groups]
+        _run_groups(len(groups), lambda g: _accumulate(a, y, rows, width, groups[g], s, gram,
+                                                       *bufs[g]))
+    # freed before the mirror allocates: held until the return, they made a
+    # one-tile build at n = 100, m = 250 about 1.5 times as slow
+    del bufs
     s /= m
     # Exact symmetry by construction: mirror the upper triangle.
     _mirror_upper(s, starts, width)

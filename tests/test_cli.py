@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,3 +774,33 @@ def test_sweep_csv_that_is_not_text_exit_code(tmp_path, capsys):
     csv.write_bytes(b"\xff\xfe\x00garbage\n")
     assert main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "x.svg")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# A relu-mlp and a linear-subspace sweep at n = 100, whose spectral builds
+# are GEMMs that OpenBLAS splits across threads when it may.
+_THREAD_COUNT_SWEEPS = {
+    "relu-mlp": {"prior": {"kind": "relu-mlp", "k": 5, "n": 100, "hidden": [32], "seed": 2},
+                 "link": {"name": "square-sin", "sigma": 0.5}, "m_grid": [400], "trials": 2,
+                 "restarts": 2, "algorithms": ["mprg"], "t1": 3, "t2": 3, "master_seed": 1,
+                 "projection": {"steps": 30}},
+    "linear-subspace": {"prior": {"k": 5, "n": 100, "seed": 2},
+                        "link": {"name": "abs-noise-out", "sigma": 0.1}, "m_grid": [250, 1000],
+                        "trials": 2, "restarts": 2, "algorithms": ["mprg", "appgd"], "t1": 5,
+                        "t2": 5, "master_seed": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_THREAD_COUNT_SWEEPS))
+def test_sweep_bytes_ignore_the_blas_thread_count(tmp_path, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_THREAD_COUNT_SWEEPS[kind]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    csvs = []
+    for threads in (1, 2):
+        csvs.append(tmp_path / f"threads{threads}.csv")
+        subprocess.run([sys.executable, "-m", "genphase.cli", "sweep", "--config", str(cfg_path),
+                        "--out-csv", str(csvs[-1])], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": str(threads)})
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()

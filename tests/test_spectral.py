@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,10 @@ def test_build_single_block_equals_one_gemm():
 def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
     if blocked:
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 20 * 16)
+    _check_rejects_non_finite(where, bad)
+
+
+def _check_rejects_non_finite(where, bad):
     data = _random_set(50, 20, seed=6)
     data.observations[33] = 0.0   # a bad sensing entry meets a zero observation
     if where == "y":
@@ -177,6 +182,201 @@ def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
         data.sensing[33, 17] = bad
     with pytest.raises(NumericalError):
         build_spectral_matrix(data)
+
+
+requires_openblas = pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+                                       reason="needs numpy's bundled OpenBLAS")
+
+
+@pytest.fixture
+def three_tiles(monkeypatch):
+    # n = 20 in column blocks of 8, 8 and 4 and row blocks of 16
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 20 * 16)
+    assert spectral._block_sizes(20) == (16, 8)
+
+
+def _record_groups(monkeypatch, workers):
+    """Run builds with `workers` CPUs and record, per group of tiles, its
+    starts, its thread and the OpenBLAS thread count it ran at."""
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: workers)
+    real, seen = spectral._accumulate, []
+
+    def spy(a, y, rows, width, starts, *rest):
+        calls = spectral._openblas_thread_calls()
+        seen.append((list(starts), threading.current_thread(), calls and calls[0]()))
+        real(a, y, rows, width, starts, *rest)
+
+    monkeypatch.setattr(spectral, "_accumulate", spy)
+    return seen
+
+
+def test_tile_groups_balance_work_greedily():
+    # tile work width * (n - i0) at n = 2000 in blocks of 262: 524000,
+    # 455356, 386712, ... 112136 and 27556 (the last, 166 wide); the groups
+    # take 1119048 and 1134984, and a tie goes to the first group
+    assert spectral._tile_groups(2000, 262, 1) == [list(range(0, 2000, 262))]
+    assert spectral._tile_groups(2000, 262, 2) == [[0, 786, 1048, 1834], [262, 524, 1310, 1572]]
+    assert spectral._tile_groups(20, 8, 3) == [[0], [8], [16]]
+
+
+@requires_openblas
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_build_keeps_the_bits_at_any_worker_count(three_tiles, monkeypatch, workers):
+    data = _random_set(50, 20, seed=12, zero_frac=0.2)
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+    ref = build_spectral_matrix(data, refine_steps=10**6)
+    seen = _record_groups(monkeypatch, workers)
+    spec = build_spectral_matrix(data, refine_steps=10**6)
+    assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+    assert spec.ybar == ref.ybar
+    # one group per worker, the caller's with the largest tile, every tile
+    # once, each at one BLAS thread
+    assert len({thread for _, thread, _ in seen}) == len(seen) == workers
+    assert [starts[0] for starts, thread, _ in seen if thread is threading.current_thread()] == [0]
+    assert sorted(i0 for starts, _, _ in seen for i0 in starts) == [0, 8, 16]
+    assert {count for _, _, count in seen} == {1}
+
+
+@requires_openblas
+def test_pooled_build_under_thread_switching_keeps_the_bits(monkeypatch):
+    # 20 tiles of 2 columns on 8 workers, more than most hosts have cores,
+    # with the interpreter switching threads every microsecond
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 40 * 4)
+    assert spectral._block_sizes(40) == (4, 2)
+    data = _random_set(90, 40, seed=21, zero_frac=0.2)
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+    ref = build_spectral_matrix(data, refine_steps=10**6)
+    seen = _record_groups(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        specs = [build_spectral_matrix(data, refine_steps=10**6) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 5 * 8
+    for spec in specs:
+        assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+
+
+@requires_openblas
+def test_workers_run_with_the_callers_numpy_error_state(three_tiles, monkeypatch):
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
+    real, states = spectral._accumulate, []
+
+    def spy(*args):
+        states.append(np.geterr()["invalid"])
+        real(*args)
+
+    monkeypatch.setattr(spectral, "_accumulate", spy)
+    with np.errstate(invalid="raise"):
+        build_spectral_matrix(_random_set(50, 20, seed=3))
+    assert states == ["raise"] * 3
+
+
+@requires_openblas
+@pytest.mark.parametrize("m", [1, 16, 50])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_build_matches_naive(three_tiles, monkeypatch, m, workers):
+    seen = _record_groups(monkeypatch, workers)
+    _check_against_naive(_random_set(m, 20, seed=m, zero_frac=0.2))
+    # the check builds twice when it asks for G (m > n)
+    builds = 2 if m > 20 else 1
+    assert len(seen) == builds * workers
+    assert sum(thread is threading.current_thread() for _, thread, _ in seen) == builds
+
+
+@requires_openblas
+@pytest.mark.parametrize("where,bad", [("y", np.nan), ("a", -np.inf)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pooled_build_rejects_non_finite_data(three_tiles, monkeypatch, where, bad):
+    seen = _record_groups(monkeypatch, 3)
+    _check_rejects_non_finite(where, bad)
+    assert len({thread for _, thread, _ in seen}) == 3
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+@requires_openblas
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monkeypatch,
+                                                               failing):
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
+    real, caller = spectral._accumulate, threading.current_thread()
+
+    def accumulate(*args):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise _WorkerFailure(failing)
+        real(*args)
+
+    monkeypatch.setattr(spectral, "_accumulate", accumulate)
+    get = spectral._openblas_thread_calls()[0]
+    before, count = threading.enumerate(), get()
+    with pytest.raises(_WorkerFailure, match=failing):
+        build_spectral_matrix(_random_set(50, 20, seed=3))
+    assert threading.enumerate() == before and get() == count
+
+
+@requires_openblas
+def test_build_without_openblas_thread_calls_runs_in_the_caller(three_tiles, monkeypatch):
+    data = _random_set(50, 20, seed=12, zero_frac=0.2)
+    ref = build_spectral_matrix(data, refine_steps=10**6)
+    # the pin that the fallback cannot make, made for it: the same bits at one thread
+    with spectral._one_blas_thread():
+        seen = _record_groups(monkeypatch, 3)
+        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("the fallback started a thread"))
+        spec = build_spectral_matrix(data, refine_steps=10**6)
+    assert [(starts, thread) for starts, thread, _ in seen] == \
+        [([0, 8, 16], threading.current_thread())]
+    assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+
+
+def test_one_tile_build_starts_no_thread(monkeypatch):
+    # every n <= 724 is one column block
+    assert spectral._block_sizes(724)[1] >= 724
+    seen = _record_groups(monkeypatch, 64)
+    build_spectral_matrix(_random_set(300, 100, seed=5), refine_steps=10**6)
+    assert [(starts, thread) for starts, thread, _ in seen] == \
+        [([0], threading.current_thread())]
+
+
+# A pooled build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
+_BLAS_RESTORE_SCRIPT = """
+import numpy as np
+from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, spectral
+get = spectral._openblas_thread_calls()[0]
+counts = [get()]
+spectral._BLOCK_BYTES = 8 * 20 * 16
+rng = np.random.default_rng(0)
+x = np.eye(20)[0]
+data = MeasurementSet(n=20, m=50, signal=x, sensing=rng.standard_normal((50, 20)),
+                      observations=rng.standard_normal(50), seed=0, link=LinkModel("linear"))
+build_spectral_matrix(data, refine_steps=10**6)
+counts.append(get())
+data.observations[7] = np.nan
+try:
+    build_spectral_matrix(data)
+except NumericalError:
+    counts.append(get())
+print(*counts)
+"""
+
+
+@requires_openblas
+def test_build_restores_the_blas_thread_count():
+    out = subprocess.run([sys.executable, "-c", _BLAS_RESTORE_SCRIPT], capture_output=True,
+                         text=True, check=True, env=_env_with_src(OPENBLAS_NUM_THREADS="2"))
+    assert out.stdout.split() == ["2", "2", "2"]
+
+
+def _env_with_src(**extra):
+    """The environment with src/ on PYTHONPATH, plus extra."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def _subspace_problem(k, n, m, seed=0):
@@ -244,12 +444,9 @@ sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 
 def test_reduction_ignores_the_blas_thread_count():
     assert 3000 > spectral._REDUCE_BYTES // (8 * 500) > 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [subprocess.run([sys.executable, "-c", _REDUCE_THREADS_SCRIPT], capture_output=True,
                            text=True, check=True,
-                           env={**os.environ, "PYTHONPATH": path,
-                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+                           env=_env_with_src(OPENBLAS_NUM_THREADS=str(threads))).stdout
             for threads in (1, 2)]
     assert outs[0] and outs[0] == outs[1]
 
