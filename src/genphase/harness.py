@@ -272,8 +272,9 @@ def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, tria
     entering as basis^T start and each final_iterate mapped back.  The
     matrices the solves use carry the Gram matrix when the refinement steps
     of every restart of every algorithm pay for it (spectral.gram_pays_off).
-    Returns {algorithm: [RunTrace per restart]} in config order; A and V are
-    freed on return."""
+    A linear-subspace cell frees its n-space A and V once reduced, before its
+    first solve; a relu-mlp cell frees them on return.  Returns {algorithm:
+    [RunTrace per restart]} in config order."""
     refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
                                       for a in cfg.algorithms)
     subspace = prior.kind == "linear-subspace"
@@ -282,21 +283,22 @@ def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, tria
                                flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
     spec = build_spectral_matrix(data, refine_steps=0 if subspace else refine_steps)
     w0 = initial_vector(spec, shifted_matrix(spec))
-    reduced = reduce_to_subspace(data, prior, w0, refine_steps) if subspace else None
-    solve_data, solve_prior, solve_spec = (data, prior, spec) if reduced is None else \
-        (reduced.data, reduced.prior, reduced.spec)
+    solve_prior, basis = prior, None
+    if subspace:
+        # rebinding data and spec drops the n-space A and V, which no solve reads
+        reduced = reduce_to_subspace(data, prior, w0, refine_steps)
+        data, solve_prior, spec, basis = reduced.data, reduced.prior, reduced.spec, reduced.basis
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):
         for restart in range(cfg.restarts):
             start = _restart_start(prior, spec, w0, cfg.master_seed, m_index, trial, restart)
             trace = run_algorithm(
-                algo, solve_data, solve_prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
-                tau=cfg.tau, spec=solve_spec,
-                w0_override=start if reduced is None else start @ reduced.basis,
+                algo, data, solve_prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
+                tau=cfg.tau, spec=spec, w0_override=start if basis is None else start @ basis,
                 seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
                                    ROLE_ALGO + algo_index]))
-            if reduced is not None:
-                trace.final_iterate = reduced.basis @ trace.final_iterate
+            if basis is not None:
+                trace.final_iterate = basis @ trace.final_iterate
             traces[algo].append(trace)
     return traces
 

@@ -21,11 +21,13 @@ this process may run on (os.sched_getaffinity, so `taskset` limits them);
 the calling thread runs one group and a thread each runs the others.  One
 tile (every n <= 724) starts no thread.  While the tiles run, OpenBLAS is
 pinned to one thread, through its own *_set_num_threads found with ctypes,
-and its previous count is restored after, also on an error.  The pin holds
-for the whole process while the build runs, and it makes the build's bits
-the same at any OpenBLAS thread count.  Where those calls cannot be found
-(another BLAS), the tiles run in the calling thread at the BLAS's own
-thread count: threads over a multi-threaded BLAS were slower than its own.
+and its previous count is restored after, also on an error; builds that
+overlap in several threads restore it once, when the last one ends.  The
+pin holds for the whole process while a build runs, and it makes the
+build's bits the same at any OpenBLAS thread count.  Where those calls
+cannot be found (another BLAS), the tiles run in the calling thread at the
+BLAS's own thread count: threads over a multi-threaded BLAS were slower
+than its own.
 The caller allocates every buffer a worker writes (its Y_b block and its
 product tile), since blocks that threads allocate and free stay in glibc's
 per-thread arenas and raise the peak memory.
@@ -128,21 +130,35 @@ def _openblas_thread_calls():
     return None
 
 
+# The open pins and the count the first of them saved; the lock guards these
+# two names only, never a build.
+_pin_lock = threading.Lock()
+_pins, _pin_saved = 0, 0
+
+
 @contextmanager
 def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block and restore its count after;
-    yields whether it could."""
+    """Pin OpenBLAS to one thread for the block; yields whether it could.
+    The first of overlapping pins saves the count and the last one out
+    restores it, also on an error."""
+    global _pins, _pin_saved
     calls = _openblas_thread_calls()
     if calls is None:
         yield False
         return
     get, put = calls
-    saved = get()
-    put(1)
+    with _pin_lock:
+        if _pins == 0:
+            _pin_saved = get()
+            put(1)
+        _pins += 1
     try:
         yield True
     finally:
-        put(saved)
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                put(_pin_saved)
 
 
 def _cpu_count() -> int:
@@ -315,11 +331,14 @@ def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray
     """Column of the shifted matrix at V's largest diagonal entry, normalized.
 
     Ties break to the lowest index (argmax convention); an all-zero column
-    falls back to e_1.
+    falls back to e_1, and a column whose norm overflows (finite entries from
+    about 1e154) is a NumericalError.
     """
     j = int(np.argmax(np.diag(spec.v)))
     col = np.array(shifted_full[:, j], dtype=float)
     nc = np.linalg.norm(col)
+    if not math.isfinite(nc):
+        raise NumericalError(f"spectral start overflows: the norm of its column {j} is {nc}")
     if nc == 0:
         col = np.zeros(shifted_full.shape[0])
         col[0] = 1.0

@@ -494,6 +494,34 @@ def test_run_projection_overflow_exit_code(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+_HUGE_OBSERVATIONS = [["--sigma", "1e200"],
+                      ["--link", "custom", "--link-params", json.dumps({"square": 1e160})]]
+
+
+@pytest.mark.parametrize("link_args", _HUGE_OBSERVATIONS, ids=["sigma", "custom-square"])
+def test_run_spectral_start_overflow_exit_code(tmp_path, capsys, link_args):
+    # finite observations of 1e200 overflow the norm of the spectral start's
+    # column; that used to exit 2, naming a w0 the user never gave
+    model = tmp_path / "prior.json"
+    assert main(["gen-model", "--kind", "linear-subspace", "--k", "3", "--n", "20",
+                 "--out", str(model)]) == 0
+    out = tmp_path / "traj.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["run", "--model", str(model), "--m", "60", *link_args, "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: spectral start overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_spectral_start_overflow_exit_code(tmp_path, capsys):
+    doc = {"prior": {"k": 3, "n": 20}, "link": {"sigma": 1e200}, "m_grid": [60],
+           "trials": 1, "restarts": 1, "t1": 2, "t2": 2}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, err = _sweep_config_error(tmp_path, capsys, doc)
+    assert code == 3
+    assert "numerical failure: spectral start overflows" in err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"trials": 0}))

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +335,41 @@ def test_subspace_cell_in_k_plus_1_coordinates_matches_n_space(monkeypatch, k, n
                 assert np.linalg.norm(w @ (f @ w) - f) <= 1e-12
                 assert np.linalg.norm(f - want.final_iterate) <= 1e-12
     assert columns == [k + 1] * (len(m_grid) * cfg.restarts * len(ALGORITHMS))
+
+
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeypatch, kind):
+    # a linear-subspace cell's solves read its reduction alone, so its
+    # n-space A and V are freed before the first one starts; a relu-mlp
+    # cell's solves get the cell's own A and V
+    from genphase import harness
+    sample, build, solve = (harness.sample_measurements, harness.build_spectral_matrix,
+                            harness.run_algorithm)
+    refs, seen = {}, []
+
+    def sampling(*args):
+        data = sample(*args)
+        refs["a"] = weakref.ref(data.sensing)
+        return data
+
+    def building(data, refine_steps=0):
+        spec = build(data, refine_steps=refine_steps)
+        refs["v"] = weakref.ref(spec.v)
+        return spec
+
+    def solving(name, data, prior, **kwargs):
+        a, v = refs["a"](), refs["v"]()
+        seen.append((a is None, v is None, data.sensing is a, kwargs["spec"].v is v))
+        return solve(name, data, prior, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_measurements", sampling)
+    monkeypatch.setattr(harness, "build_spectral_matrix", building)
+    monkeypatch.setattr(harness, "run_algorithm", solving)
+    cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (),
+                    algorithms=("mprg", "appgd"), projection=ProjectionConfig(steps=5))
+    solve_cell(cfg, build_prior(cfg), 1, 0)
+    freed = kind == "linear-subspace"
+    assert seen == [(freed, freed, not freed, not freed)] * 4
 
 
 def test_oracle_restart_breaks_ties_to_the_lowest_restart():

@@ -343,6 +343,28 @@ def test_one_tile_build_starts_no_thread(monkeypatch):
         [([0], threading.current_thread())]
 
 
+def test_overlapping_pins_restore_the_count_once(monkeypatch):
+    # two builds in two threads: A pins, B pins, A ends, B ends with an
+    # error; the count stays at one until both are out, then is restored
+    count, sets = [2], []
+
+    def put(threads):
+        sets.append(threads)
+        count[0] = threads
+
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: (lambda: count[0], put))
+    first, second = spectral._one_blas_thread(), spectral._one_blas_thread()
+    assert first.__enter__() and second.__enter__()
+    assert count == [1]
+    first.__exit__(None, None, None)
+    assert count == [1]
+    assert not second.__exit__(_WorkerFailure, _WorkerFailure("build"), None)
+    assert count == [2] and sets == [1, 2]
+    with spectral._one_blas_thread():
+        assert count == [1]
+    assert count == [2] and sets == [1, 2, 1, 2]
+
+
 # A pooled build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
 _BLAS_RESTORE_SCRIPT = """
 import numpy as np
@@ -482,6 +504,18 @@ def test_initial_vector_zero_column_fallback():
     spec = SpectralMatrix(v=shifted, ybar=0.0)
     w0 = initial_vector(spec, shifted)
     assert np.array_equal(w0, np.array([1.0, 0.0, 0.0]))
+
+
+def test_initial_vector_norm_overflow_is_a_numerical_error():
+    # finite entries from about 1e154 overflow the column's norm, which made
+    # the start all zeros; a column just under that keeps its bits
+    shifted = np.array([[1e150, 1e150], [1e150, 1.0]])
+    spec = SpectralMatrix(v=shifted, ybar=0.0)
+    col = shifted[:, 0]
+    assert np.array_equal(initial_vector(spec, shifted), col / np.linalg.norm(col))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="spectral start overflows"):
+            initial_vector(spec, shifted * 1e50)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
