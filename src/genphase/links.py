@@ -82,14 +82,19 @@ class LinkModel:
 def apply_link(link: LinkModel, g, eta):
     """Evaluate y = f(g) with the noise realization eta injected where the
     formula dictates (inside the absolute value for abs-noise-in, additively
-    otherwise).  Works elementwise on arrays."""
+    otherwise).  Works elementwise on arrays.  A value that is not finite
+    (a link term that overflows) is a NumericalError naming the link."""
     if link.name == "abs-noise-in":
         g, eta = g + eta, 0.0
     terms = link.params if link.name == "custom" else BUILTIN_LINKS[link.name]
     out = np.zeros_like(np.asarray(g, dtype=float))
     for prim, coeff in terms.items():
         out = out + coeff * PRIMITIVES[prim](g)
-    return out + eta
+    out = out + eta
+    if not np.isfinite(out).all():
+        raise NumericalError(f"link {link.name!r} (sigma {link.sigma!r}, params {link.params}) "
+                             f"gives an observation that is not finite")
+    return out
 
 
 @dataclass

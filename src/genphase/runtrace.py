@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
+
 POWER_FIELDS = ("t", "error", "correlation")
 REFINE_FIELDS = ("t", "error", "nu_hat", "zeta", "warn")
 
@@ -67,9 +69,14 @@ def format_cell(v) -> str:
 
 def write_trajectory_csv(records, path) -> None:
     """Write a trajectory CSV with the REFINE_FIELDS columns when any record
-    has nu_hat, else the POWER_FIELDS columns.  Missing values are "nan",
-    except a missing warn flag, which is 0."""
+    has nu_hat, else the POWER_FIELDS columns.  Missing values and None are
+    "nan", except a missing warn flag, which is 0; any other value that is
+    not finite is a NumericalError, raised before the file is opened."""
     fields = REFINE_FIELDS if any("nu_hat" in r for r in records) else POWER_FIELDS
+    bad = [f"record {i} {f}={r[f]!r}" for i, r in enumerate(records) for f in fields
+           if r.get(f) is not None and not math.isfinite(r[f])]
+    if bad:
+        raise NumericalError(f"cannot write trajectory CSV {path}: {', '.join(bad)}")
     with open(path, "w") as fh:
         fh.write(",".join(fields) + "\n")
         for r in records:

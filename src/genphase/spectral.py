@@ -45,11 +45,12 @@ A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace).
 Every projection lands in range(W), so the power and refinement iterates are
 x = W z, and the first power step multiplies the start w0 itself, which need
 not lie in range(W).  With u the unit residual of w0 off range(W), the basis
-W^ = [W | u] spans every iterate and start.  One O(mnk) pass gives
-B^ = A W^ (m x (k+1)); V_k = W^T V W^ and G_k = W^T G W^ are built from it
-at O(m(k+1)^2), and the exact projector in these coordinates is the one of
-the basis eye(k+1, k).  Without u, W^T V W W^T w0 would stand in for
-W^T V w0, a different first step.
+W^ = [W | u] spans every iterate and start.  One O(mnk) GEMM gives
+B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
+are the same at any OpenBLAS thread count; V_k = W^T V W^ and
+G_k = W^T G W^ are built from it at O(m(k+1)^2), and the exact projector in
+these coordinates is the one of the basis eye(k+1, k).  Without u,
+W^T V W W^T w0 would stand in for W^T V w0, a different first step.
 """
 
 from __future__ import annotations
@@ -267,13 +268,6 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
     return SpectralMatrix(v=s, ybar=ybar, gram=gram)
 
 
-# Bytes of the row blocks A W^ is computed in: a block stays in L2 cache
-# across its k+1 GEMVs, so the pass reads A from memory once.  As GEMVs
-# (A_b @ w_j) the products gave the same bits at 1 and 2 BLAS threads, where
-# A W^ as one GEMM, or as one GEMM per block, did not.
-_REDUCE_BYTES = 1 << 20
-
-
 @dataclass
 class SubspaceReduction:
     """A linear-subspace problem in the coordinates z of x = basis @ z."""
@@ -283,27 +277,16 @@ class SubspaceReduction:
     spec: SpectralMatrix      # built from data
 
 
-def _times_columns(a, basis) -> np.ndarray:
-    """a @ basis, as one GEMV per column of basis and row block of a."""
-    cols = np.ascontiguousarray(basis.T)
-    out = np.empty((a.shape[0], cols.shape[0]))
-    step = max(1, _REDUCE_BYTES // (8 * a.shape[1]))
-    for r0 in range(0, a.shape[0], step):
-        a_b = a[r0:r0 + step]
-        for j, col in enumerate(cols):
-            out[r0:r0 + step, j] = a_b @ col
-    return out
-
-
 def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0,
                        refine_steps: int = 0) -> SubspaceReduction:
     """The problem of a linear-subspace prior with basis W in the coordinates
     of W^ = [W | u], u the unit residual of the start w0 off range(W)
     (orthogonalized twice), or of W alone when that residual is no larger
     than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
-    as W^T start, and an iterate z maps back as W^ z; the reduced spectral
-    matrix is build_spectral_matrix of the reduced data, with G_k when
-    refine_steps pay for it."""
+    as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
+    matrix A W^ is one product with OpenBLAS pinned to one thread, and the
+    reduced spectral matrix is build_spectral_matrix of the reduced data,
+    with G_k when refine_steps pay for it."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
@@ -312,8 +295,9 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0,
     if size > prior.n * np.finfo(float).eps * np.linalg.norm(w0):
         w = np.column_stack((w, resid / size))
     dim = w.shape[1]
-    reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w,
-                             sensing=_times_columns(data.sensing, w),
+    with _one_blas_thread():
+        sensing = data.sensing @ w
+    reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w, sensing=sensing,
                              observations=data.observations, seed=data.seed, link=data.link)
     coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
                              [np.eye(dim, prior.k)], prior.seed, 1.0)

@@ -15,7 +15,7 @@ from genphase import ALGORITHMS, ConfigurationError, ExperimentConfig, LinkModel
     NumericalError, ProjectionConfig, build_spectral_matrix, config_from_dict, draw_signal, \
     linear_subspace_prior, load_measurements, load_prior, population_nu, projected_power, \
     read_sweep_csv, relu_mlp_prior, run_algorithm, run_experiment, sample_measurements, \
-    save_prior, validate_config
+    save_prior, validate_config, write_trajectory_csv
 from genphase.cli import main
 from genphase.errors import is_finite_number, is_integer
 from genphase.harness import build_prior
@@ -92,6 +92,21 @@ def test_run_trajectory_cells_mprg(tmp_path):
     assert math.isfinite(float(body[3][2]))
     for r in body[4:]:
         assert float(r[3]) > 0 and r[4] in ("0", "1")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-np.inf)])
+def test_trajectory_writer_refuses_a_non_finite_record(tmp_path, value):
+    # "nan" in a trajectory CSV means a field the record lacks, never a
+    # value; a non-finite one is refused before the file is opened
+    records = [{"t": 0, "error": 1.0, "correlation": 0.5},
+               {"t": 1, "error": 0.5, "nu_hat": value, "zeta": None, "warn": False}]
+    out = tmp_path / "traj.csv"
+    with pytest.raises(NumericalError, match=r"record 1 nu_hat="):
+        write_trajectory_csv(records, out)
+    assert not out.exists()
+    records[1]["nu_hat"] = None
+    write_trajectory_csv(records, out)
+    assert out.read_text().splitlines()[1:] == ["0,1,nan,nan,0", "1,0.5,nan,nan,0"]
 
 
 def test_run_trajectory_cells_power_schema(tmp_path):
@@ -520,6 +535,31 @@ def test_sweep_spectral_start_overflow_exit_code(tmp_path, capsys):
         code, err = _sweep_config_error(tmp_path, capsys, doc)
     assert code == 3
     assert "numerical failure: spectral start overflows" in err
+
+
+_OVERFLOWING_LINK = ["--link", "custom", "--link-params", json.dumps({"square": 1e308})]
+
+
+def test_simulate_overflowing_link_exit_code(tmp_path, capsys):
+    # g^2 * 1e308 overflows: that wrote inf observations, which load refused
+    model = tmp_path / "prior.json"
+    assert main(["gen-model", "--k", "3", "--n", "20", "--out", str(model)]) == 0
+    out = tmp_path / "meas.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["simulate", "--model", str(model), "--m", "60", *_OVERFLOWING_LINK,
+                     "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: link 'custom'" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_nu_overflowing_link_exit_code(capsys):
+    # that printed "nu nan" and "mean_y inf" with exit 0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["nu", *_OVERFLOWING_LINK, "--samples", "20000"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert "numerical failure: link 'custom'" in err and "nu" not in out
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -43,6 +43,17 @@ _LINK_FORMULAS = {
 }
 
 
+@pytest.mark.parametrize("link", [LinkModel("custom", params={"square": 1e308}),
+                                  LinkModel("abs-noise-out", sigma=1e308)],
+                         ids=["custom-square", "sigma"])
+def test_sample_measurements_rejects_an_overflowing_link(link):
+    # an observation that overflows to inf is a NumericalError naming the
+    # link, not a measurement set that load_measurements would refuse
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match=f"link '{link.name}'"):
+            sample_measurements(link, np.eye(5)[0], 50, seed=0)
+
+
 def test_link_formulas_cover_builtin_links():
     assert set(_LINK_FORMULAS) == set(BUILTIN_LINKS)
 

@@ -411,13 +411,10 @@ def _subspace_problem(k, n, m, seed=0):
     return prior, data, w0 / np.linalg.norm(w0)
 
 
-@pytest.mark.parametrize("block_rows", [None, 5])
-def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch, block_rows):
+def test_reduce_to_subspace_is_the_problem_in_basis_coordinates():
     # W^ = [W | u]: orthonormal, W first, and w0 in its span; the reduced
     # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^ and
-    # W^T G W^, with m = 37 in one row block or in blocks of 5 rows
-    if block_rows is not None:
-        monkeypatch.setattr(spectral, "_REDUCE_BYTES", 8 * 12 * block_rows)
+    # W^T G W^
     prior, data, w0 = _subspace_problem(3, 12, 37)
     red = spectral.reduce_to_subspace(data, prior, w0, refine_steps=10**6)
     basis, w = red.basis, prior.layers[0]
@@ -447,8 +444,8 @@ def test_reduce_to_subspace_drops_a_zero_residual():
     assert np.array_equal(red.prior.layers[0], np.eye(3))
 
 
-# Several row blocks of A W^ at the default budget (262 rows at n = 500), each
-# large enough for OpenBLAS to split a product across threads.
+# A W^ with A 3000 x 500, large enough for OpenBLAS to split an unpinned
+# product across threads.
 _REDUCE_THREADS_SCRIPT = """
 import sys
 import numpy as np
@@ -465,12 +462,32 @@ sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 
 
 def test_reduction_ignores_the_blas_thread_count():
-    assert 3000 > spectral._REDUCE_BYTES // (8 * 500) > 1
     outs = [subprocess.run([sys.executable, "-c", _REDUCE_THREADS_SCRIPT], capture_output=True,
                            text=True, check=True,
                            env=_env_with_src(OPENBLAS_NUM_THREADS=str(threads))).stdout
             for threads in (1, 2)]
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_reduction_multiplies_at_one_blas_thread(monkeypatch):
+    # every product with A runs with OpenBLAS pinned to one thread, and the
+    # count is restored once the reduction returns
+    count, seen = [2], []
+    monkeypatch.setattr(spectral, "_openblas_thread_calls",
+                        lambda: (lambda: count[0], lambda threads: count.__setitem__(0, threads)))
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                seen.append(count[0])
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    prior, data, w0 = _subspace_problem(3, 12, 37)
+    sensing = data.sensing
+    data.sensing = sensing.view(Recording)
+    red = spectral.reduce_to_subspace(data, prior, w0)
+    assert seen == [1] and count == [2]
+    assert np.array_equal(red.data.sensing, sensing @ red.basis)
 
 
 def test_spectral_concentration_single_seed():
