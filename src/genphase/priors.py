@@ -6,28 +6,37 @@ weights and no bias terms.  Each prior records a Lipschitz proxy, the L in
 the recovery rate sqrt(k log L log m / m).
 
 The iterative projector minimizes ||G(z) - v||^2 over the latent ball by
-adaptive-moment gradient descent with restarts, using exact backpropagation
+adaptive-moment gradient descent with restarts, using the exact gradient
 through the layers and the output normalization.  Restart 0 starts from a
 scaled Gaussian latent or, with latent_init="warm-start", from a given one.
 
 The projector runs hundreds of thousands of steps per sweep, so each step
-works in hidden space.  The last layer W_L is linear and the output is
-normalized, so c = W_L^T v, v^T v and Q = W_L^T W_L, prepared once per
-projection, give the loss and its gradient from the last hidden activation
-alone (projection_loss_grad); G(z) is formed only for the kept latent.  A
-step then costs O(h_L^2) for the last hidden width h_L instead of O(n h_L),
-which is cheaper unless h_L is well above n: at (k, hidden, n) =
-(5, [32], 100) a 120-step projection takes about 2.3 ms against 3.0 ms
-through the output, at (5, [512], 100) 13 ms against 6 ms.  No shipped
-config has such a wide last layer.
+works in latent space.  A ReLU network is linear on each activation region:
+where the hidden layers' ReLU masks are D_1, ..., D_{L-1}, the last hidden
+activation is a = J z with J = D_{L-1} W_{L-1} ... D_1 W_1.  The last layer
+W_L is linear and the output is normalized, so with c = W_L^T v, v^T v and
+Q = W_L^T W_L, prepared once per projection, the loss and its gradient need
+only S = [J^T Q J ; (J^T c)^T], (k+1) x k, for the pattern of masks at z
+(projection_loss_grad).  Each projection keeps the S of every pattern its
+iterates meet, keyed by the masks' bytes, so a step costs a forward pass
+for the masks and O(k^2) once its pattern is cached; G(z) is formed only
+for the kept latent.  Building S from Q costs O(h_L^2 k) for the last
+hidden width h_L, and from P = W_L J it would cost O(n h_L k); Q measured
+as fast or faster at every shape below but the last.  Per 120-step projection to a
+near-range target, the time against evaluating each step in hidden space
+(O(h_L^2) with Q, then backprop through the hidden layers) was 0.89x at
+(k, hidden, n) = (5, [32], 100), 0.90x at (10, [40], 1000), 0.87x at
+(5, [16, 24], 50) and 1.57x at (5, [512], 100).  No shipped config has
+such a wide last layer.
 
 The per-step arithmetic is written for few numpy dispatches, and its order
 is pinned bit for bit (tests/test_priors.py keeps a plain-numpy reference).
-A vector norm is sqrt(x.dot(x)), numpy's own formula for np.linalg.norm;
-products use .dot.  The Adam moments are Python floats updated with the
-same IEEE operations in the same order as array code, because k is small: a
-whole projection is faster that way up to k = 20 and slower from about
-k = 50 on.
+A vector norm is sqrt(x.dot(x)), numpy's own formula for np.linalg.norm,
+except in the clip after an Adam step, which sums the squares in index
+order as it forms the step; products use .dot.  The Adam moments are Python
+floats updated with the same IEEE operations in the same order as array
+code, because k is small: a whole projection is faster that way up to
+k = 20 and slower from about k = 50 on.
 """
 
 from __future__ import annotations
@@ -125,24 +134,28 @@ def clip_to_ball(z, r: float):
     return z
 
 
-def _hidden(prior: GenerativePrior, z):
-    """Forward pass through every layer but the last (a ReLU MLP's hidden
-    layers).  Returns the last hidden activation (z itself for a one-layer
-    prior) and the pre-activations, which backprop needs for the ReLU masks."""
-    a = z
-    pres = []
-    for w in prior.layers[:-1]:
-        pre = w.dot(a)
-        pres.append(pre)
-        a = np.maximum(pre, 0.0)
-    return a, pres
+def latent_problems(z, k: int, name: str) -> list:
+    """The rule on a latent, as a list of problems: a finite vector of
+    length k.  name is the argument the problem names."""
+    try:
+        z = np.asarray(z, dtype=float)
+    except (TypeError, ValueError) as exc:
+        got = repr(exc)
+    else:
+        if z.shape == (k,) and np.isfinite(z).all():
+            return []
+        got = f"shape {z.shape}" if z.shape != (k,) else "a NaN or Inf entry"
+    return [f"{name}: a latent must be a finite vector of length {k}, got {got}"]
 
 
 def evaluate(prior: GenerativePrior, z):
     """G(z): forward pass then division by the l2 norm.  Latents outside the
-    ball are radially clipped first."""
-    z = clip_to_ball(np.asarray(z, dtype=float), prior.r)
-    a, _ = _hidden(prior, z)
+    ball are radially clipped first.  A z that is not a finite vector of
+    length k is a ConfigurationError (latent_problems)."""
+    raise_problems(latent_problems(z, prior.k, "z"))
+    a = clip_to_ball(np.asarray(z, dtype=float), prior.r)
+    for w in prior.layers[:-1]:
+        a = np.maximum(w.dot(a), 0.0)
     h = prior.layers[-1].dot(a)
     nh = math.sqrt(h.dot(h))
     if nh == 0:
@@ -151,47 +164,69 @@ def evaluate(prior: GenerativePrior, z):
 
 
 @dataclass(frozen=True)
-class _HiddenTarget:
-    """A projection target t seen from the last hidden layer, for a last
-    layer W_L: c = W_L^T t, tt = t^T t and q = W_L^T W_L."""
+class _LatentTarget:
+    """A projection target t seen from the latent space, for a last layer
+    W_L: c = W_L^T t, tt = t^T t, q = W_L^T W_L, and rows, which maps each
+    activation pattern met so far (the hidden masks' bytes) to its
+    (k+1) x k S = [J^T Q J ; (J^T c)^T].  It lives for one projection."""
     c: np.ndarray
     tt: float
     q: np.ndarray
+    rows: dict
 
 
-def _hidden_target(prior: GenerativePrior, target) -> _HiddenTarget:
+def _latent_target(prior: GenerativePrior, target) -> _LatentTarget:
     w = prior.layers[-1]
     t = np.asarray(target, dtype=float)
     tt = float(t.dot(t))
     if not math.isfinite(tt):
         raise NumericalError("projection target overflows: its squared norm is not finite")
-    return _HiddenTarget(c=t.dot(w), tt=tt, q=w.T.dot(w))
+    return _LatentTarget(c=t.dot(w), tt=tt, q=w.T.dot(w), rows={})
+
+
+def _pattern_rows(prior: GenerativePrior, masks, target: _LatentTarget):
+    """S = [J^T Q J ; (J^T c)^T] for the hidden layers' masks D_l, with
+    J = D_{L-1} W_{L-1} ... D_1 W_1 (the identity for a one-layer prior)."""
+    j = np.eye(prior.k)
+    for w, mask in zip(prior.layers[:-1], masks):
+        j = w.dot(j) * mask[:, None]
+    return np.vstack((j.T.dot(target.q.dot(j)), target.c.dot(j)))
 
 
 def projection_loss_grad(prior: GenerativePrior, z, target):
-    """Loss ||G(z) - target||^2 and its gradient w.r.t. z, by exact backprop.
+    """Loss ||G(z) - target||^2 and its gradient w.r.t. z, exactly.
 
-    The last layer is linear and the output is normalized, so with a the
-    last hidden activation, c = W_L^T target, Q = W_L^T W_L and
-    nh^2 = a^T Q a, the loss is 1 - 2 a^T c / nh + target^T target and its
-    gradient w.r.t. a is (2 / nh) ((a^T c / nh^2) Q a - c): no n-vector is
-    formed.  target is an n-vector or the _HiddenTarget that
-    project_iterative prepares once per call; a vector is prepared here.
-    A loss that rounds below zero (target in the range) is returned as 0."""
-    if not isinstance(target, _HiddenTarget):
-        target = _hidden_target(prior, target)
-    a, pres = _hidden(prior, z)
-    qa = target.q.dot(a)
-    nh2 = float(a.dot(qa))
+    On the activation pattern at z the last hidden activation is a = J z, so
+    with c = W_L^T target and Q = W_L^T W_L one product u = S z of
+    S = [J^T Q J ; (J^T c)^T] gives nh^2 = ||W_L a||^2 = z^T u[:k] and
+    a^T c = u[k].  The loss is 1 - 2 a^T c / nh + target^T target and its
+    gradient (2 / nh) ((a^T c / nh^2) u[:k] - S[k]): no hidden or n-vector
+    beyond the forward pass for the masks is formed.  target is an n-vector
+    or the _LatentTarget that project_iterative prepares once per call and
+    that keeps S per pattern; a vector is prepared here.  A loss that rounds
+    below zero (target in the range) is returned as 0."""
+    if not isinstance(target, _LatentTarget):
+        target = _latent_target(prior, target)
+    a, masks = z, []
+    for w in prior.layers[:-1]:
+        if masks:
+            a = np.maximum(pre, 0.0)
+        pre = w.dot(a)
+        masks.append(np.greater(pre, 0.0))   # half the time of pre > 0.0 on numpy 2
+    key = b"".join([mask.tobytes() for mask in masks])
+    s = target.rows.get(key)
+    if s is None:
+        s = target.rows[key] = _pattern_rows(prior, masks, target)
+    k = prior.k
+    u = s.dot(z)
+    qz = u[:k]
+    nh2 = float(z.dot(qz))
     if nh2 <= 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     nh = math.sqrt(nh2)
-    ac = float(a.dot(target.c))
+    ac = float(u[k])
     loss = max(1.0 - 2.0 * ac / nh + target.tt, 0.0)
-    g = (qa * (ac / nh2) - target.c) * (2.0 / nh)
-    for l in range(len(pres) - 1, -1, -1):
-        g = (g * (pres[l] > 0.0)).dot(prior.layers[l])     # W^T g: the same gemv as W.T @ g
-    return loss, g
+    return loss, (qz * (ac / nh2) - s[k]) * (2.0 / nh)
 
 
 @dataclass
@@ -260,17 +295,21 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     objective across restarts wins, ties broken by lowest restart index.
     Restart 0 starts from warm_start when cfg.latent_init is "warm-start",
     the only place that reads it; other starts are scaled-Gaussian latents.
+    A warm_start that is read and is not a finite vector of length k is a
+    ConfigurationError (latent_problems).
     """
-    raise_problems(seed_key_problems(seed))
+    warm = cfg.latent_init == "warm-start" and warm_start is not None
+    raise_problems(seed_key_problems(seed) +
+                   (latent_problems(warm_start, prior.k, "warm_start") if warm else []))
     v = _finite_target(v)
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")
-    target = _hidden_target(prior, v)
+    target = _latent_target(prior, v)
     key = flatten_seed(seed)
     steps, lr, k, r = cfg.steps, cfg.learning_rate, prior.k, prior.r
     best = None   # (objective, latent, restart) of the best restart so far
     for restart in range(cfg.restarts):
-        if restart == 0 and cfg.latent_init == "warm-start" and warm_start is not None:
+        if restart == 0 and warm:
             z = np.array(warm_start, dtype=float)
         else:
             z = 0.1 * np.random.default_rng([key, restart]).standard_normal(k)
@@ -289,12 +328,17 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
                     break
                 c1 = 1.0 - 0.9 ** (step + 1)
                 c2 = 1.0 - 0.999 ** (step + 1)
-                z_next = []
+                z_next, zz = [], 0.0
                 for i, (x, g) in enumerate(zip(z.tolist(), grad.tolist())):
                     m1[i] = mi = 0.9 * m1[i] + 0.1 * g
                     m2[i] = vi = 0.999 * m2[i] + 0.001 * g * g
-                    z_next.append(x - lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8))
-                z = clip_to_ball(np.array(z_next), r)
+                    x -= lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8)
+                    z_next.append(x)
+                    zz += x * x
+                z = np.array(z_next)
+                nz = math.sqrt(zz)   # clip_to_ball, with the norm summed in order above
+                if nz > r:
+                    z = z * (r / nz)
         except DegenerateLatentError:
             pass   # keep the iterates scored before it, if any
         if kept is not None and (best is None or kept[0] < best[0]):

@@ -8,7 +8,7 @@ from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior
                       NumericalError, ProjectionConfig, evaluate, linear_subspace_prior,
                       load_prior, project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
-from genphase.priors import clip_to_ball, default_radius
+from genphase.priors import _latent_target, clip_to_ball, default_radius
 from genphase.seeds import flatten_seed
 
 
@@ -335,11 +335,18 @@ def test_numpy_integer_fields_write_back(tmp_path):
 # ---------------------------------------------------------------------------
 # Bit identity: the projector's arithmetic is pinned to this plain-numpy
 # reference (np.linalg.norm, @ and array-valued Adam moments).  The loss and
-# gradient are the hidden-space form; evaluate() keeps the full forward pass.
+# gradient are the latent-space form, S rebuilt at every call; evaluate()
+# keeps the full forward pass.
 # ---------------------------------------------------------------------------
 
 def _ref_clip(z, r):
     nz = np.linalg.norm(z)
+    return z * (r / nz) if nz > r else z
+
+
+def _ref_step_clip(z, r):
+    """The clip after an Adam step: the squared norm summed in index order."""
+    nz = np.sqrt(np.cumsum(z * z)[-1])
     return z * (r / nz) if nz > r else z
 
 
@@ -367,18 +374,27 @@ def _ref_backprop(prior, g, pres):
     return g
 
 
-def _ref_loss_grad(prior, z, target):
+def _ref_rows(prior, z, target):
+    """S = [J^T Q J ; (J^T c)^T] on the activation pattern at z."""
     w = prior.layers[-1]
     c, q = w.T @ target, w.T @ w
-    a, pres = _ref_hidden(prior, z)
-    qa = q @ a
-    nh2 = a @ qa
+    j = np.eye(prior.k)
+    for wl, pre in zip(prior.layers[:-1], _ref_hidden(prior, z)[1]):
+        j = (wl @ j) * (pre > 0)[:, None]
+    return np.vstack((j.T @ (q @ j), c @ j))
+
+
+def _ref_loss_grad(prior, z, target):
+    k = prior.k
+    s = _ref_rows(prior, z, target)
+    u = s @ z
+    nh2 = z @ u[:k]
     if nh2 <= 0:
         raise DegenerateLatentError("latent maps to the zero vector")
     nh = np.sqrt(nh2)
-    ac = a @ c
+    ac = u[k]
     loss = max(1.0 - 2.0 * ac / nh + target @ target, 0.0)
-    return float(loss), _ref_backprop(prior, (qa * (ac / nh2) - c) * (2.0 / nh), pres)
+    return float(loss), (u[:k] * (ac / nh2) - s[k]) * (2.0 / nh)
 
 
 def _output_space_loss_grad(prior, z, target):
@@ -417,7 +433,7 @@ def _ref_project_iterative(prior, v, cfg, seed, warm_start=None):
                 m2 = 0.999 * m2 + 0.001 * grad * grad
                 mh = m1 / (1.0 - 0.9 ** (step + 1))
                 vh = m2 / (1.0 - 0.999 ** (step + 1))
-                z = _ref_clip(z - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8), prior.r)
+                z = _ref_step_clip(z - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8), prior.r)
             loss, _ = _ref_loss_grad(prior, z, v)
             obj = math.sqrt(loss)
             if obj < restart_best[0]:
@@ -520,9 +536,11 @@ def test_project_iterative_calls_loss_grad_through_module_global(monkeypatch):
     assert len(calls) == cfg.restarts * (cfg.steps + 1)
 
 
-@pytest.mark.parametrize("hidden", [[8], [40], [16, 24], [40, 8], [12, 30, 16]])
+@pytest.mark.parametrize("hidden", [[8], [40], [16, 24], [40, 8], [12, 30, 16], [160],
+                                    [24, 64]])
 def test_loss_grad_matches_output_space_backprop(hidden):
-    # hidden widths below and above n = 20, one to three hidden layers
+    # hidden widths below and above n = 20, one to three hidden layers; the
+    # last two have a last layer well above n
     prior = relu_mlp_prior(4, hidden, 20, seed=len(hidden))
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -535,6 +553,43 @@ def test_loss_grad_matches_output_space_backprop(hidden):
             ref_loss, ref_grad = _output_space_loss_grad(prior, z, target)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+
+@pytest.mark.parametrize("hidden", [[32], [16, 24]])
+def test_cached_rows_give_the_bits_of_a_fresh_target(hidden):
+    # positive multiples of z share its activation pattern (no bias terms),
+    # and so does a tiny move; only the first call builds S
+    prior = relu_mlp_prior(5, hidden, 50, seed=36)
+    rng = np.random.default_rng(37)
+    v = rng.standard_normal(50)
+    z = rng.standard_normal(5)
+    target = _latent_target(prior, v)
+    for zi in (z, 2.0 * z, 0.5 * z, z + 1e-9 * rng.standard_normal(5), 3.0 * z):
+        loss, grad = projection_loss_grad(prior, zi, target)
+        fresh_loss, fresh_grad = projection_loss_grad(prior, zi, v)
+        assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+    assert len(target.rows) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([np.nan, 0.1, 0.2, 0.3, 0.4], id="nan"),
+    pytest.param([0.1, np.inf, 0.2, 0.3, 0.4], id="inf"),
+    pytest.param([0.1, 0.2, 0.3], id="length-3"),
+    pytest.param([[0.1, 0.2, 0.3, 0.4, 0.5]], id="2-d"),
+    pytest.param(["a", "b", "c", "d", "e"], id="text")])
+def test_a_latent_that_is_not_a_finite_k_vector_is_a_configuration_error(bad):
+    # a NaN warm start used to give a NaN point and objective, an inf one a
+    # warning and then NaN, a short one numpy's bare "shapes not aligned";
+    # evaluate had the same gaps
+    prior = relu_mlp_prior(5, [16], 40, seed=1)
+    v = np.random.default_rng(38).standard_normal(40)
+    rule = "a latent must be a finite vector of length 5"
+    with pytest.raises(ConfigurationError, match=f"warm_start: {rule}"):
+        project(prior, v, ProjectionConfig(steps=3, latent_init="warm-start"), warm_start=bad)
+    with pytest.raises(ConfigurationError, match=f"z: {rule}"):
+        evaluate(prior, bad)
+    # a Gaussian-started projection does not read the warm start
+    project(prior, v, ProjectionConfig(steps=3), warm_start=bad)
 
 
 def test_target_in_range_clamps_loss_at_zero():
