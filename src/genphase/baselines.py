@@ -74,8 +74,8 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     The trace holds one record per iterate including the initial one; ppower
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
     spectral iterations that start mprg, mprgf and appgd come first.
-    Refinement runs in n-space when spec carries a Gram matrix; a spec built
-    here gets one when this run's refinement steps pay for it.  Every run
+    Refinement runs in n-space when spec carries a Gram matrix, which a spec
+    built here does not.  Every run
     argument is checked (run_problems, the seed rule and, for a given
     w0_override, start_problems) before any work.
     """
@@ -86,7 +86,7 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     start = time.perf_counter()
     steps = refine_step_count(name, t1, t2)
     if spec is None:
-        spec = build_spectral_matrix(data, refine_steps=steps)
+        spec = build_spectral_matrix(data)
     if w0_override is None:
         w0 = initial_vector(spec, shifted_matrix(spec))
     else:

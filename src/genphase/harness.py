@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import refine_step_count, run_algorithm, run_problems
+from .baselines import run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, count_problems, \
     is_finite_number, is_integer, raise_problems, seed_problems
 from .links import LinkModel, sample_measurements
@@ -269,24 +269,21 @@ def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, tria
     measurements, build V once, take w0 once and run each algorithm from each
     _restart_start.  A linear-subspace cell's V serves w0 alone: the cell is
     solved in k+1 coordinates (spectral.reduce_to_subspace), each start
-    entering as basis^T start and each final_iterate mapped back.  The
-    matrices the solves use carry the Gram matrix when the refinement steps
-    of every restart of every algorithm pay for it (spectral.gram_pays_off).
-    A linear-subspace cell frees its n-space A and V once reduced, before its
-    first solve; a relu-mlp cell frees them on return.  Returns {algorithm:
-    [RunTrace per restart]} in config order."""
-    refine_steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2)
-                                      for a in cfg.algorithms)
+    entering as basis^T start and each final_iterate mapped back, with the
+    reduced Gram matrix G_k for n-space refinement steps; a relu-mlp cell
+    refines in m-space.  A linear-subspace cell frees its n-space A and V
+    once reduced, before its first solve; a relu-mlp cell frees them on
+    return.  Returns {algorithm: [RunTrace per restart]} in config order."""
     subspace = prior.kind == "linear-subspace"
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
                                flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
-    spec = build_spectral_matrix(data, refine_steps=0 if subspace else refine_steps)
+    spec = build_spectral_matrix(data)
     w0 = initial_vector(spec, shifted_matrix(spec))
     solve_prior, basis = prior, None
     if subspace:
         # rebinding data and spec drops the n-space A and V, which no solve reads
-        reduced = reduce_to_subspace(data, prior, w0, refine_steps)
+        reduced = reduce_to_subspace(data, prior, w0)
         data, solve_prior, spec, basis = reduced.data, reduced.prior, reduced.spec, reduced.basis
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):

@@ -31,9 +31,10 @@ such a wide last layer.
 
 The per-step arithmetic is written for few numpy dispatches, and its order
 is pinned bit for bit (tests/test_priors.py keeps a plain-numpy reference).
-A vector norm is sqrt(x.dot(x)), numpy's own formula for np.linalg.norm,
-except in the clip after an Adam step, which sums the squares in index
-order as it forms the step; products use .dot.  The Adam moments are Python
+A vector norm is sqrt(x.dot(x)), numpy's own formula for np.linalg.norm
+(vector_norm, which rescales x when x.x overflows), except in the clip
+after an Adam step, which sums the squares in index order as it forms the
+step; products use .dot.  The Adam moments are Python
 floats updated with the same IEEE operations in the same order as array
 code, because k is small: a whole projection is faster that way up to
 k = 20 and slower from about k = 50 on.
@@ -127,8 +128,24 @@ def make_prior(kind, k, n, r=None, hidden=(), seed=0) -> GenerativePrior:
     return GenerativePrior(kind, k, n, r, layers, seed, _lipschitz_proxy(layers))
 
 
+def vector_norm(x) -> float:
+    """The l2 norm of x: sqrt(x.x), numpy's formula for np.linalg.norm, where
+    x.x is finite, else max|x| times the norm of x / max|x|, so a finite x
+    whose x.x overflows gets its true norm (and a NaN or Inf entry, a NaN or
+    Inf one).  np.vdot forms x.x since, unlike dot, it does not warn when
+    that overflows."""
+    xx = float(np.vdot(x, x))
+    if math.isfinite(xx):
+        return math.sqrt(xx)
+    scale = float(np.abs(x).max())
+    if not math.isfinite(scale):
+        return scale
+    x = np.asarray(x) / scale
+    return scale * math.sqrt(np.vdot(x, x))
+
+
 def clip_to_ball(z, r: float):
-    nz = math.sqrt(z.dot(z))
+    nz = vector_norm(z)
     if nz > r:
         return z * (r / nz)
     return z

@@ -18,7 +18,7 @@ A step has two forms with the same result up to rounding:
   read from memory once.  With nu frozen, the pass streams the one residual
   nu g - ytil instead (4mn flops).
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix
-  G = A^T A / m (see spectral.gram_pays_off):
+  G = A^T A / m, as spectral.reduce_to_subspace's does in k+1 coordinates:
   nu_hat = x^T V x + ybar (x^T x - x^T G x) and the gradient
   (nu_hat + ybar) G x - V x - ybar x, from M = V + ybar (I - G) =
   (1/m) A^T diag(y - ybar) A; 4n^2 flops per step, at the cost of the

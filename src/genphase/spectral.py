@@ -13,9 +13,9 @@ for c column blocks (c = 1 up to n = 724, 8 at n = 2000), and memory for A
 plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
 
 The build splits its output by column block ("tile"): the tile I gets, for
-every row block in order, the GEMMs S[I, I:] += A_b[:, I]^T Y_b[:, I:] (and
-the same for G), whichever thread runs it, so V and G have the same bits
-for any number of threads.  The tiles are shared greedily, by their work
+every row block in order, the GEMM S[I, I:] += A_b[:, I]^T Y_b[:, I:],
+whichever thread runs it, so V has the same bits for any number of
+threads.  The tiles are shared greedily, by their work
 width * (n - i0), among min(CPUs, tiles) groups, where CPUs counts the CPUs
 this process may run on (os.sched_getaffinity, so `taskset` limits them);
 the calling thread runs one group and a thread each runs the others.  One
@@ -32,25 +32,19 @@ The caller allocates every buffer a worker writes (its Y_b block and its
 product tile), since blocks that threads allocate and free stay in glibc's
 per-thread arenas and raise the peak memory.
 
-When the caller will run enough refinement steps on the same measurements,
-the same pass also accumulates the Gram matrix G = A^T A / m (another n^2
-floats and as many flops again).  A refinement step then costs 4n^2 flops
-from G and V instead of an m-space step's one streamed pass over A (see
-refine.py).  The build pays for G when 2 * refine_steps * (m - n) > m * n,
-the flop break-even between one extra 2mn^2 build and saving 4n(m - n) per
-step against a 4mn m-space step; it never holds for m <= n.  The streamed
-m-space step does 6mn flops, but its time is that of one read of A.
-
 A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace).
 Every projection lands in range(W), so the power and refinement iterates are
 x = W z, and the first power step multiplies the start w0 itself, which need
 not lie in range(W).  With u the unit residual of w0 off range(W), the basis
 W^ = [W | u] spans every iterate and start.  One O(mnk) GEMM gives
 B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
-are the same at any OpenBLAS thread count; V_k = W^T V W^ and
-G_k = W^T G W^ are built from it at O(m(k+1)^2), and the exact projector in
-these coordinates is the one of the basis eye(k+1, k).  Without u,
-W^T V W W^T w0 would stand in for W^T V w0, a different first step.
+are the same at any OpenBLAS thread count; V_k = W^T V W^ and the Gram
+matrix G_k = B^T B^ / m are formed from it at O(m(k+1)^2), and the exact
+projector in these coordinates is the one of the basis eye(k+1, k).  With
+G_k a refinement step costs O((k+1)^2) instead of a pass over B^ (see
+refine.py); the n-space build forms no Gram matrix, whose n^2 floats and
+2mn^2 flops a relu-mlp solve's steps did not measurably win back.  Without
+u, W^T V W W^T w0 would stand in for W^T V w0, a different first step.
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ import numpy as np
 
 from .errors import NumericalError, count_problems, raise_problems
 from .links import MeasurementSet
-from .priors import GenerativePrior, ProjectionConfig, project
+from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .runtrace import Step, step_at
 from .seeds import flatten_seed
 
@@ -78,7 +72,7 @@ from .seeds import flatten_seed
 class SpectralMatrix:
     v: np.ndarray             # n x n, exactly symmetric
     ybar: float
-    gram: np.ndarray | None = None  # A^T A / m, exactly symmetric, when built
+    gram: np.ndarray | None = None  # A^T A / m, exactly symmetric (reduce_to_subspace)
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its
@@ -92,15 +86,6 @@ _BLOCK_BYTES = 8 << 20
 def _block_sizes(n: int) -> tuple[int, int]:
     """Rows per row block and columns per column block at dimension n."""
     return max(1, _BLOCK_BYTES // (8 * n)), max(1, _BLOCK_BYTES // (16 * n))
-
-
-def gram_pays_off(m: int, n: int, refine_steps: int) -> bool:
-    """Whether building G = A^T A / m (2mn^2 flops) beside V costs less than
-    the 4n(m - n) flops per step it saves over refine_steps refinement
-    steps, counting an m-space step as 4mn flops.  A flop rule: the build is
-    compute-bound, and the streamed m-space step is bound by its one read
-    of A."""
-    return 2 * refine_steps * (m - n) > m * n
 
 
 def _mirror_upper(mat: np.ndarray, starts, width: int) -> None:
@@ -182,11 +167,10 @@ def _tile_groups(n: int, width: int, workers: int) -> list[list[int]]:
     return groups
 
 
-def _accumulate(a, y, rows: int, width: int, starts, s, gram, y_buf, prod_buf) -> None:
+def _accumulate(a, y, rows: int, width: int, starts, s, y_buf, prod_buf) -> None:
     """For every row block A_b of a, in order, and every tile I = [i0, i0 +
     width) with i0 in starts: s[I, i0:] += A_b[:, I]^T Y_b[:, i0:], Y_b =
-    A_b * y_b, and gram[I, i0:] += A_b[:, I]^T A_b[:, i0:] unless gram is
-    None.  Y_b and each product are written into y_buf and prod_buf."""
+    A_b * y_b.  Y_b and each product are written into y_buf and prod_buf."""
     n = a.shape[1]
     for r0 in range(0, a.shape[0], rows):
         a_b = a[r0:r0 + rows]
@@ -197,8 +181,6 @@ def _accumulate(a, y, rows: int, width: int, starts, s, gram, y_buf, prod_buf) -
             i1 = min(i0 + width, n)
             prod = prod_buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
             s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
-            if gram is not None:
-                gram[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, a_b[:, i0:], out=prod)
 
 
 def _run_groups(count: int, work) -> None:
@@ -228,16 +210,15 @@ def _run_groups(count: int, work) -> None:
         raise errors[0]
 
 
-def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> SpectralMatrix:
-    """V = (1/m) A^T diag(y) A - ybar I, and G = A^T A / m when
-    gram_pays_off(m, n, refine_steps).
+def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
+    """V = (1/m) A^T diag(y) A - ybar I, without a Gram matrix.
 
     For each row block A_b of A, with Y_b = A_b * y_b, only the upper block
     triangle S[I, J>=I] += A_b[:, I]^T Y_b[:, J>=I] of S = A^T diag(y) A is
-    accumulated, one GEMM per column block I (and likewise for A^T A), with
-    the column blocks shared among threads (module docstring); S is then
-    mirrored and shifted in place.  Raises NumericalError when a diagonal
-    entry of S is not finite, which any NaN or infinity in y or A causes.
+    accumulated, one GEMM per column block I, with the column blocks shared
+    among threads (module docstring); S is then mirrored and shifted in
+    place.  Raises NumericalError when a diagonal entry of S is not finite,
+    which any NaN or infinity in y or A causes.
     """
     a = data.sensing
     y = data.observations
@@ -245,27 +226,22 @@ def build_spectral_matrix(data: MeasurementSet, refine_steps: int = 0) -> Spectr
     rows, width = _block_sizes(n)
     starts = range(0, n, width)
     s = np.zeros((n, n))
-    gram = np.zeros((n, n)) if gram_pays_off(m, n, refine_steps) else None
     with _one_blas_thread() as pinned:
         groups = _tile_groups(n, width, min(_cpu_count(), len(starts)) if pinned else 1)
         bufs = [(np.empty((min(rows, m), n)), np.empty(min(width, n) * n)) for _ in groups]
-        _run_groups(len(groups), lambda g: _accumulate(a, y, rows, width, groups[g], s, gram,
-                                                       *bufs[g]))
+        _run_groups(len(groups), lambda g: _accumulate(a, y, rows, width, groups[g], s, *bufs[g]))
     # freed before the mirror allocates: held until the return, they made a
     # one-tile build at n = 100, m = 250 about 1.5 times as slow
     del bufs
     s /= m
     # Exact symmetry by construction: mirror the upper triangle.
     _mirror_upper(s, starts, width)
-    if gram is not None:
-        gram /= m
-        _mirror_upper(gram, starts, width)
     if not np.isfinite(np.diag(s)).all():
         raise NumericalError("spectral matrix is not finite: the measurements "
                              "contain NaN or Inf")
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
-    return SpectralMatrix(v=s, ybar=ybar, gram=gram)
+    return SpectralMatrix(v=s, ybar=ybar)
 
 
 @dataclass
@@ -274,19 +250,18 @@ class SubspaceReduction:
     basis: np.ndarray         # n x (k+1), orthonormal columns [W | u] (W alone when u = 0)
     data: MeasurementSet      # sensing A @ basis, signal basis^T x, the same observations
     prior: GenerativePrior    # linear subspace with basis eye(k+1, k)
-    spec: SpectralMatrix      # built from data
+    spec: SpectralMatrix      # built from data, with its Gram matrix
 
 
-def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0,
-                       refine_steps: int = 0) -> SubspaceReduction:
+def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> SubspaceReduction:
     """The problem of a linear-subspace prior with basis W in the coordinates
     of W^ = [W | u], u the unit residual of the start w0 off range(W)
     (orthogonalized twice), or of W alone when that residual is no larger
     than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
-    matrix A W^ is one product with OpenBLAS pinned to one thread, and the
-    reduced spectral matrix is build_spectral_matrix of the reduced data,
-    with G_k when refine_steps pay for it."""
+    matrix B^ = A W^ and its Gram matrix B^T B^ / m are products with
+    OpenBLAS pinned to one thread, and the reduced spectral matrix is
+    build_spectral_matrix of the reduced data, carrying that Gram matrix."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
@@ -297,11 +272,14 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0,
     dim = w.shape[1]
     with _one_blas_thread():
         sensing = data.sensing @ w
+        gram = sensing.T @ sensing / data.m   # numpy's SYRK path: exactly symmetric
     reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w, sensing=sensing,
                              observations=data.observations, seed=data.seed, link=data.link)
     coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
                              [np.eye(dim, prior.k)], prior.seed, 1.0)
-    return SubspaceReduction(w, reduced, coords, build_spectral_matrix(reduced, refine_steps))
+    spec = build_spectral_matrix(reduced)
+    spec.gram = gram
+    return SubspaceReduction(w, reduced, coords, spec)
 
 
 def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:
@@ -337,8 +315,9 @@ def t1_problems(t1) -> list:
 
 def start_problems(w0) -> list:
     """The rule on a start vector, as a list of problems: a finite nonzero
-    norm, which the first power step divides by."""
-    size = float(np.linalg.norm(w0))
+    norm (vector_norm, which an overflowing w0.w0 does not make infinite),
+    which the first power step divides by."""
+    size = vector_norm(w0)
     ok = math.isfinite(size) and size > 0
     return [] if ok else [f"w0: the start vector must have a finite nonzero norm, got {size}"]
 
@@ -352,7 +331,7 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
     A w0 of zero or non-finite norm is a ConfigurationError (start_problems)."""
     raise_problems(t1_problems(t1) + start_problems(w0))
     w = np.asarray(w0, dtype=float)
-    w = w / np.linalg.norm(w)
+    w = w / vector_norm(w)
     states = [step_at(w, 0, truth)]
     latent = None
     base = flatten_seed(seed)

@@ -7,6 +7,7 @@ from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior,
                       run_algorithm, sample_measurements)
 from genphase import baselines
 from genphase.seeds import flatten_seed
+from genphase.spectral import SpectralMatrix
 
 
 def _range_signal(prior, latent_seed=0):
@@ -215,8 +216,7 @@ def test_run_algorithm_refines_in_n_space_with_a_gram(name):
     x = _range_signal(prior, latent_seed=3)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
     plain = build_spectral_matrix(data)
-    with_gram = build_spectral_matrix(data, refine_steps=10**6)
-    assert with_gram.gram is not None
+    with_gram = SpectralMatrix(plain.v, plain.ybar, data.sensing.T @ data.sensing / data.m)
     a = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=plain)
     b = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=with_gram)
     assert len(a.records) == len(b.records)
@@ -224,17 +224,13 @@ def test_run_algorithm_refines_in_n_space_with_a_gram(name):
     assert [r.get("warn") for r in a.records] == [r.get("warn") for r in b.records]
 
 
-def test_run_algorithm_builds_for_its_own_refine_steps(monkeypatch):
-    seen = []
-    build = baselines.build_spectral_matrix
-
-    def recording(data, refine_steps=0):
-        seen.append(refine_steps)
-        return build(data, refine_steps=refine_steps)
-
-    monkeypatch.setattr(baselines, "build_spectral_matrix", recording)
+@pytest.mark.parametrize("name", ["mprg", "appgd"])
+def test_run_algorithm_takes_a_start_whose_square_overflows(name):
+    # 1e200 e_1 warned "overflow encountered in dot" and was refused as a
+    # start of norm inf; its power steps are those of e_1
     prior = linear_subspace_prior(3, 12, seed=1)
     data = sample_measurements(LinkModel("abs-noise-out"), _range_signal(prior), 80, seed=2)
-    for name in ALGORITHMS:
-        run_algorithm(name, data, prior, t1=3, t2=4)
-    assert seen == [4, 4, 0, 7, 0]
+    e = np.eye(12)[0]
+    runs = [run_algorithm(name, data, prior, t1=3, t2=4, seed=5, w0_override=scale * e)
+            for scale in (1e200, 1.0)]
+    assert runs[0].records == runs[1].records

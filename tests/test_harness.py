@@ -10,7 +10,7 @@ from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataErro
                       config_from_file, draw_signal, emit_outputs, fit_slope, initial_vector,
                       read_sweep_csv, run_algorithm, run_experiment, sample_measurements,
                       shifted_matrix, validate_config)
-from genphase.baselines import ALGORITHMS, refine_step_count, run_problems
+from genphase.baselines import ALGORITHMS, run_problems
 from genphase.harness import build_prior, oracle_restart, solve_cell, t_quantile_975
 from genphase.runtrace import RunTrace
 from genphase.seeds import flatten_seed
@@ -213,34 +213,43 @@ def test_run_experiment_row_cardinality():
     assert result.slopes == {"mprg": None, "ppower": None}
 
 
-@pytest.mark.parametrize("prior", [dict(prior_kind="relu-mlp", hidden=(8,),
-                                        projection=ProjectionConfig(steps=5)),
-                                   dict(prior_kind="linear-subspace")],
-                         ids=["relu-mlp", "linear-subspace"])
-def test_run_experiment_builds_for_all_refine_steps(monkeypatch, prior):
-    # the build of the matrices a cell's solves use is told the refinement
-    # steps of every restart of every algorithm: 2 restarts x (mprg t2 +
-    # step2 t1+t2 + appgd 0).  A relu-mlp cell solves with its n-space V; a
-    # linear-subspace cell's n-space V serves only the start, and its solves
-    # use the reduced build
-    from genphase import harness, spectral
-    seen = {"n-space": [], "reduced": []}
+@pytest.mark.parametrize("kind", ["relu-mlp", "linear-subspace"])
+def test_only_the_reduction_forms_a_gram(monkeypatch, kind):
+    # no n-space build carries G, even for a relu-mlp cell whose 3 restarts
+    # x (mprg + mprgf) x t2 = 600 refinement steps once paid for one at
+    # m = 60, n = 20; a linear-subspace cell's solves get the reduced G_k
+    from genphase import harness
+    build, reduce, solve = (harness.build_spectral_matrix, harness.reduce_to_subspace,
+                            harness.run_algorithm)
+    built, reduced, solved = [], [], []
 
-    def recording(where, build):
-        def record(data, refine_steps=0):
-            seen[where].append(refine_steps)
-            return build(data, refine_steps=refine_steps)
-        return record
+    def building(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(harness, "build_spectral_matrix",
-                        recording("n-space", harness.build_spectral_matrix))
-    monkeypatch.setattr(spectral, "build_spectral_matrix",
-                        recording("reduced", spectral.build_spectral_matrix))
-    run_experiment(_tiny_cfg(algorithms=("mprg", "step2", "appgd"), t1=3, t2=4, **prior))
-    if prior["prior_kind"] == "relu-mlp":
-        assert seen == {"n-space": [2 * (4 + 7 + 0)] * 4, "reduced": []}
+    def reducing(*args):
+        reduced.append(reduce(*args))
+        return reduced[-1]
+
+    def solving(name, data, prior, **kwargs):
+        solved.append(kwargs["spec"])
+        return solve(name, data, prior, **kwargs)
+
+    monkeypatch.setattr(harness, "build_spectral_matrix", building)
+    monkeypatch.setattr(harness, "reduce_to_subspace", reducing)
+    monkeypatch.setattr(harness, "run_algorithm", solving)
+    cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (), n=20,
+                    m_grid=(60,), trials=1, restarts=3, algorithms=("mprg", "mprgf"), t2=100,
+                    projection=ProjectionConfig(steps=5))
+    solve_cell(cfg, build_prior(cfg), 0, 0)
+    assert len(built) == 1 and built[0].gram is None
+    spec = built[0] if kind == "relu-mlp" else reduced[0].spec
+    assert len(solved) == 6 and all(got is spec for got in solved)
+    if kind == "relu-mlp":
+        assert reduced == []
     else:
-        assert seen == {"n-space": [0] * 4, "reduced": [2 * (4 + 7 + 0)] * 4}
+        b = reduced[0].data.sensing
+        assert np.array_equal(spec.gram, b.T @ b / 60)
 
 
 def test_run_experiment_determinism():
@@ -283,13 +292,13 @@ def test_solve_cell_traces_and_oracle_rule_give_the_rows(prior):
 
 def _n_space_cell(cfg, prior, m_index, trial):
     """A linear-subspace cell solved in n-space, as before its reduction:
-    the same data, starts and seeds, and V with the Gram matrix when it pays."""
+    the same data, starts and seeds, and V without a Gram matrix, so its
+    refinement steps run in m-space."""
     from genphase import harness
-    steps = cfg.restarts * sum(refine_step_count(a, cfg.t1, cfg.t2) for a in cfg.algorithms)
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(harness._link(cfg), x, cfg.m_grid[m_index],
                                flatten_seed([cfg.master_seed, m_index, trial, harness.ROLE_MEAS]))
-    spec = build_spectral_matrix(data, refine_steps=steps)
+    spec = build_spectral_matrix(data)
     w0 = initial_vector(spec, shifted_matrix(spec))
     return {algo: [run_algorithm(algo, data, prior, t1=cfg.t1, t2=cfg.t2, tau=cfg.tau, spec=spec,
                                  w0_override=harness._restart_start(
@@ -352,8 +361,8 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
         refs["a"] = weakref.ref(data.sensing)
         return data
 
-    def building(data, refine_steps=0):
-        spec = build(data, refine_steps=refine_steps)
+    def building(data):
+        spec = build(data)
         refs["v"] = weakref.ref(spec.v)
         return spec
 

@@ -53,6 +53,16 @@ def test_latent_ball_clipping():
     assert np.array_equal(evaluate(prior, z_big), evaluate(prior, clipped))
 
 
+def test_clip_takes_the_true_norm_of_a_latent_whose_square_overflows():
+    # z.z overflowed from entries of about 1e154: the clip warned "overflow
+    # encountered in dot" and scaled z to zero, which evaluate then refused
+    # as a degenerate latent
+    assert np.array_equal(clip_to_ball(np.full(4, 1e200), 2.0), np.ones(4))
+    prior = relu_mlp_prior(5, [16], 40, seed=1)
+    e = np.eye(5)[0]
+    assert np.allclose(evaluate(prior, 1e200 * e), evaluate(prior, e), rtol=0, atol=1e-15)
+
+
 def test_zero_latent_is_degenerate():
     prior = linear_subspace_prior(4, 20, seed=5)
     with pytest.raises(DegenerateLatentError):

@@ -31,9 +31,8 @@ def _spec(data, form):
     SpectralMatrix carrying the Gram matrix."""
     if form == "m-space":
         return None
-    spec = build_spectral_matrix(data, refine_steps=data.m * data.n)
-    if spec.gram is None:   # m <= n: the build never pays for it
-        spec.gram = data.sensing.T @ data.sensing / data.m
+    spec = build_spectral_matrix(data)
+    spec.gram = data.sensing.T @ data.sensing / data.m
     return spec
 
 

@@ -80,19 +80,10 @@ def _random_set(m, n, seed, zero_frac=0.0):
 
 
 def _check_against_naive(data):
-    # refine_steps = m n asks for G exactly when m > n (2 m n (m - n) > m n)
-    spec = build_spectral_matrix(data, refine_steps=data.m * data.n)
+    spec = build_spectral_matrix(data)
     ref = _naive_v(data)
     assert np.abs(spec.v - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(spec.v, spec.v.T)
-    if data.m > data.n:
-        ref_g = data.sensing.T @ data.sensing / data.m
-        assert np.abs(spec.gram - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
-        assert np.array_equal(spec.gram, spec.gram.T)
-        # building G leaves V's bits alone
-        assert np.array_equal(spec.v, build_spectral_matrix(data).v)
-    else:
-        assert spec.gram is None
     assert spec.ybar == data.observations.mean()
     # shifting V's diagonal back by ybar gives the naive shifted diagonal
     full = shifted_matrix(spec)
@@ -134,24 +125,7 @@ def test_build_matches_naive_default_blocks(m, n):
 
 
 def test_build_without_refine_steps_has_no_gram():
-    data = _random_set(2000, 20, seed=7)
-    assert build_spectral_matrix(data).gram is None
-    # 2 * 5 * (2000 - 20) = 19,800 <= 2000 * 20 = 40,000
-    assert build_spectral_matrix(data, refine_steps=5).gram is None
-
-
-@pytest.mark.parametrize("m,n,steps,pays", [
-    (250, 100, 2 * (30 + 30 + 50), True),   # 5 algorithms, 2 restarts, smallest m
-    (400, 100, 10 * (30 + 30), True),       # mprg, mprgf and appgd, 10 restarts
-    (16000, 2000, 2 * 30, False),           # mprg and appgd, 2 restarts
-    (200, 100, 100, False),                 # break-even: 2 * 100 * 100 == 200 * 100
-    (200, 100, 101, True),
-    (100, 100, 10**9, False),               # never for m <= n
-    (50, 100, 10**9, False),
-    (1000, 100, 0, False),
-])
-def test_gram_pays_off_rule(m, n, steps, pays):
-    assert spectral.gram_pays_off(m, n, steps) is pays
+    assert build_spectral_matrix(_random_set(2000, 20, seed=7)).gram is None
 
 
 def test_build_single_block_equals_one_gemm():
@@ -224,10 +198,10 @@ def test_tile_groups_balance_work_greedily():
 def test_pooled_build_keeps_the_bits_at_any_worker_count(three_tiles, monkeypatch, workers):
     data = _random_set(50, 20, seed=12, zero_frac=0.2)
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
-    ref = build_spectral_matrix(data, refine_steps=10**6)
+    ref = build_spectral_matrix(data)
     seen = _record_groups(monkeypatch, workers)
-    spec = build_spectral_matrix(data, refine_steps=10**6)
-    assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+    spec = build_spectral_matrix(data)
+    assert np.array_equal(spec.v, ref.v)
     assert spec.ybar == ref.ybar
     # one group per worker, the caller's with the largest tile, every tile
     # once, each at one BLAS thread
@@ -245,17 +219,17 @@ def test_pooled_build_under_thread_switching_keeps_the_bits(monkeypatch):
     assert spectral._block_sizes(40) == (4, 2)
     data = _random_set(90, 40, seed=21, zero_frac=0.2)
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
-    ref = build_spectral_matrix(data, refine_steps=10**6)
+    ref = build_spectral_matrix(data)
     seen = _record_groups(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        specs = [build_spectral_matrix(data, refine_steps=10**6) for _ in range(5)]
+        specs = [build_spectral_matrix(data) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
     assert len(seen) == 5 * 8
     for spec in specs:
-        assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+        assert np.array_equal(spec.v, ref.v)
 
 
 @requires_openblas
@@ -279,10 +253,8 @@ def test_workers_run_with_the_callers_numpy_error_state(three_tiles, monkeypatch
 def test_pooled_build_matches_naive(three_tiles, monkeypatch, m, workers):
     seen = _record_groups(monkeypatch, workers)
     _check_against_naive(_random_set(m, 20, seed=m, zero_frac=0.2))
-    # the check builds twice when it asks for G (m > n)
-    builds = 2 if m > 20 else 1
-    assert len(seen) == builds * workers
-    assert sum(thread is threading.current_thread() for _, thread, _ in seen) == builds
+    assert len(seen) == workers
+    assert sum(thread is threading.current_thread() for _, thread, _ in seen) == 1
 
 
 @requires_openblas
@@ -321,24 +293,24 @@ def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monk
 @requires_openblas
 def test_build_without_openblas_thread_calls_runs_in_the_caller(three_tiles, monkeypatch):
     data = _random_set(50, 20, seed=12, zero_frac=0.2)
-    ref = build_spectral_matrix(data, refine_steps=10**6)
+    ref = build_spectral_matrix(data)
     # the pin that the fallback cannot make, made for it: the same bits at one thread
     with spectral._one_blas_thread():
         seen = _record_groups(monkeypatch, 3)
         monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
         monkeypatch.setattr(threading.Thread, "start",
                             lambda self: pytest.fail("the fallback started a thread"))
-        spec = build_spectral_matrix(data, refine_steps=10**6)
+        spec = build_spectral_matrix(data)
     assert [(starts, thread) for starts, thread, _ in seen] == \
         [([0, 8, 16], threading.current_thread())]
-    assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.gram, ref.gram)
+    assert np.array_equal(spec.v, ref.v)
 
 
 def test_one_tile_build_starts_no_thread(monkeypatch):
     # every n <= 724 is one column block
     assert spectral._block_sizes(724)[1] >= 724
     seen = _record_groups(monkeypatch, 64)
-    build_spectral_matrix(_random_set(300, 100, seed=5), refine_steps=10**6)
+    build_spectral_matrix(_random_set(300, 100, seed=5))
     assert [(starts, thread) for starts, thread, _ in seen] == \
         [([0], threading.current_thread())]
 
@@ -376,7 +348,7 @@ rng = np.random.default_rng(0)
 x = np.eye(20)[0]
 data = MeasurementSet(n=20, m=50, signal=x, sensing=rng.standard_normal((50, 20)),
                       observations=rng.standard_normal(50), seed=0, link=LinkModel("linear"))
-build_spectral_matrix(data, refine_steps=10**6)
+build_spectral_matrix(data)
 counts.append(get())
 data.observations[7] = np.nan
 try:
@@ -416,7 +388,7 @@ def test_reduce_to_subspace_is_the_problem_in_basis_coordinates():
     # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^ and
     # W^T G W^
     prior, data, w0 = _subspace_problem(3, 12, 37)
-    red = spectral.reduce_to_subspace(data, prior, w0, refine_steps=10**6)
+    red = spectral.reduce_to_subspace(data, prior, w0)
     basis, w = red.basis, prior.layers[0]
     assert basis.shape == (12, 4) and np.array_equal(basis[:, :3], w)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-15, rtol=0)
@@ -425,13 +397,26 @@ def test_reduce_to_subspace_is_the_problem_in_basis_coordinates():
     assert red.data.observations is data.observations
     assert np.allclose(red.data.sensing, data.sensing @ basis, atol=1e-14, rtol=0)
     assert np.allclose(red.data.signal, data.signal @ basis, atol=1e-15, rtol=0)
-    full = build_spectral_matrix(data, refine_steps=10**6)
+    full = build_spectral_matrix(data)
     assert red.spec.ybar == full.ybar
     assert np.allclose(red.spec.v, basis.T @ full.v @ basis, atol=1e-13, rtol=0)
-    assert np.allclose(red.spec.gram, basis.T @ full.gram @ basis, atol=1e-13, rtol=0)
+    gram = data.sensing.T @ data.sensing / data.m
+    assert np.allclose(red.spec.gram, basis.T @ gram @ basis, atol=1e-13, rtol=0)
     assert red.prior.kind == "linear-subspace" and (red.prior.k, red.prior.n) == (3, 4)
     assert np.array_equal(red.prior.layers[0], np.eye(4, 3)) and red.prior.r == prior.r
-    assert spectral.reduce_to_subspace(data, prior, w0).spec.gram is None
+
+
+@pytest.mark.parametrize("k,n,m,in_range", [(3, 12, 37, False), (3, 12, 2, False),
+                                            (5, 100, 4000, False), (4, 30, 90, True)])
+def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range):
+    # the one place a Gram matrix is formed: G_k = B^T B^ / m for B^ = A W^,
+    # at every m (also m <= k+1), with or without the residual column
+    prior, data, w0 = _subspace_problem(k, n, m)
+    red = spectral.reduce_to_subspace(data, prior, prior.layers[0][:, 0] if in_range else w0)
+    b = red.data.sensing
+    assert b.shape == (m, k + (not in_range))
+    assert np.array_equal(red.spec.gram, b.T @ b / m)
+    assert np.array_equal(red.spec.gram, red.spec.gram.T)
 
 
 def test_reduce_to_subspace_drops_a_zero_residual():
@@ -455,7 +440,7 @@ prior = linear_subspace_prior(5, 500, seed=2)
 x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
 data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
 w0 = np.random.default_rng(2).standard_normal(500)
-red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0), refine_steps=60)
+red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
 out = (red.basis, red.data.sensing, red.data.signal, red.spec.v, red.spec.gram)
 sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 """
@@ -632,6 +617,25 @@ def test_projected_power_rejects_a_zero_or_non_finite_start(w0):
     with pytest.raises(ConfigurationError, match="w0: the start vector must have a finite "
                                                  "nonzero norm"):
         projected_power(spec, prior, w0, 3)
+
+
+# A finite start whose squared norm overflows (entries from about 1e154)
+# warned "overflow encountered in dot", and its norm read inf.
+def test_start_rule_takes_the_true_norm_of_a_start_whose_square_overflows():
+    assert spectral.start_problems(np.r_[1e200, np.zeros(4)]) == []
+    assert spectral.start_problems([1e308, -1e308]) == []   # norm 1.41e308
+    assert spectral.start_problems(np.full(2, 1.7e308)) == \
+        ["w0: the start vector must have a finite nonzero norm, got inf"]
+
+
+def test_projected_power_normalizes_a_start_whose_square_overflows():
+    prior, data, _ = _subspace_problem(3, 12, 37)
+    spec = build_spectral_matrix(data)
+    e = np.eye(12)[0]
+    huge = projected_power(spec, prior, 1e200 * e, 3, truth=data.signal)
+    unit = projected_power(spec, prior, e, 3, truth=data.signal)
+    assert [s.record() for s in huge] == [s.record() for s in unit]
+    assert all(np.array_equal(a.iterate, b.iterate) for a, b in zip(huge, unit))
 
 
 def test_frobenius_residual_decreases_with_m():
