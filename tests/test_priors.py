@@ -479,11 +479,14 @@ def _assert_same_projection(prior, v, cfg, seed, warm_start=None):
     return degenerate
 
 
-@pytest.mark.parametrize("k", [4, 5, 10, 20])
+@pytest.mark.parametrize("k, hidden", [pytest.param(k, [32], id=str(k)) for k in (4, 5, 10, 20)]
+                         + [pytest.param(1, [32], id="1"),
+                            pytest.param(5, [12, 30, 16], id="5-hidden-12-30-16")])
 @pytest.mark.parametrize("latent_init", ["gaussian", "warm-start"])
 @pytest.mark.parametrize("radius", [None, 0.05])
-def test_project_iterative_bit_identical_to_reference(k, latent_init, radius):
-    prior = relu_mlp_prior(k, [32], 60, r=radius, seed=k)
+def test_project_iterative_bit_identical_to_reference(k, hidden, latent_init, radius):
+    # three hidden layers: a pattern's key spans several masks
+    prior = relu_mlp_prior(k, hidden, 60, r=radius, seed=k)
     rng = np.random.default_rng(100 + k)
     v = rng.standard_normal(60)
     cfg = ProjectionConfig(steps=40, learning_rate=0.1, restarts=3, latent_init=latent_init)
@@ -540,10 +543,13 @@ def test_project_iterative_calls_loss_grad_through_module_global(monkeypatch):
 
     monkeypatch.setattr(priors_module, "projection_loss_grad", counting)
     prior = relu_mlp_prior(5, [16], 40, seed=28)
-    v = np.random.default_rng(29).standard_normal(40)
-    cfg = ProjectionConfig(steps=17, learning_rate=0.05, restarts=3)
-    project_iterative(prior, v, cfg, seed=30)
-    assert len(calls) == cfg.restarts * (cfg.steps + 1)
+    rng = np.random.default_rng(29)
+    v = rng.standard_normal(40)
+    for latent_init in ("gaussian", "warm-start"):
+        calls.clear()
+        cfg = ProjectionConfig(steps=17, learning_rate=0.05, restarts=3, latent_init=latent_init)
+        project_iterative(prior, v, cfg, seed=30, warm_start=rng.standard_normal(5))
+        assert len(calls) == cfg.restarts * (cfg.steps + 1)
 
 
 @pytest.mark.parametrize("hidden", [[8], [40], [16, 24], [40, 8], [12, 30, 16], [160],
@@ -590,7 +596,8 @@ def test_cached_rows_give_the_bits_of_a_fresh_target(hidden):
 def test_a_latent_that_is_not_a_finite_k_vector_is_a_configuration_error(bad):
     # a NaN warm start used to give a NaN point and objective, an inf one a
     # warning and then NaN, a short one numpy's bare "shapes not aligned";
-    # evaluate had the same gaps
+    # evaluate and projection_loss_grad had the same gaps, and the latter
+    # also an AttributeError for any list
     prior = relu_mlp_prior(5, [16], 40, seed=1)
     v = np.random.default_rng(38).standard_normal(40)
     rule = "a latent must be a finite vector of length 5"
@@ -598,6 +605,11 @@ def test_a_latent_that_is_not_a_finite_k_vector_is_a_configuration_error(bad):
         project(prior, v, ProjectionConfig(steps=3, latent_init="warm-start"), warm_start=bad)
     with pytest.raises(ConfigurationError, match=f"z: {rule}"):
         evaluate(prior, bad)
+    with pytest.raises(ConfigurationError, match=f"z: {rule}"):
+        projection_loss_grad(prior, bad, v)
+    # a list that is a finite length-k vector is taken as that vector
+    z = [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert projection_loss_grad(prior, z, v) == projection_loss_grad(prior, np.array(z), v)
     # a Gaussian-started projection does not read the warm start
     project(prior, v, ProjectionConfig(steps=3), warm_start=bad)
 
