@@ -40,7 +40,13 @@ W^ = [W | u] spans every iterate and start.  One O(mnk) GEMM gives
 B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
 are the same at any OpenBLAS thread count; V_k = W^T V W^ and the Gram
 matrix G_k = B^T B^ / m are formed from it at O(m(k+1)^2), and the exact
-projector in these coordinates is the one of the basis eye(k+1, k).  With
+projector in these coordinates is the one of the basis eye(k+1, k).  The
+reduced data then holds B^ column-major: its one reader per step, APPGD's
+B^ x and r^T B^ (baselines.appgd_step), ran those GEMVs 1.1 to 2.6 times
+as fast in that layout at (m, k+1) from (250, 6) to (16000, 11).  V_k and
+G_k are formed before the copy, from the row-major product, which keeps
+their bits: a V_k built on the column-major copy differed at (m, k+1) =
+(37, 4).  With
 G_k a refinement step costs O((k+1)^2) instead of a pass over B^ (see
 refine.py); the n-space build forms no Gram matrix, whose n^2 floats and
 2mn^2 flops a relu-mlp solve's steps did not measurably win back.  Without
@@ -248,7 +254,7 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
 class SubspaceReduction:
     """A linear-subspace problem in the coordinates z of x = basis @ z."""
     basis: np.ndarray         # n x (k+1), orthonormal columns [W | u] (W alone when u = 0)
-    data: MeasurementSet      # sensing A @ basis, signal basis^T x, the same observations
+    data: MeasurementSet      # sensing A @ basis (column-major), signal basis^T x, same y
     prior: GenerativePrior    # linear subspace with basis eye(k+1, k)
     spec: SpectralMatrix      # built from data, with its Gram matrix
 
@@ -261,7 +267,9 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
     matrix B^ = A W^ and its Gram matrix B^T B^ / m are products with
     OpenBLAS pinned to one thread, and the reduced spectral matrix is
-    build_spectral_matrix of the reduced data, carrying that Gram matrix."""
+    build_spectral_matrix of the reduced data, carrying that Gram matrix.
+    The reduced data holds B^ column-major (np.asfortranarray of the
+    product, the same floats), for APPGD's steps (module docstring)."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
@@ -279,6 +287,7 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
                              [np.eye(dim, prior.k)], prior.seed, 1.0)
     spec = build_spectral_matrix(reduced)
     spec.gram = gram
+    reduced.sensing = np.asfortranarray(sensing)
     return SubspaceReduction(w, reduced, coords, spec)
 
 
@@ -313,10 +322,13 @@ def t1_problems(t1) -> list:
     return count_problems(t1, "t1", 1)
 
 
-def start_problems(w0) -> list:
-    """The rule on a start vector, as a list of problems: a finite nonzero
-    norm (vector_norm, which an overflowing w0.w0 does not make infinite),
-    which the first power step divides by."""
+def start_problems(w0, n: int | None = None) -> list:
+    """The rule on a start vector, as a list of problems: given n, a vector
+    of length n, and a finite nonzero norm (vector_norm, which an
+    overflowing w0.w0 does not make infinite), which the first power step
+    divides by."""
+    if n is not None and np.shape(w0) != (n,):
+        return [f"w0: the start vector must be a vector of length {n}, got shape {np.shape(w0)}"]
     size = vector_norm(w0)
     ok = math.isfinite(size) and size > 0
     return [] if ok else [f"w0: the start vector must have a finite nonzero norm, got {size}"]
@@ -328,8 +340,9 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
     """Run t1 projected power iterations w <- P_G(V w) from w0 (normalized,
     not pre-projected), each offered the last latent as a warm start.  Returns
     the trajectory with its initial state, and correlation and error given truth.
-    A w0 of zero or non-finite norm is a ConfigurationError (start_problems)."""
-    raise_problems(t1_problems(t1) + start_problems(w0))
+    A w0 of the wrong length or of zero or non-finite norm is a
+    ConfigurationError (start_problems)."""
+    raise_problems(t1_problems(t1) + start_problems(w0, spec.v.shape[0]))
     w = np.asarray(w0, dtype=float)
     w = w / vector_norm(w)
     states = [step_at(w, 0, truth)]

@@ -4,7 +4,7 @@ import pytest
 from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior,
                       LinkModel, MeasurementSet, NumericalError, appgd_step,
                       build_spectral_matrix, evaluate, linear_subspace_prior,
-                      run_algorithm, sample_measurements)
+                      relu_mlp_prior, run_algorithm, sample_measurements)
 from genphase import baselines
 from genphase.seeds import flatten_seed
 from genphase.spectral import SpectralMatrix
@@ -178,6 +178,25 @@ def test_run_algorithm_lists_every_bad_argument():
     assert lines[1:] == baselines.run_problems(["nope"], 0, -1, float("inf"))
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_checks_the_lengths_of_prior_and_start(name, monkeypatch):
+    # a prior of another n gave numpy's bare "shapes (100,) and (40,5) not
+    # aligned" after the spectral build, a short start a broadcast error
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a spectral matrix before checking the arguments")
+
+    monkeypatch.setattr(baselines, "build_spectral_matrix", no_build)
+    prior, x, data = _desk_data()
+    for other in (linear_subspace_prior(5, 40, seed=2), relu_mlp_prior(5, [16], 40, seed=2)):
+        with pytest.raises(ConfigurationError, match="invalid run arguments:\n  prior: its "
+                           "n=40 differs from the data's n=100$"):
+            run_algorithm(name, data, other)
+    for start in (np.ones(7), np.ones((1, 100))):
+        with pytest.raises(ConfigurationError, match="invalid run arguments:\n  w0: the start "
+                           "vector must be a vector of length 100, got shape"):
+            run_algorithm(name, data, prior, w0_override=start)
+
+
 def test_run_algorithm_checks_the_seed_rule():
     # a negative seed used to reach numpy's seeding as a bare ValueError,
     # after the spectral build
@@ -224,10 +243,11 @@ def test_run_algorithm_refines_in_n_space_with_a_gram(name):
     assert [r.get("warn") for r in a.records] == [r.get("warn") for r in b.records]
 
 
-@pytest.mark.parametrize("name", ["mprg", "appgd"])
+@pytest.mark.parametrize("name", ["mprg", "appgd", "mprgf", "ppower", "step2"])
 def test_run_algorithm_takes_a_start_whose_square_overflows(name):
     # 1e200 e_1 warned "overflow encountered in dot" and was refused as a
-    # start of norm inf; its power steps are those of e_1
+    # start of norm inf; its power steps are those of e_1.  step2, which
+    # projects its start, then still warned and failed in the projector.
     prior = linear_subspace_prior(3, 12, seed=1)
     data = sample_measurements(LinkModel("abs-noise-out"), _range_signal(prior), 80, seed=2)
     e = np.eye(12)[0]

@@ -845,14 +845,16 @@ def test_sweep_csv_that_is_not_text_exit_code(tmp_path, capsys):
 
 
 # A relu-mlp and a linear-subspace sweep at n = 100, whose spectral builds
-# are GEMMs that OpenBLAS splits across threads when it may.
+# are GEMMs that OpenBLAS splits across threads when it may; so it may split
+# the reduced APPGD GEMVs at m = 2000, whose 2000 x 6 entries are over
+# OpenBLAS's gemv threading threshold of 9,216.
 _THREAD_COUNT_SWEEPS = {
     "relu-mlp": {"prior": {"kind": "relu-mlp", "k": 5, "n": 100, "hidden": [32], "seed": 2},
                  "link": {"name": "square-sin", "sigma": 0.5}, "m_grid": [400], "trials": 2,
                  "restarts": 2, "algorithms": ["mprg"], "t1": 3, "t2": 3, "master_seed": 1,
                  "projection": {"steps": 30}},
     "linear-subspace": {"prior": {"k": 5, "n": 100, "seed": 2},
-                        "link": {"name": "abs-noise-out", "sigma": 0.1}, "m_grid": [250, 1000],
+                        "link": {"name": "abs-noise-out", "sigma": 0.1}, "m_grid": [250, 2000],
                         "trials": 2, "restarts": 2, "algorithms": ["mprg", "appgd"], "t1": 5,
                         "t2": 5, "master_seed": 1},
 }

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -612,6 +613,24 @@ def test_a_latent_that_is_not_a_finite_k_vector_is_a_configuration_error(bad):
     assert projection_loss_grad(prior, z, v) == projection_loss_grad(prior, np.array(z), v)
     # a Gaussian-started projection does not read the warm start
     project(prior, v, ProjectionConfig(steps=3), warm_start=bad)
+
+
+@pytest.mark.parametrize("shape", [(7,), (41,), (1, 40), (40, 1)],
+                         ids=["short", "long", "row", "column"])
+def test_a_target_of_the_wrong_shape_is_a_configuration_error(shape):
+    # each raised numpy's bare ValueError ("shapes (7,) and (40,16) not
+    # aligned", or a broadcast error), which named no argument
+    rule = "a projection target must be a vector of length 40"
+    bad = np.random.default_rng(39).standard_normal(shape)
+    mlp = relu_mlp_prior(5, [16], 40, seed=1)
+    with pytest.raises(ConfigurationError, match=re.escape(f"v: {rule}, got shape {shape}")):
+        project(mlp, bad, ProjectionConfig(steps=3))
+    with pytest.raises(ConfigurationError, match=f"target: {rule}"):
+        projection_loss_grad(mlp, np.ones(5), bad)
+    with pytest.raises(ConfigurationError, match=f"v: {rule}"):
+        project(linear_subspace_prior(5, 40, seed=1), bad)
+    with pytest.raises(ConfigurationError, match=f"v: {rule}"):
+        project_exact(linear_subspace_prior(5, 40, seed=1), bad)
 
 
 def test_target_in_range_clamps_loss_at_zero():

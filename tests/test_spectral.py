@@ -419,6 +419,22 @@ def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range)
     assert np.array_equal(red.spec.gram, red.spec.gram.T)
 
 
+@pytest.mark.parametrize("k,n,m", [(3, 12, 37), (5, 100, 250), (5, 100, 4000)])
+def test_reduced_sensing_is_column_major_with_the_bits_of_the_product(k, n, m):
+    # APPGD reads B^ = A W^ column-major; V_k comes from the row-major
+    # product, since a build on the column-major copy differed at (37, 4)
+    prior, data, w0 = _subspace_problem(k, n, m)
+    red = spectral.reduce_to_subspace(data, prior, w0)
+    b = red.data.sensing
+    assert b.flags.f_contiguous and not b.flags.c_contiguous
+    with spectral._one_blas_thread():
+        product = data.sensing @ red.basis
+    assert np.array_equal(b, product)
+    row_major = MeasurementSet(n=red.data.n, m=m, signal=red.data.signal, sensing=product,
+                               observations=data.observations, seed=data.seed, link=data.link)
+    assert np.array_equal(red.spec.v, build_spectral_matrix(row_major).v)
+
+
 def test_reduce_to_subspace_drops_a_zero_residual():
     # a start in range(W) has no residual to keep: the basis is W itself
     prior, data, _ = _subspace_problem(3, 12, 37)
@@ -626,6 +642,16 @@ def test_start_rule_takes_the_true_norm_of_a_start_whose_square_overflows():
     assert spectral.start_problems([1e308, -1e308]) == []   # norm 1.41e308
     assert spectral.start_problems(np.full(2, 1.7e308)) == \
         ["w0: the start vector must have a finite nonzero norm, got inf"]
+
+
+def test_projected_power_checks_the_length_of_its_start():
+    # a start of another length gave numpy's bare "shapes not aligned"
+    prior, data, _ = _subspace_problem(3, 12, 37)
+    spec = build_spectral_matrix(data)
+    assert spectral.start_problems(np.ones(7), 12) == \
+        ["w0: the start vector must be a vector of length 12, got shape (7,)"]
+    with pytest.raises(ConfigurationError, match="w0: the start vector must be a vector"):
+        projected_power(spec, prior, np.ones(7), 3)
 
 
 def test_projected_power_normalizes_a_start_whose_square_overflows():
