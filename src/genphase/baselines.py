@@ -8,6 +8,12 @@ step2  : refinement only, from the projected starting vector, full budget.
 appgd  : alternating-phase projected gradient descent, initialized by the
          spectral step, using sign(a_i^T x) as the phase estimate.
 
+An appgd step streams A for A x and A^T r, except when spec carries a Gram
+matrix (a reduced linear-subspace cell, as for refinement): then the run
+keeps the signs and the phase term A^T (y sign(A x)) / m across its steps
+(_PhaseTerm), and a step reads A once, for A x, and updates the phase term
+by the rows whose sign flipped, a few per step after the first ones.
+
 The solvers take plain values; run_problems lists the rule of every run
 argument, and run_algorithm checks them all before any work.
 """
@@ -25,8 +31,8 @@ from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .refine import run_refine, stream_products, t2_problems
 from .runtrace import RunTrace, step_at
 from .seeds import flatten_seed
-from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, \
-    projected_power, shifted_matrix, start_problems, t1_problems
+from .spectral import SpectralMatrix, _one_blas_thread, build_spectral_matrix, \
+    initial_vector, projected_power, shifted_matrix, start_problems, t1_problems
 
 ALGORITHMS = ("mprg", "mprgf", "ppower", "step2", "appgd")
 
@@ -49,40 +55,76 @@ def run_problems(algorithms, t1, t2, tau) -> list:
 
 
 def _phase_residual(g, y):
-    """g - y sign(g) with sign(0) = +1.  The sign is copysign(1, g + 0), since
-    adding +0 turns -0 into +0: it is +-1 exactly, so y times it is +-y and
-    the residual has the bits of g - y * where(g >= 0, 1, -1), from four
-    branch-free passes into one new array.  A whole APPGD step at k+1 = 6
-    took 0.94x that form's time at m = 250 and 0.5x at m = 16000."""
+    """g - y sign(g) with sign(0) = +1, the residual of a streamed APPGD
+    step.  The sign is copysign(1, g + 0), since adding +0 turns -0 into +0:
+    it is +-1 exactly, so y times it is +-y and the residual has the bits of
+    g - y * where(g >= 0, 1, -1), from four branch-free passes into one new
+    array.  A whole step at (m, k+1) = (16000, 6) took half that form's
+    time."""
     s = np.add(g, 0.0)
     np.copysign(1.0, s, out=s)
     s *= y
     return np.subtract(g, s, out=s)
 
 
-# Bytes up to which appgd_step reads a column-major A, such as the reduced
-# B^ that spectral.reduce_to_subspace holds, in one pass (A x, then r^T A
-# while A is in cache) instead of in row blocks.  Measured at one BLAS
-# thread with 2 MiB of L2 per core: at (m, k+1) = (16000, 11), 1.4 MB, the
-# pass took 0.83x the time of the streamed products, and at (32000, 11),
-# 2.8 MB, 1.2x.  Up to this size neither GEMV changed bits at 1, 2 or 4
-# OpenBLAS threads (0.3.31); from about 4 MB r^T A did.
-_ONE_PASS_BYTES = 2 << 20
+class _PhaseTerm:
+    """APPGD's phase term, kept across the steps of one run on a problem
+    with the Gram matrix G = A^T A / m: the row signs s = sign(A x), sign(0)
+    = +1, held as the bools A x >= 0, and tau h, h = A^T (y s) / m.
+
+    A step reads A once, for A x.  For each row i whose sign flipped it adds
+    -2 c_i a_i to tau h and negates c_i, where c = tau y s / m, and it
+    returns x - tau (G x - h) as (I - tau G) x + tau h.  The first step (or
+    one with another tau) forms tau h in full as c^T A, and a step with
+    several flips sums their rows as one product; both run under OpenBLAS's
+    one-thread pin, since from about 4 MB such a product changed bits with
+    the thread count.  A lone flip, the usual case after the first few
+    steps, is one scalar and one row: 2.4 us against 5.8 us for the indexed
+    update at m = 250.
+    """
+
+    def __init__(self, gram):
+        self.gram, self.tau = gram, None
+
+    def pre_projection(self, a, y, x, tau):
+        pos = a.dot(x) >= 0.0
+        if tau != self.tau:
+            self.tau, self.i_tau_g = tau, np.eye(len(self.gram)) - tau * self.gram
+            self.coef = (tau / len(y)) * np.where(pos, y, -y)
+            with _one_blas_thread():
+                self.tau_h = self.coef.dot(a)
+        else:
+            flips = (pos != self.pos).nonzero()[0]
+            if len(flips) == 1:
+                i = flips[0]
+                c = self.coef[i]
+                self.coef[i] = -c
+                self.tau_h -= (2.0 * c) * a[i]
+            elif len(flips):
+                c = self.coef[flips]
+                self.coef[flips] = -c
+                with _one_blas_thread():
+                    self.tau_h -= 2.0 * c.dot(a[flips])
+        self.pos = pos
+        return self.i_tau_g.dot(x) + self.tau_h
 
 
 def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
-               proj_cfg: ProjectionConfig | None = None, seed=0):
+               proj_cfg: ProjectionConfig | None = None, seed=0, phase=None):
     """x <- P_G(x - (tau/m) sum ((a_i^T x) - y_i sign(a_i^T x)) a_i),
-    with sign(0) = +1.  A is read once: whole when it is column-major and
-    at most _ONE_PASS_BYTES, else in row blocks (refine.stream_products)."""
+    with sign(0) = +1.  With a phase (a _PhaseTerm, which run_algorithm
+    makes once per run when its spec carries a Gram matrix) the step is
+    x - tau (G x - h), the same up to rounding, from the one product A x;
+    without, A is read once in row blocks (refine.stream_products) for A x
+    and A^T r."""
     raise_problems(tau_problems(tau))
     x_t = np.asarray(state, dtype=float)
     a, y = data.sensing, data.observations
-    if a.flags.f_contiguous and a.nbytes <= _ONE_PASS_BYTES:
-        grad = _phase_residual(a.dot(x_t), y).dot(a)
+    if phase is not None:
+        x_til = phase.pre_projection(a, y, x_t, tau)
     else:
         grad = stream_products(a, x_t, lambda g, rows: _phase_residual(g, y[rows]))
-    x_til = x_t - (tau / data.m) * grad
+        x_til = x_t - (tau / data.m) * grad
     return project(prior, x_til, proj_cfg, seed=seed).point
 
 
@@ -100,10 +142,11 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     The trace holds one record per iterate including the initial one; ppower
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
     spectral iterations that start mprg, mprgf and appgd come first.
-    Refinement runs in n-space when spec carries a Gram matrix, which a spec
-    built here does not.  Every run argument is checked (run_problems, the
-    seed rule, a prior of the data's n and, for a given w0_override,
-    start_problems at that n) before any work.  step2 projects a start whose
+    Refinement runs in n-space, and appgd keeps its phase term across steps,
+    when spec carries a Gram matrix, which a spec built here does not.
+    Every run argument is checked (run_problems, the seed rule, a prior of
+    the data's n and, for a given w0_override, start_problems at that n)
+    before any work.  step2 projects a start whose
     square overflows, which the projectors refuse as a target, at unit norm.
     """
     dims = [] if prior.n == data.n else \
@@ -144,8 +187,9 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     else:  # appgd
         head = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
         x = head[-1].iterate
+        phase = None if spec.gram is None else _PhaseTerm(spec.gram)
         for t in range(1, t2 + 1):
-            x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t])
+            x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t], phase=phase)
             tail.append(step_at(x, t, truth))
 
     records = [s.record() for s in head] + [s.record(t1) for s in tail]

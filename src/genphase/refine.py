@@ -68,12 +68,11 @@ def stream_products(a, x, residuals) -> np.ndarray:
     block's row slice: one pass over A, each block read forward and then
     backward while it is in cache.  The backward product is a GEMV for a
     vector and a small GEMM for a stack; at this block size neither changed
-    bits with the thread count (OpenBLAS 0.3.31, 1 to 4 threads).  A is
-    row-major for an n-space problem.  The reduced B^ of
-    spectral.reduce_to_subspace is column-major, and a row block of it is
-    k+1 column segments: appgd_step streams it only above its one-pass
-    size, and at (m, k+1) = (32000, 11) these blocks took 0.84x the time of
-    one whole pass."""
+    bits with the thread count (OpenBLAS 0.3.31, 1 to 4 threads).  Its
+    callers are the m-space refinement step and an APPGD step without a
+    Gram matrix, on a row-major n-space A: a reduced linear-subspace cell
+    refines with G_k and keeps APPGD's phase term, so no step streams its
+    B^."""
     step = max(1, _STREAM_BYTES // (8 * a.shape[1]))
     sums = None
     for r0 in range(0, a.shape[0], step):

@@ -41,12 +41,12 @@ B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
 are the same at any OpenBLAS thread count; V_k = W^T V W^ and the Gram
 matrix G_k = B^T B^ / m are formed from it at O(m(k+1)^2), and the exact
 projector in these coordinates is the one of the basis eye(k+1, k).  The
-reduced data then holds B^ column-major: its one reader per step, APPGD's
-B^ x and r^T B^ (baselines.appgd_step), ran those GEMVs 1.1 to 2.6 times
-as fast in that layout at (m, k+1) from (250, 6) to (16000, 11).  V_k and
-G_k are formed before the copy, from the row-major product, which keeps
-their bits: a V_k built on the column-major copy differed at (m, k+1) =
-(37, 4).  With
+reduced data then holds B^ column-major: its one reader per step is
+APPGD's B^ x (baselines.appgd_step, which keeps its phase term across
+steps), a GEMV that ran 1.4 to 2.3 times as fast in that layout at
+(m, k+1) from (250, 6) to (16000, 11).  V_k and G_k are formed before the
+copy, from the row-major product, which keeps their bits: a V_k built on
+the column-major copy differed at (m, k+1) = (37, 4).  With
 G_k a refinement step costs O((k+1)^2) instead of a pass over B^ (see
 refine.py); the n-space build forms no Gram matrix, whose n^2 floats and
 2mn^2 flops a relu-mlp solve's steps did not measurably win back.  Without
@@ -269,7 +269,7 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     OpenBLAS pinned to one thread, and the reduced spectral matrix is
     build_spectral_matrix of the reduced data, carrying that Gram matrix.
     The reduced data holds B^ column-major (np.asfortranarray of the
-    product, the same floats), for APPGD's steps (module docstring)."""
+    product, the same floats), for APPGD's B^ x (module docstring)."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)

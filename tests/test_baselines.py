@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior,
-                      LinkModel, MeasurementSet, NumericalError, appgd_step,
-                      build_spectral_matrix, evaluate, linear_subspace_prior,
-                      relu_mlp_prior, run_algorithm, sample_measurements)
+from genphase import (ALGORITHMS, ConfigurationError, ExperimentConfig, GenerativePrior,
+                      LinkModel, MeasurementSet, NumericalError, ProjectionConfig,
+                      appgd_step, build_spectral_matrix, evaluate, linear_subspace_prior,
+                      project, relu_mlp_prior, run_algorithm, sample_measurements)
 from genphase import baselines
+from genphase.harness import build_prior, solve_cell
 from genphase.seeds import flatten_seed
-from genphase.spectral import SpectralMatrix
+from genphase.spectral import SpectralMatrix, reduce_to_subspace
 
 
 def _range_signal(prior, latent_seed=0):
@@ -229,7 +235,7 @@ def test_refine_step_count_table():
         {"mprg": 30, "mprgf": 30, "ppower": 0, "step2": 50, "appgd": 0}
 
 
-@pytest.mark.parametrize("name", ["mprg", "mprgf", "step2"])
+@pytest.mark.parametrize("name", ["mprg", "mprgf", "step2", "appgd"])
 def test_run_algorithm_refines_in_n_space_with_a_gram(name):
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=3)
@@ -254,3 +260,88 @@ def test_run_algorithm_takes_a_start_whose_square_overflows(name):
     runs = [run_algorithm(name, data, prior, t1=3, t2=4, seed=5, w0_override=scale * e)
             for scale in (1e200, 1.0)]
     assert runs[0].records == runs[1].records
+
+
+def test_phase_term_is_the_fresh_product_after_every_step():
+    # the kept signs and phase term against a fresh B^T (y sign(B^ x)) / m
+    # over 30 steps: the second step flips about half the rows, row 1 flips
+    # at every step, alone or (at a larger x_2) with others, and row 0 has
+    # B^ x = 0 exactly (x_4 = 0), so its sign is +1; a sign(0) of -1 would
+    # move h by 2 y_0 b_0 / m = 0.02
+    prior = linear_subspace_prior(3, 12, seed=0)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), _range_signal(prior), 300, seed=1)
+    red = reduce_to_subspace(data, prior, np.random.default_rng(2).standard_normal(12))
+    data, tau, m = red.data, 0.9, 300
+    data.sensing[0], data.sensing[1], data.observations[0] = (0, 0, 0, 1.5), (0, 1, 0, 0), 2.0
+    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing / m)
+    states = [np.r_[np.random.default_rng(5).standard_normal(3), 0.0]]
+    states += [np.array([1.0, (-1) ** t * (0.2 if t % 10 == 5 else 1e-3), 0.0, 0.0])
+               for t in range(29)]
+    signs, flips = None, []
+    for x in states:
+        g = data.sensing @ x
+        s = np.where(g >= 0, 1.0, -1.0)
+        out = appgd_step(data, x, red.prior, tau, phase=phase)
+        fresh = data.sensing.T @ (data.observations * s) / m
+        assert np.array_equal(phase.pos, g >= 0)
+        assert np.linalg.norm(phase.tau_h / tau - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        grad = data.sensing.T @ (g - data.observations * s) / m
+        assert np.allclose(out, project(red.prior, x - tau * grad).point, rtol=0, atol=1e-13)
+        assert g[0] == 0 and s[0] == 1
+        if signs is not None:
+            flips.append(np.flatnonzero(s != signs))
+        signs = s
+    assert len(flips[0]) > 100 and all(1 in f for f in flips)
+    assert any(len(f) == 1 for f in flips) and any(len(f) > 1 for f in flips[1:])
+
+
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_only_an_n_space_appgd_solve_streams(kind, monkeypatch):
+    # a reduced cell's appgd reads B^ once per step, for B^ x; a relu-mlp
+    # cell (n-space, no Gram matrix) streams A for A x and A^T r
+    calls = {"stream_products": 0, "_phase_residual": 0}
+    for name in calls:
+        real = getattr(baselines, name)
+        monkeypatch.setattr(baselines, name, lambda *a, _f=real, _n=name, **kw:
+                            calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **kw))
+    cfg = ExperimentConfig(k=3, n=12, m_grid=(60,), trials=1, restarts=2, algorithms=("appgd",),
+                           t1=3, t2=4, master_seed=7, prior_kind=kind,
+                           hidden=(8,) if kind == "relu-mlp" else (),
+                           projection=ProjectionConfig(steps=5))
+    solve_cell(cfg, build_prior(cfg), 0, 0)
+    if kind == "relu-mlp":
+        assert calls["stream_products"] == 8 and calls["_phase_residual"] == 8
+    else:
+        assert calls == {"stream_products": 0, "_phase_residual": 0}
+
+
+# A reduced B^ of 50,000 x 11 (4.4 MB), above the size from which r^T B^
+# changed bits with the OpenBLAS thread count.
+_PHASE_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from genphase import LinkModel, evaluate, linear_subspace_prior, run_algorithm, \
+    sample_measurements
+from genphase.spectral import reduce_to_subspace
+prior = linear_subspace_prior(10, 40, seed=2)
+x = evaluate(prior, np.random.default_rng(1).standard_normal(10))
+data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 50000, seed=9)
+w0 = np.random.default_rng(2).standard_normal(40)
+red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
+assert red.data.sensing.shape == (50000, 11)
+trace = run_algorithm("appgd", red.data, red.prior, t1=3, t2=30, seed=4, spec=red.spec,
+                      w0_override=w0 @ red.basis)
+steps = np.array([r["error"] for r in trace.records])
+sys.stdout.write((trace.final_iterate.tobytes() + steps.tobytes()).hex())
+"""
+
+
+def test_reduced_appgd_ignores_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", _PHASE_THREADS_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+            for threads in (1, 2)]
+    assert outs[0] and outs[0] == outs[1]

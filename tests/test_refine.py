@@ -13,7 +13,7 @@ from genphase import (ConfigurationError, GenerativePrior, LinkModel, Measuremen
                       initial_vector, linear_subspace_prior, population_nu, project,
                       projected_power, refine_step, relu_mlp_prior, run_refine,
                       sample_measurements, shifted_matrix)
-from genphase import baselines, refine
+from genphase import refine
 from genphase.baselines import _phase_residual
 from genphase.refine import NU_FLOOR
 from genphase.runtrace import step_at
@@ -403,23 +403,6 @@ def test_single_block_appgd_step_keeps_the_two_pass_bits():
     assert _block_rows("below") == data.m
     expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
     assert np.array_equal(appgd_step(data, start, prior, 0.9), expect)
-
-
-def test_column_major_appgd_step_reads_a_whole(monkeypatch):
-    # a column-major A of at most _ONE_PASS_BYTES (the reduced B^) is read
-    # in one pass, A x and then r^T A, with the two-pass bits; a larger one
-    # streams in row blocks
-    prior, data, start = _stream_problem()
-    data.sensing = np.asfortranarray(data.sensing)
-    expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
-    streamed = []
-    stream = baselines.stream_products
-    monkeypatch.setattr(baselines, "stream_products",
-                        lambda *args: streamed.append(1) or stream(*args))
-    assert np.array_equal(appgd_step(data, start, prior, 0.9), expect) and not streamed
-    monkeypatch.setattr(baselines, "_ONE_PASS_BYTES", data.sensing.nbytes - 1)
-    monkeypatch.setattr(refine, "_STREAM_BYTES", 64 * 320)
-    assert _close(expect, appgd_step(data, start, prior, 0.9)) and streamed == [1]
 
 
 def test_phase_residual_keeps_the_bits_of_the_sign_product():
