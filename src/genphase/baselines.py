@@ -116,8 +116,10 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
     makes once per run when its spec carries a Gram matrix) the step is
     x - tau (G x - h), the same up to rounding, from the one product A x;
     without, A is read once in row blocks (refine.stream_products) for A x
-    and A^T r."""
-    raise_problems(tau_problems(tau))
+    and A^T r.  tau is checked (tau_problems) unless it is the object the
+    phase has already taken, so a run checks it at its first step."""
+    if phase is None or tau is not phase.tau:
+        raise_problems(tau_problems(tau))
     x_t = np.asarray(state, dtype=float)
     a, y = data.sensing, data.observations
     if phase is not None:

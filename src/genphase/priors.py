@@ -312,13 +312,16 @@ class ProjectionResult:
 
 def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     """Closed-form projection onto the range of a linear-subspace prior:
-    the normalized orthogonal projection W W^T v.  When W W^T v = 0 the
-    deterministic fallback is the first basis column; when its squared norm
-    or the squared distance to v overflows, a NumericalError.  A v that is
-    not a vector of length n is a ConfigurationError (target_problems)."""
+    the normalized orthogonal projection W W^T v, with the latent W^T v
+    clipped to the ball of radius r.  When W W^T v = 0 the deterministic
+    fallback is the first basis column; when its squared norm or the
+    squared distance to v overflows, a NumericalError.  A v that is not a
+    vector of length n is a ConfigurationError (target_problems).  The clip
+    is skipped when v.v <= r^2/4: W is orthonormal, so |W^T v| <= |v| <= r/2
+    and clip_to_ball would return W^T v itself."""
     if prior.kind != "linear-subspace":
         raise ConfigurationError("project_exact requires a linear-subspace prior")
-    v = _finite_target(v, prior.n)
+    v, vv = _finite_target(v, prior.n)
     w = prior.layers[0]
     c = v.dot(w)
     p = w.dot(c)
@@ -332,7 +335,8 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
         latent[0] = min(1.0, prior.r)
     else:
         point = p / np_
-        latent = clip_to_ball(c, prior.r)
+        r = prior.r
+        latent = c if 4.0 * vv <= r * r else clip_to_ball(c, r)
     d = point - v
     dd = d.dot(d)
     if not math.isfinite(dd):
@@ -357,7 +361,7 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     warm = cfg.latent_init == "warm-start" and warm_start is not None
     raise_problems(seed_key_problems(seed) + target_problems(v, prior.n, "v") +
                    (latent_problems(warm_start, prior.k, "warm_start") if warm else []))
-    v = _finite_target(v, prior.n)
+    v = _finite_target(v, prior.n)[0]
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")
     target = _latent_target(prior, v)
@@ -409,16 +413,18 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
 
 
 def _finite_target(v, n: int):
-    """v as a float array, a ConfigurationError when it is not a vector of
-    length n (target_problems), or a NumericalError when an entry is NaN or
-    Inf.  Such an entry always makes v.v non-finite, so the entrywise check
-    runs only when that one dot product is not finite (or overflows)."""
+    """v as a float array, with v.v: a ConfigurationError when v is not a
+    vector of length n (target_problems), or a NumericalError when an entry
+    is NaN or Inf.  Such an entry always makes v.v non-finite, so the
+    entrywise check runs only when that one dot product is not finite (or
+    overflows)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise_problems(target_problems(v, n, "v"))
-    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+    vv = v.dot(v)
+    if not math.isfinite(vv) and not np.isfinite(v).all():
         raise NumericalError("projection target contains NaN or Inf")
-    return v
+    return v, vv
 
 
 def project(prior: GenerativePrior, v, cfg: ProjectionConfig | None = None,

@@ -19,10 +19,13 @@ A step has two forms with the same result up to rounding:
   nu g - ytil instead (4mn flops).
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix
   G = A^T A / m, as spectral.reduce_to_subspace's does in k+1 coordinates:
-  nu_hat = x^T V x + ybar (x^T x - x^T G x) and the gradient
-  (nu_hat + ybar) G x - V x - ybar x, from M = V + ybar (I - G) =
-  (1/m) A^T diag(y - ybar) A; 4n^2 flops per step, at the cost of the
-  n^2 floats of G.
+  with M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A, for the ybar the
+  step is given, one GEMV with the stacked [G; M]
+  (SpectralMatrix.moment_stack, formed once per spectral matrix) gives G x
+  and M x, so nu_hat = x^T M x and x~ = x + zeta (M x - nu G x), the step
+  x - zeta ((nu + ybar) G x - V x - ybar x) written with M.  That is 4n^2
+  + 6n flops, as one GEMV, one dot and four vector operations, at the cost
+  of the 3n^2 floats of G and the stack.
 """
 
 from __future__ import annotations
@@ -111,12 +114,12 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
     given frozen_nu (fixed mode: the t=0 estimate) replaces the per-iteration
     nu_hat inside the gradient and the step size."""
     x_t = state.iterate
-    gram = spec.gram if spec is not None else None
-    if gram is not None:
-        gx = gram.dot(x_t)
-        vx = spec.v.dot(x_t)
-        nu = frozen_nu if frozen_nu is not None else \
-            _finite_nu(x_t.dot(vx) + ybar * (x_t.dot(x_t) - x_t.dot(gx)))
+    n_space = spec is not None and spec.gram is not None
+    if n_space:
+        n = len(x_t)
+        moments = spec.moment_stack(ybar).dot(x_t)
+        gx, mx = moments[:n], moments[n:]
+        nu = frozen_nu if frozen_nu is not None else _finite_nu(x_t.dot(mx))
     elif frozen_nu is None:
         nu, atg, aty = _m_space_moments(data, ybar, x_t)
         resid = nu * atg - aty
@@ -126,10 +129,10 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
                                 lambda g, rows: nu * g - (y[rows] - ybar) * g)
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
-    if gram is None:
-        x_til = x_t - (zeta / data.m) * resid
+    if n_space:
+        x_til = x_t + zeta * (mx - nu * gx)
     else:
-        x_til = x_t - zeta * ((nu + ybar) * gx - vx - ybar * x_t)
+        x_til = x_t - (zeta / data.m) * resid
     res = project(prior, x_til, proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)

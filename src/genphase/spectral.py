@@ -46,11 +46,12 @@ APPGD's B^ x (baselines.appgd_step, which keeps its phase term across
 steps), a GEMV that ran 1.4 to 2.3 times as fast in that layout at
 (m, k+1) from (250, 6) to (16000, 11).  V_k and G_k are formed before the
 copy, from the row-major product, which keeps their bits: a V_k built on
-the column-major copy differed at (m, k+1) = (37, 4).  With
-G_k a refinement step costs O((k+1)^2) instead of a pass over B^ (see
-refine.py); the n-space build forms no Gram matrix, whose n^2 floats and
-2mn^2 flops a relu-mlp solve's steps did not measurably win back.  Without
-u, W^T V W W^T w0 would stand in for W^T V w0, a different first step.
+the column-major copy differed at (m, k+1) = (37, 4).  With G_k a
+refinement step costs O((k+1)^2) instead of a pass over B^: one GEMV with
+[G_k; M_k] (SpectralMatrix.moment_stack, refine.py).  The n-space build
+forms no Gram matrix, whose n^2 floats and 2mn^2 flops a relu-mlp solve's
+steps did not measurably win back.  Without u, W^T V W W^T w0 would stand
+in for W^T V w0, a different first step.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -76,9 +77,25 @@ from .seeds import flatten_seed
 
 @dataclass
 class SpectralMatrix:
+    """V, the mean observation and, when set, the Gram matrix.  With the Gram
+    matrix, moment_stack gives a refinement step's one operator; v and gram
+    are not changed in place once it has been formed."""
     v: np.ndarray             # n x n, exactly symmetric
     ybar: float
     gram: np.ndarray | None = None  # A^T A / m, exactly symmetric (reduce_to_subspace)
+    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def moment_stack(self, ybar: float) -> np.ndarray:
+        """[G; M] (2n x n), M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A
+        for the given ybar: one GEMV with it gives G x and M x, all of an
+        n-space refinement step's products (refine.py).  Formed at the first
+        call for a ybar, v and gram, and kept."""
+        kept = self._stack
+        if kept is None or kept[0] != ybar or kept[1] is not self.v or kept[2] is not self.gram:
+            g = self.gram
+            moments = self.v + ybar * (np.eye(len(g)) - g)
+            kept = self._stack = (ybar, self.v, g, np.vstack((g, moments)))
+        return kept[3]
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its

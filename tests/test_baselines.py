@@ -84,6 +84,22 @@ def test_appgd_step_rejects_bad_tau():
             appgd_step(data, x, prior, tau)
 
 
+def test_appgd_step_with_a_phase_checks_each_new_tau():
+    # a phase skips the check only for the tau it has taken, not for an
+    # equal value of another type
+    prior = _axis_prior(2, 3)
+    data = _manual_set(np.array([[0.0, 1.0, 0.0]]), [2.0])
+    x = np.array([1.0, 0.0, 0.0])
+    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing)
+    tau = 1.0
+    first = appgd_step(data, x, prior, tau, phase=phase)
+    assert phase.tau is tau
+    assert np.array_equal(appgd_step(data, x, prior, tau, phase=phase), first)
+    for bad in (True, float("nan"), 0.0):
+        with pytest.raises(ConfigurationError, match="tau: must be a finite positive number"):
+            appgd_step(data, x, prior, bad, phase=phase)
+
+
 def _desk_data(latent_seed=1, m=1000, seed=30, link=None):
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=latent_seed)

@@ -110,6 +110,58 @@ def test_project_exact_zero_target_fallback_is_basis_column():
     assert np.array_equal(res.point, prior.layers[0][:, 0])
 
 
+def _project_exact_with_clip(prior, v):
+    """project_exact's point, latent and objective in plain @ form, with the
+    latent always passed through clip_to_ball."""
+    w = prior.layers[0]
+    c = v @ w
+    p = w @ c
+    size = math.sqrt(p @ p)
+    if size == 0:
+        point = w[:, 0].copy()
+        latent = np.zeros(prior.k)
+        latent[0] = min(1.0, prior.r)
+    else:
+        point, latent = p / size, clip_to_ball(c, prior.r)
+    d = point - v
+    return point, latent, math.sqrt(d @ d)
+
+
+@pytest.mark.parametrize("r", [None, 0.5], ids=["default-r", "r=0.5"])
+@pytest.mark.parametrize("reduced", [False, True], ids=["basis", "reduced"])
+def test_project_exact_keeps_the_bits_of_an_always_clipped_latent(reduced, r):
+    # targets with v.v below, at and above r^2/4 (where the clip is skipped
+    # up to), in range and off it, and one with a zero projection
+    prior = GenerativePrior("linear-subspace", 5, 6, r, [np.eye(6, 5)], 0, 1.0) if reduced \
+        else linear_subspace_prior(4, 12, r=r, seed=5)
+    w, half = prior.layers[0], prior.r / 2
+    rng = np.random.default_rng(9)
+    off = rng.standard_normal(prior.n)
+    off /= np.linalg.norm(off)
+    on = w @ rng.standard_normal(prior.k)
+    on /= np.linalg.norm(on)
+    edge = np.zeros(prior.n)
+    edge[0] = half
+    assert edge @ edge == half * half and 4.0 * (edge @ edge) == prior.r ** 2
+    zero = np.zeros(prior.n)
+    if reduced:
+        zero[-1] = 3.0 * half   # outside every basis column
+    targets = [edge, zero] + [s * u for s in (0.3 * half, half, 2.0 * half, 6.0 * half)
+                              for u in (off, on)]
+    for v in targets:
+        got = project_exact(prior, v)
+        point, latent, objective = _project_exact_with_clip(prior, v)
+        assert np.array_equal(got.point, point)
+        assert np.array_equal(got.latent, latent)
+        assert got.objective == objective and got.restart_index == 0
+    # the clip acts on the largest in-range target
+    assert np.linalg.norm(project_exact(prior, 6.0 * half * on).latent) == \
+        pytest.approx(prior.r, rel=1e-12)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="squared norm of W W\\^T v is not finite"):
+            project_exact(linear_subspace_prior(3, 12, r=r, seed=1), np.full(12, 1e200))
+
+
 def _reduced_prior(k):
     """The prior of a reduced linear-subspace problem: basis eye(k+1, k),
     whose last row is all zeros."""

@@ -18,6 +18,7 @@ from genphase.baselines import _phase_residual
 from genphase.refine import NU_FLOOR
 from genphase.runtrace import step_at
 from genphase.seeds import flatten_seed
+from genphase.spectral import reduce_to_subspace
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -551,11 +552,13 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
         d = point - truth
         return math.sqrt(d @ d), float(truth @ point)
 
-    gx, vx = spec.gram @ x, spec.v @ x
+    # the n-space step: one product with [G; M], M = V + ybar (I - G)
+    stack = np.vstack((spec.gram, spec.v + ybar * (np.eye(dim) - spec.gram)))
+    gx, mx = np.split(stack @ x, 2)
     for frozen in (None, 0.7):
-        nu = frozen if frozen is not None else x @ vx + ybar * (x @ x - x @ gx)
+        nu = frozen if frozen is not None else x @ mx
         zeta = 1.0 / max(nu, NU_FLOOR)
-        x_til = x - zeta * ((nu + ybar) * gx - vx - ybar * x)
+        x_til = x + zeta * (mx - nu * gx)
         point = project(prior, x_til, cfg, seed=[7, 1]).point
         got = refine_step(data, ybar, state, prior, cfg, seed=[7, 1], truth=truth,
                           frozen_nu=frozen, spec=spec)
@@ -573,3 +576,45 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
     assert (power[1].error, power[1].correlation) == record(point)
     one = step_at(x, 3, truth)
     assert (one.t, one.error, one.correlation) == (3, *record(x))
+
+
+def _v_and_g_step(spec, ybar, x, frozen):
+    """An n-space step from the products V x and G x: nu_hat = x^T V x +
+    ybar (x^T x - x^T G x) and x~ = x - zeta ((nu + ybar) G x - V x - ybar x),
+    the same as the step with M = V + ybar (I - G) up to rounding."""
+    gx, vx = spec.gram @ x, spec.v @ x
+    nu = frozen if frozen is not None else x @ vx + ybar * (x @ x - x @ gx)
+    zeta = 1.0 / max(nu, NU_FLOOR)
+    return nu, zeta, x - zeta * ((nu + ybar) * gx - vx - ybar * x)
+
+
+@pytest.mark.parametrize("frozen", [None, 0.7], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("case", ["reduced", "other-ybar", "hand-built"])
+def test_moment_step_matches_the_v_and_g_products(case, frozen):
+    # a reduced linear-subspace cell (k+1 = 6), the same with a ybar argument
+    # other than spec.ybar, and a SpectralMatrix built by hand
+    prior = linear_subspace_prior(5, 60, seed=2)
+    truth = _range_signal(prior, latent_seed=3)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 700, seed=4)
+    w0 = truth + 0.2 * np.random.default_rng(5).standard_normal(60)
+    red = reduce_to_subspace(data, prior, w0)
+    spec, ybar = red.spec, empirical_mean_y(red.data)
+    if case == "other-ybar":
+        ybar += 0.3
+    elif case == "hand-built":
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((6, 6))
+        g = rng.standard_normal((40, 6))
+        spec = SpectralMatrix(v=b + b.T + 8.0 * np.eye(6), ybar=1.25, gram=g.T @ g / 40)
+        ybar = spec.ybar
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = red.data.signal + 0.3 * rng.standard_normal(6)
+        x /= np.linalg.norm(x)
+        nu, zeta, x_til = _v_and_g_step(spec, ybar, x, frozen)
+        got = refine_step(red.data, ybar, Step(iterate=x, t=0), red.prior, frozen_nu=frozen,
+                          spec=spec)
+        assert nu > 0.1
+        assert got.nu_hat == pytest.approx(nu, rel=1e-13, abs=0)
+        assert got.zeta == pytest.approx(zeta, rel=1e-13, abs=0)
+        assert _close(x_til, got.pre_projection, rel=1e-13)
