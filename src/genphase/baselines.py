@@ -8,11 +8,12 @@ step2  : refinement only, from the projected starting vector, full budget.
 appgd  : alternating-phase projected gradient descent, initialized by the
          spectral step, using sign(a_i^T x) as the phase estimate.
 
-An appgd step streams A for A x and A^T r, except when spec carries a Gram
-matrix (a reduced linear-subspace cell, as for refinement): then the run
-keeps the signs and the phase term A^T (y sign(A x)) / m across its steps
-(_PhaseTerm), and a step reads A once, for A x, and updates the phase term
-by the rows whose sign flipped, a few per step after the first ones.
+An appgd step streams A for A x and A^T r, r = A x - y sign(A x) with
+sign(0) = +1, except when spec carries a Gram matrix (a reduced
+linear-subspace cell, as for refinement): then the run keeps the signs and
+the phase term A^T (y sign(A x)) / m across its steps (_PhaseTerm), and a
+step reads A once, for A x, and updates the phase term by the rows whose
+sign flipped, a few per step after the first ones.
 
 The solvers take plain values; run_problems lists the rule of every run
 argument, and run_algorithm checks them all before any work.
@@ -52,19 +53,6 @@ def run_problems(algorithms, t1, t2, tau) -> list:
     else:
         problems = [f"algorithms: must be a nonempty list, got {algorithms!r}"]
     return problems + t1_problems(t1) + t2_problems(t2) + tau_problems(tau)
-
-
-def _phase_residual(g, y):
-    """g - y sign(g) with sign(0) = +1, the residual of a streamed APPGD
-    step.  The sign is copysign(1, g + 0), since adding +0 turns -0 into +0:
-    it is +-1 exactly, so y times it is +-y and the residual has the bits of
-    g - y * where(g >= 0, 1, -1), from four branch-free passes into one new
-    array.  A whole step at (m, k+1) = (16000, 6) took half that form's
-    time."""
-    s = np.add(g, 0.0)
-    np.copysign(1.0, s, out=s)
-    s *= y
-    return np.subtract(g, s, out=s)
 
 
 class _PhaseTerm:
@@ -125,7 +113,8 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
     if phase is not None:
         x_til = phase.pre_projection(a, y, x_t, tau)
     else:
-        grad = stream_products(a, x_t, lambda g, rows: _phase_residual(g, y[rows]))
+        grad = stream_products(a, x_t,
+                               lambda g, rows: g - y[rows] * np.where(g >= 0.0, 1.0, -1.0))
         x_til = x_t - (tau / data.m) * grad
     return project(prior, x_til, proj_cfg, seed=seed).point
 

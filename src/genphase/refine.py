@@ -10,22 +10,21 @@ positive rescaling of the observations; in fixed mode (mprgf) nu is the
 first step's nu_hat, frozen for the whole run.  A nu_hat that is not finite
 is a NumericalError.
 
-A step has two forms with the same result up to rounding:
+A step has two forms with the same result up to rounding, and in both a
+frozen nu only replaces nu_hat:
 
 - m-space (the default): one streamed pass over A (stream_products) gives
   A^T g and A^T ytil for g = A x, so nu_hat = x^T A^T ytil / m and the
-  gradient is (1/m) (nu_hat A^T g - A^T ytil); 6mn flops per step, with A
-  read from memory once.  With nu frozen, the pass streams the one residual
-  nu g - ytil instead (4mn flops).
+  gradient is (1/m) (nu A^T g - A^T ytil); 6mn flops per step, with A
+  read from memory once.
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix
   G = A^T A / m, as spectral.reduce_to_subspace's does in k+1 coordinates:
-  with M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A, for the ybar the
-  step is given, one GEMV with the stacked [G; M]
-  (SpectralMatrix.moment_stack, formed once per spectral matrix) gives G x
-  and M x, so nu_hat = x^T M x and x~ = x + zeta (M x - nu G x), the step
-  x - zeta ((nu + ybar) G x - V x - ybar x) written with M.  That is 4n^2
-  + 6n flops, as one GEMV, one dot and four vector operations, at the cost
-  of the 3n^2 floats of G and the stack.
+  with M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A for the spec's
+  ybar, one GEMV with the stacked [G; M] (SpectralMatrix.stack, formed with
+  the spec) gives G x and M x, so nu_hat = x^T M x and x~ = x + zeta (M x
+  - nu G x), the step x - zeta ((nu + ybar) G x - V x - ybar x) written
+  with M.  That is 4n^2 + 6n flops, as one GEMV, one dot and four vector
+  operations, at the cost of the 3n^2 floats of G and the stack.
 """
 
 from __future__ import annotations
@@ -110,29 +109,27 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
                 prior: GenerativePrior, proj_cfg: ProjectionConfig | None = None,
                 seed=0, truth=None, frozen_nu: float | None = None,
                 spec: SpectralMatrix | None = None) -> Step:
-    """One refinement iteration, in n-space when spec has a Gram matrix.  A
-    given frozen_nu (fixed mode: the t=0 estimate) replaces the per-iteration
-    nu_hat inside the gradient and the step size."""
+    """One refinement iteration, in n-space (with the spec's ybar) when spec
+    has a Gram matrix.  A given frozen_nu (fixed mode: the t=0 estimate)
+    replaces the per-iteration nu_hat inside the gradient and the step
+    size."""
     x_t = state.iterate
     n_space = spec is not None and spec.gram is not None
     if n_space:
         n = len(x_t)
-        moments = spec.moment_stack(ybar).dot(x_t)
+        moments = spec.stack.dot(x_t)
         gx, mx = moments[:n], moments[n:]
         nu = frozen_nu if frozen_nu is not None else _finite_nu(x_t.dot(mx))
-    elif frozen_nu is None:
+    else:
         nu, atg, aty = _m_space_moments(data, ybar, x_t)
-        resid = nu * atg - aty
-    else:   # a frozen nu needs no nu_hat: stream the one row nu g - ytil
-        nu, y = frozen_nu, data.observations
-        resid = stream_products(data.sensing, x_t,
-                                lambda g, rows: nu * g - (y[rows] - ybar) * g)
+        if frozen_nu is not None:
+            nu = frozen_nu
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
     if n_space:
         x_til = x_t + zeta * (mx - nu * gx)
     else:
-        x_til = x_t - (zeta / data.m) * resid
+        x_til = x_t - (zeta / data.m) * (nu * atg - aty)
     res = project(prior, x_til, proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)

@@ -48,7 +48,7 @@ steps), a GEMV that ran 1.4 to 2.3 times as fast in that layout at
 copy, from the row-major product, which keeps their bits: a V_k built on
 the column-major copy differed at (m, k+1) = (37, 4).  With G_k a
 refinement step costs O((k+1)^2) instead of a pass over B^: one GEMV with
-[G_k; M_k] (SpectralMatrix.moment_stack, refine.py).  The n-space build
+[G_k; M_k] (SpectralMatrix.stack, refine.py).  The n-space build
 forms no Gram matrix, whose n^2 floats and 2mn^2 flops a relu-mlp solve's
 steps did not measurably win back.  Without u, W^T V W W^T w0 would stand
 in for W^T V w0, a different first step.
@@ -62,7 +62,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
 
@@ -75,27 +75,23 @@ from .runtrace import Step, step_at
 from .seeds import flatten_seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralMatrix:
-    """V, the mean observation and, when set, the Gram matrix.  With the Gram
-    matrix, moment_stack gives a refinement step's one operator; v and gram
-    are not changed in place once it has been formed."""
+    """V, the mean observation and, when given, the Gram matrix G with the
+    stack [G; M] (2n x n), M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A,
+    formed at construction: one GEMV with it gives G x and M x, all of an
+    n-space refinement step's products (refine.py).  Frozen, so the stack
+    always matches v, ybar and gram; their arrays are not changed in place."""
     v: np.ndarray             # n x n, exactly symmetric
     ybar: float
     gram: np.ndarray | None = None  # A^T A / m, exactly symmetric (reduce_to_subspace)
-    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def moment_stack(self, ybar: float) -> np.ndarray:
-        """[G; M] (2n x n), M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A
-        for the given ybar: one GEMV with it gives G x and M x, all of an
-        n-space refinement step's products (refine.py).  Formed at the first
-        call for a ybar, v and gram, and kept."""
-        kept = self._stack
-        if kept is None or kept[0] != ybar or kept[1] is not self.v or kept[2] is not self.gram:
-            g = self.gram
-            moments = self.v + ybar * (np.eye(len(g)) - g)
-            kept = self._stack = (ybar, self.v, g, np.vstack((g, moments)))
-        return kept[3]
+    def __post_init__(self):
+        g = self.gram
+        if g is not None:
+            moments = self.v + self.ybar * (np.eye(len(g)) - g)
+            object.__setattr__(self, "stack", np.vstack((g, moments)))
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its
@@ -284,7 +280,8 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
     matrix B^ = A W^ and its Gram matrix B^T B^ / m are products with
     OpenBLAS pinned to one thread, and the reduced spectral matrix is
-    build_spectral_matrix of the reduced data, carrying that Gram matrix.
+    build_spectral_matrix of the reduced data with that Gram matrix, so it
+    carries the moment stack formed with its own ybar.
     The reduced data holds B^ column-major (np.asfortranarray of the
     product, the same floats), for APPGD's B^ x (module docstring)."""
     w = prior.layers[0]
@@ -302,8 +299,7 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
                              observations=data.observations, seed=data.seed, link=data.link)
     coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
                              [np.eye(dim, prior.k)], prior.seed, 1.0)
-    spec = build_spectral_matrix(reduced)
-    spec.gram = gram
+    spec = replace(build_spectral_matrix(reduced), gram=gram)
     reduced.sensing = np.asfortranarray(sensing)
     return SubspaceReduction(w, reduced, coords, spec)
 

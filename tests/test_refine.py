@@ -14,7 +14,6 @@ from genphase import (ConfigurationError, GenerativePrior, LinkModel, Measuremen
                       projected_power, refine_step, relu_mlp_prior, run_refine,
                       sample_measurements, shifted_matrix)
 from genphase import refine
-from genphase.baselines import _phase_residual
 from genphase.refine import NU_FLOOR
 from genphase.runtrace import step_at
 from genphase.seeds import flatten_seed
@@ -33,9 +32,8 @@ def _spec(data, form):
     SpectralMatrix carrying the Gram matrix."""
     if form == "m-space":
         return None
-    spec = build_spectral_matrix(data)
-    spec.gram = data.sensing.T @ data.sensing / data.m
-    return spec
+    built = build_spectral_matrix(data)
+    return SpectralMatrix(built.v, built.ybar, data.sensing.T @ data.sensing / data.m)
 
 
 def _range_signal(prior, latent_seed=0):
@@ -317,8 +315,8 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
     # and then backward once, for g and ytil together (A^T g and A^T ytil),
     # while it is in cache; the t=0 nu_hat comes from the first step's pass,
     # and only t2 = 0 estimates it in a pass of its own.  In fixed mode the
-    # steps after the first, whose nu is frozen, read each block backward
-    # for the one residual nu g - ytil.  n-space: no product with A at all.
+    # steps after the first make the same pass, and their frozen nu replaces
+    # nu_hat.  n-space: no product with A at all.
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
@@ -331,8 +329,7 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
             log.clear()
             states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
             rows = _block_rows(budget)
-            assert _passes(log, 300) == [_one_pass(rows, 2)] + \
-                [_one_pass(rows, 1 if fixed else 2)] * max(t2 - 1, 0)
+            assert _passes(log, 300) == [_one_pass(rows, 2)] * max(t2, 1)
             log.clear()
             nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
             assert len(_passes(log, 300)) == (0 if t2 else 1)
@@ -390,6 +387,30 @@ def test_streamed_refine_step_matches_two_passes(frozen, budget, monkeypatch):
     assert step.nu_hat == (pytest.approx(nu_hat, rel=1e-12) if frozen is None else frozen)
 
 
+def _one_row_frozen_step(data, ybar, x, nu):
+    """zeta and the pre-projection of an m-space step with nu frozen, from
+    one streamed pass for the one row nu g - ytil."""
+    y = data.observations
+    resid = refine.stream_products(data.sensing, x,
+                                   lambda g, rows: nu * g - (y[rows] - ybar) * g)
+    zeta = 1.0 / max(nu, NU_FLOOR)
+    return zeta, x - (zeta / data.m) * resid
+
+
+@pytest.mark.parametrize("budget", ["below", "not-a-multiple"])
+@pytest.mark.parametrize("frozen", [0.4, -0.2, 1e-4])
+def test_frozen_m_space_step_matches_the_one_row_stream(frozen, budget, monkeypatch):
+    # a frozen nu replaces nu_hat in the two-row pass: the same step as the
+    # one-row residual nu g - ytil, in one block and in several
+    _set_budget(monkeypatch, budget)
+    prior, data, start = _stream_problem()
+    ybar = empirical_mean_y(data)
+    zeta, x_til = _one_row_frozen_step(data, ybar, start, frozen)
+    step = refine_step(data, ybar, Step(iterate=start, t=0), prior, frozen_nu=frozen)
+    assert (step.nu_hat, step.zeta, step.warn) == (frozen, zeta, frozen <= 0)
+    assert _close(x_til, step.pre_projection, rel=1e-13)
+
+
 @pytest.mark.parametrize("budget", list(BUDGETS))
 def test_streamed_appgd_step_matches_two_passes(budget, monkeypatch):
     _set_budget(monkeypatch, budget)
@@ -406,16 +427,42 @@ def test_single_block_appgd_step_keeps_the_two_pass_bits():
     assert np.array_equal(appgd_step(data, start, prior, 0.9), expect)
 
 
-def test_phase_residual_keeps_the_bits_of_the_sign_product():
-    # g - y sign(g) with sign(0) = +1, also for g = -0 and y = +-0: the bits
-    # of g - y * where(g >= 0, 1, -1), signed zeros included
-    g = np.array([0.0, -0.0, -0.0, 0.0, 1.5, -2.5, 5e-324, -5e-324, 3.0, -3.0, 1e300])
-    y = np.array([2.0, 2.0, -0.0, -0.0, -0.5, 0.25, 1.0, -1.0, -0.0, 0.0, -1e300])
-    rng = np.random.default_rng(13)
-    g = np.r_[g, rng.standard_normal(500)]
-    y = np.r_[y, rng.standard_normal(500)]
-    expect = g - y * np.where(g >= 0, 1.0, -1.0)
-    assert _phase_residual(g, y).tobytes() == expect.tobytes()
+class _NegativeZeroRow(np.ndarray):
+    """A sensing matrix whose product A x has -0.0, not 0.0, in row 1.  A
+    BLAS dot product sums from +0.0, so it never gives -0.0 by itself."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        if ufunc is np.matmul and isinstance(inputs[0], _NegativeZeroRow):
+            assert out[1] == 0.0
+            out[1] = -0.0
+        return out
+
+
+def test_streamed_appgd_step_takes_sign_zero_as_plus_one():
+    # rows 0 and 1 have a_i^T x = 0.0 and -0.0, each with y_i = 2: both take
+    # sign +1 and the step keeps the bits of the plain two-pass formula,
+    # which a sign of -1 there (g > 0 for g >= 0) would not
+    prior, data, start = _stream_problem()
+    assert _block_rows("below") == data.m
+    start = start.copy()
+    start[0] = 0.0
+    a = data.sensing
+    a[:2] = 0.0
+    a[:2, 0] = (1.5, -0.5)
+    data.observations[:2] = 2.0
+    g = a @ start
+    g[1] = -0.0
+    assert g[0] == g[1] == 0.0 and np.signbit(g[1]) and not np.signbit(g[0])
+
+    def expect(sign):
+        resid = g - data.observations * sign
+        return project(prior, start - (0.9 / data.m) * (a.T @ resid)).point
+
+    data.sensing = a.view(_NegativeZeroRow)
+    got = appgd_step(data, start, prior, 0.9)
+    assert got.tobytes() == expect(np.where(g >= 0, 1.0, -1.0)).tobytes()
+    assert not np.array_equal(got, expect(np.where(g > 0, 1.0, -1.0)))
 
 
 # Several row blocks at the default budget (262 rows at n = 500), each large
@@ -482,8 +529,7 @@ def _close(a, b, rel=1e-12):
 
 
 def test_fixed_mode_runs_agree_across_forms():
-    # a whole fixed-mode run: nu_hat frozen at the first step's estimate,
-    # then the one-row residual nu g - ytil streamed in m-space
+    # a whole fixed-mode run: nu_hat frozen at the first step's estimate
     prior, data, start = _stream_problem()
     start = project(prior, start).point
     m_run, n_run = (run_refine(data, prior, start, 4, fixed=True, truth=data.signal, spec=s)
@@ -589,19 +635,17 @@ def _v_and_g_step(spec, ybar, x, frozen):
 
 
 @pytest.mark.parametrize("frozen", [None, 0.7], ids=["adaptive", "fixed"])
-@pytest.mark.parametrize("case", ["reduced", "other-ybar", "hand-built"])
+@pytest.mark.parametrize("case", ["reduced", "hand-built"])
 def test_moment_step_matches_the_v_and_g_products(case, frozen):
-    # a reduced linear-subspace cell (k+1 = 6), the same with a ybar argument
-    # other than spec.ybar, and a SpectralMatrix built by hand
+    # a reduced linear-subspace cell (k+1 = 6) and a SpectralMatrix built by
+    # hand
     prior = linear_subspace_prior(5, 60, seed=2)
     truth = _range_signal(prior, latent_seed=3)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 700, seed=4)
     w0 = truth + 0.2 * np.random.default_rng(5).standard_normal(60)
     red = reduce_to_subspace(data, prior, w0)
     spec, ybar = red.spec, empirical_mean_y(red.data)
-    if case == "other-ybar":
-        ybar += 0.3
-    elif case == "hand-built":
+    if case == "hand-built":
         rng = np.random.default_rng(6)
         b = rng.standard_normal((6, 6))
         g = rng.standard_normal((40, 6))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -419,25 +420,35 @@ def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range)
     assert np.array_equal(red.spec.gram, red.spec.gram.T)
 
 
-def test_moment_stack_is_kept_per_ybar_and_matrices():
-    # [G; M], M = V + ybar (I - G) = (1/m) B^T diag(y - ybar) B^: formed once
-    # and kept, and formed again for another ybar or a reassigned matrix
+def test_spectral_matrix_forms_its_stack_at_construction():
+    # with a Gram matrix G the stack [G; M], M = V + ybar (I - G), is there
+    # from the start; without one there is none, and no field can be
+    # reassigned
+    rng = np.random.default_rng(3)
+    b, c = rng.standard_normal((4, 4)), rng.standard_normal((9, 4))
+    v, gram = b + b.T, c.T @ c / 9
+    spec = SpectralMatrix(v, 0.75, gram)
+    assert np.array_equal(spec.stack, np.vstack((gram, v + 0.75 * (np.eye(4) - gram))))
+    assert SpectralMatrix(v, 0.75).stack is None
+    for name in ("v", "ybar", "gram", "stack"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, None)
+
+
+def test_reduced_spec_carries_the_stack_of_its_own_ybar():
+    # [G; M], M = V + ybar (I - G) = (1/m) B^T diag(y - ybar) B^, with the
+    # spec's ybar, the mean observation
     prior, data, w0 = _subspace_problem(5, 100, 250)
     red = spectral.reduce_to_subspace(data, prior, w0)
     spec, b, y = red.spec, red.data.sensing, red.data.observations
-    ybar = float(y.mean())
-    stack = spec.moment_stack(ybar)
-    assert stack.shape == (12, 6) and spec.moment_stack(ybar) is stack
+    ybar = spec.ybar
+    assert ybar == float(y.mean())
+    stack = spec.stack
+    assert stack.shape == (12, 6)
     assert np.array_equal(stack[:6], spec.gram)
     assert np.array_equal(stack[6:], spec.v + ybar * (np.eye(6) - spec.gram))
     assert np.array_equal(stack[6:], stack[6:].T)
     assert np.allclose(stack[6:], b.T @ ((y - ybar)[:, None] * b) / 250, rtol=0, atol=1e-13)
-    other = spec.moment_stack(ybar + 0.5)
-    assert np.array_equal(other[6:], spec.v + (ybar + 0.5) * (np.eye(6) - spec.gram))
-    spec.gram = np.eye(6)
-    assert np.array_equal(spec.moment_stack(ybar)[:6], np.eye(6))
-    spec.v = np.zeros((6, 6))
-    assert np.array_equal(spec.moment_stack(ybar)[6:], np.zeros((6, 6)))
 
 
 @pytest.mark.parametrize("k,n,m", [(3, 12, 37), (5, 100, 250), (5, 100, 4000)])
