@@ -10,10 +10,10 @@ appgd  : alternating-phase projected gradient descent, initialized by the
 
 An appgd step streams A for A x and A^T r, r = A x - y sign(A x) with
 sign(0) = +1, except when spec carries a Gram matrix (a reduced
-linear-subspace cell, as for refinement): then the run keeps the signs and
-the phase term A^T (y sign(A x)) / m across its steps (_PhaseTerm), and a
-step reads A once, for A x, and updates the phase term by the rows whose
-sign flipped, a few per step after the first ones.
+linear-subspace cell, as for refinement): then the run makes one phase term
+(_PhaseTerm) for its tau, keeping the signs and tau A^T (y sign(A x)) / m
+across its steps, and a step reads A once, for A x, and updates the term by
+the rows whose sign flipped, a few per step after the first ones.
 
 The solvers take plain values; run_problems lists the rule of every run
 argument, and run_algorithm checks them all before any work.
@@ -56,29 +56,30 @@ def run_problems(algorithms, t1, t2, tau) -> list:
 
 
 class _PhaseTerm:
-    """APPGD's phase term, kept across the steps of one run on a problem
-    with the Gram matrix G = A^T A / m: the row signs s = sign(A x), sign(0)
-    = +1, held as the bools A x >= 0, and tau h, h = A^T (y s) / m.
+    """APPGD's phase term for one run at step size tau, on a problem with
+    the Gram matrix G = A^T A / m: the row signs s = sign(A x), sign(0) =
+    +1, held as the bools A x >= 0, and tau h, h = A^T (y s) / m.  tau is
+    checked (tau_problems) and I - tau G formed at construction.
 
-    A step reads A once, for A x.  For each row i whose sign flipped it adds
-    -2 c_i a_i to tau h and negates c_i, where c = tau y s / m, and it
-    returns x - tau (G x - h) as (I - tau G) x + tau h.  The first step (or
-    one with another tau) forms tau h in full as c^T A, and a step with
-    several flips sums their rows as one product; both run under OpenBLAS's
-    one-thread pin, since from about 4 MB such a product changed bits with
-    the thread count.  A lone flip, the usual case after the first few
-    steps, is one scalar and one row: 2.4 us against 5.8 us for the indexed
-    update at m = 250.
+    A step reads A once, for A x, and returns x - tau (G x - h) as
+    (I - tau G) x + tau h.  The first step forms tau h in full as c^T A,
+    where c = tau y s / m; a later one adds -2 c_i a_i to tau h for each
+    row i whose sign flipped and negates c_i, and sums several flipped rows
+    as one product.  Both products run under OpenBLAS's one-thread pin,
+    since from about 4 MB such a product changed bits with the thread
+    count.  A lone flip, the usual case after the first few steps, is one
+    scalar and one row: 2.4 us against 5.8 us for the indexed update at
+    m = 250.
     """
 
-    def __init__(self, gram):
-        self.gram, self.tau = gram, None
+    def __init__(self, gram, tau):
+        raise_problems(tau_problems(tau))
+        self.tau, self.i_tau_g, self.pos = tau, np.eye(len(gram)) - tau * gram, None
 
-    def pre_projection(self, a, y, x, tau):
+    def pre_projection(self, a, y, x):
         pos = a.dot(x) >= 0.0
-        if tau != self.tau:
-            self.tau, self.i_tau_g = tau, np.eye(len(self.gram)) - tau * self.gram
-            self.coef = (tau / len(y)) * np.where(pos, y, -y)
+        if self.pos is None:
+            self.coef = (self.tau / len(y)) * np.where(pos, y, -y)
             with _one_blas_thread():
                 self.tau_h = self.coef.dot(a)
         else:
@@ -101,17 +102,19 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
                proj_cfg: ProjectionConfig | None = None, seed=0, phase=None):
     """x <- P_G(x - (tau/m) sum ((a_i^T x) - y_i sign(a_i^T x)) a_i),
     with sign(0) = +1.  With a phase (a _PhaseTerm, which run_algorithm
-    makes once per run when its spec carries a Gram matrix) the step is
-    x - tau (G x - h), the same up to rounding, from the one product A x;
-    without, A is read once in row blocks (refine.stream_products) for A x
-    and A^T r.  tau is checked (tau_problems) unless it is the object the
-    phase has already taken, so a run checks it at its first step."""
-    if phase is None or tau is not phase.tau:
+    makes for each run whose spec carries a Gram matrix) the step is
+    x - tau (G x - h), the same up to rounding, from the one product A x,
+    and a tau other than the phase's is a ConfigurationError; without, tau
+    is checked (tau_problems) and A is read once in row blocks
+    (refine.stream_products) for A x and A^T r."""
+    if phase is None:
         raise_problems(tau_problems(tau))
+    elif tau != phase.tau:
+        raise_problems([f"tau: the phase term was made for tau={phase.tau!r}, got {tau!r}"])
     x_t = np.asarray(state, dtype=float)
     a, y = data.sensing, data.observations
     if phase is not None:
-        x_til = phase.pre_projection(a, y, x_t, tau)
+        x_til = phase.pre_projection(a, y, x_t)
     else:
         grad = stream_products(a, x_t,
                                lambda g, rows: g - y[rows] * np.where(g >= 0.0, 1.0, -1.0))
@@ -132,13 +135,14 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
 
     The trace holds one record per iterate including the initial one; ppower
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
-    spectral iterations that start mprg, mprgf and appgd come first.
-    Refinement runs in n-space, and appgd keeps its phase term across steps,
-    when spec carries a Gram matrix, which a spec built here does not.
-    Every run argument is checked (run_problems, the seed rule, a prior of
-    the data's n and, for a given w0_override, start_problems at that n)
-    before any work.  step2 projects a start whose
-    square overflows, which the projectors refuse as a target, at unit norm.
+    spectral iterations that start mprg, mprgf and appgd come first, from
+    the one projected_power call of all but step2.  With a spec that has a
+    Gram matrix (one built here has none) refinement runs in n-space and
+    appgd makes one phase term (_PhaseTerm) for the run.  Every run argument
+    is checked (run_problems, the seed rule, a prior of the data's n and, for
+    a given w0_override, start_problems at that n) before any work.  step2
+    projects a start whose square overflows, which the projectors refuse as
+    a target, at unit norm.
     """
     dims = [] if prior.n == data.n else \
         [f"prior: its n={prior.n} differs from the data's n={data.n}"]
@@ -158,10 +162,7 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     # head: steps at t = 0, 1, ...; tail: second-phase steps, shifted by t1
     seed = flatten_seed(seed)
     tail = []
-    if name == "ppower":
-        head = projected_power(spec, prior, w0, t1 + t2, proj_cfg,
-                               seed=[seed, 1], truth=truth)
-    elif name == "step2":
+    if name == "step2":
         # the exact projection of a start is that of any positive multiple
         # (and the iterative one minimizes the same objective), as the power
         # phase divides every start by its norm
@@ -170,15 +171,15 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
         x0 = project(prior, w0, proj_cfg, seed=[seed, 1]).point
         head = run_refine(data, prior, x0, steps, proj_cfg=proj_cfg, seed=[seed, 2],
                           truth=truth, spec=spec)
-    elif name in ("mprg", "mprgf"):
-        power = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
-        head = power[:-1]
-        tail = run_refine(data, prior, power[-1].iterate, steps, fixed=name == "mprgf",
+    else:
+        head = projected_power(spec, prior, w0, t1 + t2 if name == "ppower" else t1, proj_cfg,
+                               seed=[seed, 1], truth=truth)
+    if name in ("mprg", "mprgf"):
+        tail = run_refine(data, prior, head.pop().iterate, steps, fixed=name == "mprgf",
                           proj_cfg=proj_cfg, seed=[seed, 2], truth=truth, spec=spec)
-    else:  # appgd
-        head = projected_power(spec, prior, w0, t1, proj_cfg, seed=[seed, 1], truth=truth)
+    elif name == "appgd":
         x = head[-1].iterate
-        phase = None if spec.gram is None else _PhaseTerm(spec.gram)
+        phase = None if spec.gram is None else _PhaseTerm(spec.gram, tau)
         for t in range(1, t2 + 1):
             x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t], phase=phase)
             tail.append(step_at(x, t, truth))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, count_problems, is_finite_number, \
     is_integer, raise_problems, seed_key_problems, seed_problems
+from .priors import vector_norm
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -118,7 +119,7 @@ def measurement_problems(m, n, seed, signal, source="the measurement set") -> li
         raise NumericalError(f"{source} has a NaN or Inf signal entry")
     ok = is_integer(m) and is_integer(n) and m >= 1
     problems = [] if ok else [f"m: m and n must be integers with m >= 1, got m={m!r}, n={n!r}"]
-    if signal.shape != (n,) or abs(np.linalg.norm(signal) - 1.0) > 1e-12:
+    if signal.shape != (n,) or abs(vector_norm(signal) - 1.0) > 1e-12:
         problems.append(f"signal: must be a unit vector of length n={n!r}")
     return problems + seed_problems(seed)
 

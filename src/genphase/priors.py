@@ -210,13 +210,12 @@ class _LatentTarget:
     rows: dict
 
 
-def _latent_target(prior: GenerativePrior, target) -> _LatentTarget:
-    w = prior.layers[-1]
-    t = np.asarray(target, dtype=float)
-    tt = float(t.dot(t))
+def _latent_target(prior: GenerativePrior, t, tt) -> _LatentTarget:
+    """The _LatentTarget of t and tt = t.t, as _finite_target returns them."""
     if not math.isfinite(tt):
         raise NumericalError("projection target overflows: its squared norm is not finite")
-    return _LatentTarget(c=t.dot(w), tt=tt, q=w.T.dot(w), rows={})
+    w = prior.layers[-1]
+    return _LatentTarget(c=t.dot(w), tt=float(tt), q=w.T.dot(w), rows={})
 
 
 def _pattern_rows(prior: GenerativePrior, masks, target: _LatentTarget):
@@ -258,7 +257,7 @@ def projection_loss_grad(prior: GenerativePrior, z, target):
         raise_problems(latent_problems(z, prior.k, "z") +
                        target_problems(target, prior.n, "target"))
         z = np.asarray(z, dtype=float)
-        target = _latent_target(prior, target)
+        target = _latent_target(prior, *_finite_target(target, prior.n))
     a, masks, key = z, [], b""
     for w in prior.layers[:-1]:
         if masks:
@@ -361,10 +360,10 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
     warm = cfg.latent_init == "warm-start" and warm_start is not None
     raise_problems(seed_key_problems(seed) + target_problems(v, prior.n, "v") +
                    (latent_problems(warm_start, prior.k, "warm_start") if warm else []))
-    v = _finite_target(v, prior.n)[0]
+    v, vv = _finite_target(v, prior.n)
     if not np.any(v):
         raise ConfigurationError("projection target must be nonzero")
-    target = _latent_target(prior, v)
+    target = _latent_target(prior, v, vv)
     key = flatten_seed(seed)
     steps, lr, k, r = cfg.steps, cfg.learning_rate, prior.k, prior.r
     best = None   # (objective, latent, restart) of the best restart so far

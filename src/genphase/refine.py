@@ -1,30 +1,29 @@
 """Refinement step: pseudo-observation gradient descent with an adaptive
 inverse step size.
 
-Each iteration estimates the scale factor nu_hat = (1/m) sum (y_i - ybar)
-(a_i^T x)^2, forms pseudo-observations ytil_i = (y_i - ybar)(a_i^T x), takes
-the gradient step of the induced linear model with step size
-zeta = 1/max(nu, NU_FLOOR), and projects back onto the prior's range.  In
-adaptive mode nu is the current nu_hat, so the update is invariant to a
-positive rescaling of the observations; in fixed mode (mprgf) nu is the
-first step's nu_hat, frozen for the whole run.  A nu_hat that is not finite
-is a NumericalError.
+With the empirical moments G = A^T A / m and M = (1/m) A^T diag(y - ybar) A,
+each iteration estimates the scale factor nu_hat = x^T M x = (1/m) sum
+(y_i - ybar) (a_i^T x)^2, takes the gradient step x~ = x + zeta (M x - nu G x)
+of the linear model on the pseudo-observations ytil_i = (y_i - ybar)
+(a_i^T x) with step size zeta = 1/max(nu, NU_FLOOR), and projects back onto
+the prior's range.  In adaptive mode nu is the current nu_hat, so the update
+is invariant to a positive rescaling of the observations; in fixed mode
+(mprgf) nu is the first step's nu_hat, frozen, so later steps form no
+nu_hat.  A nu_hat that is not finite is a NumericalError.
 
-A step has two forms with the same result up to rounding, and in both a
-frozen nu only replaces nu_hat:
+The step is written once, on the pair (gx, mx) and a scale s with G x =
+gx / s and M x = mx / s: nu_hat = x.mx / s and x~ = x - (zeta / s) (nu gx -
+mx).  ybar is the spec's, or empirical_mean_y(data) without a spec.  The
+pair has two forms, with the same result up to rounding:
 
 - m-space (the default): one streamed pass over A (stream_products) gives
-  A^T g and A^T ytil for g = A x, so nu_hat = x^T A^T ytil / m and the
-  gradient is (1/m) (nu A^T g - A^T ytil); 6mn flops per step, with A
-  read from memory once.
-- n-space, when the SpectralMatrix passed as spec carries the Gram matrix
-  G = A^T A / m, as spectral.reduce_to_subspace's does in k+1 coordinates:
-  with M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A for the spec's
-  ybar, one GEMV with the stacked [G; M] (SpectralMatrix.stack, formed with
-  the spec) gives G x and M x, so nu_hat = x^T M x and x~ = x + zeta (M x
-  - nu G x), the step x - zeta ((nu + ybar) G x - V x - ybar x) written
-  with M.  That is 4n^2 + 6n flops, as one GEMV, one dot and four vector
-  operations, at the cost of the 3n^2 floats of G and the stack.
+  gx = A^T g and mx = A^T ytil for g = A x, with s = m; 6mn flops per step,
+  with A read from memory once.
+- n-space, when the SpectralMatrix passed as spec carries the Gram matrix,
+  as spectral.reduce_to_subspace's does in k+1 coordinates: one GEMV with
+  its stack [G; M] (formed with the spec's ybar) gives gx = G x and mx =
+  M x, with s = 1.  That is 4n^2 + 6n flops, at the cost of the 3n^2 floats
+  of G and the stack.
 """
 
 from __future__ import annotations
@@ -85,51 +84,50 @@ def stream_products(a, x, residuals) -> np.ndarray:
     return sums
 
 
-def _finite_nu(nu_hat) -> float:
-    nu_hat = float(nu_hat)
+def _stream_moments(data: MeasurementSet, ybar: float, x_t):
+    """A^T g and A^T ytil at x_t, from one streamed pass over A."""
+    y = data.observations
+    return stream_products(data.sensing, x_t,
+                           lambda g, rows: np.array((g, (y[rows] - ybar) * g)))
+
+
+def _moments(data: MeasurementSet, x_t, spec: SpectralMatrix | None):
+    """gx, mx and s with G x_t = gx / s and M x_t = mx / s: one GEMV with the
+    spec's stack when it has a Gram matrix (s = 1), else a streamed pass
+    (s = m)."""
+    if spec is not None and spec.gram is not None:
+        n = len(x_t)
+        moments = spec.stack.dot(x_t)
+        return moments[:n], moments[n:], 1
+    ybar = empirical_mean_y(data) if spec is None else spec.ybar
+    return (*_stream_moments(data, ybar, x_t), data.m)
+
+
+def _nu_hat(x_t, mx, s) -> float:
+    nu_hat = float(x_t.dot(mx) / s)
     if not math.isfinite(nu_hat):
         raise NumericalError(f"nu_hat is {nu_hat}: the measurements or the iterate overflow")
     return nu_hat
 
 
-def _m_space_moments(data: MeasurementSet, ybar: float, x_t):
-    """nu_hat, A^T g and A^T ytil at x_t, from one streamed pass over A."""
-    y = data.observations
-    atg, aty = stream_products(data.sensing, x_t,
-                               lambda g, rows: np.array((g, (y[rows] - ybar) * g)))
-    return _finite_nu(x_t.dot(aty) / data.m), atg, aty
-
-
 def estimate_nu_hat(data: MeasurementSet, ybar: float, x_t) -> float:
     """nu_hat at x_t, with the arithmetic (and bits) of an m-space step."""
-    return _m_space_moments(data, ybar, x_t)[0]
+    return _nu_hat(x_t, _stream_moments(data, ybar, x_t)[1], data.m)
 
 
-def refine_step(data: MeasurementSet, ybar: float, state: Step,
-                prior: GenerativePrior, proj_cfg: ProjectionConfig | None = None,
-                seed=0, truth=None, frozen_nu: float | None = None,
-                spec: SpectralMatrix | None = None) -> Step:
-    """One refinement iteration, in n-space (with the spec's ybar) when spec
-    has a Gram matrix.  A given frozen_nu (fixed mode: the t=0 estimate)
-    replaces the per-iteration nu_hat inside the gradient and the step
-    size."""
+def refine_step(data: MeasurementSet, state: Step, prior: GenerativePrior,
+                proj_cfg: ProjectionConfig | None = None, seed=0, truth=None,
+                frozen_nu: float | None = None, spec: SpectralMatrix | None = None) -> Step:
+    """One refinement iteration (module docstring), in n-space when spec has
+    a Gram matrix; ybar is spec's, or empirical_mean_y(data) without a spec.
+    A given frozen_nu (fixed mode: the t=0 estimate) replaces nu_hat in the
+    gradient and the step size, and no nu_hat is formed."""
     x_t = state.iterate
-    n_space = spec is not None and spec.gram is not None
-    if n_space:
-        n = len(x_t)
-        moments = spec.stack.dot(x_t)
-        gx, mx = moments[:n], moments[n:]
-        nu = frozen_nu if frozen_nu is not None else _finite_nu(x_t.dot(mx))
-    else:
-        nu, atg, aty = _m_space_moments(data, ybar, x_t)
-        if frozen_nu is not None:
-            nu = frozen_nu
+    gx, mx, s = _moments(data, x_t, spec)
+    nu = _nu_hat(x_t, mx, s) if frozen_nu is None else frozen_nu
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
-    if n_space:
-        x_til = x_t + zeta * (mx - nu * gx)
-    else:
-        x_til = x_t - (zeta / data.m) * (nu * atg - aty)
+    x_til = x_t - (zeta / s) * (nu * gx - mx)
     res = project(prior, x_til, proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)
@@ -138,22 +136,21 @@ def refine_step(data: MeasurementSet, ybar: float, state: Step,
 def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, t2: int,
                fixed: bool = False, proj_cfg: ProjectionConfig | None = None,
                seed=0, truth=None, spec: SpectralMatrix | None = None) -> list[Step]:
-    """Chain t2 refinement steps from x0 (assumed in the prior's range), in
-    n-space when spec has a Gram matrix; with fixed, nu stays at the first
-    step's nu_hat.  The returned trajectory includes the initial state at
-    t=0, whose nu_hat is the first step's estimate at x0 (computed on its own
-    only when t2 = 0)."""
+    """Chain t2 refinement steps (refine_step) from x0, assumed in the
+    prior's range, each in n-space when spec has a Gram matrix; with fixed,
+    nu stays at the first step's nu_hat.  The returned trajectory includes
+    the initial state at t=0, whose nu_hat is the first step's estimate at
+    x0, formed on its own, in the steps' form, only when t2 = 0."""
     raise_problems(t2_problems(t2))
     x0 = np.asarray(x0, dtype=float)
-    ybar = empirical_mean_y(data)
     states = [step_at(x0, 0, truth)]
     frozen = None
     base = flatten_seed(seed)
     for t in range(t2):
-        states.append(refine_step(data, ybar, states[-1], prior, proj_cfg, seed=[base, t + 1],
+        states.append(refine_step(data, states[-1], prior, proj_cfg, seed=[base, t + 1],
                                   truth=truth, frozen_nu=frozen, spec=spec))
         if fixed:
             frozen = states[1].nu_hat
-    nu0 = states[1].nu_hat if t2 else estimate_nu_hat(data, ybar, x0)
+    nu0 = states[1].nu_hat if t2 else _nu_hat(x0, *_moments(data, x0, spec)[1:])
     states[0].nu_hat, states[0].warn = nu0, nu0 <= 0
     return states

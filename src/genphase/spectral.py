@@ -288,8 +288,8 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
     resid -= w @ (resid @ w)
-    size = np.linalg.norm(resid)
-    if size > prior.n * np.finfo(float).eps * np.linalg.norm(w0):
+    size = vector_norm(resid)
+    if size > prior.n * np.finfo(float).eps * vector_norm(w0):
         w = np.column_stack((w, resid / size))
     dim = w.shape[1]
     with _one_blas_thread():

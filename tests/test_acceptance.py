@@ -13,7 +13,7 @@ import pytest
 
 from genphase import (ExperimentConfig, LinkModel, MeasurementSet,
                       ProjectionConfig, SpectralMatrix, Step,
-                      build_spectral_matrix, empirical_mean_y, evaluate,
+                      build_spectral_matrix, evaluate,
                       initial_vector, linear_subspace_prior, population_nu,
                       project, project_exact, project_iterative,
                       projected_power, projection_loss_grad, refine_step,
@@ -193,8 +193,7 @@ def test_criterion_9_fixed_point_suite():
     data = MeasurementSet(n=30, m=20, signal=x_t, sensing=a,
                           observations=np.ones(20), seed=0,
                           link=LinkModel("abs-noise-out"))
-    nxt = refine_step(data, empirical_mean_y(data),
-                      Step(iterate=x_t, t=0, nu_hat=0.0), prior)
+    nxt = refine_step(data, Step(iterate=x_t, t=0, nu_hat=0.0), prior)
     ok &= bool(np.array_equal(nxt.pre_projection, x_t))
     ok &= bool(np.allclose(nxt.iterate, x_t, atol=1e-12))
 

@@ -84,20 +84,22 @@ def test_appgd_step_rejects_bad_tau():
             appgd_step(data, x, prior, tau)
 
 
-def test_appgd_step_with_a_phase_checks_each_new_tau():
-    # a phase skips the check only for the tau it has taken, not for an
-    # equal value of another type
+def test_a_phase_term_is_made_for_one_valid_tau():
+    # _PhaseTerm checks its tau once, at construction, and appgd_step
+    # refuses a phase made for another tau
     prior = _axis_prior(2, 3)
     data = _manual_set(np.array([[0.0, 1.0, 0.0]]), [2.0])
     x = np.array([1.0, 0.0, 0.0])
-    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing)
-    tau = 1.0
-    first = appgd_step(data, x, prior, tau, phase=phase)
-    assert phase.tau is tau
-    assert np.array_equal(appgd_step(data, x, prior, tau, phase=phase), first)
-    for bad in (True, float("nan"), 0.0):
+    gram = data.sensing.T @ data.sensing
+    for bad in (0.0, -1.0, float("nan"), float("inf"), True, "0.9"):
         with pytest.raises(ConfigurationError, match="tau: must be a finite positive number"):
-            appgd_step(data, x, prior, bad, phase=phase)
+            baselines._PhaseTerm(gram, bad)
+    phase = baselines._PhaseTerm(gram, 1.0)
+    first = appgd_step(data, x, prior, 1.0, phase=phase)
+    assert np.array_equal(first, appgd_step(data, x, prior, 1.0))
+    for other in (0.5, float("nan"), 0.0):
+        with pytest.raises(ConfigurationError, match="tau: the phase term was made for tau=1.0"):
+            appgd_step(data, x, prior, other, phase=phase)
 
 
 def _desk_data(latent_seed=1, m=1000, seed=30, link=None):
@@ -289,7 +291,7 @@ def test_phase_term_is_the_fresh_product_after_every_step():
     red = reduce_to_subspace(data, prior, np.random.default_rng(2).standard_normal(12))
     data, tau, m = red.data, 0.9, 300
     data.sensing[0], data.sensing[1], data.observations[0] = (0, 0, 0, 1.5), (0, 1, 0, 0), 2.0
-    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing / m)
+    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing / m, tau)
     states = [np.r_[np.random.default_rng(5).standard_normal(3), 0.0]]
     states += [np.array([1.0, (-1) ** t * (0.2 if t % 10 == 5 else 1e-3), 0.0, 0.0])
                for t in range(29)]

@@ -134,6 +134,13 @@ def test_sample_rejects_bad_inputs():
             sample_measurements(LinkModel("linear"), signal, 5, seed=0)
 
 
+def test_a_signal_whose_square_overflows_is_not_a_unit_vector():
+    # a finite signal of norm 2e200: its squared norm overflows, which
+    # warned "overflow encountered in dot" before the rule could refuse it
+    with pytest.raises(ConfigurationError, match="signal: must be a unit vector"):
+        sample_measurements(LinkModel("abs-noise-out"), np.full(4, 1e200), 10, 0)
+
+
 def test_abs_mean_matches_monte_carlo_oracle():
     # Oracle: direct |N(0,1)| draws, independent of the sampling path.
     oracle = np.abs(np.random.default_rng(123456).standard_normal(10**6))

@@ -9,7 +9,7 @@ from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior
                       NumericalError, ProjectionConfig, evaluate, linear_subspace_prior,
                       load_prior, project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
-from genphase.priors import _latent_target, clip_to_ball, default_radius
+from genphase.priors import _finite_target, _latent_target, clip_to_ball, default_radius
 from genphase.seeds import flatten_seed
 
 
@@ -632,7 +632,7 @@ def test_cached_rows_give_the_bits_of_a_fresh_target(hidden):
     rng = np.random.default_rng(37)
     v = rng.standard_normal(50)
     z = rng.standard_normal(5)
-    target = _latent_target(prior, v)
+    target = _latent_target(prior, *_finite_target(v, prior.n))
     for zi in (z, 2.0 * z, 0.5 * z, z + 1e-9 * rng.standard_normal(5), 3.0 * z):
         loss, grad = projection_loss_grad(prior, zi, target)
         fresh_loss, fresh_grad = projection_loss_grad(prior, zi, v)

@@ -111,7 +111,7 @@ def test_refine_step_zero_gradient_fixed_point():
     data = _manual_set(np.random.default_rng(1).standard_normal((20, 30)),
                        np.ones(20))
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
-    nxt = refine_step(data, empirical_mean_y(data), state, prior)
+    nxt = refine_step(data, state, prior)
     assert np.array_equal(nxt.pre_projection, x_t)
     assert np.allclose(nxt.iterate, x_t, atol=1e-12)
     assert nxt.nu_hat == 0.0 and nxt.warn
@@ -124,13 +124,12 @@ def test_refine_step_hand_computed_update():
     y = np.array([3.0, 1.0])
     data = _manual_set(a, y)
     x_t = np.array([1.0, 0.0, 0.0, 0.0])
-    ybar = 2.0
-    # g = (1, 0); nu_hat = ((3-2)*1 + (1-2)*0)/2 = 0.5; zeta = 1/0.5 = 2
+    # ybar = 2; g = (1, 0); nu_hat = ((3-2)*1 + (1-2)*0)/2 = 0.5; zeta = 1/0.5 = 2
     # ytil = ((3-2)*1, (1-2)*0) = (1, 0); resid = 0.5*g - ytil = (-0.5, 0)
     # x_til = x - (2/2) * a^T resid = (1.5, 0, 0, 0)
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
     for form in FORMS:
-        nxt = refine_step(data, ybar, state, prior, spec=_spec(data, form))
+        nxt = refine_step(data, state, prior, spec=_spec(data, form))
         assert nxt.nu_hat == 0.5, form
         assert nxt.zeta == 2.0, form
         assert not nxt.warn, form
@@ -316,7 +315,7 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
     # while it is in cache; the t=0 nu_hat comes from the first step's pass,
     # and only t2 = 0 estimates it in a pass of its own.  In fixed mode the
     # steps after the first make the same pass, and their frozen nu replaces
-    # nu_hat.  n-space: no product with A at all.
+    # nu_hat.  n-space: no product with A at all, also for the t=0 nu_hat.
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
@@ -332,7 +331,7 @@ def test_run_refine_products_with_a(t2, fixed, monkeypatch):
             assert _passes(log, 300) == [_one_pass(rows, 2)] * max(t2, 1)
             log.clear()
             nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
-            assert len(_passes(log, 300)) == (0 if t2 else 1)
+            assert _passes(log, 300) == []
             assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
             assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
 
@@ -381,7 +380,7 @@ def test_streamed_refine_step_matches_two_passes(frozen, budget, monkeypatch):
     prior, data, start = _stream_problem()
     ybar = empirical_mean_y(data)
     nu_hat, target = _two_pass_refine(data, ybar, start, frozen)
-    step = refine_step(data, ybar, Step(iterate=start, t=0), prior, frozen_nu=frozen)
+    step = refine_step(data, Step(iterate=start, t=0), prior, frozen_nu=frozen)
     assert _close(target, step.pre_projection)
     assert estimate_nu_hat(data, ybar, start) == pytest.approx(nu_hat, rel=1e-12)
     assert step.nu_hat == (pytest.approx(nu_hat, rel=1e-12) if frozen is None else frozen)
@@ -406,7 +405,7 @@ def test_frozen_m_space_step_matches_the_one_row_stream(frozen, budget, monkeypa
     prior, data, start = _stream_problem()
     ybar = empirical_mean_y(data)
     zeta, x_til = _one_row_frozen_step(data, ybar, start, frozen)
-    step = refine_step(data, ybar, Step(iterate=start, t=0), prior, frozen_nu=frozen)
+    step = refine_step(data, Step(iterate=start, t=0), prior, frozen_nu=frozen)
     assert (step.nu_hat, step.zeta, step.warn) == (frozen, zeta, frozen <= 0)
     assert _close(x_til, step.pre_projection, rel=1e-13)
 
@@ -470,15 +469,14 @@ def test_streamed_appgd_step_takes_sign_zero_as_plus_one():
 _THREADS_SCRIPT = """
 import sys
 import numpy as np
-from genphase import (LinkModel, Step, appgd_step, empirical_mean_y, evaluate,
-                      linear_subspace_prior, refine_step, sample_measurements)
+from genphase import (LinkModel, Step, appgd_step, evaluate, linear_subspace_prior,
+                      refine_step, sample_measurements)
 prior = linear_subspace_prior(5, 500, seed=2)
 x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
 data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
 start = x + 0.3 * np.random.default_rng(2).standard_normal(500)
 state = Step(iterate=start / np.linalg.norm(start), t=0)
-ybar = empirical_mean_y(data)
-steps = [refine_step(data, ybar, state, prior, frozen_nu=f) for f in (None, 0.4)]
+steps = [refine_step(data, state, prior, frozen_nu=f) for f in (None, 0.4)]
 out = [a for s in steps for a in (s.pre_projection, s.iterate, np.array([s.nu_hat, s.zeta]))]
 out.append(appgd_step(data, state.iterate, prior, 0.9))
 sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
@@ -557,13 +555,12 @@ def test_refine_step_forms_agree(mode, sign):
     y = sign * (np.abs(a @ x) - 0.7 + 0.1 * rng.standard_normal(600))
     assert (y > 0).any() and (y < 0).any()
     data = _manual_set(a, y)
-    ybar = empirical_mean_y(data)
     start = x + 0.3 * rng.standard_normal(40)
     state = Step(iterate=start / np.linalg.norm(start), t=0)
     spec = _spec(data, "n-space")
     # fixed mode: a given frozen_nu replaces nu_hat
     frozen = None if mode == "adaptive" else 0.4 * sign
-    m_step, n_step = (refine_step(data, ybar, state, prior, frozen_nu=frozen, spec=s)
+    m_step, n_step = (refine_step(data, state, prior, frozen_nu=frozen, spec=s)
                       for s in (None, spec))
     assert _close(m_step.pre_projection, n_step.pre_projection)
     assert _close(m_step.iterate, n_step.iterate)
@@ -572,6 +569,63 @@ def test_refine_step_forms_agree(mode, sign):
     assert n_step.warn == m_step.warn == (sign < 0)
     if sign < 0:   # nu <= 0 takes the floored step
         assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
+
+
+def _form_reference(data, x, frozen, spec):
+    """nu, zeta and the pre-projection of a step, each form with its own
+    update expression: x - (zeta / m) (nu A^T g - A^T ytil) from the
+    streamed pass, and x + zeta (M x - nu G x) from the stack [G; M]."""
+    if spec is None:
+        y, ybar = data.observations, empirical_mean_y(data)
+        atg, aty = refine.stream_products(data.sensing, x,
+                                          lambda g, rows: np.array((g, (y[rows] - ybar) * g)))
+        nu = float(x.dot(aty) / data.m) if frozen is None else frozen
+        zeta = 1.0 / max(nu, NU_FLOOR)
+        return nu, zeta, x - (zeta / data.m) * (nu * atg - aty)
+    n = len(x)
+    moments = spec.stack.dot(x)
+    gx, mx = moments[:n], moments[n:]
+    nu = float(x.dot(mx)) if frozen is None else frozen
+    zeta = 1.0 / max(nu, NU_FLOOR)
+    return nu, zeta, x + zeta * (mx - nu * gx)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nu-positive", "nu-negative"])
+@pytest.mark.parametrize("frozen", [None, 0.4, -0.2, 1e-4])
+@pytest.mark.parametrize("form", FORMS)
+def test_one_update_keeps_the_bits_of_each_form(form, frozen, sign):
+    # the one update x - (zeta / s) (nu gx - mx) against each form's own
+    # expression, bit for bit, adaptive and frozen, with nu_hat > 0 (sign
+    # +1) and nu_hat <= 0 (sign -1)
+    prior = linear_subspace_prior(5, 40, seed=3)
+    x = _range_signal(prior, latent_seed=4)
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((600, 40))
+    data = _manual_set(a, sign * (np.abs(a @ x) - 0.7 + 0.1 * rng.standard_normal(600)))
+    start = x + 0.3 * rng.standard_normal(40)
+    start /= np.linalg.norm(start)
+    spec = _spec(data, form)
+    nu, zeta, x_til = _form_reference(data, start, frozen, spec)
+    if frozen is None:
+        assert (nu > 0) == (sign > 0)
+    got = refine_step(data, Step(iterate=start, t=0), prior, frozen_nu=frozen, spec=spec)
+    assert (got.nu_hat, got.zeta, got.warn) == (nu, zeta, nu <= 0)
+    assert got.pre_projection.tobytes() == x_til.tobytes()
+    assert got.iterate.tobytes() == project(prior, x_til).point.tobytes()
+
+
+def test_a_reduced_run_without_steps_reports_x_m_x():
+    # t2 = 0 forms the t=0 nu_hat in the run's own form: x^T M x from the
+    # reduced spec's stack, not a pass over B^
+    prior = linear_subspace_prior(5, 60, seed=2)
+    truth = _range_signal(prior, latent_seed=3)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 700, seed=4)
+    rng = np.random.default_rng(5)
+    red = reduce_to_subspace(data, prior, truth + 0.2 * rng.standard_normal(60))
+    x0 = project(red.prior, red.data.signal + 0.3 * rng.standard_normal(6)).point
+    states = run_refine(red.data, red.prior, x0, 0, spec=red.spec)
+    assert len(states) == 1
+    assert states[0].nu_hat == float(x0.dot(red.spec.stack.dot(x0)[6:]))
 
 
 @pytest.mark.parametrize("dim", [6, 11, 100])
@@ -606,7 +660,7 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
         zeta = 1.0 / max(nu, NU_FLOOR)
         x_til = x + zeta * (mx - nu * gx)
         point = project(prior, x_til, cfg, seed=[7, 1]).point
-        got = refine_step(data, ybar, state, prior, cfg, seed=[7, 1], truth=truth,
+        got = refine_step(data, state, prior, cfg, seed=[7, 1], truth=truth,
                           frozen_nu=frozen, spec=spec)
         assert (got.nu_hat, got.zeta) == (nu, zeta)
         assert np.array_equal(got.pre_projection, x_til)
@@ -656,7 +710,7 @@ def test_moment_step_matches_the_v_and_g_products(case, frozen):
         x = red.data.signal + 0.3 * rng.standard_normal(6)
         x /= np.linalg.norm(x)
         nu, zeta, x_til = _v_and_g_step(spec, ybar, x, frozen)
-        got = refine_step(red.data, ybar, Step(iterate=x, t=0), red.prior, frozen_nu=frozen,
+        got = refine_step(red.data, Step(iterate=x, t=0), red.prior, frozen_nu=frozen,
                           spec=spec)
         assert nu > 0.1
         assert got.nu_hat == pytest.approx(nu, rel=1e-13, abs=0)

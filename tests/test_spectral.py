@@ -477,6 +477,15 @@ def test_reduce_to_subspace_drops_a_zero_residual():
     assert np.array_equal(red.prior.layers[0], np.eye(3))
 
 
+def test_reduce_to_subspace_takes_a_start_whose_square_overflows():
+    # 1e200 w0, which start_problems and the power phase accept, warned
+    # "overflow encountered in dot" in the two norms; its basis is w0's
+    prior, data, w0 = _subspace_problem(3, 12, 37)
+    red, big = (spectral.reduce_to_subspace(data, prior, scale * w0) for scale in (1.0, 1e200))
+    assert big.basis.shape == (12, 4)
+    assert np.allclose(big.basis, red.basis, rtol=0, atol=1e-14)
+
+
 # A W^ with A 3000 x 500, large enough for OpenBLAS to split an unpinned
 # product across threads.
 _REDUCE_THREADS_SCRIPT = """
