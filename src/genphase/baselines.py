@@ -103,13 +103,12 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
     """x <- P_G(x - (tau/m) sum ((a_i^T x) - y_i sign(a_i^T x)) a_i),
     with sign(0) = +1.  With a phase (a _PhaseTerm, which run_algorithm
     makes for each run whose spec carries a Gram matrix) the step is
-    x - tau (G x - h), the same up to rounding, from the one product A x,
-    and a tau other than the phase's is a ConfigurationError; without, tau
-    is checked (tau_problems) and A is read once in row blocks
-    (refine.stream_products) for A x and A^T r."""
-    if phase is None:
-        raise_problems(tau_problems(tau))
-    elif tau != phase.tau:
+    x - tau (G x - h), the same up to rounding, from the one product A x;
+    without, A is read once in row blocks (refine.stream_products) for A x
+    and A^T r.  tau is checked (tau_problems), and a tau other than the
+    given phase's is a ConfigurationError."""
+    raise_problems(tau_problems(tau))
+    if phase is not None and tau != phase.tau:
         raise_problems([f"tau: the phase term was made for tau={phase.tau!r}, got {tau!r}"])
     x_t = np.asarray(state, dtype=float)
     a, y = data.sensing, data.observations

@@ -12,8 +12,8 @@ is invariant to a positive rescaling of the observations; in fixed mode
 nu_hat.  A nu_hat that is not finite is a NumericalError.
 
 The step is written once, on the pair (gx, mx) and a scale s with G x =
-gx / s and M x = mx / s: nu_hat = x.mx / s and x~ = x - (zeta / s) (nu gx -
-mx).  ybar is the spec's, or empirical_mean_y(data) without a spec.  The
+gx / s and M x = mx / s: nu_hat = x.mx / s and x~ = x + (zeta / s) (mx -
+nu gx).  ybar is the spec's, or empirical_mean_y(data) without a spec.  The
 pair has two forms, with the same result up to rounding:
 
 - m-space (the default): one streamed pass over A (stream_products) gives
@@ -127,7 +127,7 @@ def refine_step(data: MeasurementSet, state: Step, prior: GenerativePrior,
     nu = _nu_hat(x_t, mx, s) if frozen_nu is None else frozen_nu
     warn = nu <= 0
     zeta = 1.0 / max(nu, NU_FLOOR)
-    x_til = x_t - (zeta / s) * (nu * gx - mx)
+    x_til = x_t + (zeta / s) * (mx - nu * gx)
     res = project(prior, x_til, proj_cfg, seed=seed)
     return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
                    pre_projection=x_til)

@@ -97,9 +97,12 @@ def test_a_phase_term_is_made_for_one_valid_tau():
     phase = baselines._PhaseTerm(gram, 1.0)
     first = appgd_step(data, x, prior, 1.0, phase=phase)
     assert np.array_equal(first, appgd_step(data, x, prior, 1.0))
-    for other in (0.5, float("nan"), 0.0):
+    for other in (0.5, 2):
         with pytest.raises(ConfigurationError, match="tau: the phase term was made for tau=1.0"):
             appgd_step(data, x, prior, other, phase=phase)
+    for bad in (float("nan"), 0.0, True):
+        with pytest.raises(ConfigurationError, match="tau: must be a finite positive number"):
+            appgd_step(data, x, prior, bad, phase=phase)
 
 
 def _desk_data(latent_seed=1, m=1000, seed=30, link=None):

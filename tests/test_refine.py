@@ -594,9 +594,10 @@ def _form_reference(data, x, frozen, spec):
 @pytest.mark.parametrize("frozen", [None, 0.4, -0.2, 1e-4])
 @pytest.mark.parametrize("form", FORMS)
 def test_one_update_keeps_the_bits_of_each_form(form, frozen, sign):
-    # the one update x - (zeta / s) (nu gx - mx) against each form's own
-    # expression, bit for bit, adaptive and frozen, with nu_hat > 0 (sign
-    # +1) and nu_hat <= 0 (sign -1)
+    # the one update x + (zeta / s) (mx - nu gx) against each form's own
+    # expression, bit for bit (the m-space one differs only in the sign of
+    # an exact zero, which these data do not reach), adaptive and frozen,
+    # with nu_hat > 0 (sign +1) and nu_hat <= 0 (sign -1)
     prior = linear_subspace_prior(5, 40, seed=3)
     x = _range_signal(prior, latent_seed=4)
     rng = np.random.default_rng(10)

@@ -1,9 +1,9 @@
 """Write the benchmark workloads' sweep CSVs from one source tree.
 
-    python tools/sweep_csvs.py TREE OUT [--seeds 1 7919] [--units 0]
+    python tools/sweep_csvs.py TREE OUT
 
-For each workload in TREE/perfbench/workloads.py, each seed and each unit it
-writes OUT/<workload>-seed<seed>-unit<unit>.csv: the unit's config
+For each workload in TREE/perfbench/workloads.py and each seed in SEEDS it
+writes OUT/<workload>-seed<seed>-unit<UNIT>.csv: the unit's config
 (workloads.unit_config), run by TREE's genphase (run_experiment) and written
 as CSV (emit_outputs).  Run it once on each of two trees, in separate
 processes, and compare the two OUT directories file by file (cmp) to see
@@ -17,13 +17,14 @@ import argparse
 import sys
 from pathlib import Path
 
+SEEDS = (1, 7919)   # the benchmark's default and held-out seeds
+UNIT = 0
+
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", type=Path, help="root of the source tree to run")
     parser.add_argument("out", type=Path, help="directory the CSVs are written to")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
-    parser.add_argument("--units", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -35,12 +36,11 @@ def main(argv=None) -> None:
             sys.exit(f"{module.__name__} was imported from {module.__file__}, not from {tree}")
     args.out.mkdir(parents=True, exist_ok=True)
     for name, workload in workloads.WORKLOADS.items():
-        for seed in args.seeds:
-            for unit in args.units:
-                cfg = workloads.unit_config(workload, seed, unit)
-                path = args.out / f"{name}-seed{seed}-unit{unit}.csv"
-                genphase.emit_outputs(genphase.run_experiment(cfg), "csv", path)
-                print(f"wrote {path}", flush=True)
+        for seed in SEEDS:
+            cfg = workloads.unit_config(workload, seed, UNIT)
+            path = args.out / f"{name}-seed{seed}-unit{UNIT}.csv"
+            genphase.emit_outputs(genphase.run_experiment(cfg), "csv", path)
+            print(f"wrote {path}", flush=True)
 
 
 if __name__ == "__main__":
