@@ -30,7 +30,7 @@ from .errors import is_finite_number, raise_problems, seed_key_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .refine import run_refine, stream_products, t2_problems
-from .runtrace import RunTrace, step_at
+from .runtrace import RunTrace, Step, score
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix, _one_blas_thread, build_spectral_matrix, \
     initial_vector, projected_power, shifted_matrix, start_problems, t1_problems
@@ -181,7 +181,8 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
         phase = None if spec.gram is None else _PhaseTerm(spec.gram, tau)
         for t in range(1, t2 + 1):
             x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t], phase=phase)
-            tail.append(step_at(x, t, truth))
+            tail.append(Step(x, t))
+        score(tail, truth)
 
     records = [s.record() for s in head] + [s.record(t1) for s in tail]
     return RunTrace(algorithm=name, records=records, final_error=records[-1]["error"],

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, count_problems, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
-from .runtrace import Step, step_at
+from .runtrace import Step, score
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix
 
@@ -129,8 +129,8 @@ def refine_step(data: MeasurementSet, state: Step, prior: GenerativePrior,
     zeta = 1.0 / max(nu, NU_FLOOR)
     x_til = x_t + (zeta / s) * (mx - nu * gx)
     res = project(prior, x_til, proj_cfg, seed=seed)
-    return step_at(res.point, state.t + 1, truth, nu_hat=nu, zeta=zeta, warn=warn,
-                   pre_projection=x_til)
+    step = Step(res.point, state.t + 1, nu_hat=nu, zeta=zeta, warn=warn, pre_projection=x_til)
+    return score([step], truth)[0]
 
 
 def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, t2: int,
@@ -143,14 +143,14 @@ def run_refine(data: MeasurementSet, prior: GenerativePrior, x0, t2: int,
     x0, formed on its own, in the steps' form, only when t2 = 0."""
     raise_problems(t2_problems(t2))
     x0 = np.asarray(x0, dtype=float)
-    states = [step_at(x0, 0, truth)]
+    states = [Step(x0, 0)]
     frozen = None
     base = flatten_seed(seed)
     for t in range(t2):
         states.append(refine_step(data, states[-1], prior, proj_cfg, seed=[base, t + 1],
-                                  truth=truth, frozen_nu=frozen, spec=spec))
+                                  frozen_nu=frozen, spec=spec))
         if fixed:
             frozen = states[1].nu_hat
     nu0 = states[1].nu_hat if t2 else _nu_hat(x0, *_moments(data, x0, spec)[1:])
     states[0].nu_hat, states[0].warn = nu0, nu0 <= 0
-    return states
+    return score(states, truth)

@@ -71,7 +71,7 @@ import numpy as np
 from .errors import NumericalError, count_problems, raise_problems
 from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
-from .runtrace import Step, step_at
+from .runtrace import Step, score
 from .seeds import flatten_seed
 
 
@@ -358,11 +358,11 @@ def projected_power(spec: SpectralMatrix, prior: GenerativePrior, w0, t1: int,
     raise_problems(t1_problems(t1) + start_problems(w0, spec.v.shape[0]))
     w = np.asarray(w0, dtype=float)
     w = w / vector_norm(w)
-    states = [step_at(w, 0, truth)]
+    states = [Step(w, 0)]
     latent = None
     base = flatten_seed(seed)
     for t in range(1, t1 + 1):
         res = project(prior, spec.v.dot(w), proj_cfg, seed=[base, t], warm_start=latent)
         w, latent = res.point, res.latent
-        states.append(step_at(w, t, truth))
-    return states
+        states.append(Step(w, t))
+    return score(states, truth)

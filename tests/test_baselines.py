@@ -270,6 +270,28 @@ def test_run_algorithm_refines_in_n_space_with_a_gram(name):
     assert [r.get("warn") for r in a.records] == [r.get("warn") for r in b.records]
 
 
+@pytest.mark.parametrize("gram", [False, True], ids=["m-space", "n-space"])
+@pytest.mark.parametrize("name", ["mprg", "appgd"])
+def test_run_algorithm_with_no_second_phase_step(name, gram):
+    # t2 = 0: appgd's tail is empty and mprg's holds only its t = 0 state,
+    # so the last record's error is that of the last power iterate, which
+    # ppower's run of the same t1 steps reaches too
+    prior = linear_subspace_prior(5, 40, seed=2)
+    x = _range_signal(prior, latent_seed=3)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
+    spec = build_spectral_matrix(data)
+    if gram:
+        spec = SpectralMatrix(spec.v, spec.ybar, data.sensing.T @ data.sensing / data.m)
+    power = run_algorithm("ppower", data, prior, t1=4, t2=0, seed=3, spec=spec)
+    trace = run_algorithm(name, data, prior, t1=4, t2=0, seed=3, spec=spec)
+    assert [r["t"] for r in trace.records] == list(range(5))
+    assert [r["error"] for r in trace.records] == [r["error"] for r in power.records]
+    assert trace.records[:4] == power.records[:4]
+    assert trace.final_error == power.final_error == trace.records[-1]["error"]
+    assert np.array_equal(trace.final_iterate, power.final_iterate)
+    assert ("nu_hat" in trace.records[-1]) == (name == "mprg")
+
+
 @pytest.mark.parametrize("name", ["mprg", "appgd", "mprgf", "ppower", "step2"])
 def test_run_algorithm_takes_a_start_whose_square_overflows(name):
     # 1e200 e_1 warned "overflow encountered in dot" and was refused as a

@@ -15,7 +15,7 @@ from genphase import (ConfigurationError, GenerativePrior, LinkModel, Measuremen
                       sample_measurements, shifted_matrix)
 from genphase import refine
 from genphase.refine import NU_FLOOR
-from genphase.runtrace import step_at
+from genphase.runtrace import score
 from genphase.seeds import flatten_seed
 from genphase.spectral import reduce_to_subspace
 
@@ -649,7 +649,7 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
     x = _range_signal(prior, latent_seed=6)
     state = Step(iterate=x, t=0)
 
-    def record(point):   # step_at's error and correlation, as plain @ formulas
+    def record(point):   # score's error and correlation, as plain @ formulas
         d = point - truth
         return math.sqrt(d @ d), float(truth @ point)
 
@@ -675,8 +675,38 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
     assert np.array_equal(power[0].iterate, w)
     assert np.array_equal(power[1].iterate, point)
     assert (power[1].error, power[1].correlation) == record(point)
-    one = step_at(x, 3, truth)
+    one, = score([Step(x, 3)], truth)
     assert (one.t, one.error, one.correlation) == (3, *record(x))
+
+
+@pytest.mark.parametrize("n", [6, 11, 100, 2000])
+def test_score_keeps_the_bits_of_the_per_step_dots(n):
+    # score's np.vecdot over the stacked iterates must give each step the
+    # bits of the per-vector formulas, also at the iterates +truth (error
+    # 0) and -truth, and at iterates off the unit sphere
+    rng = np.random.default_rng(n)
+    truth = rng.standard_normal(n)
+    truth /= np.linalg.norm(truth)
+    iterates = [truth, -truth, 3.0 * truth] + list(rng.standard_normal((40, n)))
+    iterates += [v / np.linalg.norm(v) for v in rng.standard_normal((40, n))]
+    states = [Step(x, t) for t, x in enumerate(iterates)]
+    assert score(states, truth) is states
+    for t, (x, step) in enumerate(zip(iterates, states)):
+        d = x - truth
+        assert (step.error, step.correlation) == (math.sqrt(d @ d), float(truth @ x))
+        assert type(step.error) is float and type(step.correlation) is float
+        assert step.iterate is x and step.t == t
+    assert states[0].error == 0.0 and states[1].correlation == -states[0].correlation
+
+
+def test_score_without_truth_or_steps_returns_the_states_unchanged():
+    # an empty list is what appgd's tail is at t2 = 0: np.array([]) - truth
+    # would raise
+    states = [Step(np.ones(3), 0), Step(np.zeros(3), 1, nu_hat=0.5)]
+    assert score(states) is states
+    assert all(s.error is None and s.correlation is None for s in states)
+    empty = []
+    assert score(empty, np.ones(3)) is empty and empty == []
 
 
 def _v_and_g_step(spec, ybar, x, frozen):
