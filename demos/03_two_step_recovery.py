@@ -2,7 +2,8 @@
 
 Step 1 builds the weighted second-moment matrix V = (1/m) sum y_i (a_i a_i^T - I)
 (expectation nu x x^T) and runs projected power iterations from the column of
-the shifted matrix with the largest diagonal entry.  Step 2 converts the
+the shifted matrix S = V + ybar I with the largest diagonal entry, which
+shifted_matrix and initial_vector read from the data without forming S.  Step 2 converts the
 problem into an approximately linear one through pseudo-observations
 ytil_i = (y_i - ybar)(a_i^T x) and descends with the adaptive step size
 1/nu_hat, projecting after every move.  Each step takes plain values: the
@@ -28,7 +29,7 @@ link = LinkModel("abs-noise-out", sigma=0.1)
 data = sample_measurements(link, x, m=2000, seed=7)
 
 spec = build_spectral_matrix(data)
-w0 = initial_vector(spec, shifted_matrix(spec))
+w0 = initial_vector(shifted_matrix(data))
 print(f"start correlation <x, w0> = {x @ w0:+.3f}")
 
 branches = [projected_power(spec, prior, s * w0, t1=20, truth=x) for s in (1.0, -1.0)]

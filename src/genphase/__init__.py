@@ -23,7 +23,7 @@ from .priors import (GenerativePrior, ProjectionConfig, ProjectionResult, evalua
                      save_prior)
 from .refine import empirical_mean_y, estimate_nu_hat, refine_step, run_refine
 from .runtrace import RunTrace, Step, write_trajectory_csv
-from .spectral import (SpectralMatrix, build_spectral_matrix, initial_vector,
-                       projected_power, shifted_matrix)
+from .spectral import (ShiftedMatrix, SpectralMatrix, build_spectral_matrix,
+                       initial_vector, projected_power, shifted_matrix)
 
 __version__ = "0.1.0"

@@ -135,9 +135,11 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     The trace holds one record per iterate including the initial one; ppower
     and step2 spend the whole t1+t2 budget in their single phase, and the t1
     spectral iterations that start mprg, mprgf and appgd come first, from
-    the one projected_power call of all but step2.  With a spec that has a
-    Gram matrix (one built here has none) refinement runs in n-space and
-    appgd makes one phase term (_PhaseTerm) for the run.  Every run argument
+    the one projected_power call of all but step2.  Without a w0_override
+    the start is read from the data (spectral.shifted_matrix and
+    initial_vector), with no V.  With a spec that has a Gram matrix (one
+    built here has none) refinement runs in n-space and appgd makes one
+    phase term (_PhaseTerm) for the run.  Every run argument
     is checked (run_problems, the seed rule, a prior of the data's n and, for
     a given w0_override, start_problems at that n) before any work.  step2
     projects a start whose square overflows, which the projectors refuse as
@@ -154,7 +156,7 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     if spec is None:
         spec = build_spectral_matrix(data)
     if w0_override is None:
-        w0 = initial_vector(spec, shifted_matrix(spec))
+        w0 = initial_vector(shifted_matrix(data))
     else:
         w0 = np.asarray(w0_override, dtype=float)
 

@@ -6,11 +6,14 @@ Every random stream is derived from the master seed through SeedSequence
 keys of the form [master_seed, m_index, trial, restart, role], so the whole
 experiment is a pure function of its configuration.
 
-A linear-subspace cell is solved in k+1 coordinates (spectral.
-reduce_to_subspace): the n-space V is built only for the spectral start w0,
-and one O(mnk) reduction replaces every later pass over A.  The extra basis
-vector beside W is w0's residual off range(W), which the first power step
-multiplies; with it every record matches the n-space solve up to rounding.
+Every cell reads its spectral start w0 from the data in O(mn) (spectral.
+shifted_matrix and initial_vector) and builds one spectral matrix, on the
+data its solves read.  A linear-subspace cell is solved in k+1 coordinates
+(spectral.reduce_to_subspace): one O(mnk) reduction replaces every later
+pass over A, and V is built on the reduced data, so the cell forms no n x n
+array.  The extra basis vector beside W is w0's residual off range(W), which
+the first power step multiplies; with it every record matches the n-space
+solve up to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,25 +269,25 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
 
 def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int) -> dict:
     """Solve one (m, trial) cell of a validated config: draw its signal and
-    measurements, build V once, take w0 once and run each algorithm from each
-    _restart_start.  A linear-subspace cell's V serves w0 alone: the cell is
-    solved in k+1 coordinates (spectral.reduce_to_subspace), each start
-    entering as basis^T start and each final_iterate mapped back, with the
-    reduced Gram matrix G_k for n-space refinement steps; a relu-mlp cell
-    refines in m-space.  A linear-subspace cell frees its n-space A and V
-    once reduced, before its first solve; a relu-mlp cell frees them on
-    return.  Returns {algorithm: [RunTrace per restart]} in config order."""
-    subspace = prior.kind == "linear-subspace"
+    measurements, take w0 once from the data, build V once and run each
+    algorithm from each _restart_start.  A linear-subspace cell is solved in
+    k+1 coordinates (spectral.reduce_to_subspace), each start entering as
+    basis^T start and each final_iterate mapped back: its one V is built on
+    the reduced data and carries the reduced Gram matrix G_k for n-space
+    refinement steps, and its n-space A is freed once reduced, before the
+    build; a relu-mlp cell builds V on its n-space data, refines in m-space
+    and frees A and V on return.  Returns {algorithm: [RunTrace per
+    restart]} in config order."""
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
                                flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
-    spec = build_spectral_matrix(data)
-    w0 = initial_vector(spec, shifted_matrix(spec))
-    solve_prior, basis = prior, None
-    if subspace:
-        # rebinding data and spec drops the n-space A and V, which no solve reads
+    w0 = initial_vector(shifted_matrix(data))
+    solve_prior, basis, gram = prior, None, None
+    if prior.kind == "linear-subspace":
+        # rebinding data drops the n-space A, which no solve reads
         reduced = reduce_to_subspace(data, prior, w0)
-        data, solve_prior, spec, basis = reduced.data, reduced.prior, reduced.spec, reduced.basis
+        data, solve_prior, basis, gram = reduced.data, reduced.prior, reduced.basis, reduced.gram
+    spec = replace(build_spectral_matrix(data), gram=gram)
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):
         for restart in range(cfg.restarts):

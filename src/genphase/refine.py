@@ -20,7 +20,8 @@ pair has two forms, with the same result up to rounding:
   gx = A^T g and mx = A^T ytil for g = A x, with s = m; 6mn flops per step,
   with A read from memory once.
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix,
-  as spectral.reduce_to_subspace's does in k+1 coordinates: one GEMV with
+  as a reduced linear-subspace cell's does in k+1 coordinates
+  (harness.solve_cell attaches spectral.reduce_to_subspace's): one GEMV with
   its stack [G; M] (formed with the spec's ybar) gives gx = G x and mx =
   M x, with s = 1.  That is 4n^2 + 6n flops, at the cost of the 3n^2 floats
   of G and the stack.

@@ -4,8 +4,13 @@ power iterations.
 The matrix V = (1/m) sum_i y_i (a_i a_i^T - I) has expectation nu * x x^T, so
 power iterations interleaved with projection onto the prior's range recover
 the signal direction.  The starting vector is the column of the shifted
-matrix (1/m) sum_i y_i a_i a_i^T with the largest diagonal entry, which is
-V's largest diagonal entry too: the shift is uniform.
+matrix S = (1/m) sum_i y_i a_i a_i^T = V + ybar I with the largest diagonal
+entry, which is V's largest diagonal entry too: the shift is uniform.  It is
+read from the data, not from V, in O(mn): diag(S) = y.(A o A) / m in one
+pass over A in the build's row blocks (shifted_matrix), then column j of S
+as (y o A[:, j])^T A / m, one GEMV (initial_vector).  Both run under the
+build's one-thread pin (below), so the start has the same bits at any
+OpenBLAS thread count.
 
 Building V reads the m x n sensing matrix A once, in row blocks, and
 accumulates only the upper block triangle: about (c+1)/(2c) * 2mn^2 flops
@@ -32,26 +37,28 @@ The caller allocates every buffer a worker writes (its Y_b block and its
 product tile), since blocks that threads allocate and free stay in glibc's
 per-thread arenas and raise the peak memory.
 
-A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace).
-Every projection lands in range(W), so the power and refinement iterates are
+A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace),
+and no n x n matrix is formed for it: the start comes from the data, and
+its spectral matrix V_k = W^T V W^ is built on the reduced data.  Every
+projection lands in range(W), so the power and refinement iterates are
 x = W z, and the first power step multiplies the start w0 itself, which need
 not lie in range(W).  With u the unit residual of w0 off range(W), the basis
 W^ = [W | u] spans every iterate and start.  One O(mnk) GEMM gives
 B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
-are the same at any OpenBLAS thread count; V_k = W^T V W^ and the Gram
-matrix G_k = B^T B^ / m are formed from it at O(m(k+1)^2), and the exact
-projector in these coordinates is the one of the basis eye(k+1, k).  The
-reduced data then holds B^ column-major: its one reader per step is
-APPGD's B^ x (baselines.appgd_step, which keeps its phase term across
-steps), a GEMV that ran 1.4 to 2.3 times as fast in that layout at
-(m, k+1) from (250, 6) to (16000, 11).  V_k and G_k are formed before the
-copy, from the row-major product, which keeps their bits: a V_k built on
-the column-major copy differed at (m, k+1) = (37, 4).  With G_k a
-refinement step costs O((k+1)^2) instead of a pass over B^: one GEMV with
-[G_k; M_k] (SpectralMatrix.stack, refine.py).  The n-space build
-forms no Gram matrix, whose n^2 floats and 2mn^2 flops a relu-mlp solve's
-steps did not measurably win back.  Without u, W^T V W W^T w0 would stand
-in for W^T V w0, a different first step.
+are the same at any OpenBLAS thread count; the Gram matrix G_k = B^T B^ / m
+is formed from it at O(m(k+1)^2), and the exact projector in these
+coordinates is the one of the basis eye(k+1, k).  The reduced data holds B^
+column-major: its one reader per step is APPGD's B^ x
+(baselines.appgd_step, which keeps its phase term across steps), a GEMV
+that ran 1.4 to 2.3 times as fast in that layout at (m, k+1) from (250, 6)
+to (16000, 11).  The build reads A row-major, copying a column-major A
+first (1.4 MB for that B^), since a V_k built on the column-major array
+differed in its bits at (m, k+1) = (37, 4).  With G_k a refinement step
+costs O((k+1)^2) instead of a pass over B^: one GEMV with [G_k; M_k]
+(SpectralMatrix.stack, refine.py).  The n-space build forms no Gram matrix,
+whose n^2 floats and 2mn^2 flops a relu-mlp solve's steps did not
+measurably win back.  Without u, W^T V W W^T w0 would stand in for
+W^T V w0, a different first step.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -239,7 +246,7 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     place.  Raises NumericalError when a diagonal entry of S is not finite,
     which any NaN or infinity in y or A causes.
     """
-    a = data.sensing
+    a = np.ascontiguousarray(data.sensing)   # a copy only of a column-major A
     y = data.observations
     m, n = data.m, data.n
     rows, width = _block_sizes(n)
@@ -255,12 +262,17 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     s /= m
     # Exact symmetry by construction: mirror the upper triangle.
     _mirror_upper(s, starts, width)
-    if not np.isfinite(np.diag(s)).all():
-        raise NumericalError("spectral matrix is not finite: the measurements "
-                             "contain NaN or Inf")
+    _check_diagonal(np.diag(s))
     ybar = float(y.mean())
     s[np.diag_indices(n)] -= ybar
     return SpectralMatrix(v=s, ybar=ybar)
+
+
+def _check_diagonal(diag) -> None:
+    """The build's NumericalError when a diagonal entry is not finite."""
+    if not np.isfinite(diag).all():
+        raise NumericalError("spectral matrix is not finite: the measurements "
+                             "contain NaN or Inf")
 
 
 @dataclass
@@ -269,7 +281,7 @@ class SubspaceReduction:
     basis: np.ndarray         # n x (k+1), orthonormal columns [W | u] (W alone when u = 0)
     data: MeasurementSet      # sensing A @ basis (column-major), signal basis^T x, same y
     prior: GenerativePrior    # linear subspace with basis eye(k+1, k)
-    spec: SpectralMatrix      # built from data, with its Gram matrix
+    gram: np.ndarray          # (A @ basis)^T (A @ basis) / m, exactly symmetric
 
 
 def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> SubspaceReduction:
@@ -279,9 +291,8 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
     matrix B^ = A W^ and its Gram matrix B^T B^ / m are products with
-    OpenBLAS pinned to one thread, and the reduced spectral matrix is
-    build_spectral_matrix of the reduced data with that Gram matrix, so it
-    carries the moment stack formed with its own ybar.
+    OpenBLAS pinned to one thread; no spectral matrix is built here (the
+    caller builds one on the reduced data and attaches the Gram matrix).
     The reduced data holds B^ column-major (np.asfortranarray of the
     product, the same floats), for APPGD's B^ x (module docstring)."""
     w = prior.layers[0]
@@ -295,36 +306,58 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     with _one_blas_thread():
         sensing = data.sensing @ w
         gram = sensing.T @ sensing / data.m   # numpy's SYRK path: exactly symmetric
-    reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w, sensing=sensing,
+    reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w,
+                             sensing=np.asfortranarray(sensing),
                              observations=data.observations, seed=data.seed, link=data.link)
     coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
                              [np.eye(dim, prior.k)], prior.seed, 1.0)
-    spec = replace(build_spectral_matrix(reduced), gram=gram)
-    reduced.sensing = np.asfortranarray(sensing)
-    return SubspaceReduction(w, reduced, coords, spec)
+    return SubspaceReduction(w, reduced, coords, gram)
 
 
-def shifted_matrix(spec: SpectralMatrix) -> np.ndarray:
-    """(1/m) sum_i y_i a_i a_i^T, i.e. V + ybar * I, as a new array."""
-    full = spec.v.copy()
-    full[np.diag_indices_from(full)] += spec.ybar
-    return full
+@dataclass(frozen=True)
+class ShiftedMatrix:
+    """S = (1/m) A^T diag(y) A = V + ybar I without its n x n array: the
+    data it is read from and its diagonal y.(A o A) / m."""
+    data: MeasurementSet
+    diag: np.ndarray
 
 
-def initial_vector(spec: SpectralMatrix, shifted_full: np.ndarray) -> np.ndarray:
-    """Column of the shifted matrix at V's largest diagonal entry, normalized.
+def shifted_matrix(data: MeasurementSet) -> ShiftedMatrix:
+    """S of the data, with its diagonal summed over A's row blocks (the
+    build's, _block_sizes), each block squared into one buffer and weighted
+    by y in one GEMV, with OpenBLAS pinned to one thread.  Raises the
+    build's NumericalError when a diagonal entry is not finite, which any
+    NaN or infinity in y or A causes."""
+    a, y = data.sensing, data.observations
+    rows = _block_sizes(data.n)[0]
+    diag = np.zeros(data.n)
+    squares = np.empty((min(rows, data.m), data.n))
+    with _one_blas_thread():
+        for r0 in range(0, data.m, rows):
+            a_b = a[r0:r0 + rows]
+            diag += y[r0:r0 + rows].dot(np.square(a_b, out=squares[:len(a_b)]))
+    diag /= data.m
+    _check_diagonal(diag)
+    return ShiftedMatrix(data, diag)
+
+
+def initial_vector(shifted: ShiftedMatrix) -> np.ndarray:
+    """Column of S at its largest diagonal entry, normalized: (y o A[:, j])^T
+    A / m, one GEMV with OpenBLAS pinned to one thread.
 
     Ties break to the lowest index (argmax convention); an all-zero column
     falls back to e_1, and a column whose norm overflows (finite entries from
     about 1e154) is a NumericalError.
     """
-    j = int(np.argmax(np.diag(spec.v)))
-    col = np.array(shifted_full[:, j], dtype=float)
+    a, y = shifted.data.sensing, shifted.data.observations
+    j = int(np.argmax(shifted.diag))
+    with _one_blas_thread():
+        col = (y * a[:, j]).dot(a) / shifted.data.m
     nc = np.linalg.norm(col)
     if not math.isfinite(nc):
         raise NumericalError(f"spectral start overflows: the norm of its column {j} is {nc}")
     if nc == 0:
-        col = np.zeros(shifted_full.shape[0])
+        col = np.zeros(len(col))
         col[0] = 1.0
         return col
     return col / nc

@@ -17,7 +17,7 @@ from genphase import (ExperimentConfig, LinkModel, MeasurementSet,
                       initial_vector, linear_subspace_prior, population_nu,
                       project, project_exact, project_iterative,
                       projected_power, projection_loss_grad, refine_step,
-                      run_experiment, run_refine, sample_measurements)
+                      run_experiment, run_refine, sample_measurements, shifted_matrix)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -205,10 +205,11 @@ def test_criterion_9_fixed_point_suite():
     states = projected_power(spec, prior, w0, 1, truth=x)
     ok &= bool(np.linalg.norm(states[-1].iterate - x) <= 1e-9)
 
-    # starting-vector tie-break to the lowest index
-    shifted = np.array([[2.0, 0.0], [0.0, 2.0]])
-    tspec = SpectralMatrix(v=shifted, ybar=0.0)
-    ok &= bool(np.array_equal(initial_vector(tspec, shifted), np.array([1.0, 0.0])))
+    # starting-vector tie-break to the lowest index: rows e_1 and e_2 with
+    # y = (2, 2) give diag(S) = (1, 1)
+    tdata = MeasurementSet(n=2, m=2, signal=np.array([1.0, 0.0]), sensing=np.eye(2),
+                           observations=np.array([2.0, 2.0]), seed=0, link=LinkModel("linear"))
+    ok &= bool(np.array_equal(initial_vector(shifted_matrix(tdata)), np.array([1.0, 0.0])))
 
     # determinism round-trips: sampling and full runs
     link = LinkModel("abs-tanh", 0.2)

@@ -186,6 +186,7 @@ def test_run_algorithm_checks_every_argument_first(name, monkeypatch):
         raise AssertionError("built a spectral matrix before checking the arguments")
 
     monkeypatch.setattr(baselines, "build_spectral_matrix", no_build)
+    monkeypatch.setattr(baselines, "shifted_matrix", no_build)
     prior, x, data = _desk_data()
     for kw, field in ((dict(t1=0), "t1"), (dict(t1=-10), "t1"), (dict(t2=-5), "t2"),
                       (dict(tau=float("nan")), "tau"), (dict(tau=0.0), "tau"),
@@ -213,6 +214,7 @@ def test_run_algorithm_checks_the_lengths_of_prior_and_start(name, monkeypatch):
         raise AssertionError("built a spectral matrix before checking the arguments")
 
     monkeypatch.setattr(baselines, "build_spectral_matrix", no_build)
+    monkeypatch.setattr(baselines, "shifted_matrix", no_build)
     prior, x, data = _desk_data()
     for other in (linear_subspace_prior(5, 40, seed=2), relu_mlp_prior(5, [16], 40, seed=2)):
         with pytest.raises(ConfigurationError, match="invalid run arguments:\n  prior: its "
@@ -246,9 +248,8 @@ def test_mprg_recovers_on_clean_abs_link():
 
 
 def _w0(data):
-    from genphase import build_spectral_matrix, initial_vector, shifted_matrix
-    spec = build_spectral_matrix(data)
-    return initial_vector(spec, shifted_matrix(spec))
+    from genphase import initial_vector, shifted_matrix
+    return initial_vector(shifted_matrix(data))
 
 
 def test_refine_step_count_table():
@@ -358,9 +359,10 @@ def test_only_an_n_space_appgd_solve_streams(kind, monkeypatch):
 # changed bits with the OpenBLAS thread count.
 _PHASE_THREADS_SCRIPT = """
 import sys
+from dataclasses import replace
 import numpy as np
-from genphase import LinkModel, evaluate, linear_subspace_prior, run_algorithm, \
-    sample_measurements
+from genphase import LinkModel, build_spectral_matrix, evaluate, linear_subspace_prior, \
+    run_algorithm, sample_measurements
 from genphase.spectral import reduce_to_subspace
 prior = linear_subspace_prior(10, 40, seed=2)
 x = evaluate(prior, np.random.default_rng(1).standard_normal(10))
@@ -368,7 +370,8 @@ data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 50000, seed=9)
 w0 = np.random.default_rng(2).standard_normal(40)
 red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
 assert red.data.sensing.shape == (50000, 11)
-trace = run_algorithm("appgd", red.data, red.prior, t1=3, t2=30, seed=4, spec=red.spec,
+spec = replace(build_spectral_matrix(red.data), gram=red.gram)
+trace = run_algorithm("appgd", red.data, red.prior, t1=3, t2=30, seed=4, spec=spec,
                       w0_override=w0 @ red.basis)
 steps = np.array([r["error"] for r in trace.records])
 sys.stdout.write((trace.final_iterate.tobytes() + steps.tobytes()).hex())

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -215,9 +216,10 @@ def test_run_experiment_row_cardinality():
 
 @pytest.mark.parametrize("kind", ["relu-mlp", "linear-subspace"])
 def test_only_the_reduction_forms_a_gram(monkeypatch, kind):
-    # no n-space build carries G, even for a relu-mlp cell whose 3 restarts
-    # x (mprg + mprgf) x t2 = 600 refinement steps once paid for one at
-    # m = 60, n = 20; a linear-subspace cell's solves get the reduced G_k
+    # no build carries G, even for a relu-mlp cell whose 3 restarts x
+    # (mprg + mprgf) x t2 = 600 refinement steps once paid for one at
+    # m = 60, n = 20; a linear-subspace cell's solves get its one V, built
+    # on the reduced data, with the reduced G_k attached
     from genphase import harness
     build, reduce, solve = (harness.build_spectral_matrix, harness.reduce_to_subspace,
                             harness.run_algorithm)
@@ -243,12 +245,14 @@ def test_only_the_reduction_forms_a_gram(monkeypatch, kind):
                     projection=ProjectionConfig(steps=5))
     solve_cell(cfg, build_prior(cfg), 0, 0)
     assert len(built) == 1 and built[0].gram is None
-    spec = built[0] if kind == "relu-mlp" else reduced[0].spec
+    spec = solved[0]
     assert len(solved) == 6 and all(got is spec for got in solved)
+    assert spec.v is built[0].v and spec.ybar == built[0].ybar
     if kind == "relu-mlp":
-        assert reduced == []
+        assert reduced == [] and spec.gram is None
     else:
         b = reduced[0].data.sensing
+        assert spec.gram is reduced[0].gram
         assert np.array_equal(spec.gram, b.T @ b / 60)
 
 
@@ -299,7 +303,7 @@ def _n_space_cell(cfg, prior, m_index, trial):
     data = sample_measurements(harness._link(cfg), x, cfg.m_grid[m_index],
                                flatten_seed([cfg.master_seed, m_index, trial, harness.ROLE_MEAS]))
     spec = build_spectral_matrix(data)
-    w0 = initial_vector(spec, shifted_matrix(spec))
+    w0 = initial_vector(shifted_matrix(data))
     return {algo: [run_algorithm(algo, data, prior, t1=cfg.t1, t2=cfg.t2, tau=cfg.tau, spec=spec,
                                  w0_override=harness._restart_start(
                                      prior, spec, w0, cfg.master_seed, m_index, trial, restart),
@@ -349,12 +353,13 @@ def test_subspace_cell_in_k_plus_1_coordinates_matches_n_space(monkeypatch, k, n
 @pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
 def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeypatch, kind):
     # a linear-subspace cell's solves read its reduction alone, so its
-    # n-space A and V are freed before the first one starts; a relu-mlp
-    # cell's solves get the cell's own A and V
+    # n-space A is freed before its one V is built, on the reduced data, and
+    # no n-space V exists; a relu-mlp cell's solves get the cell's own A and
+    # its V, built on the n-space data
     from genphase import harness
     sample, build, solve = (harness.sample_measurements, harness.build_spectral_matrix,
                             harness.run_algorithm)
-    refs, seen = {}, []
+    refs, seen, builds = {}, [], []
 
     def sampling(*args):
         data = sample(*args)
@@ -362,6 +367,7 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
         return data
 
     def building(data):
+        builds.append((data.n, refs["a"]() is None))
         spec = build(data)
         refs["v"] = weakref.ref(spec.v)
         return spec
@@ -378,7 +384,47 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
                     algorithms=("mprg", "appgd"), projection=ProjectionConfig(steps=5))
     solve_cell(cfg, build_prior(cfg), 1, 0)
     freed = kind == "linear-subspace"
-    assert seen == [(freed, freed, not freed, not freed)] * 4
+    assert builds == ([(cfg.k + 1, True)] if freed else [(cfg.n, False)])
+    assert seen == [(freed, False, not freed, True)] * 4
+
+
+@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
+def test_a_subspace_cell_builds_no_n_space_v(monkeypatch, kind):
+    # the start is read from the n-space data and the one build is on the
+    # reduced data: a build at the prior's n raises in a linear-subspace
+    # cell, and a relu-mlp cell makes exactly one, at n
+    from genphase import harness
+    build, shapes = harness.build_spectral_matrix, []
+    cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (), n=20,
+                    algorithms=ALGORITHMS, restarts=3, projection=ProjectionConfig(steps=5))
+    prior = build_prior(cfg)
+
+    def building(data):
+        shapes.append(data.n)
+        if kind == "linear-subspace" and data.n == prior.n:
+            raise AssertionError("a linear-subspace cell built an n-space V")
+        return build(data)
+
+    monkeypatch.setattr(harness, "build_spectral_matrix", building)
+    cell = solve_cell(cfg, prior, 1, 0)
+    assert shapes == [cfg.k + 1 if kind == "linear-subspace" else cfg.n]
+    assert [len(traces) for traces in cell.values()] == [3] * len(ALGORITHMS)
+
+
+def test_a_subspace_cell_allocates_no_n_by_n_array():
+    # at n = 400, m = 60 one n x n array (1.28 MB) outweighs everything else
+    # a linear-subspace cell allocates: its peak stays below it (the start
+    # and the reduction read A, 192 kB, in O(mn) memory)
+    cfg = _tiny_cfg(n=400, m_grid=(60,), trials=1, restarts=3, algorithms=ALGORITHMS)
+    prior = build_prior(cfg)
+    solve_cell(cfg, prior, 0, 0)   # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        solve_cell(cfg, prior, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cfg.n ** 2
 
 
 def test_oracle_restart_breaks_ties_to_the_lowest_restart():

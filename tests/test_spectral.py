@@ -40,7 +40,7 @@ def test_build_single_measurement_formula():
     data = _manual_set([[1.0, 0.0]], [2.0])
     spec = build_spectral_matrix(data)
     assert np.array_equal(spec.v, np.diag([0.0, -2.0]))
-    assert np.array_equal(np.diag(shifted_matrix(spec)), np.array([2.0, 0.0]))
+    assert np.array_equal(shifted_matrix(data).diag, np.array([2.0, 0.0]))
     assert spec.ybar == 2.0
 
 
@@ -57,9 +57,9 @@ def test_shifted_matrix_consistency():
     x[0] = 1.0
     data = sample_measurements(LinkModel("square-noise", 0.2), x, 300, seed=2)
     spec = build_spectral_matrix(data)
-    full = shifted_matrix(spec)
-    assert np.allclose(np.diag(full), _naive_diag_shifted(data), atol=1e-12)
-    assert np.allclose(full - spec.ybar * np.eye(6), spec.v, atol=1e-12)
+    diag = shifted_matrix(data).diag
+    assert np.allclose(diag, _naive_diag_shifted(data), atol=1e-12)
+    assert np.allclose(diag - spec.ybar, np.diag(spec.v), atol=1e-12)
 
 
 def _naive_diag_shifted(data):
@@ -86,10 +86,13 @@ def _check_against_naive(data):
     assert np.abs(spec.v - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(spec.v, spec.v.T)
     assert spec.ybar == data.observations.mean()
-    # shifting V's diagonal back by ybar gives the naive shifted diagonal
-    full = shifted_matrix(spec)
+    # shifting V's diagonal back by ybar gives the naive shifted diagonal,
+    # and so does the diagonal read from the data in the same row blocks
+    full = spec.v + spec.ybar * np.eye(data.n)
     ref_diag = _naive_diag_shifted(data)
     assert np.abs(np.diag(full) - ref_diag).max() <= 1e-12 * np.abs(ref_diag).max()
+    diag = shifted_matrix(data).diag
+    assert np.abs(diag - ref_diag).max() <= 1e-12 * np.abs(ref_diag).max()
     off = ~np.eye(data.n, dtype=bool)
     assert np.array_equal(full[off], spec.v[off])
     return spec
@@ -155,8 +158,10 @@ def _check_rejects_non_finite(where, bad):
         data.observations[40] = bad
     else:
         data.sensing[33, 17] = bad
-    with pytest.raises(NumericalError):
-        build_spectral_matrix(data)
+    # the start's diagonal, read in the same row blocks, fails the same way
+    for read in (build_spectral_matrix, shifted_matrix):
+        with pytest.raises(NumericalError, match="spectral matrix is not finite"):
+            read(data)
 
 
 requires_openblas = pytest.mark.skipif(spectral._openblas_thread_calls() is None,
@@ -384,11 +389,19 @@ def _subspace_problem(k, n, m, seed=0):
     return prior, data, w0 / np.linalg.norm(w0)
 
 
-def test_reduce_to_subspace_is_the_problem_in_basis_coordinates():
+def _reduced_spec(red):
+    """The spectral matrix a subspace cell solves with: built on the reduced
+    data, with the reduction's Gram matrix."""
+    return dataclasses.replace(build_spectral_matrix(red.data), gram=red.gram)
+
+
+def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch):
     # W^ = [W | u]: orthonormal, W first, and w0 in its span; the reduced
     # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^ and
-    # W^T G W^
+    # W^T G W^, and the reduction itself builds no spectral matrix
     prior, data, w0 = _subspace_problem(3, 12, 37)
+    monkeypatch.setattr(spectral, "build_spectral_matrix",
+                        lambda data: pytest.fail("the reduction built a spectral matrix"))
     red = spectral.reduce_to_subspace(data, prior, w0)
     basis, w = red.basis, prior.layers[0]
     assert basis.shape == (12, 4) and np.array_equal(basis[:, :3], w)
@@ -398,11 +411,11 @@ def test_reduce_to_subspace_is_the_problem_in_basis_coordinates():
     assert red.data.observations is data.observations
     assert np.allclose(red.data.sensing, data.sensing @ basis, atol=1e-14, rtol=0)
     assert np.allclose(red.data.signal, data.signal @ basis, atol=1e-15, rtol=0)
-    full = build_spectral_matrix(data)
-    assert red.spec.ybar == full.ybar
-    assert np.allclose(red.spec.v, basis.T @ full.v @ basis, atol=1e-13, rtol=0)
+    full, reduced = build_spectral_matrix(data), _reduced_spec(red)
+    assert reduced.ybar == full.ybar
+    assert np.allclose(reduced.v, basis.T @ full.v @ basis, atol=1e-13, rtol=0)
     gram = data.sensing.T @ data.sensing / data.m
-    assert np.allclose(red.spec.gram, basis.T @ gram @ basis, atol=1e-13, rtol=0)
+    assert np.allclose(red.gram, basis.T @ gram @ basis, atol=1e-13, rtol=0)
     assert red.prior.kind == "linear-subspace" and (red.prior.k, red.prior.n) == (3, 4)
     assert np.array_equal(red.prior.layers[0], np.eye(4, 3)) and red.prior.r == prior.r
 
@@ -416,8 +429,8 @@ def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range)
     red = spectral.reduce_to_subspace(data, prior, prior.layers[0][:, 0] if in_range else w0)
     b = red.data.sensing
     assert b.shape == (m, k + (not in_range))
-    assert np.array_equal(red.spec.gram, b.T @ b / m)
-    assert np.array_equal(red.spec.gram, red.spec.gram.T)
+    assert np.array_equal(red.gram, b.T @ b / m)
+    assert np.array_equal(red.gram, red.gram.T)
 
 
 def test_spectral_matrix_forms_its_stack_at_construction():
@@ -440,7 +453,7 @@ def test_reduced_spec_carries_the_stack_of_its_own_ybar():
     # spec's ybar, the mean observation
     prior, data, w0 = _subspace_problem(5, 100, 250)
     red = spectral.reduce_to_subspace(data, prior, w0)
-    spec, b, y = red.spec, red.data.sensing, red.data.observations
+    spec, b, y = _reduced_spec(red), red.data.sensing, red.data.observations
     ybar = spec.ybar
     assert ybar == float(y.mean())
     stack = spec.stack
@@ -453,8 +466,9 @@ def test_reduced_spec_carries_the_stack_of_its_own_ybar():
 
 @pytest.mark.parametrize("k,n,m", [(3, 12, 37), (5, 100, 250), (5, 100, 4000)])
 def test_reduced_sensing_is_column_major_with_the_bits_of_the_product(k, n, m):
-    # APPGD reads B^ = A W^ column-major; V_k comes from the row-major
-    # product, since a build on the column-major copy differed at (37, 4)
+    # APPGD reads B^ = A W^ column-major; the build reads it row-major, so
+    # V_k has the bits of the row-major product's, which a build on the
+    # column-major array did not at (37, 4)
     prior, data, w0 = _subspace_problem(k, n, m)
     red = spectral.reduce_to_subspace(data, prior, w0)
     b = red.data.sensing
@@ -464,7 +478,7 @@ def test_reduced_sensing_is_column_major_with_the_bits_of_the_product(k, n, m):
     assert np.array_equal(b, product)
     row_major = MeasurementSet(n=red.data.n, m=m, signal=red.data.signal, sensing=product,
                                observations=data.observations, seed=data.seed, link=data.link)
-    assert np.array_equal(red.spec.v, build_spectral_matrix(row_major).v)
+    assert np.array_equal(build_spectral_matrix(red.data).v, build_spectral_matrix(row_major).v)
 
 
 def test_reduce_to_subspace_drops_a_zero_residual():
@@ -491,14 +505,15 @@ def test_reduce_to_subspace_takes_a_start_whose_square_overflows():
 _REDUCE_THREADS_SCRIPT = """
 import sys
 import numpy as np
-from genphase import LinkModel, evaluate, linear_subspace_prior, sample_measurements
+from genphase import LinkModel, build_spectral_matrix, evaluate, linear_subspace_prior, \
+    sample_measurements
 from genphase.spectral import reduce_to_subspace
 prior = linear_subspace_prior(5, 500, seed=2)
 x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
 data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
 w0 = np.random.default_rng(2).standard_normal(500)
 red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
-out = (red.basis, red.data.sensing, red.data.signal, red.spec.v, red.spec.gram)
+out = (red.basis, red.data.sensing, red.data.signal, build_spectral_matrix(red.data).v, red.gram)
 sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 """
 
@@ -543,49 +558,78 @@ def test_spectral_concentration_single_seed():
 
 
 def test_initial_vector_argmax_column():
-    shifted = np.array([[1.0, 0.5], [0.5, 3.0]])
-    spec = SpectralMatrix(v=shifted - np.eye(2), ybar=1.0)
-    w0 = initial_vector(spec, shifted)
-    expect = shifted[:, 1] / np.linalg.norm(shifted[:, 1])
-    assert np.allclose(w0, expect, atol=1e-15)
+    # rows (1, 0.5) and (0, 1) with y = (2, 4): S = [[1, 0.5], [0.5, 2.25]],
+    # whose larger diagonal entry picks its column 1
+    data = _manual_set([[1.0, 0.5], [0.0, 1.0]], [2.0, 4.0])
+    w0 = initial_vector(shifted_matrix(data))
+    col = np.array([0.5, 2.25])
+    assert np.allclose(w0, col / np.linalg.norm(col), rtol=0, atol=1e-15)
 
 
 def test_initial_vector_tie_breaks_low_index():
-    shifted = np.array([[2.0, 0.0, 0.1], [0.0, 2.0, 0.0], [0.1, 0.0, 1.0]])
-    spec = SpectralMatrix(v=shifted, ybar=0.0)
-    w0 = initial_vector(spec, shifted)
-    expect = shifted[:, 0] / np.linalg.norm(shifted[:, 0])
-    assert np.array_equal(w0, expect)
+    # rows e_1, e_2 and (0.5, 0, 1) with y = (1.75, 2, 1): diag(S) = (2, 2, 1) / 3,
+    # a tie the first column, (2, 0, 0.5) / 3, wins
+    data = _manual_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]], [1.75, 2.0, 1.0])
+    shifted = shifted_matrix(data)
+    assert np.array_equal(shifted.diag, np.array([2.0, 2.0, 1.0]) / 3)
+    col = np.array([2.0, 0.0, 0.5]) / 3
+    assert np.array_equal(initial_vector(shifted), col / np.linalg.norm(col))
 
 
 def test_initial_vector_zero_column_fallback():
-    shifted = np.zeros((3, 3))
-    spec = SpectralMatrix(v=shifted, ybar=0.0)
-    w0 = initial_vector(spec, shifted)
+    data = _manual_set(np.random.default_rng(0).standard_normal((4, 3)), np.zeros(4))
+    w0 = initial_vector(shifted_matrix(data))
     assert np.array_equal(w0, np.array([1.0, 0.0, 0.0]))
 
 
 def test_initial_vector_norm_overflow_is_a_numerical_error():
-    # finite entries from about 1e154 overflow the column's norm, which made
-    # the start all zeros; a column just under that keeps its bits
-    shifted = np.array([[1e150, 1e150], [1e150, 1.0]])
-    spec = SpectralMatrix(v=shifted, ybar=0.0)
-    col = shifted[:, 0]
-    assert np.array_equal(initial_vector(spec, shifted), col / np.linalg.norm(col))
+    # rows (1, 1) and (0, 1) with y = (2c, 2): column 0 of S is (c, c), whose
+    # norm overflows from about c = 1e154, which made the start all zeros; a
+    # column just under that keeps its bits
+    under = _manual_set([[1.0, 1.0], [0.0, 1.0]], [2e150, 2.0])
+    col = np.array([1e150, 1e150])
+    assert np.array_equal(initial_vector(shifted_matrix(under)), col / np.linalg.norm(col))
+    over = _manual_set([[1.0, 1.0], [0.0, 1.0]], [2e200, 2.0])
+    shifted = shifted_matrix(over)
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(NumericalError, match="spectral start overflows"):
-            initial_vector(spec, shifted * 1e50)
+            initial_vector(shifted)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_initial_vector_column_is_the_naive_argmax(seed):
-    # the start column is where the naive mean(y * a^2) peaks, although the
-    # build ranks V's diagonal, which is shifted by ybar
+    # the start column is where the naive mean(y * a^2) peaks, V's diagonal
+    # shifted by ybar, and it is column j of S read from the data
     data = _random_set(300, 25, seed=20 + seed)
-    spec = build_spectral_matrix(data)
+    a, y = data.sensing, data.observations
     j = int(np.argmax(_naive_diag_shifted(data)))
-    col = shifted_matrix(spec)[:, j]
-    assert np.array_equal(initial_vector(spec, shifted_matrix(spec)), col / np.linalg.norm(col))
+    col = (y * a[:, j]) @ a / data.m
+    assert np.array_equal(initial_vector(shifted_matrix(data)), col / np.linalg.norm(col))
+    full = build_spectral_matrix(data)
+    assert j == int(np.argmax(np.diag(full.v)))
+    assert np.allclose(col, full.v[:, j] + full.ybar * (np.arange(25) == j), rtol=0,
+                       atol=1e-14 * np.abs(col).max())
+
+
+# A start read from 4000 x 300 data (9.6 MB), large enough for OpenBLAS to
+# split an unpinned product across threads.
+_START_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from genphase import LinkModel, initial_vector, sample_measurements, shifted_matrix
+x = np.random.default_rng(1).standard_normal(300)
+data = sample_measurements(LinkModel("abs-noise-out", 0.1), x / np.linalg.norm(x), 4000, seed=9)
+shifted = shifted_matrix(data)
+sys.stdout.write((shifted.diag.tobytes() + initial_vector(shifted).tobytes()).hex())
+"""
+
+
+def test_start_ignores_the_blas_thread_count():
+    outs = [subprocess.run([sys.executable, "-c", _START_THREADS_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env=_env_with_src(OPENBLAS_NUM_THREADS=str(threads))).stdout
+            for threads in (1, 2)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_initial_vector_mean_correlation():
@@ -596,8 +640,7 @@ def test_initial_vector_mean_correlation():
     corr = []
     for seed in range(20):
         data = sample_measurements(link, x, 5000, seed=100 + seed)
-        spec = build_spectral_matrix(data)
-        corr.append(x @ initial_vector(spec, shifted_matrix(spec)))
+        corr.append(x @ initial_vector(shifted_matrix(data)))
     assert np.mean(corr) >= 0.5
 
 
@@ -636,7 +679,7 @@ def test_projected_power_trajectory_contract():
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.0), x, 1000, seed=11)
     spec = build_spectral_matrix(data)
-    w0 = initial_vector(spec, shifted_matrix(spec))
+    w0 = initial_vector(shifted_matrix(data))
     states = projected_power(spec, prior, w0, 20, truth=x)
     assert len(states) == 21
     assert [s.t for s in states] == list(range(21))
@@ -650,7 +693,7 @@ def test_projected_power_determinism():
     x = _range_signal(prior, latent_seed=2)
     data = sample_measurements(LinkModel("square-sin", 0.1), x, 500, seed=12)
     spec = build_spectral_matrix(data)
-    w0 = initial_vector(spec, shifted_matrix(spec))
+    w0 = initial_vector(shifted_matrix(data))
     a = projected_power(spec, prior, w0, 10, seed=3, truth=x)
     b = projected_power(spec, prior, w0, 10, seed=3, truth=x)
     for sa, sb in zip(a, b):
@@ -731,7 +774,7 @@ def test_projected_power_recovers_subspace_signal():
         x = _range_signal(prior, latent_seed=seed)
         data = sample_measurements(link, x, 2000, seed=400 + seed)
         spec = build_spectral_matrix(data)
-        w0 = initial_vector(spec, shifted_matrix(spec))
+        w0 = initial_vector(shifted_matrix(data))
         best = min(projected_power(spec, prior, s * w0, 20, truth=x)[-1].error
                    for s in (1.0, -1.0))
         if best <= 0.3:
@@ -748,7 +791,7 @@ def test_correlation_rarely_collapses_once_gained():
         x = _range_signal(prior, latent_seed=seed)
         data = sample_measurements(link, x, 2000, seed=500 + seed)
         spec = build_spectral_matrix(data)
-        w0 = initial_vector(spec, shifted_matrix(spec))
+        w0 = initial_vector(shifted_matrix(data))
         states = projected_power(spec, prior, w0, 20, truth=x)
         corrs = [abs(s.correlation) for s in states]
         good = all(corrs[t + 1] >= 0.1 for t in range(len(corrs) - 1)
