@@ -6,20 +6,36 @@ Every random stream is derived from the master seed through SeedSequence
 keys of the form [master_seed, m_index, trial, restart, role], so the whole
 experiment is a pure function of its configuration.
 
-Every cell reads its spectral start w0 from the data in O(mn) (spectral.
+A cell is solved in two parts: prepare_cell draws its signal and
+measurements, reads its spectral start w0 from the data in O(mn) (spectral.
 shifted_matrix and initial_vector) and builds one spectral matrix, on the
-data its solves read.  A linear-subspace cell is solved in k+1 coordinates
+data its solves read; run_restarts then runs every algorithm from every
+restart start.  A linear-subspace cell is solved in k+1 coordinates
 (spectral.reduce_to_subspace): one O(mnk) reduction replaces every later
 pass over A, and V is built on the reduced data, so the cell forms no n x n
 array.  The extra basis vector beside W is w0's residual off range(W), which
 the first power step multiplies; with it every record matches the n-space
 solve up to rounding.
+
+A linear-subspace cell frees its n-space A when its reduction returns, so
+run_experiment then starts the next cell's Gaussians (links.draw_gaussians)
+on one worker thread, into buffers allocated by the calling thread, while
+the cell solves: the fill, which releases the GIL, was about a quarter of
+a sweep's time at n = 100.  The worker makes no BLAS call and
+calls nothing else of the package, sample_measurements still runs once per
+cell, in order, in the calling thread, and the draw's bits are the seed's,
+so every output is the same as a cell-by-cell solve_cell loop's, and at
+most one n-space A exists at a time.  A sweep of one cell, a relu-mlp
+sweep (whose solves read the n-space A up to their end) and a process that
+may run on one CPU only (spectral._cpu_count) start no thread: there the
+draw would overlap nothing or share the one CPU with the solves.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,13 +45,13 @@ import numpy as np
 from .baselines import run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, count_problems, \
     is_finite_number, is_integer, raise_problems, seed_problems
-from .links import LinkModel, sample_measurements
+from .links import LinkModel, MeasurementSet, draw_gaussians, sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, prior_problems, \
     project
 from .runtrace import format_cell
 from .seeds import flatten_seed
-from .spectral import build_spectral_matrix, initial_vector, reduce_to_subspace, \
-    shifted_matrix
+from .spectral import SpectralMatrix, _cpu_count, build_spectral_matrix, initial_vector, \
+    reduce_to_subspace, shifted_matrix
 from .svg import aggregate_problems, render_sweep_svg
 
 # Substream roles (last element of the SeedSequence key).
@@ -267,40 +283,122 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
                    seed=[master_seed, m_index, trial, restart, ROLE_INIT]).point
 
 
-def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int) -> dict:
-    """Solve one (m, trial) cell of a validated config: draw its signal and
-    measurements, take w0 once from the data, build V once and run each
-    algorithm from each _restart_start.  A linear-subspace cell is solved in
-    k+1 coordinates (spectral.reduce_to_subspace), each start entering as
-    basis^T start and each final_iterate mapped back: its one V is built on
-    the reduced data and carries the reduced Gram matrix G_k for n-space
-    refinement steps, and its n-space A is freed once reduced, before the
-    build; a relu-mlp cell builds V on its n-space data, refines in m-space
-    and frees A and V on return.  Returns {algorithm: [RunTrace per
-    restart]} in config order."""
+def _meas_seed(cfg: ExperimentConfig, m_index: int, trial: int) -> int:
+    return flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS])
+
+
+class _Drawer:
+    """One worker thread that draws one cell's Gaussians at a time
+    (links.draw_gaussians) into buffers the calling thread allocates; it
+    makes no BLAS call and calls nothing else of the package.  post() hands
+    it a draw through the `posted` lock and take() waits on the `done` lock
+    for the pair, or raises the draw's exception; close() lets a draw not
+    yet taken end, stops the worker and joins it."""
+
+    def __init__(self):
+        self.job, self.error = None, None   # job: a posted draw not yet taken
+        self.posted, self.done = threading.Lock(), threading.Lock()
+        self.posted.acquire()
+        self.done.acquire()
+        self.thread = threading.Thread(target=self._run, name="genphase-draw")
+        self.thread.start()
+
+    def _run(self):
+        while True:
+            self.posted.acquire()
+            job = self.job
+            if job is None:
+                return
+            try:
+                draw_gaussians(*job)
+            except BaseException as exc:
+                self.error = exc
+            job = None   # the buffers go to the caller alone
+            self.done.release()
+
+    def post(self, seed: int, m: int, n: int) -> None:
+        self.job = (seed, m, n, (np.empty((m, n)), np.empty(m)))
+        self.posted.release()
+
+    def take(self) -> tuple:
+        self.done.acquire()
+        gaussians, self.job = self.job[3], None
+        if self.error is not None:
+            raise self.error
+        return gaussians
+
+    def close(self) -> None:
+        if self.job is not None:
+            self.done.acquire()
+        self.job = None
+        self.posted.release()
+        self.thread.join()
+
+
+@dataclass
+class PreparedCell:
+    """An (m, trial) cell ready for its solves: the data, prior and spectral
+    matrix they read, the n-space spectral start w0, and the basis of a
+    linear-subspace cell's k+1 coordinates (None for an n-space cell)."""
+    data: MeasurementSet
+    prior: GenerativePrior
+    spec: SpectralMatrix
+    w0: np.ndarray
+    basis: np.ndarray | None
+
+
+def prepare_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int,
+                 drawer: _Drawer | None = None) -> PreparedCell:
+    """Draw a cell's signal and measurements (with the Gaussians the drawer,
+    when given, has drawn for the cell), take w0 once from the data and
+    build its one V.  A linear-subspace cell is reduced to k+1 coordinates
+    (spectral.reduce_to_subspace) and its n-space A freed before the build,
+    which is on the reduced data and carries the reduced Gram matrix G_k for
+    n-space refinement steps; a relu-mlp cell keeps its n-space data, which
+    its m-space refinement steps read, and builds V on it."""
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
-                               flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS]))
+                               _meas_seed(cfg, m_index, trial),
+                               gaussians=None if drawer is None else drawer.take())
     w0 = initial_vector(shifted_matrix(data))
     solve_prior, basis, gram = prior, None, None
     if prior.kind == "linear-subspace":
         # rebinding data drops the n-space A, which no solve reads
         reduced = reduce_to_subspace(data, prior, w0)
         data, solve_prior, basis, gram = reduced.data, reduced.prior, reduced.basis, reduced.gram
-    spec = replace(build_spectral_matrix(data), gram=gram)
+    return PreparedCell(data, solve_prior, replace(build_spectral_matrix(data), gram=gram), w0,
+                        basis)
+
+
+def run_restarts(cfg: ExperimentConfig, prior: GenerativePrior, cell: PreparedCell,
+                 m_index: int, trial: int) -> dict:
+    """Run each algorithm of the config from each _restart_start on a
+    prepared cell.  In a linear-subspace cell each start enters as basis^T
+    start and each final_iterate is mapped back to n-space.  Returns
+    {algorithm: [RunTrace per restart]} in config order."""
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):
         for restart in range(cfg.restarts):
-            start = _restart_start(prior, spec, w0, cfg.master_seed, m_index, trial, restart)
+            start = _restart_start(prior, cell.spec, cell.w0, cfg.master_seed, m_index, trial,
+                                   restart)
             trace = run_algorithm(
-                algo, data, solve_prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
-                tau=cfg.tau, spec=spec, w0_override=start if basis is None else start @ basis,
+                algo, cell.data, cell.prior, t1=cfg.t1, t2=cfg.t2, proj_cfg=cfg.projection,
+                tau=cfg.tau, spec=cell.spec,
+                w0_override=start if cell.basis is None else start @ cell.basis,
                 seed=flatten_seed([cfg.master_seed, m_index, trial, restart,
                                    ROLE_ALGO + algo_index]))
-            if basis is not None:
-                trace.final_iterate = basis @ trace.final_iterate
+            if cell.basis is not None:
+                trace.final_iterate = cell.basis @ trace.final_iterate
             traces[algo].append(trace)
     return traces
+
+
+def solve_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int) -> dict:
+    """Solve one (m, trial) cell of a validated config, drawing its own
+    Gaussians: prepare_cell, then run_restarts.  A relu-mlp cell frees its
+    A and V on return.  Returns {algorithm: [RunTrace per restart]} in
+    config order."""
+    return run_restarts(cfg, prior, prepare_cell(cfg, prior, m_index, trial), m_index, trial)
 
 
 def oracle_restart(traces) -> int:
@@ -312,18 +410,43 @@ def oracle_restart(traces) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
-    """Full sweep: solve every (m, trial) cell (solve_cell) and report, per
+    """Full sweep: solve every (m, trial) cell, in order, and report, per
     (m, algorithm, trial), the restart that oracle_restart picks; then
-    aggregate over trials and fit the log-log slopes."""
+    aggregate over trials and fit the log-log slopes.  The rows are those
+    of solve_cell cell by cell.
+
+    In a linear-subspace sweep of more than one cell, on more than one CPU,
+    the next cell's Gaussians are drawn on a worker thread (_Drawer) while a
+    cell solves, from the end of the cell's reduction, which frees its
+    n-space A; so at most one n-space A exists at a time.  A draw's
+    exception is raised at the cell it belongs to, and no worker outlives
+    the call.  A relu-mlp cell's solves read its n-space A, so every
+    relu-mlp cell draws its own, after the last cell's A is freed."""
     validate_config(cfg)
     prior = build_prior(cfg)
-    rows = []
-    for m_index, m in enumerate(cfg.m_grid):
-        for trial in range(cfg.trials):
-            for algo, traces in solve_cell(cfg, prior, m_index, trial).items():
-                best = oracle_restart(traces)
-                rows.append({"m": m, "algorithm": algo, "trial": trial,
-                             "restart": best, "final_error": traces[best].final_error})
+    cells = [(m_index, trial) for m_index in range(len(cfg.m_grid))
+             for trial in range(cfg.trials)]
+    # a relu-mlp cell's solves read its n-space A, so a draw there, as on
+    # one CPU, could overlap nothing
+    ahead = prior.kind == "linear-subspace" and len(cells) > 1 and _cpu_count() > 1
+    drawer, rows = _Drawer() if ahead else None, []
+    try:
+        for i, (m_index, trial) in enumerate(cells):
+            # the first cell draws its own Gaussians, the worker every later one's
+            cell = prepare_cell(cfg, prior, m_index, trial, drawer if i else None)
+            if drawer is not None and i + 1 < len(cells):
+                # the reduction has freed this cell's n-space A
+                m_next, trial_next = cells[i + 1]
+                drawer.post(_meas_seed(cfg, m_next, trial_next), cfg.m_grid[m_next], prior.n)
+            traces = run_restarts(cfg, prior, cell, m_index, trial)
+            cell = None   # a relu-mlp cell's A, before the next cell draws its own
+            for algo, algo_traces in traces.items():
+                best = oracle_restart(algo_traces)
+                rows.append({"m": cfg.m_grid[m_index], "algorithm": algo, "trial": trial,
+                             "restart": best, "final_error": algo_traces[best].final_error})
+    finally:
+        if drawer is not None:
+            drawer.close()
     aggregates = []
     for m in cfg.m_grid:
         for algo in cfg.algorithms:

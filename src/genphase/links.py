@@ -124,15 +124,37 @@ def measurement_problems(m, n, seed, signal, source="the measurement set") -> li
     return problems + seed_problems(seed)
 
 
-def sample_measurements(link: LinkModel, signal, m: int, seed: int) -> MeasurementSet:
+def draw_gaussians(seed: int, m: int, n: int, out=None) -> tuple:
+    """The standard Gaussians of a measurement set, from one generator seeded
+    with seed: the m x n sensing matrix A, then m standard noise values.
+    Given out = (sensing, noise), two float64 C-order arrays of those
+    shapes, fills and returns them, with the same bits."""
+    pair = (np.empty((m, n)), np.empty(m)) if out is None else out
+    rng = np.random.default_rng(seed)
+    for gaussians in pair:
+        rng.standard_normal(out=gaussians)
+    return pair
+
+
+def sample_measurements(link: LinkModel, signal, m: int, seed: int, *,
+                        gaussians=None) -> MeasurementSet:
     """Draw m i.i.d. standard Gaussian sensing rows and the matching noisy
-    observations, fully reproducible from the seed."""
+    observations, fully reproducible from the seed.  The Gaussians are
+    draw_gaussians(seed, m, n); gaussians, when given, must be that pair,
+    drawn in advance, and its sensing array becomes the set's A.  A pair of
+    other shapes or dtype is a ConfigurationError naming gaussians."""
     signal = np.asarray(signal, dtype=float)
     n = signal.size
-    raise_problems(measurement_problems(m, n, seed, signal))
-    rng = np.random.default_rng(seed)
-    sensing = rng.standard_normal((m, n))
-    eta = link.sigma * rng.standard_normal(m)
+    problems = measurement_problems(m, n, seed, signal)
+    if gaussians is not None and not (
+            isinstance(gaussians, tuple) and len(gaussians) == 2
+            and all(isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == shape
+                    for g, shape in zip(gaussians, ((m, n), (m,))))):
+        problems.append(f"gaussians: must be a pair of float64 arrays of shapes ({m!r}, {n}) "
+                        f"and ({m!r},)")
+    raise_problems(problems)
+    sensing, noise = draw_gaussians(seed, m, n) if gaussians is None else gaussians
+    eta = link.sigma * noise
     g = sensing @ signal
     y = np.asarray(apply_link(link, g, eta), dtype=float)
     return MeasurementSet(n=n, m=m, signal=signal, sensing=sensing,

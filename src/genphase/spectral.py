@@ -7,7 +7,7 @@ the signal direction.  The starting vector is the column of the shifted
 matrix S = (1/m) sum_i y_i a_i a_i^T = V + ybar I with the largest diagonal
 entry, which is V's largest diagonal entry too: the shift is uniform.  It is
 read from the data, not from V, in O(mn): diag(S) = y.(A o A) / m in one
-pass over A in the build's row blocks (shifted_matrix), then column j of S
+pass over A in 1 MiB row blocks (shifted_matrix), then column j of S
 as (y o A[:, j])^T A / m, one GEMV (initial_vector).  Both run under the
 build's one-thread pin (below), so the start has the same bits at any
 OpenBLAS thread count.
@@ -323,13 +323,15 @@ class ShiftedMatrix:
 
 
 def shifted_matrix(data: MeasurementSet) -> ShiftedMatrix:
-    """S of the data, with its diagonal summed over A's row blocks (the
-    build's, _block_sizes), each block squared into one buffer and weighted
-    by y in one GEMV, with OpenBLAS pinned to one thread.  Raises the
-    build's NumericalError when a diagonal entry is not finite, which any
-    NaN or infinity in y or A causes."""
+    """S of the data, with its diagonal summed over A's row blocks of at
+    most _BLOCK_BYTES / 8 (1 MiB), each block squared into one buffer and
+    weighted by y in one GEMV, with OpenBLAS pinned to one thread.  Raises
+    the build's NumericalError when a diagonal entry is not finite, which
+    any NaN or infinity in y or A causes."""
     a, y = data.sensing, data.observations
-    rows = _block_sizes(data.n)[0]
+    # an eighth of the build's block: a buffer the size of A (n = 100 up to
+    # m = 10485) cost memory and, at n = 2000, time
+    rows = max(1, _BLOCK_BYTES // (64 * data.n))
     diag = np.zeros(data.n)
     squares = np.empty((min(rows, data.m), data.n))
     with _one_blas_thread():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -355,14 +357,20 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
     # a linear-subspace cell's solves read its reduction alone, so its
     # n-space A is freed before its one V is built, on the reduced data, and
     # no n-space V exists; a relu-mlp cell's solves get the cell's own A and
-    # its V, built on the n-space data
+    # its V, built on the n-space data.  In a three-cell sweep one n-space A
+    # exists at a time: a linear-subspace sweep posts each next cell's draw
+    # to its worker once the cell's reduction has freed the cell's A, before
+    # the cell's solves, and the worker keeps no drawn buffer; a relu-mlp
+    # cell draws its own once the last cell's solves are done and its A is
+    # freed
     from genphase import harness
-    sample, build, solve = (harness.sample_measurements, harness.build_spectral_matrix,
-                            harness.run_algorithm)
-    refs, seen, builds = {}, [], []
+    sample, build, solve, post = (harness.sample_measurements, harness.build_spectral_matrix,
+                                  harness.run_algorithm, harness._Drawer.post)
+    refs, seen, builds, draws, sampled = {"a": lambda: None}, [], [], [], []
 
-    def sampling(*args):
-        data = sample(*args)
+    def sampling(*args, **kwargs):
+        sampled.append((refs["a"]() is None, len(seen)))
+        data = sample(*args, **kwargs)
         refs["a"] = weakref.ref(data.sensing)
         return data
 
@@ -377,15 +385,148 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
         seen.append((a is None, v is None, data.sensing is a, kwargs["spec"].v is v))
         return solve(name, data, prior, **kwargs)
 
+    def posting(*args):
+        draws.append((len(sampled), refs["a"]() is None, len(seen)))
+        return post(*args)
+
     monkeypatch.setattr(harness, "sample_measurements", sampling)
     monkeypatch.setattr(harness, "build_spectral_matrix", building)
     monkeypatch.setattr(harness, "run_algorithm", solving)
+    monkeypatch.setattr(harness._Drawer, "post", posting)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (),
+                    m_grid=(60, 90, 120), trials=1,
                     algorithms=("mprg", "appgd"), projection=ProjectionConfig(steps=5))
-    solve_cell(cfg, build_prior(cfg), 1, 0)
+    run_experiment(cfg)
     freed = kind == "linear-subspace"
-    assert builds == ([(cfg.k + 1, True)] if freed else [(cfg.n, False)])
-    assert seen == [(freed, False, not freed, True)] * 4
+    assert builds == ([(cfg.k + 1, True)] if freed else [(cfg.n, False)]) * 3
+    assert seen == [(freed, False, not freed, True)] * 12
+    assert sampled == [(True, 0), (True, 4), (True, 8)]
+    assert draws == ([(1, True, 0), (2, True, 4)] if freed else [])
+
+
+def _prefetch_probe(monkeypatch, cpus):
+    """Give the sweep `cpus` CPUs and record every draw made through the
+    harness's worker binding (its seed and whether it ran in the main
+    thread) and every sampled seed."""
+    from genphase import harness
+    draw, sample, log = harness.draw_gaussians, harness.sample_measurements, \
+        {"drawn": [], "sampled": []}
+
+    def drawing(seed, m, n, out):
+        log["drawn"].append((seed, threading.current_thread() is threading.main_thread()))
+        return draw(seed, m, n, out=out)
+
+    def sampling(link, signal, m, seed, **kwargs):
+        log["sampled"].append(seed)
+        return sample(link, signal, m, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "draw_gaussians", drawing)
+    monkeypatch.setattr(harness, "sample_measurements", sampling)
+    return log
+
+
+def _meas_seeds(cfg):
+    from genphase import harness
+    return [flatten_seed([cfg.master_seed, m_index, trial, harness.ROLE_MEAS])
+            for m_index in range(len(cfg.m_grid)) for trial in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("prior", [dict(prior_kind="relu-mlp", hidden=(8,),
+                                        projection=ProjectionConfig(steps=5)),
+                                   dict(prior_kind="linear-subspace")],
+                         ids=["relu-mlp", "linear-subspace"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_prefetched_sweep_is_the_sequential_sweep(monkeypatch, prior, cpus):
+    # with a CPU to spare every linear-subspace cell but the first is drawn
+    # on a worker thread, in order, and every relu-mlp cell by itself; the
+    # rows are a sequential solve_cell loop's either way, also with the
+    # interpreter switching threads every microsecond, and no thread outlives
+    # the sweep
+    cfg = _tiny_cfg(algorithms=("appgd", "mprg"), trials=3, **prior)
+    prior_obj = build_prior(cfg)
+    rows = []
+    for m_index, m in enumerate(cfg.m_grid):
+        for trial in range(cfg.trials):
+            for algo, traces in solve_cell(cfg, prior_obj, m_index, trial).items():
+                best = oracle_restart(traces)
+                rows.append({"m": m, "algorithm": algo, "trial": trial,
+                             "restart": best, "final_error": traces[best].final_error})
+    log = _prefetch_probe(monkeypatch, cpus)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_experiment(cfg).rows == rows
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    seeds = _meas_seeds(cfg)
+    assert log["sampled"] == seeds
+    ahead = cpus > 1 and cfg.prior_kind == "linear-subspace"
+    assert log["drawn"] == ([(seed, False) for seed in seeds[1:]] if ahead else [])
+
+
+def test_a_one_cell_sweep_starts_no_thread(monkeypatch):
+    log = _prefetch_probe(monkeypatch, 2)
+    threads = threading.active_count()
+    run_experiment(_tiny_cfg(m_grid=(60,), trials=1))
+    assert threading.active_count() == threads
+    assert len(log["sampled"]) == 1 and log["drawn"] == []
+
+
+@pytest.mark.parametrize("stage, cell", [("sample", 0), ("solve", 0), ("solve", 2)])
+def test_a_cell_that_raises_leaves_no_thread(monkeypatch, stage, cell):
+    # the sweep's first cell fails before any draw is posted, or a cell
+    # fails in a solve while the next cell's draw is running
+    from genphase import harness
+    cfg = _tiny_cfg(trials=2)
+    seeds = _meas_seeds(cfg)
+    log = _prefetch_probe(monkeypatch, 2)
+    real = getattr(harness, {"sample": "sample_measurements", "solve": "run_algorithm"}[stage])
+
+    def failing(*args, **kwargs):
+        seed = args[3] if stage == "sample" else args[1].seed
+        if seed == seeds[cell]:
+            raise RuntimeError(f"{stage} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_measurements" if stage == "sample" else "run_algorithm",
+                        failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{stage} failed"):
+        run_experiment(cfg)
+    assert threading.active_count() == threads
+    assert [seed for seed, _ in log["drawn"]] == (seeds[1:cell + 2] if stage == "solve" else [])
+
+
+def test_a_draw_error_is_raised_at_its_own_cell(monkeypatch):
+    # cell 3's draw fails on the worker while cell 2 solves: cells 1 and 2
+    # are sampled and solved, and the error is raised as cell 3 samples
+    from genphase import harness
+    cfg = _tiny_cfg(trials=2)
+    seeds = _meas_seeds(cfg)
+    log = _prefetch_probe(monkeypatch, 2)
+    draw, solve, solved = harness.draw_gaussians, harness.run_algorithm, []
+
+    def drawing(seed, m, n, out):
+        draw(seed, m, n, out)
+        if seed == seeds[2]:
+            raise MemoryError("draw failed")
+        return out
+
+    def solving(name, data, prior, **kwargs):
+        solved.append(data.seed)
+        return solve(name, data, prior, **kwargs)
+
+    monkeypatch.setattr(harness, "draw_gaussians", drawing)
+    monkeypatch.setattr(harness, "run_algorithm", solving)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="draw failed"):
+        run_experiment(cfg)
+    assert threading.active_count() == threads
+    assert solved == [seeds[0]] * 2 + [seeds[1]] * 2
+    assert log["sampled"] == seeds[:2]
 
 
 @pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])

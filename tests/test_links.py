@@ -7,7 +7,7 @@ import pytest
 from genphase import (ConfigurationError, LinkModel, NumericalError, apply_link,
                       load_measurements, population_nu, sample_measurements,
                       save_measurements)
-from genphase.links import BUILTIN_LINKS
+from genphase.links import BUILTIN_LINKS, draw_gaussians
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -119,6 +119,35 @@ def test_sample_determinism():
     b = sample_measurements(link, _unit(4), 20, seed=9)
     assert np.array_equal(a.sensing, b.sensing)
     assert np.array_equal(a.observations, b.observations)
+
+
+@pytest.mark.parametrize("link", [LinkModel("abs-noise-out", 0.1), LinkModel("abs-noise-in", 0.3),
+                                  LinkModel("square-sin", 0.0)], ids=lambda link: link.name)
+def test_sample_with_gaussians_drawn_in_advance_is_the_self_drawn_sample(link):
+    # A then the noise from one generator, into given buffers or not; a set
+    # sampled on them is the self-drawn set, bit for bit, and holds the
+    # given sensing array as its A
+    m, n, seed = 37, 6, 11
+    rng = np.random.default_rng(seed)
+    sensing, noise = rng.standard_normal((m, n)), rng.standard_normal(m)
+    out = (np.empty((m, n)), np.empty(m))
+    assert draw_gaussians(seed, m, n, out=out) is out
+    for drawn in (draw_gaussians(seed, m, n), out):
+        assert np.array_equal(drawn[0], sensing) and np.array_equal(drawn[1], noise)
+    own = sample_measurements(link, _unit(n, 2), m, seed)
+    given = sample_measurements(link, _unit(n, 2), m, seed, gaussians=out)
+    assert given.sensing is out[0]
+    assert np.array_equal(given.sensing, own.sensing)
+    assert np.array_equal(given.observations, own.observations)
+
+
+@pytest.mark.parametrize("bad", [(np.zeros((5, 4)),), (np.zeros((5, 3)), np.zeros(5)),
+                                 (np.zeros((5, 4)), np.zeros(4)),
+                                 (np.zeros((5, 4), dtype=np.float32), np.zeros(5)),
+                                 [np.zeros((5, 4)), np.zeros(5)]])
+def test_sample_rejects_gaussians_of_other_shapes(bad):
+    with pytest.raises(ConfigurationError, match=r"gaussians: must be a pair .* \(5, 4\)"):
+        sample_measurements(LinkModel("linear"), _unit(4), 5, seed=0, gaussians=bad)
 
 
 def test_sample_rejects_bad_inputs():

@@ -87,7 +87,7 @@ def _check_against_naive(data):
     assert np.array_equal(spec.v, spec.v.T)
     assert spec.ybar == data.observations.mean()
     # shifting V's diagonal back by ybar gives the naive shifted diagonal,
-    # and so does the diagonal read from the data in the same row blocks
+    # and so does the diagonal read from the data in its own row blocks
     full = spec.v + spec.ybar * np.eye(data.n)
     ref_diag = _naive_diag_shifted(data)
     assert np.abs(np.diag(full) - ref_diag).max() <= 1e-12 * np.abs(ref_diag).max()
@@ -158,7 +158,7 @@ def _check_rejects_non_finite(where, bad):
         data.observations[40] = bad
     else:
         data.sensing[33, 17] = bad
-    # the start's diagonal, read in the same row blocks, fails the same way
+    # the start's diagonal, read in its own row blocks, fails the same way
     for read in (build_spectral_matrix, shifted_matrix):
         with pytest.raises(NumericalError, match="spectral matrix is not finite"):
             read(data)
