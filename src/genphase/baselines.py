@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .errors import is_finite_number, raise_problems, seed_key_problems
-from .links import MeasurementSet
+from .links import MeasurementSet, empty_problems
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .refine import run_refine, stream_products, t2_problems
 from .runtrace import RunTrace, Step, score
@@ -139,17 +139,17 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     the start is read from the data (spectral.shifted_matrix and
     initial_vector), with no V.  With a spec that has a Gram matrix (one
     built here has none) refinement runs in n-space and appgd makes one
-    phase term (_PhaseTerm) for the run.  Every run argument
-    is checked (run_problems, the seed rule, a prior of the data's n and, for
-    a given w0_override, start_problems at that n) before any work.  step2
-    projects a start whose square overflows, which the projectors refuse as
-    a target, at unit norm.
+    phase term (_PhaseTerm) for the run.  Every run argument is checked
+    (run_problems, the seed rule, a prior of the data's n, at least one
+    measurement and, for a given w0_override, start_problems at that n)
+    before any work.  step2 projects a start whose square overflows, which
+    the projectors refuse as a target, at unit norm.
     """
     dims = [] if prior.n == data.n else \
         [f"prior: its n={prior.n} differs from the data's n={data.n}"]
     starts = [] if w0_override is None else start_problems(w0_override, data.n)
-    raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed) + dims + starts,
-                   "invalid run arguments:")
+    raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed) + dims +
+                   empty_problems(data) + starts, "invalid run arguments:")
     truth = data.signal
     start = time.perf_counter()
     steps = refine_step_count(name, t1, t2)

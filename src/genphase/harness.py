@@ -27,7 +27,7 @@ cell, in order, in the calling thread, and the draw's bits are the seed's,
 so every output is the same as a cell-by-cell solve_cell loop's, and at
 most one n-space A exists at a time.  A sweep of one cell, a relu-mlp
 sweep (whose solves read the n-space A up to their end) and a process that
-may run on one CPU only (spectral._cpu_count) start no thread: there the
+may run on one CPU only (_cpu_count) start no thread: there the
 draw would overlap nothing or share the one CPU with the solves.
 """
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -50,8 +51,8 @@ from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, pri
     project
 from .runtrace import format_cell
 from .seeds import flatten_seed
-from .spectral import SpectralMatrix, _cpu_count, build_spectral_matrix, initial_vector, \
-    reduce_to_subspace, shifted_matrix
+from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, reduce_to_subspace, \
+    shifted_matrix
 from .svg import aggregate_problems, render_sweep_svg
 
 # Substream roles (last element of the SeedSequence key).
@@ -285,6 +286,15 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
 
 def _meas_seed(cfg: ExperimentConfig, m_index: int, trial: int) -> int:
     return flatten_seed([cfg.master_seed, m_index, trial, ROLE_MEAS])
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity, so `taskset`
+    limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class _Drawer:

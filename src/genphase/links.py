@@ -124,6 +124,12 @@ def measurement_problems(m, n, seed, signal, source="the measurement set") -> li
     return problems + seed_problems(seed)
 
 
+def empty_problems(data: MeasurementSet) -> list:
+    """The rule that a measurement set holds at least one measurement, which
+    every mean over it divides by, as a list of problems."""
+    return [] if data.m >= 1 else ["need at least one measurement"]
+
+
 def draw_gaussians(seed: int, m: int, n: int, out=None) -> tuple:
     """The standard Gaussians of a measurement set, from one generator seeded
     with seed: the m x n sensing matrix A, then m standard noise values.

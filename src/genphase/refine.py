@@ -21,7 +21,7 @@ pair has two forms, with the same result up to rounding:
   with A read from memory once.
 - n-space, when the SpectralMatrix passed as spec carries the Gram matrix,
   as a reduced linear-subspace cell's does in k+1 coordinates
-  (harness.solve_cell attaches spectral.reduce_to_subspace's): one GEMV with
+  (harness.prepare_cell attaches spectral.reduce_to_subspace's): one GEMV with
   its stack [G; M] (formed with the spec's ybar) gives gx = G x and mx =
   M x, with s = 1.  That is 4n^2 + 6n flops, at the cost of the 3n^2 floats
   of G and the stack.
@@ -33,8 +33,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, count_problems, raise_problems
-from .links import MeasurementSet
+from .errors import NumericalError, count_problems, raise_problems
+from .links import MeasurementSet, empty_problems
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, score
 from .seeds import flatten_seed
@@ -59,8 +59,7 @@ def t2_problems(t2) -> list:
 
 
 def empirical_mean_y(data: MeasurementSet) -> float:
-    if data.m < 1:
-        raise ConfigurationError("need at least one measurement")
+    raise_problems(empty_problems(data))
     return float(data.observations.mean())
 
 

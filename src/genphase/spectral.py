@@ -18,24 +18,15 @@ for c column blocks (c = 1 up to n = 724, 8 at n = 2000), and memory for A
 plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
 
 The build splits its output by column block ("tile"): the tile I gets, for
-every row block in order, the GEMM S[I, I:] += A_b[:, I]^T Y_b[:, I:],
-whichever thread runs it, so V has the same bits for any number of
-threads.  The tiles are shared greedily, by their work
-width * (n - i0), among min(CPUs, tiles) groups, where CPUs counts the CPUs
-this process may run on (os.sched_getaffinity, so `taskset` limits them);
-the calling thread runs one group and a thread each runs the others.  One
-tile (every n <= 724) starts no thread.  While the tiles run, OpenBLAS is
+every row block in order, the GEMM S[I, I:] += A_b[:, I]^T Y_b[:, I:], and
+the tiles run in order in the calling thread.  While they run, OpenBLAS is
 pinned to one thread, through its own *_set_num_threads found with ctypes,
 and its previous count is restored after, also on an error; builds that
 overlap in several threads restore it once, when the last one ends.  The
 pin holds for the whole process while a build runs, and it makes the
 build's bits the same at any OpenBLAS thread count.  Where those calls
-cannot be found (another BLAS), the tiles run in the calling thread at the
-BLAS's own thread count: threads over a multi-threaded BLAS were slower
-than its own.
-The caller allocates every buffer a worker writes (its Y_b block and its
-product tile), since blocks that threads allocate and free stay in glibc's
-per-thread arenas and raise the peak memory.
+cannot be found (another BLAS), the tiles run at the BLAS's own thread
+count.
 
 A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace),
 and no n x n matrix is formed for it: the start comes from the data, and
@@ -63,10 +54,8 @@ W^T V w0, a different first step.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import math
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -76,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, count_problems, raise_problems
-from .links import MeasurementSet
+from .links import MeasurementSet, empty_problems
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .runtrace import Step, score
 from .seeds import flatten_seed
@@ -150,13 +139,13 @@ _pins, _pin_saved = 0, 0
 
 @contextmanager
 def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block; yields whether it could.
-    The first of overlapping pins saves the count and the last one out
-    restores it, also on an error."""
+    """Pin OpenBLAS to one thread for the block, where its calls can be
+    found.  The first of overlapping pins saves the count and the last one
+    out restores it, also on an error."""
     global _pins, _pin_saved
     calls = _openblas_thread_calls()
     if calls is None:
-        yield False
+        yield
         return
     get, put = calls
     with _pin_lock:
@@ -165,7 +154,7 @@ def _one_blas_thread():
             put(1)
         _pins += 1
     try:
-        yield True
+        yield
     finally:
         with _pin_lock:
             _pins -= 1
@@ -173,67 +162,22 @@ def _one_blas_thread():
                 put(_pin_saved)
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _tile_groups(n: int, width: int, workers: int) -> list[list[int]]:
-    """The column-block starts, each given to the group with the least work
-    so far; a tile's work is width * (n - i0), largest first."""
-    groups = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i0 in range(0, n, width):
-        g = loads.index(min(loads))
-        groups[g].append(i0)
-        loads[g] += min(width, n - i0) * (n - i0)
-    return groups
-
-
-def _accumulate(a, y, rows: int, width: int, starts, s, y_buf, prod_buf) -> None:
+def _accumulate(a, y, rows: int, width: int, starts, s) -> None:
     """For every row block A_b of a, in order, and every tile I = [i0, i0 +
     width) with i0 in starts: s[I, i0:] += A_b[:, I]^T Y_b[:, i0:], Y_b =
-    A_b * y_b.  Y_b and each product are written into y_buf and prod_buf."""
-    n = a.shape[1]
-    for r0 in range(0, a.shape[0], rows):
+    A_b * y_b.  Y_b and each product are written into two buffers allocated
+    here, so they are freed before the build's mirror allocates: held until
+    the build returned, they made a one-tile build at n = 100, m = 250 about
+    1.5 times as slow."""
+    m, n = a.shape
+    y_buf, prod_buf = np.empty((min(rows, m), n)), np.empty(min(width, n) * n)
+    for r0 in range(0, m, rows):
         a_b = a[r0:r0 + rows]
-        y_b = y_buf[:len(a_b)]
-        # columns left of the first tile are never read
-        np.multiply(a_b[:, starts[0]:], y[r0:r0 + rows, None], out=y_b[:, starts[0]:])
+        y_b = np.multiply(a_b, y[r0:r0 + rows, None], out=y_buf[:len(a_b)])
         for i0 in starts:
             i1 = min(i0 + width, n)
             prod = prod_buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
             s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
-
-
-def _run_groups(count: int, work) -> None:
-    """work(0) in the calling thread and work(g), g = 1 .. count-1, each on
-    a thread of its own, with the caller's context; joins every thread
-    started and re-raises the first exception raised."""
-    errors = []
-
-    def run(g):
-        try:
-            work(g)
-        except BaseException as exc:
-            errors.append(exc)
-
-    started = []
-    try:
-        for g in range(1, count):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, g),
-                                      name=f"genphase-build-{g}")
-            thread.start()
-            started.append(thread)
-        work(0)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
@@ -241,24 +185,21 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
 
     For each row block A_b of A, with Y_b = A_b * y_b, only the upper block
     triangle S[I, J>=I] += A_b[:, I]^T Y_b[:, J>=I] of S = A^T diag(y) A is
-    accumulated, one GEMM per column block I, with the column blocks shared
-    among threads (module docstring); S is then mirrored and shifted in
-    place.  Raises NumericalError when a diagonal entry of S is not finite,
-    which any NaN or infinity in y or A causes.
+    accumulated, one GEMM per column block I, in the calling thread with
+    OpenBLAS pinned to one thread (module docstring); S is then mirrored and
+    shifted in place.  Raises NumericalError when a diagonal entry of S is
+    not finite, which any NaN or infinity in y or A causes, and
+    ConfigurationError for an empty set (links.empty_problems).
     """
+    raise_problems(empty_problems(data))
     a = np.ascontiguousarray(data.sensing)   # a copy only of a column-major A
     y = data.observations
     m, n = data.m, data.n
     rows, width = _block_sizes(n)
     starts = range(0, n, width)
     s = np.zeros((n, n))
-    with _one_blas_thread() as pinned:
-        groups = _tile_groups(n, width, min(_cpu_count(), len(starts)) if pinned else 1)
-        bufs = [(np.empty((min(rows, m), n)), np.empty(min(width, n) * n)) for _ in groups]
-        _run_groups(len(groups), lambda g: _accumulate(a, y, rows, width, groups[g], s, *bufs[g]))
-    # freed before the mirror allocates: held until the return, they made a
-    # one-tile build at n = 100, m = 250 about 1.5 times as slow
-    del bufs
+    with _one_blas_thread():
+        _accumulate(a, y, rows, width, starts, s)
     s /= m
     # Exact symmetry by construction: mirror the upper triangle.
     _mirror_upper(s, starts, width)
@@ -327,7 +268,9 @@ def shifted_matrix(data: MeasurementSet) -> ShiftedMatrix:
     most _BLOCK_BYTES / 8 (1 MiB), each block squared into one buffer and
     weighted by y in one GEMV, with OpenBLAS pinned to one thread.  Raises
     the build's NumericalError when a diagonal entry is not finite, which
-    any NaN or infinity in y or A causes."""
+    any NaN or infinity in y or A causes, and its ConfigurationError for
+    an empty set."""
+    raise_problems(empty_problems(data))
     a, y = data.sensing, data.observations
     # an eighth of the build's block: a buffer the size of A (n = 100 up to
     # m = 10485) cost memory and, at n = 2000, time

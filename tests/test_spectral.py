@@ -12,7 +12,7 @@ import pytest
 from genphase import (ConfigurationError, LinkModel, MeasurementSet,
                       NumericalError, SpectralMatrix, build_spectral_matrix, evaluate,
                       initial_vector, linear_subspace_prior, projected_power,
-                      sample_measurements, shifted_matrix)
+                      run_algorithm, sample_measurements, shifted_matrix)
 from genphase import spectral
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -148,10 +148,6 @@ def test_build_single_block_equals_one_gemm():
 def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
     if blocked:
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 20 * 16)
-    _check_rejects_non_finite(where, bad)
-
-
-def _check_rejects_non_finite(where, bad):
     data = _random_set(50, 20, seed=6)
     data.observations[33] = 0.0   # a bad sensing entry meets a zero observation
     if where == "y":
@@ -161,6 +157,16 @@ def _check_rejects_non_finite(where, bad):
     # the start's diagonal, read in its own row blocks, fails the same way
     for read in (build_spectral_matrix, shifted_matrix):
         with pytest.raises(NumericalError, match="spectral matrix is not finite"):
+            read(data)
+
+
+def test_an_empty_measurement_set_is_a_configuration_error():
+    # refused before any mean over the measurements divides by m = 0
+    data = _manual_set(np.zeros((0, 4)), [])
+    prior = linear_subspace_prior(2, 4, seed=0)
+    for read in (build_spectral_matrix, shifted_matrix,
+                 lambda data: run_algorithm("mprg", data, prior)):
+        with pytest.raises(ConfigurationError, match="need at least one measurement"):
             read(data)
 
 
@@ -175,10 +181,9 @@ def three_tiles(monkeypatch):
     assert spectral._block_sizes(20) == (16, 8)
 
 
-def _record_groups(monkeypatch, workers):
-    """Run builds with `workers` CPUs and record, per group of tiles, its
+def _record_tiles(monkeypatch):
+    """Record, per _accumulate call of the builds that follow, its tile
     starts, its thread and the OpenBLAS thread count it ran at."""
-    monkeypatch.setattr(spectral, "_cpu_count", lambda: workers)
     real, seen = spectral._accumulate, []
 
     def spy(a, y, rows, width, starts, *rest):
@@ -190,108 +195,32 @@ def _record_groups(monkeypatch, workers):
     return seen
 
 
-def test_tile_groups_balance_work_greedily():
-    # tile work width * (n - i0) at n = 2000 in blocks of 262: 524000,
-    # 455356, 386712, ... 112136 and 27556 (the last, 166 wide); the groups
-    # take 1119048 and 1134984, and a tie goes to the first group
-    assert spectral._tile_groups(2000, 262, 1) == [list(range(0, 2000, 262))]
-    assert spectral._tile_groups(2000, 262, 2) == [[0, 786, 1048, 1834], [262, 524, 1310, 1572]]
-    assert spectral._tile_groups(20, 8, 3) == [[0], [8], [16]]
+def _fail_on_thread_start(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("the build started a thread"))
 
 
 @requires_openblas
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pooled_build_keeps_the_bits_at_any_worker_count(three_tiles, monkeypatch, workers):
-    data = _random_set(50, 20, seed=12, zero_frac=0.2)
-    monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
-    ref = build_spectral_matrix(data)
-    seen = _record_groups(monkeypatch, workers)
-    spec = build_spectral_matrix(data)
-    assert np.array_equal(spec.v, ref.v)
-    assert spec.ybar == ref.ybar
-    # one group per worker, the caller's with the largest tile, every tile
-    # once, each at one BLAS thread
-    assert len({thread for _, thread, _ in seen}) == len(seen) == workers
-    assert [starts[0] for starts, thread, _ in seen if thread is threading.current_thread()] == [0]
-    assert sorted(i0 for starts, _, _ in seen for i0 in starts) == [0, 8, 16]
-    assert {count for _, _, count in seen} == {1}
+def test_every_tile_runs_in_the_calling_thread(three_tiles, monkeypatch):
+    seen = _record_tiles(monkeypatch)
+    _fail_on_thread_start(monkeypatch)
+    build_spectral_matrix(_random_set(50, 20, seed=5))
+    assert seen == [([0, 8, 16], threading.current_thread(), 1)]
 
 
-@requires_openblas
-def test_pooled_build_under_thread_switching_keeps_the_bits(monkeypatch):
-    # 20 tiles of 2 columns on 8 workers, more than most hosts have cores,
-    # with the interpreter switching threads every microsecond
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 40 * 4)
-    assert spectral._block_sizes(40) == (4, 2)
-    data = _random_set(90, 40, seed=21, zero_frac=0.2)
-    monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
-    ref = build_spectral_matrix(data)
-    seen = _record_groups(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        specs = [build_spectral_matrix(data) for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(seen) == 5 * 8
-    for spec in specs:
-        assert np.array_equal(spec.v, ref.v)
-
-
-@requires_openblas
-def test_workers_run_with_the_callers_numpy_error_state(three_tiles, monkeypatch):
-    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
-    real, states = spectral._accumulate, []
-
-    def spy(*args):
-        states.append(np.geterr()["invalid"])
-        real(*args)
-
-    monkeypatch.setattr(spectral, "_accumulate", spy)
-    with np.errstate(invalid="raise"):
-        build_spectral_matrix(_random_set(50, 20, seed=3))
-    assert states == ["raise"] * 3
-
-
-@requires_openblas
-@pytest.mark.parametrize("m", [1, 16, 50])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pooled_build_matches_naive(three_tiles, monkeypatch, m, workers):
-    seen = _record_groups(monkeypatch, workers)
-    _check_against_naive(_random_set(m, 20, seed=m, zero_frac=0.2))
-    assert len(seen) == workers
-    assert sum(thread is threading.current_thread() for _, thread, _ in seen) == 1
-
-
-@requires_openblas
-@pytest.mark.parametrize("where,bad", [("y", np.nan), ("a", -np.inf)])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_pooled_build_rejects_non_finite_data(three_tiles, monkeypatch, where, bad):
-    seen = _record_groups(monkeypatch, 3)
-    _check_rejects_non_finite(where, bad)
-    assert len({thread for _, thread, _ in seen}) == 3
-
-
-class _WorkerFailure(Exception):
+class _BuildFailure(Exception):
     pass
 
 
 @requires_openblas
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monkeypatch,
-                                                               failing):
-    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
-    real, caller = spectral._accumulate, threading.current_thread()
-
+def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monkeypatch):
     def accumulate(*args):
-        if (threading.current_thread() is caller) == (failing == "caller"):
-            raise _WorkerFailure(failing)
-        real(*args)
+        raise _BuildFailure("tiles")
 
     monkeypatch.setattr(spectral, "_accumulate", accumulate)
     get = spectral._openblas_thread_calls()[0]
     before, count = threading.enumerate(), get()
-    with pytest.raises(_WorkerFailure, match=failing):
+    with pytest.raises(_BuildFailure, match="tiles"):
         build_spectral_matrix(_random_set(50, 20, seed=3))
     assert threading.enumerate() == before and get() == count
 
@@ -302,23 +231,12 @@ def test_build_without_openblas_thread_calls_runs_in_the_caller(three_tiles, mon
     ref = build_spectral_matrix(data)
     # the pin that the fallback cannot make, made for it: the same bits at one thread
     with spectral._one_blas_thread():
-        seen = _record_groups(monkeypatch, 3)
+        seen = _record_tiles(monkeypatch)
         monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: pytest.fail("the fallback started a thread"))
+        _fail_on_thread_start(monkeypatch)
         spec = build_spectral_matrix(data)
-    assert [(starts, thread) for starts, thread, _ in seen] == \
-        [([0, 8, 16], threading.current_thread())]
+    assert seen == [([0, 8, 16], threading.current_thread(), None)]
     assert np.array_equal(spec.v, ref.v)
-
-
-def test_one_tile_build_starts_no_thread(monkeypatch):
-    # every n <= 724 is one column block
-    assert spectral._block_sizes(724)[1] >= 724
-    seen = _record_groups(monkeypatch, 64)
-    build_spectral_matrix(_random_set(300, 100, seed=5))
-    assert [(starts, thread) for starts, thread, _ in seen] == \
-        [([0], threading.current_thread())]
 
 
 def test_overlapping_pins_restore_the_count_once(monkeypatch):
@@ -332,18 +250,19 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: (lambda: count[0], put))
     first, second = spectral._one_blas_thread(), spectral._one_blas_thread()
-    assert first.__enter__() and second.__enter__()
+    first.__enter__()
+    second.__enter__()
     assert count == [1]
     first.__exit__(None, None, None)
     assert count == [1]
-    assert not second.__exit__(_WorkerFailure, _WorkerFailure("build"), None)
+    assert not second.__exit__(_BuildFailure, _BuildFailure("build"), None)
     assert count == [2] and sets == [1, 2]
     with spectral._one_blas_thread():
         assert count == [1]
     assert count == [2] and sets == [1, 2, 1, 2]
 
 
-# A pooled build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
+# A three-tile build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
 _BLAS_RESTORE_SCRIPT = """
 import numpy as np
 from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, spectral
@@ -370,6 +289,32 @@ def test_build_restores_the_blas_thread_count():
     out = subprocess.run([sys.executable, "-c", _BLAS_RESTORE_SCRIPT], capture_output=True,
                          text=True, check=True, env=_env_with_src(OPENBLAS_NUM_THREADS="2"))
     assert out.stdout.split() == ["2", "2", "2"]
+
+
+# A build at n = 800, two column tiles at the default blocks, from 1500 x 800
+# data (9.6 MB), large enough for OpenBLAS to split an unpinned product
+# across threads.  The data is drawn directly: sample_measurements' A x is
+# not pinned, so its observations may differ with the thread count.
+_BUILD_THREADS_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from genphase import LinkModel, MeasurementSet, build_spectral_matrix, spectral
+assert len(range(0, 800, spectral._block_sizes(800)[1])) == 2
+rng = np.random.default_rng(9)
+data = MeasurementSet(n=800, m=1500, signal=np.eye(800)[0],
+                      sensing=rng.standard_normal((1500, 800)),
+                      observations=rng.standard_normal(1500), seed=0, link=LinkModel("linear"))
+sys.stdout.write(hashlib.sha256(build_spectral_matrix(data).v.tobytes()).hexdigest())
+"""
+
+
+def test_multi_tile_build_ignores_the_blas_thread_count():
+    outs = [subprocess.run([sys.executable, "-c", _BUILD_THREADS_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env=_env_with_src(OPENBLAS_NUM_THREADS=str(threads))).stdout
+            for threads in (1, 2)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def _env_with_src(**extra):

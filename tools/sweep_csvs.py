@@ -7,13 +7,13 @@ For each workload in TREE/perfbench/workloads.py and each seed in SEEDS it
 writes OUT/<workload>-seed<seed>-unit<UNIT>.csv: the unit's config
 (workloads.unit_config), run by TREE's genphase (run_experiment) and written
 as CSV (emit_outputs).  A sweep CSV holds only each run's final error, so
-for each seed it also writes OUT/trajectory-<kind>-<algorithm>-seed<seed>.csv
-for every algorithm and each of two small fixed problems (TRAJECTORIES), a
-relu-mlp one and a linear-subspace one: the run_algorithm trace of its one
-cell (harness.solve_cell, one trial, one restart, master seed = the seed),
-written by write_trajectory_csv.  Those hold every iterate's record (error,
-correlation, nu_hat, zeta, warn), which a change can move while every final
-error stays the same.  Run it once on each of two trees, in separate
+for each seed it also writes OUT/trajectory-<problem>-<algorithm>-seed<seed>.csv
+for every algorithm and each of three small fixed problems (TRAJECTORIES),
+two relu-mlp ones and a linear-subspace one: the run_algorithm trace of
+its one cell (harness.solve_cell, one trial, one restart, master seed = the
+seed), written by write_trajectory_csv.  Those hold every iterate's record
+(error, correlation, nu_hat, zeta, warn), which a change can move while
+every final error stays the same.  Run it once on each of two trees, in separate
 processes, and compare the two OUT directories file by file (cmp) to see
 which results a change moves; with OPENBLAS_NUM_THREADS=1 the CSVs of the
 same code are byte-identical.  Nothing in TREE is written.
@@ -32,12 +32,15 @@ UNIT = 0
 # restart and every algorithm.  The relu-mlp one is mlp-sweep's shape (its
 # solves refine in m-space and stream APPGD's products); the linear-subspace
 # one is solved in k+1 coordinates, with n-space refinement steps and
-# APPGD's phase term.
+# APPGD's phase term; the relu-mlp one at n = 800 builds its n-space V in
+# two column tiles, which no workload does.
 TRAJECTORIES = {
     "relu-mlp": dict(prior_kind="relu-mlp", k=5, n=100, hidden=(32,), prior_seed=2,
                      link_name="square-sin", sigma=0.5, m_grid=(400,)),
     "linear-subspace": dict(prior_kind="linear-subspace", k=5, n=100, prior_seed=2,
                             link_name="abs-noise-out", sigma=0.1, m_grid=(500,)),
+    "relu-mlp-n800": dict(prior_kind="relu-mlp", k=5, n=800, hidden=(32,), prior_seed=2,
+                          link_name="square-sin", sigma=0.5, m_grid=(1000,)),
 }
 
 
@@ -63,14 +66,14 @@ def main(argv=None) -> None:
             genphase.emit_outputs(genphase.run_experiment(cfg), "csv", path)
             print(f"wrote {path}", flush=True)
     projection = workloads.WORKLOADS["mlp-sweep"].base.projection
-    for kind, fields in TRAJECTORIES.items():
+    for problem, fields in TRAJECTORIES.items():
         for seed in SEEDS:
             cfg = genphase.ExperimentConfig(**fields, trials=1, restarts=1,
                                             algorithms=genphase.ALGORITHMS,
                                             projection=projection, master_seed=seed)
             traces = solve_cell(cfg, build_prior(cfg), 0, 0)
             for algorithm, (trace,) in traces.items():
-                path = args.out / f"trajectory-{kind}-{algorithm}-seed{seed}.csv"
+                path = args.out / f"trajectory-{problem}-{algorithm}-seed{seed}.csv"
                 genphase.write_trajectory_csv(trace.records, path)
                 print(f"wrote {path}", flush=True)
 
