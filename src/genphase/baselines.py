@@ -8,12 +8,11 @@ step2  : refinement only, from the projected starting vector, full budget.
 appgd  : alternating-phase projected gradient descent, initialized by the
          spectral step, using sign(a_i^T x) as the phase estimate.
 
-An appgd step streams A for A x and A^T r, r = A x - y sign(A x) with
-sign(0) = +1, except when spec carries a Gram matrix (a reduced
-linear-subspace cell, as for refinement): then the run makes one phase term
-(_PhaseTerm) for its tau, keeping the signs and tau A^T (y sign(A x)) / m
-across its steps, and a step reads A once, for A x, and updates the term by
-the rows whose sign flipped, a few per step after the first ones.
+An appgd run makes one phase term (_PhaseTerm) for its tau from the Gram
+matrix G of its spectral matrix, keeping the signs sign(A x), sign(0) = +1,
+and tau A^T (y sign(A x)) / m across its steps: a step reads A once, for
+A x, and updates the term by the rows whose sign flipped, a few per step
+after the first ones.
 
 The solvers take plain values; run_problems lists the rule of every run
 argument, and run_algorithm checks them all before any work.
@@ -27,13 +26,13 @@ import time
 import numpy as np
 
 from .errors import is_finite_number, raise_problems, seed_key_problems
-from .links import MeasurementSet, empty_problems
+from .links import MeasurementSet, _one_blas_thread, empty_problems
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
-from .refine import run_refine, stream_products, t2_problems
+from .refine import run_refine, t2_problems
 from .runtrace import RunTrace, Step, score
 from .seeds import flatten_seed
-from .spectral import SpectralMatrix, _one_blas_thread, build_spectral_matrix, \
-    initial_vector, projected_power, shifted_matrix, start_problems, t1_problems
+from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, projected_power, \
+    shifted_matrix, start_problems, t1_problems
 
 ALGORITHMS = ("mprg", "mprgf", "ppower", "step2", "appgd")
 
@@ -56,25 +55,26 @@ def run_problems(algorithms, t1, t2, tau) -> list:
 
 
 class _PhaseTerm:
-    """APPGD's phase term for one run at step size tau, on a problem with
-    the Gram matrix G = A^T A / m: the row signs s = sign(A x), sign(0) =
-    +1, held as the bools A x >= 0, and tau h, h = A^T (y s) / m.  tau is
-    checked (tau_problems) and I - tau G formed at construction.
+    """APPGD's phase term for one run at step size tau, with the Gram matrix
+    G = A^T A / m of a built spectral matrix: the row signs s = sign(A x),
+    sign(0) = +1, held as the bools A x >= 0, and tau h, h = A^T (y s) / m.
+    tau is checked (tau_problems) and I - tau G formed at construction.
 
     A step reads A once, for A x, and returns x - tau (G x - h) as
     (I - tau G) x + tau h.  The first step forms tau h in full as c^T A,
     where c = tau y s / m; a later one adds -2 c_i a_i to tau h for each
     row i whose sign flipped and negates c_i, and sums several flipped rows
-    as one product.  Both products run under OpenBLAS's one-thread pin,
-    since from about 4 MB such a product changed bits with the thread
-    count.  A lone flip, the usual case after the first few steps, is one
-    scalar and one row: 2.4 us against 5.8 us for the indexed update at
-    m = 250.
+    as one product.  Both products run under OpenBLAS's one-thread pin
+    (which run_algorithm already holds; a lone appgd_step does not), since
+    from about 4 MB such a product changed bits with the thread count.  A
+    lone flip, the usual case after the first few steps, is one scalar and
+    one row: 2.4 us against 5.8 us for the indexed update at m = 250.
     """
 
-    def __init__(self, gram, tau):
+    def __init__(self, spec: SpectralMatrix, tau):
         raise_problems(tau_problems(tau))
-        self.tau, self.i_tau_g, self.pos = tau, np.eye(len(gram)) - tau * gram, None
+        n = len(spec.v)
+        self.tau, self.i_tau_g, self.pos = tau, np.eye(n) - tau * spec.stack[:n], None
 
     def pre_projection(self, a, y, x):
         pos = a.dot(x) >= 0.0
@@ -101,23 +101,18 @@ class _PhaseTerm:
 def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
                proj_cfg: ProjectionConfig | None = None, seed=0, phase=None):
     """x <- P_G(x - (tau/m) sum ((a_i^T x) - y_i sign(a_i^T x)) a_i),
-    with sign(0) = +1.  With a phase (a _PhaseTerm, which run_algorithm
-    makes for each run whose spec carries a Gram matrix) the step is
-    x - tau (G x - h), the same up to rounding, from the one product A x;
-    without, A is read once in row blocks (refine.stream_products) for A x
-    and A^T r.  tau is checked (tau_problems), and a tau other than the
-    given phase's is a ConfigurationError."""
+    with sign(0) = +1, taken as x - tau (G x - h) from the one product A x
+    with a phase term (_PhaseTerm), which run_algorithm makes once per run;
+    given no phase, the step makes one from a spectral matrix built on
+    data.  tau is checked (tau_problems), and a tau other than the given
+    phase's is a ConfigurationError."""
     raise_problems(tau_problems(tau))
-    if phase is not None and tau != phase.tau:
+    if phase is None:
+        phase = _PhaseTerm(build_spectral_matrix(data), tau)
+    elif tau != phase.tau:
         raise_problems([f"tau: the phase term was made for tau={phase.tau!r}, got {tau!r}"])
-    x_t = np.asarray(state, dtype=float)
-    a, y = data.sensing, data.observations
-    if phase is not None:
-        x_til = phase.pre_projection(a, y, x_t)
-    else:
-        grad = stream_products(a, x_t,
-                               lambda g, rows: g - y[rows] * np.where(g >= 0.0, 1.0, -1.0))
-        x_til = x_t - (tau / data.m) * grad
+    x_til = phase.pre_projection(data.sensing, data.observations,
+                                 np.asarray(state, dtype=float))
     return project(prior, x_til, proj_cfg, seed=seed).point
 
 
@@ -126,6 +121,7 @@ def refine_step_count(name: str, t1: int, t2: int) -> int:
     return {"mprg": t2, "mprgf": t2, "step2": t1 + t2}.get(name, 0)
 
 
+@_one_blas_thread()
 def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                   t1: int = 20, t2: int = 30, proj_cfg: ProjectionConfig | None = None,
                   tau: float = 0.9, seed=0, spec: SpectralMatrix | None = None,
@@ -137,19 +133,25 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
     spectral iterations that start mprg, mprgf and appgd come first, from
     the one projected_power call of all but step2.  Without a w0_override
     the start is read from the data (spectral.shifted_matrix and
-    initial_vector), with no V.  With a spec that has a Gram matrix (one
-    built here has none) refinement runs in n-space and appgd makes one
-    phase term (_PhaseTerm) for the run.  Every run argument is checked
+    initial_vector), with no V.  Refinement steps take the stack [G; M] of
+    the spec, built here when none is given, and appgd makes one phase term
+    (_PhaseTerm) from its G for the run.  Every run argument is checked
     (run_problems, the seed rule, a prior of the data's n, at least one
-    measurement and, for a given w0_override, start_problems at that n)
-    before any work.  step2 projects a start whose square overflows, which
-    the projectors refuse as a target, at unit norm.
+    measurement, a given spec with a stack unless the run is ppower's and,
+    for a given w0_override, start_problems at that n) before any work.  step2 projects a start whose square overflows, which
+    the projectors refuse as a target, at unit norm.  The call runs with
+    OpenBLAS pinned to one thread, so its products, some of which change
+    bits with the thread count at some shapes, give the same trajectory at
+    any count.
     """
     dims = [] if prior.n == data.n else \
         [f"prior: its n={prior.n} differs from the data's n={data.n}"]
     starts = [] if w0_override is None else start_problems(w0_override, data.n)
+    stackless = [] if spec is None or spec.stack is not None or name == "ppower" else \
+        [f"spec: {name} needs the stack [G; M] of build_spectral_matrix, which a spectral "
+         "matrix made from v and ybar alone lacks"]
     raise_problems(run_problems([name], t1, t2, tau) + seed_key_problems(seed) + dims +
-                   empty_problems(data) + starts, "invalid run arguments:")
+                   empty_problems(data) + starts + stackless, "invalid run arguments:")
     truth = data.signal
     start = time.perf_counter()
     steps = refine_step_count(name, t1, t2)
@@ -180,7 +182,7 @@ def run_algorithm(name: str, data: MeasurementSet, prior: GenerativePrior, *,
                           proj_cfg=proj_cfg, seed=[seed, 2], truth=truth, spec=spec)
     elif name == "appgd":
         x = head[-1].iterate
-        phase = None if spec.gram is None else _PhaseTerm(spec.gram, tau)
+        phase = _PhaseTerm(spec, tau)
         for t in range(1, t2 + 1):
             x = appgd_step(data, x, prior, tau, proj_cfg, seed=[seed, 2, t], phase=phase)
             tail.append(Step(x, t))

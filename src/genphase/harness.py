@@ -8,14 +8,15 @@ experiment is a pure function of its configuration.
 
 A cell is solved in two parts: prepare_cell draws its signal and
 measurements, reads its spectral start w0 from the data in O(mn) (spectral.
-shifted_matrix and initial_vector) and builds one spectral matrix, on the
-data its solves read; run_restarts then runs every algorithm from every
-restart start.  A linear-subspace cell is solved in k+1 coordinates
-(spectral.reduce_to_subspace): one O(mnk) reduction replaces every later
-pass over A, and V is built on the reduced data, so the cell forms no n x n
-array.  The extra basis vector beside W is w0's residual off range(W), which
-the first power step multiplies; with it every record matches the n-space
-solve up to rounding.
+shifted_matrix and initial_vector) and builds one spectral matrix, V with
+the stack [G; M] that its refinement and APPGD steps read, on the data its
+solves read; run_restarts then runs every algorithm from every restart
+start, with OpenBLAS pinned to one thread.  A linear-subspace cell is
+solved in k+1 coordinates (spectral.reduce_to_subspace): one O(mnk)
+reduction replaces every later pass over A, and V, G_k and M_k are built
+on the reduced data, so the cell forms no n x n array.  The extra basis
+vector beside W is w0's residual off range(W), which the first power step
+multiplies; with it every record matches the n-space solve up to rounding.
 
 A linear-subspace cell frees its n-space A when its reduction returns, so
 run_experiment then starts the next cell's Gaussians (links.draw_gaussians)
@@ -38,7 +39,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ import numpy as np
 from .baselines import run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, count_problems, \
     is_finite_number, is_integer, raise_problems, seed_problems
-from .links import LinkModel, MeasurementSet, draw_gaussians, sample_measurements
+from .links import LinkModel, MeasurementSet, _one_blas_thread, draw_gaussians, \
+    sample_measurements
 from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, prior_problems, \
     project
 from .runtrace import format_cell
@@ -361,31 +363,33 @@ def prepare_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, tr
                  drawer: _Drawer | None = None) -> PreparedCell:
     """Draw a cell's signal and measurements (with the Gaussians the drawer,
     when given, has drawn for the cell), take w0 once from the data and
-    build its one V.  A linear-subspace cell is reduced to k+1 coordinates
-    (spectral.reduce_to_subspace) and its n-space A freed before the build,
-    which is on the reduced data and carries the reduced Gram matrix G_k for
-    n-space refinement steps; a relu-mlp cell keeps its n-space data, which
-    its m-space refinement steps read, and builds V on it."""
+    build its one spectral matrix, V with the stack [G; M] its refinement
+    and APPGD steps read.  A linear-subspace cell is reduced to k+1
+    coordinates (spectral.reduce_to_subspace) and its n-space A freed before
+    the build, which is on the reduced data; a relu-mlp cell keeps its
+    n-space data, which APPGD's A x reads, and builds on it."""
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
                                _meas_seed(cfg, m_index, trial),
                                gaussians=None if drawer is None else drawer.take())
     w0 = initial_vector(shifted_matrix(data))
-    solve_prior, basis, gram = prior, None, None
+    solve_prior, basis = prior, None
     if prior.kind == "linear-subspace":
         # rebinding data drops the n-space A, which no solve reads
         reduced = reduce_to_subspace(data, prior, w0)
-        data, solve_prior, basis, gram = reduced.data, reduced.prior, reduced.basis, reduced.gram
-    return PreparedCell(data, solve_prior, replace(build_spectral_matrix(data), gram=gram), w0,
-                        basis)
+        data, solve_prior, basis = reduced.data, reduced.prior, reduced.basis
+    return PreparedCell(data, solve_prior, build_spectral_matrix(data), w0, basis)
 
 
+@_one_blas_thread()
 def run_restarts(cfg: ExperimentConfig, prior: GenerativePrior, cell: PreparedCell,
                  m_index: int, trial: int) -> dict:
     """Run each algorithm of the config from each _restart_start on a
     prepared cell.  In a linear-subspace cell each start enters as basis^T
-    start and each final_iterate is mapped back to n-space.  Returns
-    {algorithm: [RunTrace per restart]} in config order."""
+    start and each final_iterate is mapped back to n-space.  Runs with
+    OpenBLAS pinned to one thread, as run_algorithm does, so the projections
+    of the random restart starts are pinned too.  Returns {algorithm:
+    [RunTrace per restart]} in config order."""
     traces = {algo: [] for algo in cfg.algorithms}
     for algo_index, algo in enumerate(cfg.algorithms):
         for restart in range(cfg.restarts):

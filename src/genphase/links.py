@@ -6,13 +6,22 @@ plus eta.  The built-in links cover the magnitude-only and squared measurement
 models and their perturbed variants; a custom link takes its coefficients
 from LinkModel.params.  Noise is added outside f, except for abs-noise-in,
 which is |g + eta|.
+
+This module also holds the process-wide OpenBLAS one-thread pin
+(_one_blas_thread), under which sample_measurements forms A x and the
+spectral module its products with A: a product split across threads can
+change its bits with the thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +55,57 @@ _ANALYTIC_MOMENTS = {
     "linear": (0.0, 0.0),        # Cov[g, g^2] = E[g^3] = 0
     "square-noise": (2.0, 1.0),  # Var(g^2) = 2, E[g^2] = 1
 }
+
+
+@cache
+def _openblas_thread_calls():
+    """OpenBLAS's (get, set) thread-count functions, or None where numpy's
+    bundled OpenBLAS or the symbols cannot be found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+# The open pins and the count the first of them saved; the lock guards these
+# two names only, never a product.
+_pin_lock = threading.Lock()
+_pins, _pin_saved = 0, 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, where its calls can be
+    found.  The pin holds for the whole process; the first of overlapping
+    pins saves the count and the last one out restores it, also on an
+    error."""
+    global _pins, _pin_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _pin_lock:
+        if _pins == 0:
+            _pin_saved = get()
+            put(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                put(_pin_saved)
 
 
 @dataclass(frozen=True)
@@ -148,7 +208,9 @@ def sample_measurements(link: LinkModel, signal, m: int, seed: int, *,
     observations, fully reproducible from the seed.  The Gaussians are
     draw_gaussians(seed, m, n); gaussians, when given, must be that pair,
     drawn in advance, and its sensing array becomes the set's A.  A pair of
-    other shapes or dtype is a ConfigurationError naming gaussians."""
+    other shapes or dtype is a ConfigurationError naming gaussians.  A x
+    is formed with OpenBLAS pinned to one thread, so y has the same bits at
+    any thread count."""
     signal = np.asarray(signal, dtype=float)
     n = signal.size
     problems = measurement_problems(m, n, seed, signal)
@@ -161,7 +223,8 @@ def sample_measurements(link: LinkModel, signal, m: int, seed: int, *,
     raise_problems(problems)
     sensing, noise = draw_gaussians(seed, m, n) if gaussians is None else gaussians
     eta = link.sigma * noise
-    g = sensing @ signal
+    with _one_blas_thread():
+        g = sensing @ signal
     y = np.asarray(apply_link(link, g, eta), dtype=float)
     return MeasurementSet(n=n, m=m, signal=signal, sensing=sensing,
                           observations=y, seed=seed, link=link)

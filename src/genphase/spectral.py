@@ -9,63 +9,78 @@ entry, which is V's largest diagonal entry too: the shift is uniform.  It is
 read from the data, not from V, in O(mn): diag(S) = y.(A o A) / m in one
 pass over A in 1 MiB row blocks (shifted_matrix), then column j of S
 as (y o A[:, j])^T A / m, one GEMV (initial_vector).  Both run under the
-build's one-thread pin (below), so the start has the same bits at any
-OpenBLAS thread count.
+one-thread pin (below), so the start has the same bits at any OpenBLAS
+thread count.
 
 Building V reads the m x n sensing matrix A once, in row blocks, and
 accumulates only the upper block triangle: about (c+1)/(2c) * 2mn^2 flops
 for c column blocks (c = 1 up to n = 724, 8 at n = 2000), and memory for A
-plus O(n^2) (V and fixed-size blocks), with no m x n temporary.
+plus O(n^2) (V and fixed-size blocks), with no m x n temporary.  The same
+pass accumulates the moment matrix M = (1/m) A^T diag(y - ybar) A in the
+same tiles, and one SYRK forms the Gram matrix G = A^T A / m: with them the
+build costs about three times V's flops, and it returns V with the stack
+[G; M] that every refinement step and APPGD's phase term read (refine.py,
+baselines.py).  At (m, n) = (16000, 2000) that took a lone build from
+1.6-1.7 s to 4.2 s and a lone relu-mlp mprg solve's peak from 326 to
+392 MB; no workload builds at that n, and at n = 100, m = 400 G and M add
+about 8 MFLOP.
 
 The build splits its output by column block ("tile"): the tile I gets, for
-every row block in order, the GEMM S[I, I:] += A_b[:, I]^T Y_b[:, I:], and
-the tiles run in order in the calling thread.  While they run, OpenBLAS is
-pinned to one thread, through its own *_set_num_threads found with ctypes,
-and its previous count is restored after, also on an error; builds that
-overlap in several threads restore it once, when the last one ends.  The
-pin holds for the whole process while a build runs, and it makes the
-build's bits the same at any OpenBLAS thread count.  Where those calls
-cannot be found (another BLAS), the tiles run at the BLAS's own thread
-count.
+every row block in order, the GEMMs S[I, I:] += A_b[:, I]^T Y_b[:, I:] and
+M's, and the tiles run in order in the calling thread.
+
+Every BLAS product whose result reaches an output runs with OpenBLAS pinned
+to one thread (links._one_blas_thread, through OpenBLAS's own
+*_set_num_threads found with ctypes; the previous count is restored after,
+also on an error, and overlapping pins restore it once, when the last one
+ends), since some products change bits with the thread count at some
+shapes: a GEMV as small as 700 x 700 did, and A x at (1500, 800).
+- links.sample_measurements: A x.
+- shifted_matrix and initial_vector: y.(A o A) per row block and
+  (y o A[:, j])^T A.
+- reduce_to_subspace: B^ = A W^.
+- build_spectral_matrix: A^T A and every tile GEMM of S and M.
+- baselines.run_algorithm, for the whole solve: the power step V w, the
+  refinement step's [G; M] x, APPGD's A x, (I - tau G) x and phase-term
+  products, and every projection's products; harness.run_restarts too,
+  for the projections of its random restart starts.
+tests/test_cli.py writes `simulate` and relu-mlp `run` outputs at 1 and 2
+threads at shapes where unpinned products move, and the build, reduction
+and step tests in tests/ compare bytes at 1 and 2 threads too.  Not pinned:
+the prior's construction and evaluation (make_prior, draw_signal), which
+gave the same bits at 1 and 2 threads up to n = 2000, and which the sweep
+thread-count test in tests/test_cli.py runs at n = 100; and the steps of a
+lone refine_step, appgd_step or projected_power called directly.  Where
+OpenBLAS's calls cannot be found (another BLAS), nothing is pinned.
 
 A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace),
 and no n x n matrix is formed for it: the start comes from the data, and
-its spectral matrix V_k = W^T V W^ is built on the reduced data.  Every
-projection lands in range(W), so the power and refinement iterates are
-x = W z, and the first power step multiplies the start w0 itself, which need
-not lie in range(W).  With u the unit residual of w0 off range(W), the basis
-W^ = [W | u] spans every iterate and start.  One O(mnk) GEMM gives
-B^ = A W^ (m x (k+1)), under the build's one-thread pin, so its bits too
-are the same at any OpenBLAS thread count; the Gram matrix G_k = B^T B^ / m
-is formed from it at O(m(k+1)^2), and the exact projector in these
+its spectral matrix V_k = W^T V W^ is built on the reduced data, with G_k
+and M_k.  Every projection lands in range(W), so the power and refinement
+iterates are x = W z, and the first power step multiplies the start w0
+itself, which need not lie in range(W).  With u the unit residual of w0 off
+range(W), the basis W^ = [W | u] spans every iterate and start.  One
+O(mnk) GEMM gives B^ = A W^ (m x (k+1)), and the exact projector in these
 coordinates is the one of the basis eye(k+1, k).  The reduced data holds B^
 column-major: its one reader per step is APPGD's B^ x
 (baselines.appgd_step, which keeps its phase term across steps), a GEMV
 that ran 1.4 to 2.3 times as fast in that layout at (m, k+1) from (250, 6)
 to (16000, 11).  The build reads A row-major, copying a column-major A
 first (1.4 MB for that B^), since a V_k built on the column-major array
-differed in its bits at (m, k+1) = (37, 4).  With G_k a refinement step
-costs O((k+1)^2) instead of a pass over B^: one GEMV with [G_k; M_k]
-(SpectralMatrix.stack, refine.py).  The n-space build forms no Gram matrix,
-whose n^2 floats and 2mn^2 flops a relu-mlp solve's steps did not
-measurably win back.  Without u, W^T V W W^T w0 would stand in for
-W^T V w0, a different first step.
+differed in its bits at (m, k+1) = (37, 4).  A refinement step then costs
+O((k+1)^2): one GEMV with [G_k; M_k].  Without u, W^T V W W^T w0 would
+stand in for W^T V w0, a different first step.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cache
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, count_problems, raise_problems
-from .links import MeasurementSet, empty_problems
+from .links import MeasurementSet, _one_blas_thread, empty_problems
 from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
 from .runtrace import Step, score
 from .seeds import flatten_seed
@@ -73,21 +88,16 @@ from .seeds import flatten_seed
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """V, the mean observation and, when given, the Gram matrix G with the
-    stack [G; M] (2n x n), M = V + ybar (I - G) = (1/m) A^T diag(y - ybar) A,
-    formed at construction: one GEMV with it gives G x and M x, all of an
-    n-space refinement step's products (refine.py).  Frozen, so the stack
-    always matches v, ybar and gram; their arrays are not changed in place."""
+    """V, the mean observation and, from build_spectral_matrix, the stack
+    [G; M] (2n x n) of the Gram matrix G = A^T A / m and the moment matrix
+    M = (1/m) A^T diag(y - ybar) A, both exactly symmetric: one GEMV with it
+    gives G x and M x, all of a refinement step's products (refine.py), and
+    G is APPGD's (baselines._PhaseTerm).  One made by hand from v and ybar
+    alone has no stack and serves the power phase only.  Frozen; its arrays
+    are not changed in place."""
     v: np.ndarray             # n x n, exactly symmetric
     ybar: float
-    gram: np.ndarray | None = None  # A^T A / m, exactly symmetric (reduce_to_subspace)
-    stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = self.gram
-        if g is not None:
-            moments = self.v + self.ybar * (np.eye(len(g)) - g)
-            object.__setattr__(self, "stack", np.vstack((g, moments)))
+    stack: np.ndarray | None = None
 
 
 # Bytes of the row blocks the build reads A in: a block of A and its
@@ -112,84 +122,40 @@ def _mirror_upper(mat: np.ndarray, starts, width: int) -> None:
         mat[i1:, i0:i1] = mat[i0:i1, i1:].T
 
 
-@cache
-def _openblas_thread_calls():
-    """OpenBLAS's (get, set) thread-count functions, or None where numpy's
-    bundled OpenBLAS or the symbols cannot be found."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
-    return None
-
-
-# The open pins and the count the first of them saved; the lock guards these
-# two names only, never a build.
-_pin_lock = threading.Lock()
-_pins, _pin_saved = 0, 0
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block, where its calls can be
-    found.  The first of overlapping pins saves the count and the last one
-    out restores it, also on an error."""
-    global _pins, _pin_saved
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    with _pin_lock:
-        if _pins == 0:
-            _pin_saved = get()
-            put(1)
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0:
-                put(_pin_saved)
-
-
-def _accumulate(a, y, rows: int, width: int, starts, s) -> None:
-    """For every row block A_b of a, in order, and every tile I = [i0, i0 +
-    width) with i0 in starts: s[I, i0:] += A_b[:, I]^T Y_b[:, i0:], Y_b =
-    A_b * y_b.  Y_b and each product are written into two buffers allocated
-    here, so they are freed before the build's mirror allocates: held until
-    the build returned, they made a one-tile build at n = 100, m = 250 about
-    1.5 times as slow."""
+def _accumulate(a, weights, rows: int, width: int, starts, outs) -> None:
+    """For every row block A_b of a, in order, each weight vector w in
+    weights with its output s in outs, and every tile I = [i0, i0 + width)
+    with i0 in starts: s[I, i0:] += A_b[:, I]^T Y_b[:, i0:], Y_b = A_b * w_b.
+    Y_b and each product are written into two buffers allocated here, so
+    they are freed before the build's mirror allocates: held until the build
+    returned, they made a one-tile build at n = 100, m = 250 about 1.5 times
+    as slow."""
     m, n = a.shape
     y_buf, prod_buf = np.empty((min(rows, m), n)), np.empty(min(width, n) * n)
     for r0 in range(0, m, rows):
         a_b = a[r0:r0 + rows]
-        y_b = np.multiply(a_b, y[r0:r0 + rows, None], out=y_buf[:len(a_b)])
-        for i0 in starts:
-            i1 = min(i0 + width, n)
-            prod = prod_buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
-            s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
+        for w, s in zip(weights, outs):
+            y_b = np.multiply(a_b, w[r0:r0 + rows, None], out=y_buf[:len(a_b)])
+            for i0 in starts:
+                i1 = min(i0 + width, n)
+                prod = prod_buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+                s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
 
 
 def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
-    """V = (1/m) A^T diag(y) A - ybar I, without a Gram matrix.
+    """V = (1/m) A^T diag(y) A - ybar I, with the stack [G; M] of the Gram
+    matrix G = A^T A / m and the moment matrix M = (1/m) A^T diag(y - ybar) A.
 
-    For each row block A_b of A, with Y_b = A_b * y_b, only the upper block
+    G is one product A^T A, numpy's SYRK path, so exactly symmetric.  For
+    each row block A_b of A, with Y_b = A_b * y_b, only the upper block
     triangle S[I, J>=I] += A_b[:, I]^T Y_b[:, J>=I] of S = A^T diag(y) A is
-    accumulated, one GEMM per column block I, in the calling thread with
-    OpenBLAS pinned to one thread (module docstring); S is then mirrored and
-    shifted in place.  Raises NumericalError when a diagonal entry of S is
-    not finite, which any NaN or infinity in y or A causes, and
-    ConfigurationError for an empty set (links.empty_problems).
+    accumulated, one GEMM per column block I, and M's in the same tiles
+    from the weights y - ybar, which are exactly 0 for a constant y whose
+    mean is exact, so then M is exactly 0.  Both run in the calling thread with OpenBLAS pinned to
+    one thread, as G does (module docstring); S and M are then mirrored,
+    and S is shifted into V in place.  Raises NumericalError when a
+    diagonal entry of S is not finite, which any NaN or infinity in y or A
+    causes, and ConfigurationError for an empty set (links.empty_problems).
     """
     raise_problems(empty_problems(data))
     a = np.ascontiguousarray(data.sensing)   # a copy only of a column-major A
@@ -197,16 +163,20 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     m, n = data.m, data.n
     rows, width = _block_sizes(n)
     starts = range(0, n, width)
-    s = np.zeros((n, n))
-    with _one_blas_thread():
-        _accumulate(a, y, rows, width, starts, s)
-    s /= m
-    # Exact symmetry by construction: mirror the upper triangle.
-    _mirror_upper(s, starts, width)
-    _check_diagonal(np.diag(s))
     ybar = float(y.mean())
+    s, stack = np.zeros((n, n)), np.zeros((2 * n, n))
+    gram, moments = stack[:n], stack[n:]
+    with _one_blas_thread():
+        np.matmul(a.T, a, out=gram)
+        _accumulate(a, (y, y - ybar), rows, width, starts, (s, moments))
+    stack /= m
+    s /= m
+    # Exact symmetry by construction: mirror the upper triangles.
+    _mirror_upper(s, starts, width)
+    _mirror_upper(moments, starts, width)
+    _check_diagonal(np.diag(s))
     s[np.diag_indices(n)] -= ybar
-    return SpectralMatrix(v=s, ybar=ybar)
+    return SpectralMatrix(v=s, ybar=ybar, stack=stack)
 
 
 def _check_diagonal(diag) -> None:
@@ -222,7 +192,6 @@ class SubspaceReduction:
     basis: np.ndarray         # n x (k+1), orthonormal columns [W | u] (W alone when u = 0)
     data: MeasurementSet      # sensing A @ basis (column-major), signal basis^T x, same y
     prior: GenerativePrior    # linear subspace with basis eye(k+1, k)
-    gram: np.ndarray          # (A @ basis)^T (A @ basis) / m, exactly symmetric
 
 
 def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> SubspaceReduction:
@@ -231,11 +200,11 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     (orthogonalized twice), or of W alone when that residual is no larger
     than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
-    matrix B^ = A W^ and its Gram matrix B^T B^ / m are products with
-    OpenBLAS pinned to one thread; no spectral matrix is built here (the
-    caller builds one on the reduced data and attaches the Gram matrix).
-    The reduced data holds B^ column-major (np.asfortranarray of the
-    product, the same floats), for APPGD's B^ x (module docstring)."""
+    matrix B^ = A W^ is one product with OpenBLAS pinned to one thread; no
+    spectral matrix is built here (the caller builds one, with G_k and M_k,
+    on the reduced data).  The reduced data holds B^ column-major
+    (np.asfortranarray of the product, the same floats), for APPGD's B^ x
+    (module docstring)."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
@@ -246,13 +215,12 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     dim = w.shape[1]
     with _one_blas_thread():
         sensing = data.sensing @ w
-        gram = sensing.T @ sensing / data.m   # numpy's SYRK path: exactly symmetric
     reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w,
                              sensing=np.asfortranarray(sensing),
                              observations=data.observations, seed=data.seed, link=data.link)
     coords = GenerativePrior("linear-subspace", prior.k, dim, prior.r,
                              [np.eye(dim, prior.k)], prior.seed, 1.0)
-    return SubspaceReduction(w, reduced, coords, gram)
+    return SubspaceReduction(w, reduced, coords)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genphase import (ALGORITHMS, ConfigurationError, ExperimentConfig, GenerativePrior,
-                      LinkModel, MeasurementSet, NumericalError, ProjectionConfig,
-                      appgd_step, build_spectral_matrix, evaluate, linear_subspace_prior,
-                      project, relu_mlp_prior, run_algorithm, sample_measurements)
+from genphase import (ALGORITHMS, ConfigurationError, GenerativePrior, LinkModel,
+                      MeasurementSet, NumericalError, appgd_step, build_spectral_matrix,
+                      evaluate, linear_subspace_prior, project, relu_mlp_prior, run_algorithm,
+                      sample_measurements)
 from genphase import baselines
-from genphase.harness import build_prior, solve_cell
 from genphase.seeds import flatten_seed
 from genphase.spectral import SpectralMatrix, reduce_to_subspace
 
@@ -86,15 +85,15 @@ def test_appgd_step_rejects_bad_tau():
 
 def test_a_phase_term_is_made_for_one_valid_tau():
     # _PhaseTerm checks its tau once, at construction, and appgd_step
-    # refuses a phase made for another tau
+    # refuses a phase made for another tau; a lone step makes the same phase
     prior = _axis_prior(2, 3)
     data = _manual_set(np.array([[0.0, 1.0, 0.0]]), [2.0])
     x = np.array([1.0, 0.0, 0.0])
-    gram = data.sensing.T @ data.sensing
+    spec = build_spectral_matrix(data)
     for bad in (0.0, -1.0, float("nan"), float("inf"), True, "0.9"):
         with pytest.raises(ConfigurationError, match="tau: must be a finite positive number"):
-            baselines._PhaseTerm(gram, bad)
-    phase = baselines._PhaseTerm(gram, 1.0)
+            baselines._PhaseTerm(spec, bad)
+    phase = baselines._PhaseTerm(spec, 1.0)
     first = appgd_step(data, x, prior, 1.0, phase=phase)
     assert np.array_equal(first, appgd_step(data, x, prior, 1.0))
     for other in (0.5, 2):
@@ -259,30 +258,39 @@ def test_refine_step_count_table():
 
 @pytest.mark.parametrize("name", ["mprg", "mprgf", "step2", "appgd"])
 def test_run_algorithm_refines_in_n_space_with_a_gram(name):
-    prior = linear_subspace_prior(5, 40, seed=2)
-    x = _range_signal(prior, latent_seed=3)
-    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
-    plain = build_spectral_matrix(data)
-    with_gram = SpectralMatrix(plain.v, plain.ybar, data.sensing.T @ data.sensing / data.m)
-    a = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=plain)
-    b = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=with_gram)
-    assert len(a.records) == len(b.records)
-    assert b.final_error == pytest.approx(a.final_error, rel=1e-12)
-    assert [r.get("warn") for r in a.records] == [r.get("warn") for r in b.records]
-
-
-@pytest.mark.parametrize("gram", [False, True], ids=["m-space", "n-space"])
-@pytest.mark.parametrize("name", ["mprg", "appgd"])
-def test_run_algorithm_with_no_second_phase_step(name, gram):
-    # t2 = 0: appgd's tail is empty and mprg's holds only its t = 0 state,
-    # so the last record's error is that of the last power iterate, which
-    # ppower's run of the same t1 steps reaches too
+    # a run given no spec builds one, with its stack [G; M], and its records
+    # are those of a run given that spec; a spec whose stack is replaced
+    # (G scaled by 2, M by 3) changes the second phase's steps
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=3)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
     spec = build_spectral_matrix(data)
-    if gram:
-        spec = SpectralMatrix(spec.v, spec.ybar, data.sensing.T @ data.sensing / data.m)
+    other = SpectralMatrix(spec.v, spec.ybar, spec.stack * np.c_[np.r_[[2.0] * 40, [3.0] * 40]])
+    a = run_algorithm(name, data, prior, t1=5, t2=8, seed=3)
+    b = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=spec)
+    c = run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=other)
+    assert a.records == b.records and np.array_equal(a.final_iterate, b.final_iterate)
+    power = 0 if name == "step2" else 5   # the power records, which read V alone
+    assert a.records[:power] == c.records[:power] and a.records[-1] != c.records[-1]
+    # a spec made from v and ybar alone serves ppower only
+    hand = SpectralMatrix(spec.v, spec.ybar)
+    with pytest.raises(ConfigurationError, match=f"spec: {name} needs the stack"):
+        run_algorithm(name, data, prior, t1=5, t2=8, seed=3, spec=hand)
+    power = run_algorithm("ppower", data, prior, t1=5, t2=8, seed=3, spec=hand)
+    assert power.records == run_algorithm("ppower", data, prior, t1=5, t2=8, seed=3).records
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["m-space", "n-space"])
+@pytest.mark.parametrize("name", ["mprg", "appgd"])
+def test_run_algorithm_with_no_second_phase_step(name, given):
+    # t2 = 0: appgd's tail is empty and mprg's holds only its t = 0 state,
+    # so the last record's error is that of the last power iterate, which
+    # ppower's run of the same t1 steps reaches too; the runs start from the
+    # measurements alone ("m-space") or are given the built spec ("n-space")
+    prior = linear_subspace_prior(5, 40, seed=2)
+    x = _range_signal(prior, latent_seed=3)
+    data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 400, seed=4)
+    spec = build_spectral_matrix(data) if given else None
     power = run_algorithm("ppower", data, prior, t1=4, t2=0, seed=3, spec=spec)
     trace = run_algorithm(name, data, prior, t1=4, t2=0, seed=3, spec=spec)
     assert [r["t"] for r in trace.records] == list(range(5))
@@ -317,7 +325,7 @@ def test_phase_term_is_the_fresh_product_after_every_step():
     red = reduce_to_subspace(data, prior, np.random.default_rng(2).standard_normal(12))
     data, tau, m = red.data, 0.9, 300
     data.sensing[0], data.sensing[1], data.observations[0] = (0, 0, 0, 1.5), (0, 1, 0, 0), 2.0
-    phase = baselines._PhaseTerm(data.sensing.T @ data.sensing / m, tau)
+    phase = baselines._PhaseTerm(build_spectral_matrix(data), tau)
     states = [np.r_[np.random.default_rng(5).standard_normal(3), 0.0]]
     states += [np.array([1.0, (-1) ** t * (0.2 if t % 10 == 5 else 1e-3), 0.0, 0.0])
                for t in range(29)]
@@ -339,27 +347,10 @@ def test_phase_term_is_the_fresh_product_after_every_step():
     assert any(len(f) == 1 for f in flips) and any(len(f) > 1 for f in flips[1:])
 
 
-@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
-def test_only_an_n_space_appgd_solve_streams(kind, monkeypatch):
-    # a reduced cell's appgd reads B^ once per step, for B^ x; a relu-mlp
-    # cell (n-space, no Gram matrix) streams A for A x and A^T r
-    calls = [0]
-    real = baselines.stream_products
-    monkeypatch.setattr(baselines, "stream_products",
-                        lambda *a, **kw: calls.__setitem__(0, calls[0] + 1) or real(*a, **kw))
-    cfg = ExperimentConfig(k=3, n=12, m_grid=(60,), trials=1, restarts=2, algorithms=("appgd",),
-                           t1=3, t2=4, master_seed=7, prior_kind=kind,
-                           hidden=(8,) if kind == "relu-mlp" else (),
-                           projection=ProjectionConfig(steps=5))
-    solve_cell(cfg, build_prior(cfg), 0, 0)
-    assert calls[0] == (8 if kind == "relu-mlp" else 0)
-
-
 # A reduced B^ of 50,000 x 11 (4.4 MB), above the size from which r^T B^
 # changed bits with the OpenBLAS thread count.
 _PHASE_THREADS_SCRIPT = """
 import sys
-from dataclasses import replace
 import numpy as np
 from genphase import LinkModel, build_spectral_matrix, evaluate, linear_subspace_prior, \
     run_algorithm, sample_measurements
@@ -370,7 +361,7 @@ data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 50000, seed=9)
 w0 = np.random.default_rng(2).standard_normal(40)
 red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
 assert red.data.sensing.shape == (50000, 11)
-spec = replace(build_spectral_matrix(red.data), gram=red.gram)
+spec = build_spectral_matrix(red.data)
 trace = run_algorithm("appgd", red.data, red.prior, t1=3, t2=30, seed=4, spec=spec,
                       w0_override=w0 @ red.basis)
 steps = np.array([r["error"] for r in trace.records])

@@ -874,3 +874,42 @@ def test_sweep_bytes_ignore_the_blas_thread_count(tmp_path, kind):
                        env={**os.environ, "PYTHONPATH": path,
                             "OPENBLAS_NUM_THREADS": str(threads)})
     assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+# OpenBLAS splits some products across threads in a way that changes their
+# bits, by shape: at (m, n) = (1500, 800) A x, so the observations of
+# `simulate`; at (1000, 650) the GEMV of a refinement step with the
+# 1300 x 650 stack [G; M].  Every such product of `simulate` and of a
+# relu-mlp `run` (sampling, build, power, refinement and APPGD steps and
+# projections) runs under the one-thread pin, so no output byte moves.
+_THREAD_COUNT_RUNS = """
+import sys
+from genphase.cli import main
+model, m, out = sys.argv[1:]
+common = ["--model", model, "--link", "abs-noise-out", "--sigma", "0.1", "--m", m, "--seed", "9"]
+assert main(["simulate", *common, "--out", out + "/sim.csv"]) == 0
+for algorithm in ("mprg", "appgd"):
+    assert main(["run", *common, "--algorithm", algorithm, "--t1", "3", "--t2", "3",
+                 "--out", out + f"/{algorithm}.csv"]) == 0
+"""
+
+
+@pytest.mark.parametrize("n,m", [(800, 1500), (650, 1000)], ids=["n800", "n650"])
+def test_simulate_and_relu_mlp_runs_ignore_the_blas_thread_count(tmp_path, n, m):
+    model = tmp_path / "model.json"
+    assert main(["gen-model", "--kind", "relu-mlp", "--k", "5", "--n", str(n), "--hidden", "32",
+                 "--seed", "2", "--out", str(model)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in (1, 2):
+        outs.append(tmp_path / f"threads{threads}")
+        outs[-1].mkdir()
+        subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUNS, str(model), str(m),
+                        str(outs[-1])], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": str(threads)})
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == ["appgd.csv", "mprg.csv", "sim.csv", "sim.csv.meta.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -9,11 +9,11 @@ import pytest
 
 from genphase import (ConfigurationError, GenerativePrior, LinkModel, MeasurementSet,
                       NumericalError, ProjectionConfig, SpectralMatrix, Step, appgd_step,
-                      build_spectral_matrix, empirical_mean_y, estimate_nu_hat, evaluate,
-                      initial_vector, linear_subspace_prior, population_nu, project,
-                      projected_power, refine_step, relu_mlp_prior, run_refine,
-                      sample_measurements, shifted_matrix)
-from genphase import refine
+                      build_spectral_matrix, empirical_mean_y, evaluate, initial_vector,
+                      linear_subspace_prior, population_nu, project, projected_power,
+                      refine_step, relu_mlp_prior, run_refine, sample_measurements,
+                      shifted_matrix)
+from genphase import links, refine, spectral
 from genphase.refine import NU_FLOOR
 from genphase.runtrace import score
 from genphase.seeds import flatten_seed
@@ -21,26 +21,21 @@ from genphase.spectral import reduce_to_subspace
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# The two forms of a refinement step: one streamed pass over A (m-space), or
-# products with V and the Gram matrix A^T A / m (n-space).  The trajectory
-# and convergence checks below run each form in turn.
+# The two inputs a refinement call can start from: the m measurements alone
+# ("m-space": the call builds its spectral matrix on them), or the n x n
+# spectral matrix passed as spec ("n-space").  Either way every step reads
+# only the stack [G; M], so the two give the same bits.
 FORMS = ("m-space", "n-space")
 
 
 def _spec(data, form):
-    """The spec that selects the gradient form: None for m-space, else a
-    SpectralMatrix carrying the Gram matrix."""
-    if form == "m-space":
-        return None
-    built = build_spectral_matrix(data)
-    return SpectralMatrix(built.v, built.ybar, data.sensing.T @ data.sensing / data.m)
+    """The spec a form passes: None for m-space, else the built one."""
+    return None if form == "m-space" else build_spectral_matrix(data)
 
 
-def _reduced_spec(red):
-    """The spec a reduced linear-subspace cell solves with: built on the
-    reduced data, with the reduction's Gram matrix."""
-    built = build_spectral_matrix(red.data)
-    return SpectralMatrix(built.v, built.ybar, red.gram)
+def _nu_hat_at(data, x):
+    """The t=0 nu_hat of a run without steps: x^T M x."""
+    return run_refine(data, linear_subspace_prior(1, data.n, seed=0), x, 0)[0].nu_hat
 
 
 def _range_signal(prior, latent_seed=0):
@@ -81,15 +76,14 @@ def test_empirical_mean_large_sample():
 def test_nu_hat_constant_observations_is_zero():
     data = _manual_set(np.random.default_rng(0).standard_normal((8, 3)),
                        np.full(8, 3.0))
-    assert estimate_nu_hat(data, empirical_mean_y(data), data.signal) == 0.0
+    assert _nu_hat_at(data, data.signal) == 0.0
 
 
 def test_nu_hat_two_point_hand_value():
     # a1 = e1, a2 = e2, y = (2, 0), x = e1: ybar = 1,
     # nu_hat = mean((y - 1) * g^2) = ((2-1)*1 + (0-1)*0)/2 = 0.5
     data = _manual_set(np.eye(2), [2.0, 0.0])
-    ybar = empirical_mean_y(data)
-    assert estimate_nu_hat(data, ybar, data.signal) == 0.5
+    assert _nu_hat_at(data, data.signal) == 0.5
 
 
 def test_nu_hat_consistent_at_truth():
@@ -103,25 +97,35 @@ def test_nu_hat_consistent_at_truth():
         hits = 0
         for seed in range(10):
             data = sample_measurements(link, x, m, seed=600 + seed)
-            nu_hat = estimate_nu_hat(data, empirical_mean_y(data), x)
+            nu_hat = _nu_hat_at(data, x)
             hits += abs(nu_hat - rep.nu) <= bound
         assert hits >= 9, m
 
 
-def test_refine_step_zero_gradient_fixed_point():
+def test_refine_step_zero_gradient_fixed_point(monkeypatch):
     # constant observations make both nu_hat and the pseudo-observations
     # vanish, so the pre-projection equals the iterate and the projection of a
-    # range point returns itself.  m-space only: in n-space V + ybar I and
-    # ybar G cancel to rounding, not exactly.
+    # range point returns itself.  The built M is accumulated from the
+    # weights y - ybar, exactly 0 for a constant y whose mean is exact (the
+    # mean of twenty 0.3s is not 0.3), so M is exactly 0 (derived as V +
+    # ybar (I - G) it would cancel to rounding only), in both forms and over
+    # several row blocks and tiles of the build.
     prior = linear_subspace_prior(5, 30, seed=1)
     x_t = _range_signal(prior, latent_seed=2)
     data = _manual_set(np.random.default_rng(1).standard_normal((20, 30)),
-                       np.ones(20))
+                       np.full(20, 3.0))
     state = Step(iterate=x_t, t=0, nu_hat=0.0)
-    nxt = refine_step(data, state, prior)
-    assert np.array_equal(nxt.pre_projection, x_t)
-    assert np.allclose(nxt.iterate, x_t, atol=1e-12)
-    assert nxt.nu_hat == 0.0 and nxt.warn
+    for block_bytes in (None, 8 * 30 * 6):   # one block; 4 row blocks of 10 tiles
+        with monkeypatch.context() as patch:
+            if block_bytes:
+                patch.setattr(spectral, "_BLOCK_BYTES", block_bytes)
+            for form in FORMS:
+                spec = _spec(data, form)
+                assert spec is None or not spec.stack[30:].any()
+                nxt = refine_step(data, state, prior, spec=spec)
+                assert np.array_equal(nxt.pre_projection, x_t), form
+                assert np.allclose(nxt.iterate, x_t, atol=1e-12), form
+                assert nxt.nu_hat == 0.0 and nxt.warn, form
 
 
 def test_refine_step_hand_computed_update():
@@ -250,97 +254,60 @@ def test_run_refine_rejects_bad_t2():
                 run_refine(data, prior, x, t2, fixed=fixed)
 
 
-# Row budgets of the m-space stream for the m = 300, n = 40 sets below (a row
-# is 8 * 40 = 320 bytes): the default, whose block rows exceed m; block rows
-# equal to m; block rows that m is not a multiple of (4 * 64 + 44); and one
-# row per block (a budget below one row).
+# Row budgets of the build's row blocks for the m = 300, n = 40 sets below (a
+# row is 8 * 40 = 320 bytes), over which it accumulates M: the default, whose
+# block rows exceed m; block rows equal to m; block rows that m is not a
+# multiple of (4 * 64 + 44), in two column tiles; and one row per block (a
+# budget below one row), in 40 tiles.
 BUDGETS = {"below": None, "equal": 300 * 320, "not-a-multiple": 64 * 320, "one-row": 8}
 
 
 def _set_budget(monkeypatch, budget):
     if BUDGETS[budget] is not None:
-        monkeypatch.setattr(refine, "_STREAM_BYTES", BUDGETS[budget])
-
-
-def _block_rows(budget, m=300, n=40):
-    return min(m, max(1, (BUDGETS[budget] or refine._STREAM_BYTES) // (8 * n)))
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", BUDGETS[budget])
 
 
 def _recording(sensing, log):
-    """sensing as an ndarray subclass that appends (kind, first row, rows,
-    vectors) to log for every product with it or one of its row blocks:
-    forward when it is the left operand (A_b x), else backward (R_b A_b,
-    with R_b one vector or a stack of them)."""
+    """sensing as an ndarray subclass that appends the shapes of the
+    operands to log for every product with it."""
     base = np.asarray(sensing)
 
     class Recording(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                for pos, arr in enumerate(inputs):
-                    if isinstance(arr, Recording):
-                        first = (arr.ctypes.data - base.ctypes.data) // base.strides[0]
-                        other = np.shape(inputs[1 - pos])
-                        log.append(("forward", first, arr.shape[0], 1) if pos == 0 else
-                                   ("backward", first, arr.shape[0],
-                                    other[0] if len(other) == 2 else 1))
+                log.append([np.shape(a) for a in inputs])
             return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
 
+        def dot(self, other, out=None):
+            log.append([self.shape, np.shape(other)])
+            return np.asarray(self).dot(other, out)
+
     return base.view(Recording)
-
-
-def _passes(log, m):
-    """Split a product log into passes over A, checking that each pass reads
-    the row blocks of A in order, each once forward, with every backward
-    product on the block just read forward.  Returns, per pass and block,
-    the block's rows and the vector count of each backward product."""
-    passes = []
-    for kind, first, rows, vectors in log:
-        if kind == "forward":
-            if first == 0:
-                passes.append([])
-            assert passes and first == sum(r for r, _ in passes[-1]), log
-            passes[-1].append([rows, []])
-        else:
-            assert passes and [first, rows] == [sum(r for r, _ in passes[-1][:-1]),
-                                                passes[-1][-1][0]], log
-            passes[-1][-1][1].append(vectors)
-    assert all(sum(r for r, _ in p) == m for p in passes), log
-    return passes
-
-
-def _one_pass(rows, vectors, m=300):
-    """The blocks of one pass over m rows in blocks of rows, each read
-    backward once, by a product with the given number of vectors."""
-    return [[min(rows, m - r0), [vectors]] for r0 in range(0, m, rows)]
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("t2", [0, 1, 4])
 def test_run_refine_products_with_a(t2, fixed, monkeypatch):
-    # m-space: one streamed pass per step, each row block read forward once
-    # and then backward once, for g and ytil together (A^T g and A^T ytil),
-    # while it is in cache; the t=0 nu_hat comes from the first step's pass,
-    # and only t2 = 0 estimates it in a pass of its own.  In fixed mode the
-    # steps after the first make the same pass, and their frozen nu replaces
-    # nu_hat.  n-space: no product with A at all, also for the t=0 nu_hat.
+    # no step makes a product with A: each reads the stack [G; M] alone,
+    # also for the t=0 nu_hat.  Given no spec, run_refine builds one, once
+    # for all its steps, on its data (the build reads a row-major base array
+    # of A, which this log does not see), and takes the same steps.
     prior = linear_subspace_prior(5, 40, seed=2)
     x = _range_signal(prior, latent_seed=1)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 300, seed=9)
     spec = _spec(data, "n-space")
+    builds, build = [], refine.build_spectral_matrix
+    monkeypatch.setattr(refine, "build_spectral_matrix",
+                        lambda data: builds.append(data) or build(data))
     log = []
     data.sensing = _recording(data.sensing, log)
-    for budget in BUDGETS:
-        with monkeypatch.context() as patch:
-            _set_budget(patch, budget)
-            log.clear()
-            states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
-            rows = _block_rows(budget)
-            assert _passes(log, 300) == [_one_pass(rows, 2)] * max(t2, 1)
-            log.clear()
-            nspace = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
-            assert _passes(log, 300) == []
-            assert states[0].nu_hat == estimate_nu_hat(data, empirical_mean_y(data), x)
-            assert nspace[0].nu_hat == pytest.approx(states[0].nu_hat, rel=1e-12)
+    states = run_refine(data, prior, x, t2, fixed=fixed, truth=x)
+    assert log == [] and builds == [data]
+    given = run_refine(data, prior, x, t2, fixed=fixed, truth=x, spec=spec)
+    assert log == [] and builds == [data]
+    assert states[0].nu_hat == given[0].nu_hat == float(x.dot(spec.stack.dot(x)[40:]))
+    for got, want in zip(states, given, strict=True):
+        assert np.array_equal(got.iterate, want.iterate)
 
 
 def _stream_problem():
@@ -352,19 +319,9 @@ def _stream_problem():
     return prior, data, start / np.linalg.norm(start)
 
 
-@pytest.mark.parametrize("budget", list(BUDGETS))
-def test_appgd_step_reads_a_once(budget, monkeypatch):
-    _set_budget(monkeypatch, budget)
-    prior, data, start = _stream_problem()
-    log = []
-    data.sensing = _recording(data.sensing, log)
-    appgd_step(data, start, prior, 0.9)
-    assert _passes(log, 300) == [_one_pass(_block_rows(budget), 1)]
-
-
 def _two_pass_refine(data, ybar, x, frozen_nu=None):
-    """nu_hat and the pre-projection of an m-space step, from g = A x and a
-    second pass for A^T (nu g - ytil)."""
+    """nu_hat and the pre-projection of a step, from g = A x and a second
+    pass for A^T (nu g - ytil)."""
     g = data.sensing @ x
     ytil = (data.observations - ybar) * g
     nu_hat = float(np.mean(ytil * g))
@@ -383,22 +340,23 @@ def _two_pass_appgd(data, x, tau):
 @pytest.mark.parametrize("budget", list(BUDGETS))
 @pytest.mark.parametrize("frozen", [None, 0.4], ids=["adaptive", "fixed"])
 def test_streamed_refine_step_matches_two_passes(frozen, budget, monkeypatch):
+    # the step with M accumulated over the build's row blocks and tiles
+    # against the formula of two passes over A
     _set_budget(monkeypatch, budget)
     prior, data, start = _stream_problem()
     ybar = empirical_mean_y(data)
     nu_hat, target = _two_pass_refine(data, ybar, start, frozen)
     step = refine_step(data, Step(iterate=start, t=0), prior, frozen_nu=frozen)
     assert _close(target, step.pre_projection)
-    assert estimate_nu_hat(data, ybar, start) == pytest.approx(nu_hat, rel=1e-12)
+    assert _nu_hat_at(data, start) == pytest.approx(nu_hat, rel=1e-12)
     assert step.nu_hat == (pytest.approx(nu_hat, rel=1e-12) if frozen is None else frozen)
 
 
 def _one_row_frozen_step(data, ybar, x, nu):
-    """zeta and the pre-projection of an m-space step with nu frozen, from
-    one streamed pass for the one row nu g - ytil."""
-    y = data.observations
-    resid = refine.stream_products(data.sensing, x,
-                                   lambda g, rows: nu * g - (y[rows] - ybar) * g)
+    """zeta and the pre-projection of a step with nu frozen, from g = A x
+    and one product with the one row nu g - ytil."""
+    g = data.sensing @ x
+    resid = (nu * g - (data.observations - ybar) * g) @ data.sensing
     zeta = 1.0 / max(nu, NU_FLOOR)
     return zeta, x - (zeta / data.m) * resid
 
@@ -406,8 +364,8 @@ def _one_row_frozen_step(data, ybar, x, nu):
 @pytest.mark.parametrize("budget", ["below", "not-a-multiple"])
 @pytest.mark.parametrize("frozen", [0.4, -0.2, 1e-4])
 def test_frozen_m_space_step_matches_the_one_row_stream(frozen, budget, monkeypatch):
-    # a frozen nu replaces nu_hat in the two-row pass: the same step as the
-    # one-row residual nu g - ytil, in one block and in several
+    # a frozen nu replaces nu_hat in the step: the same step as the m-space
+    # one-row residual nu g - ytil, with M built in one block and in several
     _set_budget(monkeypatch, budget)
     prior, data, start = _stream_problem()
     ybar = empirical_mean_y(data)
@@ -419,6 +377,8 @@ def test_frozen_m_space_step_matches_the_one_row_stream(frozen, budget, monkeypa
 
 @pytest.mark.parametrize("budget", list(BUDGETS))
 def test_streamed_appgd_step_matches_two_passes(budget, monkeypatch):
+    # a lone appgd step makes its phase term from a spectral matrix built on
+    # the data, in any row blocks, and takes the two-pass step to rounding
     _set_budget(monkeypatch, budget)
     prior, data, start = _stream_problem()
     expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
@@ -426,20 +386,26 @@ def test_streamed_appgd_step_matches_two_passes(budget, monkeypatch):
 
 
 def test_single_block_appgd_step_keeps_the_two_pass_bits():
-    # one block: its products are A x and r^T A, and r^T A is A^T r bit for bit
+    # a lone step builds in one block and keeps the bits of the plain phase
+    # formula of two passes over A: the signs from A x, then tau h =
+    # (tau y s / m)^T A, and (I - tau G) x + tau h with G = A^T A / m
     prior, data, start = _stream_problem()
-    assert _block_rows("below") == data.m
-    expect = project(prior, _two_pass_appgd(data, start, 0.9)).point
-    assert np.array_equal(appgd_step(data, start, prior, 0.9), expect)
+    assert spectral._block_sizes(40)[0] >= data.m
+    a, y, tau = data.sensing, data.observations, 0.9
+    with links._one_blas_thread():
+        gram = a.T @ a / data.m
+        tau_h = ((tau / data.m) * np.where(a @ start >= 0.0, y, -y)) @ a
+    x_til = (np.eye(40) - tau * gram) @ start + tau_h
+    assert np.array_equal(appgd_step(data, start, prior, tau), project(prior, x_til).point)
 
 
 class _NegativeZeroRow(np.ndarray):
     """A sensing matrix whose product A x has -0.0, not 0.0, in row 1.  A
     BLAS dot product sums from +0.0, so it never gives -0.0 by itself."""
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
-        if ufunc is np.matmul and isinstance(inputs[0], _NegativeZeroRow):
+    def dot(self, other, out=None):
+        out = np.asarray(self).dot(other, out)
+        if np.ndim(other) == 1 and len(out) == len(self):
             assert out[1] == 0.0
             out[1] = -0.0
         return out
@@ -447,10 +413,9 @@ class _NegativeZeroRow(np.ndarray):
 
 def test_streamed_appgd_step_takes_sign_zero_as_plus_one():
     # rows 0 and 1 have a_i^T x = 0.0 and -0.0, each with y_i = 2: both take
-    # sign +1 and the step keeps the bits of the plain two-pass formula,
-    # which a sign of -1 there (g > 0 for g >= 0) would not
+    # sign +1, and the step is the plain two-pass formula's with those signs
+    # to rounding, not the one with sign -1 there (g > 0 for g >= 0)
     prior, data, start = _stream_problem()
-    assert _block_rows("below") == data.m
     start = start.copy()
     start[0] = 0.0
     a = data.sensing
@@ -467,12 +432,13 @@ def test_streamed_appgd_step_takes_sign_zero_as_plus_one():
 
     data.sensing = a.view(_NegativeZeroRow)
     got = appgd_step(data, start, prior, 0.9)
-    assert got.tobytes() == expect(np.where(g >= 0, 1.0, -1.0)).tobytes()
-    assert not np.array_equal(got, expect(np.where(g > 0, 1.0, -1.0)))
+    plus, minus = expect(np.where(g >= 0, 1.0, -1.0)), expect(np.where(g > 0, 1.0, -1.0))
+    assert _close(plus, got) and not _close(minus, got, rel=1e-6)
 
 
-# Several row blocks at the default budget (262 rows at n = 500), each large
-# enough for OpenBLAS to split a product across threads.
+# Lone steps, each building its spectral matrix, which streams A in two row
+# blocks at the default blocks (2097 rows at n = 500); the data is large
+# enough for OpenBLAS to split an unpinned product across threads.
 _THREADS_SCRIPT = """
 import sys
 import numpy as np
@@ -491,7 +457,7 @@ sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 
 
 def test_streamed_steps_ignore_the_blas_thread_count():
-    assert 3000 > refine._STREAM_BYTES // (8 * 500) > 1
+    assert 3000 > spectral._block_sizes(500)[0] > 1500
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
@@ -505,10 +471,12 @@ def test_streamed_steps_ignore_the_blas_thread_count():
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("t2", [0, 1, 3])
 def test_non_finite_nu_hat_is_a_numerical_error_in_m_space(t2, fixed):
-    # the mean of +-1e307 observations overflows, and with it nu_hat
+    # the mean of +-1e307 observations overflows, and with it M and nu_hat
+    # of the spectral matrix a lone run builds; A's entries are small enough
+    # that S stays finite and passes the build's check
     prior = linear_subspace_prior(3, 12, seed=1)
     x = _range_signal(prior, latent_seed=0)
-    a = np.random.default_rng(1).standard_normal((40, 12))
+    a = 0.01 * np.random.default_rng(1).standard_normal((40, 12))
     data = _manual_set(a, np.r_[np.full(30, 1e307), np.full(10, -1e307)])
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="nu_hat"):
@@ -517,13 +485,14 @@ def test_non_finite_nu_hat_is_a_numerical_error_in_m_space(t2, fixed):
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 def test_non_finite_nu_hat_is_a_numerical_error_in_n_space(fixed):
-    # V x, and so x^T V x, overflows for a hand-built V = 1e308 s s^T with
-    # s = sign(x): x^T V x = 1e308 (sum |x_i|)^2 and sum |x_i| > |x| = 1
+    # M x, and so x^T M x, overflows for a hand-built M = 1e308 s s^T with
+    # s = sign(x): x^T M x = 1e308 (sum |x_i|)^2 and sum |x_i| > |x| = 1
     prior = linear_subspace_prior(3, 12, seed=1)
     x = _range_signal(prior, latent_seed=0)
     data = _manual_set(np.random.default_rng(1).standard_normal((40, 12)), np.ones(40))
     s = np.sign(x)
-    spec = SpectralMatrix(v=1e308 * np.outer(s, s), ybar=1.0, gram=np.eye(12))
+    big = 1e308 * np.outer(s, s)
+    spec = SpectralMatrix(v=big, ybar=1.0, stack=np.vstack((np.eye(12), big)))
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="nu_hat"):
             run_refine(data, prior, x, 1, fixed=fixed, spec=spec)
@@ -534,20 +503,25 @@ def _close(a, b, rel=1e-12):
 
 
 def test_fixed_mode_runs_agree_across_forms():
-    # a whole fixed-mode run: nu_hat frozen at the first step's estimate
+    # a whole fixed-mode run, nu_hat frozen at the first step's estimate,
+    # the same bits from the data alone and from the built spec; its first
+    # step is the two-pass one to rounding
     prior, data, start = _stream_problem()
     start = project(prior, start).point
-    m_run, n_run = (run_refine(data, prior, start, 4, fixed=True, truth=data.signal, spec=s)
-                    for s in (None, _spec(data, "n-space")))
+    m_run, n_run = (run_refine(data, prior, start, 4, fixed=True, truth=data.signal,
+                               spec=_spec(data, form))
+                    for form in FORMS)
     for m_step, n_step in zip(m_run, n_run, strict=True):
-        assert _close(m_step.iterate, n_step.iterate)
-        assert n_step.error == pytest.approx(m_step.error, rel=1e-12)
-        assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
-        assert n_step.warn == m_step.warn
+        assert np.array_equal(m_step.iterate, n_step.iterate)
+        assert (n_step.error, n_step.nu_hat, n_step.warn) == \
+            (m_step.error, m_step.nu_hat, m_step.warn)
     for m_step, n_step in zip(m_run[1:], n_run[1:]):
-        assert _close(m_step.pre_projection, n_step.pre_projection)
-        assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
+        assert np.array_equal(m_step.pre_projection, n_step.pre_projection)
+        assert n_step.zeta == m_step.zeta
     assert len({s.nu_hat for s in m_run}) == 1
+    nu_hat, x_til = _two_pass_refine(data, empirical_mean_y(data), start)
+    assert m_run[0].nu_hat == pytest.approx(nu_hat, rel=1e-12)
+    assert _close(x_til, m_run[1].pre_projection)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -564,31 +538,27 @@ def test_refine_step_forms_agree(mode, sign):
     data = _manual_set(a, y)
     start = x + 0.3 * rng.standard_normal(40)
     state = Step(iterate=start / np.linalg.norm(start), t=0)
-    spec = _spec(data, "n-space")
     # fixed mode: a given frozen_nu replaces nu_hat
     frozen = None if mode == "adaptive" else 0.4 * sign
-    m_step, n_step = (refine_step(data, state, prior, frozen_nu=frozen, spec=s)
-                      for s in (None, spec))
-    assert _close(m_step.pre_projection, n_step.pre_projection)
-    assert _close(m_step.iterate, n_step.iterate)
-    assert n_step.nu_hat == pytest.approx(m_step.nu_hat, rel=1e-12)
-    assert n_step.zeta == pytest.approx(m_step.zeta, rel=1e-12)
+    m_step, n_step = (refine_step(data, state, prior, frozen_nu=frozen, spec=_spec(data, form))
+                      for form in FORMS)
+    assert np.array_equal(m_step.pre_projection, n_step.pre_projection)
+    assert np.array_equal(m_step.iterate, n_step.iterate)
+    assert (n_step.nu_hat, n_step.zeta) == (m_step.nu_hat, m_step.zeta)
     assert n_step.warn == m_step.warn == (sign < 0)
+    # and the two-pass step over A to rounding
+    nu_hat, x_til = _two_pass_refine(data, empirical_mean_y(data), state.iterate, frozen)
+    assert _close(x_til, m_step.pre_projection)
+    assert m_step.nu_hat == (pytest.approx(nu_hat, rel=1e-12) if frozen is None else frozen)
     if sign < 0:   # nu <= 0 takes the floored step
         assert m_step.zeta == n_step.zeta == 1.0 / NU_FLOOR
 
 
 def _form_reference(data, x, frozen, spec):
-    """nu, zeta and the pre-projection of a step, each form with its own
-    update expression: x - (zeta / m) (nu A^T g - A^T ytil) from the
-    streamed pass, and x + zeta (M x - nu G x) from the stack [G; M]."""
+    """nu, zeta and the pre-projection of a step, x + zeta (M x - nu G x),
+    from the stack [G; M] of spec, or of a build on data when spec is None."""
     if spec is None:
-        y, ybar = data.observations, empirical_mean_y(data)
-        atg, aty = refine.stream_products(data.sensing, x,
-                                          lambda g, rows: np.array((g, (y[rows] - ybar) * g)))
-        nu = float(x.dot(aty) / data.m) if frozen is None else frozen
-        zeta = 1.0 / max(nu, NU_FLOOR)
-        return nu, zeta, x - (zeta / data.m) * (nu * atg - aty)
+        spec = build_spectral_matrix(data)
     n = len(x)
     moments = spec.stack.dot(x)
     gx, mx = moments[:n], moments[n:]
@@ -601,10 +571,9 @@ def _form_reference(data, x, frozen, spec):
 @pytest.mark.parametrize("frozen", [None, 0.4, -0.2, 1e-4])
 @pytest.mark.parametrize("form", FORMS)
 def test_one_update_keeps_the_bits_of_each_form(form, frozen, sign):
-    # the one update x + (zeta / s) (mx - nu gx) against each form's own
-    # expression, bit for bit (the m-space one differs only in the sign of
-    # an exact zero, which these data do not reach), adaptive and frozen,
-    # with nu_hat > 0 (sign +1) and nu_hat <= 0 (sign -1)
+    # the one update x + zeta (mx - nu gx) against its expression from the
+    # stack, bit for bit, from the data alone and from the built spec,
+    # adaptive and frozen, with nu_hat > 0 (sign +1) and nu_hat <= 0 (sign -1)
     prior = linear_subspace_prior(5, 40, seed=3)
     x = _range_signal(prior, latent_seed=4)
     rng = np.random.default_rng(10)
@@ -623,7 +592,7 @@ def test_one_update_keeps_the_bits_of_each_form(form, frozen, sign):
 
 
 def test_a_reduced_run_without_steps_reports_x_m_x():
-    # t2 = 0 forms the t=0 nu_hat in the run's own form: x^T M x from the
+    # t2 = 0 forms the t=0 nu_hat as the steps would: x^T M x from the
     # reduced spec's stack, not a pass over B^
     prior = linear_subspace_prior(5, 60, seed=2)
     truth = _range_signal(prior, latent_seed=3)
@@ -631,7 +600,7 @@ def test_a_reduced_run_without_steps_reports_x_m_x():
     rng = np.random.default_rng(5)
     red = reduce_to_subspace(data, prior, truth + 0.2 * rng.standard_normal(60))
     x0 = project(red.prior, red.data.signal + 0.3 * rng.standard_normal(6)).point
-    spec = _reduced_spec(red)
+    spec = build_spectral_matrix(red.data)
     states = run_refine(red.data, red.prior, x0, 0, spec=spec)
     assert len(states) == 1
     assert states[0].nu_hat == float(x0.dot(spec.stack.dot(x0)[6:]))
@@ -653,7 +622,6 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
     truth = _range_signal(prior, latent_seed=4)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 400, seed=5)
     spec = _spec(data, "n-space")
-    ybar = empirical_mean_y(data)
     x = _range_signal(prior, latent_seed=6)
     state = Step(iterate=x, t=0)
 
@@ -661,9 +629,8 @@ def test_step_path_keeps_the_bits_of_plain_matmul(dim):
         d = point - truth
         return math.sqrt(d @ d), float(truth @ point)
 
-    # the n-space step: one product with [G; M], M = V + ybar (I - G)
-    stack = np.vstack((spec.gram, spec.v + ybar * (np.eye(dim) - spec.gram)))
-    gx, mx = np.split(stack @ x, 2)
+    # the step: one product with the stack [G; M]
+    gx, mx = np.split(spec.stack @ x, 2)
     for frozen in (None, 0.7):
         nu = frozen if frozen is not None else x @ mx
         zeta = 1.0 / max(nu, NU_FLOOR)
@@ -718,10 +685,10 @@ def test_score_without_truth_or_steps_returns_the_states_unchanged():
 
 
 def _v_and_g_step(spec, ybar, x, frozen):
-    """An n-space step from the products V x and G x: nu_hat = x^T V x +
-    ybar (x^T x - x^T G x) and x~ = x - zeta ((nu + ybar) G x - V x - ybar x),
-    the same as the step with M = V + ybar (I - G) up to rounding."""
-    gx, vx = spec.gram @ x, spec.v @ x
+    """A step from the products V x and G x: nu_hat = x^T V x + ybar (x^T x
+    - x^T G x) and x~ = x - zeta ((nu + ybar) G x - V x - ybar x), the same
+    as the step with M = V + ybar (I - G) up to rounding."""
+    gx, vx = spec.stack[:len(x)] @ x, spec.v @ x
     nu = frozen if frozen is not None else x @ vx + ybar * (x @ x - x @ gx)
     zeta = 1.0 / max(nu, NU_FLOOR)
     return nu, zeta, x - zeta * ((nu + ybar) * gx - vx - ybar * x)
@@ -730,20 +697,20 @@ def _v_and_g_step(spec, ybar, x, frozen):
 @pytest.mark.parametrize("frozen", [None, 0.7], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("case", ["reduced", "hand-built"])
 def test_moment_step_matches_the_v_and_g_products(case, frozen):
-    # a reduced linear-subspace cell (k+1 = 6) and a SpectralMatrix built by
-    # hand
+    # a reduced linear-subspace cell (k+1 = 6), whose build accumulates M,
+    # and a SpectralMatrix built by hand with M = V + ybar (I - G)
     prior = linear_subspace_prior(5, 60, seed=2)
     truth = _range_signal(prior, latent_seed=3)
     data = sample_measurements(LinkModel("abs-noise-out", 0.1), truth, 700, seed=4)
     w0 = truth + 0.2 * np.random.default_rng(5).standard_normal(60)
     red = reduce_to_subspace(data, prior, w0)
-    spec, ybar = _reduced_spec(red), empirical_mean_y(red.data)
+    spec, ybar = build_spectral_matrix(red.data), empirical_mean_y(red.data)
     if case == "hand-built":
         rng = np.random.default_rng(6)
         b = rng.standard_normal((6, 6))
         g = rng.standard_normal((40, 6))
-        spec = SpectralMatrix(v=b + b.T + 8.0 * np.eye(6), ybar=1.25, gram=g.T @ g / 40)
-        ybar = spec.ybar
+        v, gram, ybar = b + b.T + 8.0 * np.eye(6), g.T @ g / 40, 1.25
+        spec = SpectralMatrix(v, ybar, np.vstack((gram, v + ybar * (np.eye(6) - gram))))
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = red.data.signal + 0.3 * rng.standard_normal(6)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +12,7 @@ from genphase import (ConfigurationError, LinkModel, MeasurementSet,
                       NumericalError, SpectralMatrix, build_spectral_matrix, evaluate,
                       initial_vector, linear_subspace_prior, projected_power,
                       run_algorithm, sample_measurements, shifted_matrix)
-from genphase import spectral
+from genphase import links, spectral
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -33,6 +32,7 @@ def test_build_all_zero_observations():
     spec = build_spectral_matrix(data)
     assert np.array_equal(spec.v, np.zeros((3, 3)))
     assert spec.ybar == 0.0
+    assert np.array_equal(spec.stack[3:], np.zeros((3, 3)))
 
 
 def test_build_single_measurement_formula():
@@ -86,6 +86,16 @@ def _check_against_naive(data):
     assert np.abs(spec.v - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(spec.v, spec.v.T)
     assert spec.ybar == data.observations.mean()
+    # the stack [G; M]: G is the one product A^T A / m at one thread, and M,
+    # accumulated in V's row blocks and tiles, (1/m) A^T diag(y - ybar) A
+    a, n = data.sensing, data.n
+    with links._one_blas_thread():
+        gram = a.T @ a / data.m
+    moments = a.T @ ((data.observations - spec.ybar)[:, None] * a) / data.m
+    assert spec.stack.shape == (2 * n, n)
+    assert np.array_equal(spec.stack[:n], gram)
+    assert np.abs(spec.stack[n:] - moments).max() <= 1e-12 * np.abs(moments).max()
+    assert np.array_equal(spec.stack[n:], spec.stack[n:].T)
     # shifting V's diagonal back by ybar gives the naive shifted diagonal,
     # and so does the diagonal read from the data in its own row blocks
     full = spec.v + spec.ybar * np.eye(data.n)
@@ -128,10 +138,6 @@ def test_build_matches_naive_default_blocks(m, n):
     _check_against_naive(_random_set(m, n, seed=m + n, zero_frac=0.1))
 
 
-def test_build_without_refine_steps_has_no_gram():
-    assert build_spectral_matrix(_random_set(2000, 20, seed=7)).gram is None
-
-
 def test_build_single_block_equals_one_gemm():
     data = _random_set(400, 30, seed=4)
     a, y = data.sensing, data.observations
@@ -170,7 +176,7 @@ def test_an_empty_measurement_set_is_a_configuration_error():
             read(data)
 
 
-requires_openblas = pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+requires_openblas = pytest.mark.skipif(links._openblas_thread_calls() is None,
                                        reason="needs numpy's bundled OpenBLAS")
 
 
@@ -187,7 +193,7 @@ def _record_tiles(monkeypatch):
     real, seen = spectral._accumulate, []
 
     def spy(a, y, rows, width, starts, *rest):
-        calls = spectral._openblas_thread_calls()
+        calls = links._openblas_thread_calls()
         seen.append((list(starts), threading.current_thread(), calls and calls[0]()))
         real(a, y, rows, width, starts, *rest)
 
@@ -218,7 +224,7 @@ def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monk
         raise _BuildFailure("tiles")
 
     monkeypatch.setattr(spectral, "_accumulate", accumulate)
-    get = spectral._openblas_thread_calls()[0]
+    get = links._openblas_thread_calls()[0]
     before, count = threading.enumerate(), get()
     with pytest.raises(_BuildFailure, match="tiles"):
         build_spectral_matrix(_random_set(50, 20, seed=3))
@@ -230,13 +236,13 @@ def test_build_without_openblas_thread_calls_runs_in_the_caller(three_tiles, mon
     data = _random_set(50, 20, seed=12, zero_frac=0.2)
     ref = build_spectral_matrix(data)
     # the pin that the fallback cannot make, made for it: the same bits at one thread
-    with spectral._one_blas_thread():
+    with links._one_blas_thread():
         seen = _record_tiles(monkeypatch)
-        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(links, "_openblas_thread_calls", lambda: None)
         _fail_on_thread_start(monkeypatch)
         spec = build_spectral_matrix(data)
     assert seen == [([0, 8, 16], threading.current_thread(), None)]
-    assert np.array_equal(spec.v, ref.v)
+    assert np.array_equal(spec.v, ref.v) and np.array_equal(spec.stack, ref.stack)
 
 
 def test_overlapping_pins_restore_the_count_once(monkeypatch):
@@ -248,8 +254,8 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
         sets.append(threads)
         count[0] = threads
 
-    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: (lambda: count[0], put))
-    first, second = spectral._one_blas_thread(), spectral._one_blas_thread()
+    monkeypatch.setattr(links, "_openblas_thread_calls", lambda: (lambda: count[0], put))
+    first, second = links._one_blas_thread(), links._one_blas_thread()
     first.__enter__()
     second.__enter__()
     assert count == [1]
@@ -257,7 +263,7 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
     assert count == [1]
     assert not second.__exit__(_BuildFailure, _BuildFailure("build"), None)
     assert count == [2] and sets == [1, 2]
-    with spectral._one_blas_thread():
+    with links._one_blas_thread():
         assert count == [1]
     assert count == [2] and sets == [1, 2, 1, 2]
 
@@ -265,8 +271,9 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
 # A three-tile build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
 _BLAS_RESTORE_SCRIPT = """
 import numpy as np
-from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, spectral
-get = spectral._openblas_thread_calls()[0]
+from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, links, \
+    spectral
+get = links._openblas_thread_calls()[0]
 counts = [get()]
 spectral._BLOCK_BYTES = 8 * 20 * 16
 rng = np.random.default_rng(0)
@@ -305,7 +312,8 @@ rng = np.random.default_rng(9)
 data = MeasurementSet(n=800, m=1500, signal=np.eye(800)[0],
                       sensing=rng.standard_normal((1500, 800)),
                       observations=rng.standard_normal(1500), seed=0, link=LinkModel("linear"))
-sys.stdout.write(hashlib.sha256(build_spectral_matrix(data).v.tobytes()).hexdigest())
+spec = build_spectral_matrix(data)
+sys.stdout.write(hashlib.sha256(spec.v.tobytes() + spec.stack.tobytes()).hexdigest())
 """
 
 
@@ -334,16 +342,11 @@ def _subspace_problem(k, n, m, seed=0):
     return prior, data, w0 / np.linalg.norm(w0)
 
 
-def _reduced_spec(red):
-    """The spectral matrix a subspace cell solves with: built on the reduced
-    data, with the reduction's Gram matrix."""
-    return dataclasses.replace(build_spectral_matrix(red.data), gram=red.gram)
-
-
 def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch):
     # W^ = [W | u]: orthonormal, W first, and w0 in its span; the reduced
-    # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^ and
-    # W^T G W^, and the reduction itself builds no spectral matrix
+    # sensing, signal and spectral matrices are A W^, W^T x, W^T V W^,
+    # W^T G W^ and W^T M W^, and the reduction itself builds no spectral
+    # matrix
     prior, data, w0 = _subspace_problem(3, 12, 37)
     monkeypatch.setattr(spectral, "build_spectral_matrix",
                         lambda data: pytest.fail("the reduction built a spectral matrix"))
@@ -356,11 +359,12 @@ def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch):
     assert red.data.observations is data.observations
     assert np.allclose(red.data.sensing, data.sensing @ basis, atol=1e-14, rtol=0)
     assert np.allclose(red.data.signal, data.signal @ basis, atol=1e-15, rtol=0)
-    full, reduced = build_spectral_matrix(data), _reduced_spec(red)
+    full, reduced = build_spectral_matrix(data), build_spectral_matrix(red.data)
     assert reduced.ybar == full.ybar
     assert np.allclose(reduced.v, basis.T @ full.v @ basis, atol=1e-13, rtol=0)
-    gram = data.sensing.T @ data.sensing / data.m
-    assert np.allclose(red.gram, basis.T @ gram @ basis, atol=1e-13, rtol=0)
+    gram, moments = full.stack[:12], full.stack[12:]
+    assert np.allclose(reduced.stack[:4], basis.T @ gram @ basis, atol=1e-13, rtol=0)
+    assert np.allclose(reduced.stack[4:], basis.T @ moments @ basis, atol=1e-13, rtol=0)
     assert red.prior.kind == "linear-subspace" and (red.prior.k, red.prior.n) == (3, 4)
     assert np.array_equal(red.prior.layers[0], np.eye(4, 3)) and red.prior.r == prior.r
 
@@ -368,45 +372,33 @@ def test_reduce_to_subspace_is_the_problem_in_basis_coordinates(monkeypatch):
 @pytest.mark.parametrize("k,n,m,in_range", [(3, 12, 37, False), (3, 12, 2, False),
                                             (5, 100, 4000, False), (4, 30, 90, True)])
 def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range):
-    # the one place a Gram matrix is formed: G_k = B^T B^ / m for B^ = A W^,
-    # at every m (also m <= k+1), with or without the residual column
+    # G_k = B^T B^ / m for B^ = A W^, exactly symmetric, at every m (also
+    # m <= k+1), with or without the residual column: the one product of
+    # the build at one thread, on B^ read row-major
     prior, data, w0 = _subspace_problem(k, n, m)
     red = spectral.reduce_to_subspace(data, prior, prior.layers[0][:, 0] if in_range else w0)
-    b = red.data.sensing
-    assert b.shape == (m, k + (not in_range))
-    assert np.array_equal(red.gram, b.T @ b / m)
-    assert np.array_equal(red.gram, red.gram.T)
-
-
-def test_spectral_matrix_forms_its_stack_at_construction():
-    # with a Gram matrix G the stack [G; M], M = V + ybar (I - G), is there
-    # from the start; without one there is none, and no field can be
-    # reassigned
-    rng = np.random.default_rng(3)
-    b, c = rng.standard_normal((4, 4)), rng.standard_normal((9, 4))
-    v, gram = b + b.T, c.T @ c / 9
-    spec = SpectralMatrix(v, 0.75, gram)
-    assert np.array_equal(spec.stack, np.vstack((gram, v + 0.75 * (np.eye(4) - gram))))
-    assert SpectralMatrix(v, 0.75).stack is None
-    for name in ("v", "ybar", "gram", "stack"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(spec, name, None)
+    b = np.ascontiguousarray(red.data.sensing)
+    dim = k + (not in_range)
+    assert b.shape == (m, dim)
+    gram = build_spectral_matrix(red.data).stack[:dim]
+    with links._one_blas_thread():
+        assert np.array_equal(gram, b.T @ b / m)
+    assert np.array_equal(gram, gram.T)
 
 
 def test_reduced_spec_carries_the_stack_of_its_own_ybar():
-    # [G; M], M = V + ybar (I - G) = (1/m) B^T diag(y - ybar) B^, with the
-    # spec's ybar, the mean observation
+    # [G; M], M = (1/m) B^T diag(y - ybar) B^ with the spec's ybar, the mean
+    # observation: exactly symmetric and, to rounding, V + ybar (I - G)
     prior, data, w0 = _subspace_problem(5, 100, 250)
     red = spectral.reduce_to_subspace(data, prior, w0)
-    spec, b, y = _reduced_spec(red), red.data.sensing, red.data.observations
+    spec, b, y = build_spectral_matrix(red.data), red.data.sensing, red.data.observations
     ybar = spec.ybar
     assert ybar == float(y.mean())
     stack = spec.stack
     assert stack.shape == (12, 6)
-    assert np.array_equal(stack[:6], spec.gram)
-    assert np.array_equal(stack[6:], spec.v + ybar * (np.eye(6) - spec.gram))
     assert np.array_equal(stack[6:], stack[6:].T)
     assert np.allclose(stack[6:], b.T @ ((y - ybar)[:, None] * b) / 250, rtol=0, atol=1e-13)
+    assert np.allclose(stack[6:], spec.v + ybar * (np.eye(6) - stack[:6]), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("k,n,m", [(3, 12, 37), (5, 100, 250), (5, 100, 4000)])
@@ -418,7 +410,7 @@ def test_reduced_sensing_is_column_major_with_the_bits_of_the_product(k, n, m):
     red = spectral.reduce_to_subspace(data, prior, w0)
     b = red.data.sensing
     assert b.flags.f_contiguous and not b.flags.c_contiguous
-    with spectral._one_blas_thread():
+    with links._one_blas_thread():
         product = data.sensing @ red.basis
     assert np.array_equal(b, product)
     row_major = MeasurementSet(n=red.data.n, m=m, signal=red.data.signal, sensing=product,
@@ -458,7 +450,8 @@ x = evaluate(prior, np.random.default_rng(1).standard_normal(5))
 data = sample_measurements(LinkModel("abs-noise-out", 0.1), x, 3000, seed=9)
 w0 = np.random.default_rng(2).standard_normal(500)
 red = reduce_to_subspace(data, prior, w0 / np.linalg.norm(w0))
-out = (red.basis, red.data.sensing, red.data.signal, build_spectral_matrix(red.data).v, red.gram)
+spec = build_spectral_matrix(red.data)
+out = (red.basis, red.data.sensing, red.data.signal, spec.v, spec.stack)
 sys.stdout.write(b"".join(a.tobytes() for a in out).hex())
 """
 
@@ -475,7 +468,7 @@ def test_reduction_multiplies_at_one_blas_thread(monkeypatch):
     # every product with A runs with OpenBLAS pinned to one thread, and the
     # count is restored once the reduction returns
     count, seen = [2], []
-    monkeypatch.setattr(spectral, "_openblas_thread_calls",
+    monkeypatch.setattr(links, "_openblas_thread_calls",
                         lambda: (lambda: count[0], lambda threads: count.__setitem__(0, threads)))
 
     class Recording(np.ndarray):

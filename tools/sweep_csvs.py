@@ -15,8 +15,9 @@ seed), written by write_trajectory_csv.  Those hold every iterate's record
 (error, correlation, nu_hat, zeta, warn), which a change can move while
 every final error stays the same.  Run it once on each of two trees, in separate
 processes, and compare the two OUT directories file by file (cmp) to see
-which results a change moves; with OPENBLAS_NUM_THREADS=1 the CSVs of the
-same code are byte-identical.  Nothing in TREE is written.
+which results a change moves; the CSVs of the same code are byte-identical,
+also between runs at different OPENBLAS_NUM_THREADS.  Nothing in TREE is
+written.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ UNIT = 0
 
 # The trajectory problems: ExperimentConfig fields, with one trial, one
 # restart and every algorithm.  The relu-mlp one is mlp-sweep's shape (its
-# solves refine in m-space and stream APPGD's products); the linear-subspace
-# one is solved in k+1 coordinates, with n-space refinement steps and
-# APPGD's phase term; the relu-mlp one at n = 800 builds its n-space V in
-# two column tiles, which no workload does.
+# solves take their steps with the n x n stack [G; M] and APPGD's phase
+# term); the linear-subspace one is solved in k+1 coordinates, with the
+# same step form; the relu-mlp one at n = 800 builds its n-space V, G and M
+# in two column tiles, which no workload does.
 TRAJECTORIES = {
     "relu-mlp": dict(prior_kind="relu-mlp", k=5, n=100, hidden=(32,), prior_seed=2,
                      link_name="square-sin", sigma=0.5, m_grid=(400,)),
