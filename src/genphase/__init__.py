@@ -21,9 +21,9 @@ from .priors import (GenerativePrior, ProjectionConfig, ProjectionResult, evalua
                      linear_subspace_prior, load_prior, project, project_exact,
                      project_iterative, projection_loss_grad, relu_mlp_prior,
                      save_prior)
-from .refine import empirical_mean_y, refine_step, run_refine
+from .refine import refine_step, run_refine
 from .runtrace import RunTrace, Step, write_trajectory_csv
 from .spectral import (ShiftedMatrix, SpectralMatrix, build_spectral_matrix,
-                       initial_vector, projected_power, shifted_matrix)
+                       empirical_mean_y, initial_vector, projected_power, shifted_matrix)
 
 __version__ = "0.1.0"

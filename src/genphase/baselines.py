@@ -26,8 +26,8 @@ import time
 import numpy as np
 
 from .errors import is_finite_number, raise_problems, seed_key_problems
-from .links import MeasurementSet, _one_blas_thread, empty_problems
-from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
+from .links import MeasurementSet, empty_problems
+from .priors import GenerativePrior, ProjectionConfig, _one_blas_thread, project, vector_norm
 from .refine import run_refine, t2_problems
 from .runtrace import RunTrace, Step, score
 from .seeds import flatten_seed

@@ -47,10 +47,9 @@ import numpy as np
 from .baselines import run_algorithm, run_problems
 from .errors import ConfigurationError, InsufficientDataError, count_problems, \
     is_finite_number, is_integer, raise_problems, seed_problems
-from .links import LinkModel, MeasurementSet, _one_blas_thread, draw_gaussians, \
-    sample_measurements
-from .priors import GenerativePrior, ProjectionConfig, evaluate, make_prior, prior_problems, \
-    project
+from .links import LinkModel, MeasurementSet, draw_gaussians, sample_measurements
+from .priors import GenerativePrior, ProjectionConfig, _one_blas_thread, evaluate, make_prior, \
+    prior_problems, project
 from .runtrace import format_cell
 from .seeds import flatten_seed
 from .spectral import SpectralMatrix, build_spectral_matrix, initial_vector, reduce_to_subspace, \

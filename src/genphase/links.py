@@ -7,28 +7,23 @@ models and their perturbed variants; a custom link takes its coefficients
 from LinkModel.params.  Noise is added outside f, except for abs-noise-in,
 which is |g + eta|.
 
-This module also holds the process-wide OpenBLAS one-thread pin
-(_one_blas_thread), under which sample_measurements forms A x and the
-spectral module its products with A: a product split across threads can
-change its bits with the thread count.
+sample_measurements forms A x under the OpenBLAS one-thread pin
+(priors._one_blas_thread): a product split across threads can change its
+bits with the thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, count_problems, is_finite_number, \
     is_integer, raise_problems, seed_key_problems, seed_problems
-from .priors import vector_norm
+from .priors import _one_blas_thread, vector_norm
 from .runtrace import format_cell
 
 # Scalar primitives prim_p(g) that every link is a weighted sum of.
@@ -55,57 +50,6 @@ _ANALYTIC_MOMENTS = {
     "linear": (0.0, 0.0),        # Cov[g, g^2] = E[g^3] = 0
     "square-noise": (2.0, 1.0),  # Var(g^2) = 2, E[g^2] = 1
 }
-
-
-@cache
-def _openblas_thread_calls():
-    """OpenBLAS's (get, set) thread-count functions, or None where numpy's
-    bundled OpenBLAS or the symbols cannot be found."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
-    return None
-
-
-# The open pins and the count the first of them saved; the lock guards these
-# two names only, never a product.
-_pin_lock = threading.Lock()
-_pins, _pin_saved = 0, 0
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block, where its calls can be
-    found.  The pin holds for the whole process; the first of overlapping
-    pins saves the count and the last one out restores it, also on an
-    error."""
-    global _pins, _pin_saved
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    with _pin_lock:
-        if _pins == 0:
-            _pin_saved = get()
-            put(1)
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0:
-                put(_pin_saved)
 
 
 @dataclass(frozen=True)

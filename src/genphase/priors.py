@@ -42,13 +42,36 @@ steps on arrays, a whole 120-step projection (hidden width 4k, n = 100, one
 BLAS thread) took 0.60x the time at k = 5, 0.70x at k = 10, about the same
 at k = 20 and 1.05x at k = 50, where building S for the patterns met takes
 most of it.
+
+The projector is 98% of an mlp-sweep unit's time, 186,324 evaluations in
+its 1,524 projections, so an evaluation keeps its Python-level work low
+with the same IEEE operations in the same order: the pattern key is the
+masks' bytes with no mask list (one mask's bytes for one hidden layer; a
+new pattern forms its masks again in _pattern_rows), S's cache entry
+carries k, and the Adam loop reads its bias corrections from a table per
+step count and keeps its best as a float and a latent, not a new tuple
+per improvement.  Replaying one unit's projections in one process (one BLAS
+thread, a shared 2-vCPU host, median of 6 interleaved runs of the best of
+3) took 2.27 s where the previous loop took 2.64 s: 12.2 us per evaluation
+and Adam step against 14.1 us, with the same bits.  The S of a pattern
+lives only as long as its projection.  Kept per prior across projections
+(J and J^T Q J per pattern), they gave the same bits and three mlp-sweep
+units in one process took 6.05 s against 6.73 s, but they kept 2,526
+forms in the first unit and 8,317 by the third, and peak RSS went from
+38.5 to 44.3 MB; a prior's layers can also be replaced in place (the
+tests do), which a per-prior cache would not see.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +79,62 @@ from .errors import ConfigurationError, DegenerateLatentError, NumericalError, \
     ProjectionFailureError, count_problems, is_finite_number, is_integer, raise_problems, \
     seed_key_problems, seed_problems
 from .seeds import flatten_seed
+
+
+# The process-wide OpenBLAS one-thread pin, under which every BLAS product
+# whose bits reach an output runs (spectral's module docstring lists them):
+# a product split across threads can change its bits with the thread count.
+# It lives in the lowest module that runs such a product (make_prior).
+
+@cache
+def _openblas_thread_calls():
+    """OpenBLAS's (get, set) thread-count functions, or None where numpy's
+    bundled OpenBLAS or the symbols cannot be found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+# The open pins and the count the first of them saved; the lock guards these
+# two names only, never a product.
+_pin_lock = threading.Lock()
+_pins, _pin_saved = 0, 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, where its calls can be
+    found.  The pin holds for the whole process; the first of overlapping
+    pins saves the count and the last one out restores it, also on an
+    error."""
+    global _pins, _pin_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _pin_lock:
+        if _pins == 0:
+            _pin_saved = get()
+            put(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                put(_pin_saved)
 
 
 @dataclass
@@ -120,16 +199,21 @@ def relu_mlp_prior(k: int, hidden, n: int, r: float | None = None, seed: int = 0
 
 
 def make_prior(kind, k, n, r=None, hidden=(), seed=0) -> GenerativePrior:
-    """The prior of a kind, after the prior_problems rule on all its fields."""
+    """The prior of a kind, after the prior_problems rule on all its fields.
+    Its LAPACK calls run with OpenBLAS pinned to one thread: unpinned at two
+    threads, a linear subspace at k = 10, n = 2000 took 120 ms where one
+    thread took 1 ms, with the same bits."""
     raise_problems(prior_problems(kind, k, n, r, hidden, seed))
     rng = np.random.default_rng(seed)
-    if kind == "linear-subspace":
-        layers = [np.linalg.qr(rng.standard_normal((n, k)))[0]]
-    else:
-        dims = [k, *(hidden or (max(4 * k, 16),)), n]
-        layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
-                  for i in range(len(dims) - 1)]
-    return GenerativePrior(kind, k, n, r, layers, seed, _lipschitz_proxy(layers))
+    with _one_blas_thread():   # the QR and the SVDs of the Lipschitz proxy
+        if kind == "linear-subspace":
+            layers = [np.linalg.qr(rng.standard_normal((n, k)))[0]]
+        else:
+            dims = [k, *(hidden or (max(4 * k, 16),)), n]
+            layers = [rng.standard_normal((dims[i + 1], dims[i])) / math.sqrt(dims[i])
+                      for i in range(len(dims) - 1)]
+        lipschitz_proxy = _lipschitz_proxy(layers)
+    return GenerativePrior(kind, k, n, r, layers, seed, lipschitz_proxy)
 
 
 # np.vdot without its __array_function__ dispatch, which took about 0.17 of
@@ -200,13 +284,16 @@ def evaluate(prior: GenerativePrior, z):
 @dataclass(frozen=True)
 class _LatentTarget:
     """A projection target t seen from the latent space, for a last layer
-    W_L: c = W_L^T t, tt = t^T t, q = W_L^T W_L, and rows, which maps each
+    W_L: c = W_L^T t, tt = t^T t, q = W_L^T W_L, the prior's first hidden
+    layer (None without one) and the deeper ones, and rows, which maps each
     activation pattern met so far (the hidden masks' bytes) to its
-    (k+1) x k S = [J^T Q J ; (J^T c)^T] and S's last row as Python floats.
-    It lives for one projection."""
+    (k+1) x k S = [J^T Q J ; (J^T c)^T], S's last row as Python floats and
+    k.  It lives for one projection."""
     c: np.ndarray
     tt: float
     q: np.ndarray
+    first: np.ndarray | None
+    deeper: tuple
     rows: dict
 
 
@@ -214,19 +301,29 @@ def _latent_target(prior: GenerativePrior, t, tt) -> _LatentTarget:
     """The _LatentTarget of t and tt = t.t, as _finite_target returns them."""
     if not math.isfinite(tt):
         raise NumericalError("projection target overflows: its squared norm is not finite")
-    w = prior.layers[-1]
-    return _LatentTarget(c=t.dot(w), tt=float(tt), q=w.T.dot(w), rows={})
+    *hidden, w = prior.layers
+    return _LatentTarget(c=t.dot(w), tt=float(tt), q=w.T.dot(w),
+                         first=hidden[0] if hidden else None, deeper=tuple(hidden[1:]), rows={})
 
 
-def _pattern_rows(prior: GenerativePrior, masks, target: _LatentTarget):
-    """S = [J^T Q J ; (J^T c)^T] for the hidden layers' masks D_l, with
-    J = D_{L-1} W_{L-1} ... D_1 W_1 (the identity for a one-layer prior),
-    and S's last row as a list of floats."""
-    j = np.eye(prior.k)
-    for w, mask in zip(prior.layers[:-1], masks):
-        j = w.dot(j) * mask[:, None]
-    s = np.vstack((j.T.dot(target.q.dot(j)), target.c.dot(j)))
-    return s, s[prior.k].tolist()
+def _pattern_rows(prior: GenerativePrior, z, target: _LatentTarget):
+    """S = [J^T Q J ; (J^T c)^T] for the hidden layers' masks D_l at z, with
+    J = D_{L-1} W_{L-1} ... D_1 W_1 (the identity for a prior with no hidden
+    layer), S's last row as a list of floats, and k.  J starts from D_1 W_1
+    itself, the bits of W_1 I for every weight but an exact -0.0."""
+    k = prior.k
+    if target.first is None:
+        j = np.eye(k)
+    else:
+        pre = target.first.dot(z)
+        j = target.first * np.greater(pre, _ZERO)[:, None]
+        for w in target.deeper:
+            pre = w.dot(np.maximum(pre, _ZERO))
+            j = w.dot(j) * np.greater(pre, _ZERO)[:, None]
+    s = np.empty((k + 1, k))
+    s[:k] = j.T.dot(target.q.dot(j))
+    s[k] = target.c.dot(j)
+    return s, s[k].tolist(), k
 
 
 # The ReLU's threshold as a read-only 0-d array: numpy 2 converts a Python
@@ -258,19 +355,19 @@ def projection_loss_grad(prior: GenerativePrior, z, target):
                        target_problems(target, prior.n, "target"))
         z = np.asarray(z, dtype=float)
         target = _latent_target(prior, *_finite_target(target, prior.n))
-    a, masks, key = z, [], b""
-    for w in prior.layers[:-1]:
-        if masks:
-            a = np.maximum(pre, _ZERO)
-        pre = w.dot(a)
-        mask = np.greater(pre, _ZERO)
-        masks.append(mask)
-        key += mask.tobytes()
+    first = target.first
+    if first is None:
+        key = b""
+    else:
+        pre = first.dot(z)
+        key = np.greater(pre, _ZERO).tobytes()
+        for w in target.deeper:
+            pre = w.dot(np.maximum(pre, _ZERO))
+            key += np.greater(pre, _ZERO).tobytes()
     rows = target.rows.get(key)
     if rows is None:
-        rows = target.rows[key] = _pattern_rows(prior, masks, target)
-    s, last = rows
-    k = prior.k
+        rows = target.rows[key] = _pattern_rows(prior, z, target)
+    s, last, k = rows
     u = s.dot(z)
     nh2 = float(z.dot(u[:k]))
     if nh2 <= 0:
@@ -278,7 +375,9 @@ def projection_loss_grad(prior: GenerativePrior, z, target):
     nh = math.sqrt(nh2)
     u = u.tolist()
     ac = u[k]
-    loss = max(1.0 - 2.0 * ac / nh + target.tt, 0.0)
+    loss = 1.0 - 2.0 * ac / nh + target.tt
+    if loss < 0.0:   # max(loss, 0.0), which keeps a NaN or -0.0 loss too
+        loss = 0.0
     scale, outer = ac / nh2, 2.0 / nh
     return loss, [(qi * scale - si) * outer for qi, si in zip(u, last)]
 
@@ -365,8 +464,10 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
         raise ConfigurationError("projection target must be nonzero")
     target = _latent_target(prior, v, vv)
     key = flatten_seed(seed)
-    steps, lr, k, r = cfg.steps, cfg.learning_rate, prior.k, prior.r
-    best = None   # (objective, latent, restart) of the best restart so far
+    lr, k, r = cfg.learning_rate, prior.k, prior.r
+    corrections = _bias_corrections(cfg.steps)
+    sqrt = math.sqrt
+    best_z = None   # the best restart's latent so far, with best_obj and best_restart
     for restart in range(cfg.restarts):
         if restart == 0 and warm:
             z = np.array(warm_start, dtype=float)
@@ -375,40 +476,44 @@ def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,
         z = clip_to_ball(z, r)
         zs = z.tolist()   # z's entries, which the Adam update and the clip work on
         m1, m2 = [0.0] * k, [0.0] * k
-        kept = None   # (objective, latent) of this restart's best iterate
+        kept_z = None   # this restart's best iterate, with kept_obj its objective
         try:
             # Every z is a new array that nothing writes to, so keeping it
             # needs no copy.  The last iterate is scored but not updated.
-            for step in range(steps + 1):
-                loss, grad = projection_loss_grad(prior, z, target)
-                obj = math.sqrt(loss)
-                if kept is None or obj < kept[0]:
-                    kept = (obj, z)
-                if step == steps:
-                    break
-                c1 = 1.0 - 0.9 ** (step + 1)
-                c2 = 1.0 - 0.999 ** (step + 1)
-                z_next, zz = [], 0.0
-                for i, (x, g) in enumerate(zip(zs, grad)):
+            loss, grad = projection_loss_grad(prior, z, target)
+            kept_obj, kept_z = sqrt(loss), z
+            for c1, c2 in corrections:
+                zz = 0.0
+                for i in range(k):
+                    g = grad[i]
                     m1[i] = mi = 0.9 * m1[i] + 0.1 * g
                     m2[i] = vi = 0.999 * m2[i] + 0.001 * g * g
-                    x -= lr * (mi / c1) / (math.sqrt(vi / c2) + 1e-8)
-                    z_next.append(x)
+                    zs[i] = x = zs[i] - lr * (mi / c1) / (sqrt(vi / c2) + 1e-8)
                     zz += x * x
-                nz = math.sqrt(zz)   # clip_to_ball, with the norm summed in order above
+                nz = sqrt(zz)   # clip_to_ball, with the norm summed in order above
                 if nz > r:
                     scale = r / nz
-                    z_next = [x * scale for x in z_next]
-                zs = z_next
+                    zs = [x * scale for x in zs]
                 z = np.array(zs)
+                loss, grad = projection_loss_grad(prior, z, target)
+                obj = sqrt(loss)
+                if obj < kept_obj:
+                    kept_obj, kept_z = obj, z
         except DegenerateLatentError:
             pass   # keep the iterates scored before it, if any
-        if kept is not None and (best is None or kept[0] < best[0]):
-            best = (*kept, restart)
-    if best is None:
+        if kept_z is not None and (best_z is None or kept_obj < best_obj):
+            best_obj, best_z, best_restart = kept_obj, kept_z, restart
+    if best_z is None:
         raise ProjectionFailureError("all projection restarts hit degenerate latents")
-    obj, z, restart = best
-    return ProjectionResult(evaluate(prior, z), z, obj, restart)
+    return ProjectionResult(evaluate(prior, best_z), best_z, best_obj, best_restart)
+
+
+@lru_cache(maxsize=8)
+def _bias_corrections(steps: int) -> tuple:
+    """Adam's bias corrections (1 - 0.9^t, 1 - 0.999^t) for t = 1..steps,
+    the floats the update divides by at step t.  A sweep uses one or two
+    step counts, so few tables are kept."""
+    return tuple((1.0 - 0.9 ** t, 1.0 - 0.999 ** t) for t in range(1, steps + 1))
 
 
 def _finite_target(v, n: int):

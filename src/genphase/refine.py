@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, count_problems, raise_problems
-from .links import MeasurementSet, empty_problems
+from .links import MeasurementSet
 from .priors import GenerativePrior, ProjectionConfig, project
 from .runtrace import Step, score
 from .seeds import flatten_seed
@@ -39,11 +39,6 @@ NU_FLOOR = 1e-3
 def t2_problems(t2) -> list:
     """The rule on the refinement step count, as a list of problems."""
     return count_problems(t2, "t2", 0)
-
-
-def empirical_mean_y(data: MeasurementSet) -> float:
-    raise_problems(empty_problems(data))
-    return float(data.observations.mean())
 
 
 def _moments(spec: SpectralMatrix, x_t):

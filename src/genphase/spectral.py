@@ -30,11 +30,14 @@ every row block in order, the GEMMs S[I, I:] += A_b[:, I]^T Y_b[:, I:] and
 M's, and the tiles run in order in the calling thread.
 
 Every BLAS product whose result reaches an output runs with OpenBLAS pinned
-to one thread (links._one_blas_thread, through OpenBLAS's own
+to one thread (priors._one_blas_thread, through OpenBLAS's own
 *_set_num_threads found with ctypes; the previous count is restored after,
 also on an error, and overlapping pins restore it once, when the last one
 ends), since some products change bits with the thread count at some
 shapes: a GEMV as small as 700 x 700 did, and A x at (1500, 800).
+- priors.make_prior: a linear subspace's QR and the SVDs of the Lipschitz
+  proxy, which gave the same bits at 1 and 2 threads, but at 2 took
+  120 ms where 1 took 1 ms (a linear subspace at k = 10, n = 2000).
 - links.sample_measurements: A x.
 - shifted_matrix and initial_vector: y.(A o A) per row block and
   (y o A[:, j])^T A.
@@ -47,10 +50,10 @@ shapes: a GEMV as small as 700 x 700 did, and A x at (1500, 800).
 tests/test_cli.py writes `simulate` and relu-mlp `run` outputs at 1 and 2
 threads at shapes where unpinned products move, and the build, reduction
 and step tests in tests/ compare bytes at 1 and 2 threads too.  Not pinned:
-the prior's construction and evaluation (make_prior, draw_signal), which
-gave the same bits at 1 and 2 threads up to n = 2000, and which the sweep
-thread-count test in tests/test_cli.py runs at n = 100; and the steps of a
-lone refine_step, appgd_step or projected_power called directly.  Where
+the prior's evaluation (draw_signal), which gave the same bits at 1 and 2
+threads up to n = 2000, and which the sweep thread-count test in
+tests/test_cli.py runs at n = 100; and the steps of a lone refine_step,
+appgd_step or projected_power called directly.  Where
 OpenBLAS's calls cannot be found (another BLAS), nothing is pinned.
 
 A linear-subspace problem is solved in k+1 coordinates (reduce_to_subspace),
@@ -80,8 +83,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, count_problems, raise_problems
-from .links import MeasurementSet, _one_blas_thread, empty_problems
-from .priors import GenerativePrior, ProjectionConfig, project, vector_norm
+from .links import MeasurementSet, empty_problems
+from .priors import GenerativePrior, ProjectionConfig, _one_blas_thread, project, vector_norm
 from .runtrace import Step, score
 from .seeds import flatten_seed
 
@@ -142,6 +145,23 @@ def _accumulate(a, weights, rows: int, width: int, starts, outs) -> None:
                 s[i0:i1, i0:] += np.matmul(a_b[:, i0:i1].T, y_b[:, i0:], out=prod)
 
 
+def empirical_mean_y(data: MeasurementSet) -> float:
+    """The mean observation ybar = y.mean().  An empty set is a
+    ConfigurationError (links.empty_problems), and finite observations whose
+    mean is not finite (their sum overflows, as 30 x 1e307 and 10 x -1e307
+    do) a NumericalError naming the mean, raised with no overflow warning
+    before it.  A NaN or infinite observation gives a mean that is not
+    finite, which the build's diagonal check reports."""
+    raise_problems(empty_problems(data))
+    y = data.observations
+    with np.errstate(over="ignore", invalid="ignore"):
+        ybar = float(y.mean())
+    if not math.isfinite(ybar) and np.isfinite(y).all():
+        raise NumericalError(f"the observations' mean is {ybar}: the sum of {data.m} "
+                             f"finite observations overflows")
+    return ybar
+
+
 def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     """V = (1/m) A^T diag(y) A - ybar I, with the stack [G; M] of the Gram
     matrix G = A^T A / m and the moment matrix M = (1/m) A^T diag(y - ybar) A.
@@ -155,15 +175,15 @@ def build_spectral_matrix(data: MeasurementSet) -> SpectralMatrix:
     one thread, as G does (module docstring); S and M are then mirrored,
     and S is shifted into V in place.  Raises NumericalError when a
     diagonal entry of S is not finite, which any NaN or infinity in y or A
-    causes, and ConfigurationError for an empty set (links.empty_problems).
+    causes, and before any tile runs, empirical_mean_y's ConfigurationError
+    for an empty set and NumericalError for a mean that overflows.
     """
-    raise_problems(empty_problems(data))
+    ybar = empirical_mean_y(data)
     a = np.ascontiguousarray(data.sensing)   # a copy only of a column-major A
     y = data.observations
     m, n = data.m, data.n
     rows, width = _block_sizes(n)
     starts = range(0, n, width)
-    ybar = float(y.mean())
     s, stack = np.zeros((n, n)), np.zeros((2 * n, n))
     gram, moments = stack[:n], stack[n:]
     with _one_blas_thread():

@@ -13,7 +13,7 @@ from genphase import (ConfigurationError, ExperimentConfig, InsufficientDataErro
                       config_from_file, draw_signal, emit_outputs, fit_slope, initial_vector,
                       read_sweep_csv, run_algorithm, run_experiment, sample_measurements,
                       shifted_matrix, validate_config)
-from genphase import links
+from genphase import priors
 from genphase.baselines import ALGORITHMS, run_problems
 from genphase.harness import build_prior, oracle_restart, solve_cell, t_quantile_975
 from genphase.runtrace import RunTrace
@@ -254,7 +254,7 @@ def test_every_cell_builds_one_spec_with_its_stack(monkeypatch, kind):
         assert reduced == []
     else:
         b = np.ascontiguousarray(reduced[0].data.sensing)
-        with links._one_blas_thread():
+        with priors._one_blas_thread():
             assert np.array_equal(spec.stack[:n], b.T @ b / 60)
 
 

@@ -9,7 +9,9 @@ from genphase import (ConfigurationError, DegenerateLatentError, GenerativePrior
                       NumericalError, ProjectionConfig, evaluate, linear_subspace_prior,
                       load_prior, project, project_exact, project_iterative,
                       projection_loss_grad, relu_mlp_prior, save_prior)
-from genphase.priors import _finite_target, _latent_target, clip_to_ball, default_radius
+from genphase import priors
+from genphase.priors import _finite_target, _latent_target, clip_to_ball, default_radius, \
+    make_prior
 from genphase.seeds import flatten_seed
 
 
@@ -74,6 +76,22 @@ def test_lipschitz_proxy_subspace_is_one():
     # orthonormal basis has spectral norm exactly 1
     prior = linear_subspace_prior(5, 50, seed=6)
     assert prior.lipschitz_proxy == pytest.approx(1.0, abs=1e-9)
+
+
+def test_make_prior_runs_its_lapack_calls_at_one_blas_thread(monkeypatch):
+    # the QR of a linear subspace and the SVD of each layer's spectral norm
+    # run with OpenBLAS pinned to one thread, and the count is restored
+    count, seen = [2], []
+    monkeypatch.setattr(priors, "_openblas_thread_calls",
+                        lambda: (lambda: count[0], lambda threads: count.__setitem__(0, threads)))
+    for name in ("qr", "norm"):
+        def spy(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+            seen.append((name, count[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    make_prior("linear-subspace", 3, 12, seed=1)
+    make_prior("relu-mlp", 3, 12, hidden=[8, 6], seed=1)
+    assert seen == [("qr", 1)] + [("norm", 1)] * 4 and count == [2]
 
 
 def test_lipschitz_proxy_matches_svd():
@@ -544,6 +562,21 @@ def test_project_iterative_bit_identical_to_reference(k, hidden, latent_init, ra
     v = rng.standard_normal(60)
     cfg = ProjectionConfig(steps=40, learning_rate=0.1, restarts=3, latent_init=latent_init)
     _assert_same_projection(prior, v, cfg, [k, 7], warm_start=rng.standard_normal(k))
+
+
+@pytest.mark.parametrize("steps", [1, 1500])
+@pytest.mark.parametrize("kind, hidden", [("linear-subspace", ()), ("relu-mlp", [32])])
+def test_project_iterative_bit_identical_at_other_step_counts(kind, hidden, steps):
+    # step counts no other test uses, since the bias corrections come from a
+    # table per step count, and a prior with no hidden layer (J = I, one
+    # pattern), which project would hand to project_exact
+    prior = make_prior(kind, 5, 60, hidden=hidden, seed=40)
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal(60)
+    for latent_init in ("gaussian", "warm-start"):
+        cfg = ProjectionConfig(steps=steps, learning_rate=0.05, restarts=2,
+                               latent_init=latent_init)
+        _assert_same_projection(prior, v, cfg, 42, warm_start=rng.standard_normal(5))
 
 
 def test_project_iterative_bit_identical_after_file_roundtrip(tmp_path):

@@ -13,7 +13,7 @@ from genphase import (ConfigurationError, GenerativePrior, LinkModel, Measuremen
                       linear_subspace_prior, population_nu, project, projected_power,
                       refine_step, relu_mlp_prior, run_refine, sample_measurements,
                       shifted_matrix)
-from genphase import links, refine, spectral
+from genphase import priors, refine, spectral
 from genphase.refine import NU_FLOOR
 from genphase.runtrace import score
 from genphase.seeds import flatten_seed
@@ -392,7 +392,7 @@ def test_single_block_appgd_step_keeps_the_two_pass_bits():
     prior, data, start = _stream_problem()
     assert spectral._block_sizes(40)[0] >= data.m
     a, y, tau = data.sensing, data.observations, 0.9
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         gram = a.T @ a / data.m
         tau_h = ((tau / data.m) * np.where(a @ start >= 0.0, y, -y)) @ a
     x_til = (np.eye(40) - tau * gram) @ start + tau_h
@@ -471,13 +471,14 @@ def test_streamed_steps_ignore_the_blas_thread_count():
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("t2", [0, 1, 3])
 def test_non_finite_nu_hat_is_a_numerical_error_in_m_space(t2, fixed):
-    # the mean of +-1e307 observations overflows, and with it M and nu_hat
-    # of the spectral matrix a lone run builds; A's entries are small enough
-    # that S stays finite and passes the build's check
+    # M of the spectral matrix a lone run builds overflows, and with it
+    # nu_hat, while the mean (1.875e306) and S pass the build's checks: rows
+    # s and 2s (s = sign(x)) with observations c and -c/4 add exactly 0 to
+    # S per pair, and -15c/8 s s^T to M, -37.5c = -1.9e308 over 20 pairs.
     prior = linear_subspace_prior(3, 12, seed=1)
     x = _range_signal(prior, latent_seed=0)
-    a = 0.01 * np.random.default_rng(1).standard_normal((40, 12))
-    data = _manual_set(a, np.r_[np.full(30, 1e307), np.full(10, -1e307)])
+    s, c = np.sign(x), 5e306
+    data = _manual_set(np.tile(np.vstack((s, 2 * s)), (20, 1)), np.tile([c, -c / 4], 20))
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="nu_hat"):
             run_refine(data, prior, x, t2, fixed=fixed)

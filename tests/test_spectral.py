@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from genphase import (ConfigurationError, LinkModel, MeasurementSet,
-                      NumericalError, SpectralMatrix, build_spectral_matrix, evaluate,
-                      initial_vector, linear_subspace_prior, projected_power,
+                      NumericalError, SpectralMatrix, build_spectral_matrix, empirical_mean_y,
+                      evaluate, initial_vector, linear_subspace_prior, projected_power,
                       run_algorithm, sample_measurements, shifted_matrix)
-from genphase import links, spectral
+from genphase import priors, spectral
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -89,7 +89,7 @@ def _check_against_naive(data):
     # the stack [G; M]: G is the one product A^T A / m at one thread, and M,
     # accumulated in V's row blocks and tiles, (1/m) A^T diag(y - ybar) A
     a, n = data.sensing, data.n
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         gram = a.T @ a / data.m
     moments = a.T @ ((data.observations - spec.ybar)[:, None] * a) / data.m
     assert spec.stack.shape == (2 * n, n)
@@ -166,6 +166,17 @@ def test_build_rejects_non_finite_data(monkeypatch, where, bad, blocked):
             read(data)
 
 
+def test_an_overflowing_mean_observation_is_a_numerical_error():
+    # finite observations whose mean overflows, refused before any tile runs
+    # and with no overflow warning first (pytest makes one an error); A's
+    # small entries keep S finite, so only the mean is at fault
+    a = 0.01 * np.random.default_rng(1).standard_normal((40, 12))
+    data = _manual_set(a, np.r_[np.full(30, 1e307), np.full(10, -1e307)])
+    for read in (empirical_mean_y, build_spectral_matrix):
+        with pytest.raises(NumericalError, match="the observations' mean is inf"):
+            read(data)
+
+
 def test_an_empty_measurement_set_is_a_configuration_error():
     # refused before any mean over the measurements divides by m = 0
     data = _manual_set(np.zeros((0, 4)), [])
@@ -176,7 +187,7 @@ def test_an_empty_measurement_set_is_a_configuration_error():
             read(data)
 
 
-requires_openblas = pytest.mark.skipif(links._openblas_thread_calls() is None,
+requires_openblas = pytest.mark.skipif(priors._openblas_thread_calls() is None,
                                        reason="needs numpy's bundled OpenBLAS")
 
 
@@ -193,7 +204,7 @@ def _record_tiles(monkeypatch):
     real, seen = spectral._accumulate, []
 
     def spy(a, y, rows, width, starts, *rest):
-        calls = links._openblas_thread_calls()
+        calls = priors._openblas_thread_calls()
         seen.append((list(starts), threading.current_thread(), calls and calls[0]()))
         real(a, y, rows, width, starts, *rest)
 
@@ -224,7 +235,7 @@ def test_a_build_error_reaches_the_caller_and_leaves_no_thread(three_tiles, monk
         raise _BuildFailure("tiles")
 
     monkeypatch.setattr(spectral, "_accumulate", accumulate)
-    get = links._openblas_thread_calls()[0]
+    get = priors._openblas_thread_calls()[0]
     before, count = threading.enumerate(), get()
     with pytest.raises(_BuildFailure, match="tiles"):
         build_spectral_matrix(_random_set(50, 20, seed=3))
@@ -236,9 +247,9 @@ def test_build_without_openblas_thread_calls_runs_in_the_caller(three_tiles, mon
     data = _random_set(50, 20, seed=12, zero_frac=0.2)
     ref = build_spectral_matrix(data)
     # the pin that the fallback cannot make, made for it: the same bits at one thread
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         seen = _record_tiles(monkeypatch)
-        monkeypatch.setattr(links, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(priors, "_openblas_thread_calls", lambda: None)
         _fail_on_thread_start(monkeypatch)
         spec = build_spectral_matrix(data)
     assert seen == [([0, 8, 16], threading.current_thread(), None)]
@@ -254,8 +265,8 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
         sets.append(threads)
         count[0] = threads
 
-    monkeypatch.setattr(links, "_openblas_thread_calls", lambda: (lambda: count[0], put))
-    first, second = links._one_blas_thread(), links._one_blas_thread()
+    monkeypatch.setattr(priors, "_openblas_thread_calls", lambda: (lambda: count[0], put))
+    first, second = priors._one_blas_thread(), priors._one_blas_thread()
     first.__enter__()
     second.__enter__()
     assert count == [1]
@@ -263,7 +274,7 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
     assert count == [1]
     assert not second.__exit__(_BuildFailure, _BuildFailure("build"), None)
     assert count == [2] and sets == [1, 2]
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         assert count == [1]
     assert count == [2] and sets == [1, 2, 1, 2]
 
@@ -271,9 +282,9 @@ def test_overlapping_pins_restore_the_count_once(monkeypatch):
 # A three-tile build and one that raises NumericalError, at OPENBLAS_NUM_THREADS=2.
 _BLAS_RESTORE_SCRIPT = """
 import numpy as np
-from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, links, \
+from genphase import LinkModel, MeasurementSet, NumericalError, build_spectral_matrix, priors, \
     spectral
-get = links._openblas_thread_calls()[0]
+get = priors._openblas_thread_calls()[0]
 counts = [get()]
 spectral._BLOCK_BYTES = 8 * 20 * 16
 rng = np.random.default_rng(0)
@@ -381,7 +392,7 @@ def test_reduced_spec_carries_the_gram_of_the_reduced_sensing(k, n, m, in_range)
     dim = k + (not in_range)
     assert b.shape == (m, dim)
     gram = build_spectral_matrix(red.data).stack[:dim]
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         assert np.array_equal(gram, b.T @ b / m)
     assert np.array_equal(gram, gram.T)
 
@@ -410,7 +421,7 @@ def test_reduced_sensing_is_column_major_with_the_bits_of_the_product(k, n, m):
     red = spectral.reduce_to_subspace(data, prior, w0)
     b = red.data.sensing
     assert b.flags.f_contiguous and not b.flags.c_contiguous
-    with links._one_blas_thread():
+    with priors._one_blas_thread():
         product = data.sensing @ red.basis
     assert np.array_equal(b, product)
     row_major = MeasurementSet(n=red.data.n, m=m, signal=red.data.signal, sensing=product,
@@ -468,7 +479,7 @@ def test_reduction_multiplies_at_one_blas_thread(monkeypatch):
     # every product with A runs with OpenBLAS pinned to one thread, and the
     # count is restored once the reduction returns
     count, seen = [2], []
-    monkeypatch.setattr(links, "_openblas_thread_calls",
+    monkeypatch.setattr(priors, "_openblas_thread_calls",
                         lambda: (lambda: count[0], lambda threads: count.__setitem__(0, threads)))
 
     class Recording(np.ndarray):

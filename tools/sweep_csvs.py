@@ -8,8 +8,8 @@ writes OUT/<workload>-seed<seed>-unit<UNIT>.csv: the unit's config
 (workloads.unit_config), run by TREE's genphase (run_experiment) and written
 as CSV (emit_outputs).  A sweep CSV holds only each run's final error, so
 for each seed it also writes OUT/trajectory-<problem>-<algorithm>-seed<seed>.csv
-for every algorithm and each of three small fixed problems (TRAJECTORIES),
-two relu-mlp ones and a linear-subspace one: the run_algorithm trace of
+for every algorithm and each of four small fixed problems (TRAJECTORIES),
+three relu-mlp ones and a linear-subspace one: the run_algorithm trace of
 its one cell (harness.solve_cell, one trial, one restart, master seed = the
 seed), written by write_trajectory_csv.  Those hold every iterate's record
 (error, correlation, nu_hat, zeta, warn), which a change can move while
@@ -34,7 +34,9 @@ UNIT = 0
 # solves take their steps with the n x n stack [G; M] and APPGD's phase
 # term); the linear-subspace one is solved in k+1 coordinates, with the
 # same step form; the relu-mlp one at n = 800 builds its n-space V, G and M
-# in two column tiles, which no workload does.
+# in two column tiles, which no workload does; the one with two hidden
+# layers runs the projector's mask loop and J chain over several layers,
+# which no workload does either.
 TRAJECTORIES = {
     "relu-mlp": dict(prior_kind="relu-mlp", k=5, n=100, hidden=(32,), prior_seed=2,
                      link_name="square-sin", sigma=0.5, m_grid=(400,)),
@@ -42,6 +44,8 @@ TRAJECTORIES = {
                             link_name="abs-noise-out", sigma=0.1, m_grid=(500,)),
     "relu-mlp-n800": dict(prior_kind="relu-mlp", k=5, n=800, hidden=(32,), prior_seed=2,
                           link_name="square-sin", sigma=0.5, m_grid=(1000,)),
+    "relu-mlp-2-hidden": dict(prior_kind="relu-mlp", k=5, n=100, hidden=(16, 24), prior_seed=2,
+                              link_name="square-sin", sigma=0.5, m_grid=(400,)),
 }
 
 
