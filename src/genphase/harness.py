@@ -19,17 +19,27 @@ vector beside W is w0's residual off range(W), which the first power step
 multiplies; with it every record matches the n-space solve up to rounding.
 
 A linear-subspace cell frees its n-space A when its reduction returns, so
-run_experiment then starts the next cell's Gaussians (links.draw_gaussians)
-on one worker thread, into buffers allocated by the calling thread, while
-the cell solves: the fill, which releases the GIL, was about a quarter of
-a sweep's time at n = 100.  The worker makes no BLAS call and
-calls nothing else of the package, sample_measurements still runs once per
-cell, in order, in the calling thread, and the draw's bits are the seed's,
-so every output is the same as a cell-by-cell solve_cell loop's, and at
-most one n-space A exists at a time.  A sweep of one cell, a relu-mlp
-sweep (whose solves read the n-space A up to their end) and a process that
-may run on one CPU only (_cpu_count) start no thread: there the
-draw would overlap nothing or share the one CPU with the solves.
+run_experiment then submits the next cell's Gaussians (links.draw_gaussians)
+to a one-worker concurrent.futures.ThreadPoolExecutor, into buffers
+allocated by the calling thread, while the cell solves: the fill, which
+releases the GIL, was about a quarter of a sweep's time at n = 100.  The
+worker makes no BLAS call and calls nothing else of the package,
+sample_measurements still runs once per cell, in order, in the calling
+thread, and the draw's bits are the seed's, so every output is the same as
+a cell-by-cell solve_cell loop's.  A Future keeps its result, so the pair
+gets one owner by two rules: the cell pops its future before it reads the
+pair, and prepare_cell drops the pair once the cell's measurements hold
+it; then at most one n-space A exists at a time.  A draw's exception is
+raised at its own cell, and the executor is shut down, its worker joined,
+before the sweep returns or raises.  The executor is imported only there,
+since the import costs 4-9 ms.  A sweep of one cell, a relu-mlp sweep
+(whose solves read the n-space A up to their end) and a process that may
+run on one CPU only (_cpu_count) start no thread: the draw would overlap
+nothing, or share the one CPU with the solves; under `taskset -c 0` at one
+BLAS thread a worker made perfbench's subspace-sweep units 1-5 (seed 1)
+about 1% slower than drawing inline on a 2-vCPU Xeon (median ratio of
+paired unit times 1.000-1.017 in six processes, slower in 138 of 240
+pairs).
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -276,6 +285,9 @@ def _restart_start(prior, spec, w0, master_seed, m_index, trial, restart):
     negation, then random range elements.  With an exact (deterministic)
     projector this is what makes restarts informative, and the +-w0 pair
     gives a restart rule both signs to choose from under an even link."""
+    # spec is never read: it stays because the benchmark tracer's
+    # _restart_id (perfbench/tracer.py) unpacks these seven positional
+    # arguments, so dropping it alone breaks the traced self-check
     if restart == 0:
         return w0
     if restart == 1:
@@ -298,54 +310,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-class _Drawer:
-    """One worker thread that draws one cell's Gaussians at a time
-    (links.draw_gaussians) into buffers the calling thread allocates; it
-    makes no BLAS call and calls nothing else of the package.  post() hands
-    it a draw through the `posted` lock and take() waits on the `done` lock
-    for the pair, or raises the draw's exception; close() lets a draw not
-    yet taken end, stops the worker and joins it."""
-
-    def __init__(self):
-        self.job, self.error = None, None   # job: a posted draw not yet taken
-        self.posted, self.done = threading.Lock(), threading.Lock()
-        self.posted.acquire()
-        self.done.acquire()
-        self.thread = threading.Thread(target=self._run, name="genphase-draw")
-        self.thread.start()
-
-    def _run(self):
-        while True:
-            self.posted.acquire()
-            job = self.job
-            if job is None:
-                return
-            try:
-                draw_gaussians(*job)
-            except BaseException as exc:
-                self.error = exc
-            job = None   # the buffers go to the caller alone
-            self.done.release()
-
-    def post(self, seed: int, m: int, n: int) -> None:
-        self.job = (seed, m, n, (np.empty((m, n)), np.empty(m)))
-        self.posted.release()
-
-    def take(self) -> tuple:
-        self.done.acquire()
-        gaussians, self.job = self.job[3], None
-        if self.error is not None:
-            raise self.error
-        return gaussians
-
-    def close(self) -> None:
-        if self.job is not None:
-            self.done.acquire()
-        self.job = None
-        self.posted.release()
-        self.thread.join()
-
-
 @dataclass
 class PreparedCell:
     """An (m, trial) cell ready for its solves: the data, prior and spectral
@@ -359,18 +323,18 @@ class PreparedCell:
 
 
 def prepare_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int,
-                 drawer: _Drawer | None = None) -> PreparedCell:
-    """Draw a cell's signal and measurements (with the Gaussians the drawer,
-    when given, has drawn for the cell), take w0 once from the data and
-    build its one spectral matrix, V with the stack [G; M] its refinement
-    and APPGD steps read.  A linear-subspace cell is reduced to k+1
-    coordinates (spectral.reduce_to_subspace) and its n-space A freed before
-    the build, which is on the reduced data; a relu-mlp cell keeps its
-    n-space data, which APPGD's A x reads, and builds on it."""
+                 gaussians: tuple | None = None) -> PreparedCell:
+    """Draw a cell's signal and measurements (from `gaussians`, when given,
+    the pair links.draw_gaussians drew for the cell), take w0 once from the
+    data and build its one spectral matrix, V with the stack [G; M] its
+    refinement and APPGD steps read.  A linear-subspace cell is reduced to
+    k+1 coordinates (spectral.reduce_to_subspace) and its n-space A freed
+    before the build, which is on the reduced data; a relu-mlp cell keeps
+    its n-space data, which APPGD's A x reads, and builds on it."""
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
-                               _meas_seed(cfg, m_index, trial),
-                               gaussians=None if drawer is None else drawer.take())
+                               _meas_seed(cfg, m_index, trial), gaussians=gaussians)
+    gaussians = None   # data holds the cell's A from here on, so the reduction can free it
     w0 = initial_vector(shifted_matrix(data))
     solve_prior, basis = prior, None
     if prior.kind == "linear-subspace":
@@ -426,31 +390,28 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Full sweep: solve every (m, trial) cell, in order, and report, per
     (m, algorithm, trial), the restart that oracle_restart picks; then
     aggregate over trials and fit the log-log slopes.  The rows are those
-    of solve_cell cell by cell.
-
-    In a linear-subspace sweep of more than one cell, on more than one CPU,
-    the next cell's Gaussians are drawn on a worker thread (_Drawer) while a
-    cell solves, from the end of the cell's reduction, which frees its
-    n-space A; so at most one n-space A exists at a time.  A draw's
-    exception is raised at the cell it belongs to, and no worker outlives
-    the call.  A relu-mlp cell's solves read its n-space A, so every
-    relu-mlp cell draws its own, after the last cell's A is freed."""
+    of solve_cell cell by cell, also where a linear-subspace sweep draws
+    each next cell's Gaussians on a worker thread (module docstring)."""
     validate_config(cfg)
     prior = build_prior(cfg)
     cells = [(m_index, trial) for m_index in range(len(cfg.m_grid))
              for trial in range(cfg.trials)]
-    # a relu-mlp cell's solves read its n-space A, so a draw there, as on
-    # one CPU, could overlap nothing
-    ahead = prior.kind == "linear-subspace" and len(cells) > 1 and _cpu_count() > 1
-    drawer, rows = _Drawer() if ahead else None, []
+    pool, drawn, rows = None, [], []
+    if prior.kind == "linear-subspace" and len(cells) > 1 and _cpu_count() > 1:
+        from concurrent.futures import ThreadPoolExecutor   # kept out of import genphase
+        pool = ThreadPoolExecutor(1, "genphase-draw")
     try:
         for i, (m_index, trial) in enumerate(cells):
-            # the first cell draws its own Gaussians, the worker every later one's
-            cell = prepare_cell(cfg, prior, m_index, trial, drawer if i else None)
-            if drawer is not None and i + 1 < len(cells):
+            # the first cell draws its own Gaussians, the worker every later
+            # one's; the cell pops its future, which would otherwise keep the pair
+            cell = prepare_cell(cfg, prior, m_index, trial,
+                                drawn.pop().result() if drawn else None)
+            if pool is not None and i + 1 < len(cells):
                 # the reduction has freed this cell's n-space A
                 m_next, trial_next = cells[i + 1]
-                drawer.post(_meas_seed(cfg, m_next, trial_next), cfg.m_grid[m_next], prior.n)
+                m = cfg.m_grid[m_next]
+                drawn.append(pool.submit(draw_gaussians, _meas_seed(cfg, m_next, trial_next), m,
+                                         prior.n, (np.empty((m, prior.n)), np.empty(m))))
             traces = run_restarts(cfg, prior, cell, m_index, trial)
             cell = None   # a relu-mlp cell's A, before the next cell draws its own
             for algo, algo_traces in traces.items():
@@ -458,8 +419,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                 rows.append({"m": cfg.m_grid[m_index], "algorithm": algo, "trial": trial,
                              "restart": best, "final_error": algo_traces[best].final_error})
     finally:
-        if drawer is not None:
-            drawer.close()
+        if pool is not None:
+            pool.shutdown()
     aggregates = []
     for m in cfg.m_grid:
         for algo in cfg.algorithms:
@@ -530,9 +491,12 @@ def read_sweep_csv(path):
             if line in blocks:
                 header = line
             elif line:
-                kinds, cells = _SWEEP_BLOCKS.get(header, ()), line.split(",")
                 try:   # strict: a cell too many or too few is a ValueError too
-                    values = [kind(cell) for kind, cell in zip(kinds, cells, strict=True)]
+                    if header is None:
+                        raise ValueError("no block header before it; a sweep CSV starts with "
+                                         f"the line {next(iter(_SWEEP_BLOCKS))}")
+                    values = [kind(cell) for kind, cell in
+                              zip(_SWEEP_BLOCKS[header], line.split(","), strict=True)]
                     row = dict(zip(header.split(","), values))
                     raise_problems(_ROW_RULES[header](row))
                 except ValueError as exc:   # a ConfigurationError too

@@ -837,6 +837,18 @@ def test_sweep_csv_with_headers_only_exit_code(tmp_path, capsys):
     assert "no sweep data found" in err
 
 
+def test_sweep_csv_line_before_any_header_exit_code(tmp_path, capsys):
+    # a trajectory CSV given as a sweep CSV: its first line is in no block,
+    # which used to be reported as a zip() length mismatch
+    traj = tmp_path / "traj.csv"
+    write_trajectory_csv([{"t": 0, "error": 1.0, "correlation": 0.5}], traj)
+    code, err = _plot_exit_code(tmp_path, capsys, traj.read_text())
+    assert code == 2
+    assert "malformed sweep CSV line" in err and repr("t,error,correlation") in err
+    assert "no block header" in err and "m,algorithm,trial,restart,final_error" in err
+    assert "zip()" not in err
+
+
 def test_sweep_csv_that_is_not_text_exit_code(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     csv.write_bytes(b"\xff\xfe\x00garbage\n")

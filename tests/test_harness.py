@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -357,20 +358,25 @@ def test_subspace_cell_in_k_plus_1_coordinates_matches_n_space(monkeypatch, k, n
     assert columns == [k + 1] * (len(m_grid) * cfg.restarts * len(ALGORITHMS))
 
 
-@pytest.mark.parametrize("kind", ["linear-subspace", "relu-mlp"])
-def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeypatch, kind):
+@pytest.mark.parametrize("kind, interval", [
+    ("linear-subspace", None), ("relu-mlp", None),
+    ("linear-subspace", 1e-6), ("relu-mlp", 1e-6)],
+    ids=["linear-subspace", "relu-mlp", "linear-subspace-switch-1us", "relu-mlp-switch-1us"])
+def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeypatch, kind,
+                                                                         interval):
     # a linear-subspace cell's solves read its reduction alone, so its
     # n-space A is freed before its one V is built, on the reduced data, and
     # no n-space V exists; a relu-mlp cell's solves get the cell's own A and
     # its V, built on the n-space data.  In a three-cell sweep one n-space A
-    # exists at a time: a linear-subspace sweep posts each next cell's draw
+    # exists at a time: a linear-subspace sweep submits each next cell's draw
     # to its worker once the cell's reduction has freed the cell's A, before
-    # the cell's solves, and the worker keeps no drawn buffer; a relu-mlp
-    # cell draws its own once the last cell's solves are done and its A is
-    # freed
+    # the cell's solves, and neither the worker nor the future keeps a drawn
+    # buffer, also with the interpreter switching threads every microsecond;
+    # a relu-mlp cell draws its own once the last cell's solves are done and
+    # its A is freed
     from genphase import harness
     sample, build, solve, post = (harness.sample_measurements, harness.build_spectral_matrix,
-                                  harness.run_algorithm, harness._Drawer.post)
+                                  harness.run_algorithm, ThreadPoolExecutor.submit)
     refs, seen, builds, draws, sampled = {"a": lambda: None}, [], [], [], []
 
     def sampling(*args, **kwargs):
@@ -397,12 +403,17 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
     monkeypatch.setattr(harness, "sample_measurements", sampling)
     monkeypatch.setattr(harness, "build_spectral_matrix", building)
     monkeypatch.setattr(harness, "run_algorithm", solving)
-    monkeypatch.setattr(harness._Drawer, "post", posting)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", posting)
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     cfg = _tiny_cfg(prior_kind=kind, hidden=(8,) if kind == "relu-mlp" else (),
                     m_grid=(60, 90, 120), trials=1,
                     algorithms=("mprg", "appgd"), projection=ProjectionConfig(steps=5))
-    run_experiment(cfg)
+    default = sys.getswitchinterval()
+    sys.setswitchinterval(interval or default)
+    try:
+        run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(default)
     freed = kind == "linear-subspace"
     assert builds == ([(cfg.k + 1, True)] if freed else [(cfg.n, False)]) * 3
     assert seen == [(freed, False, not freed, True)] * 12

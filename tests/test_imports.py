@@ -1,6 +1,7 @@
 """Every name a genphase module, test or demo imports at the top level is
 used in it, every top-level function, class and constant of a genphase
-module is used somewhere, and importing the package loads no scipy module."""
+module is used somewhere, and importing the package loads no scipy or
+concurrent module."""
 
 import ast
 import os
@@ -68,9 +69,10 @@ def test_no_dead_definition():
 
 def test_package_imports_no_scipy():
     # a fresh interpreter, since this one may have loaded scipy for a test;
-    # scipy.stats alone costs most of a second at every import
+    # scipy.stats alone costs most of a second at every import, and
+    # concurrent.futures, which only a sweep that draws ahead uses, about 10 ms
     code = ("import sys, genphase, genphase.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
