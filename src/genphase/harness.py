@@ -27,19 +27,24 @@ worker makes no BLAS call and calls nothing else of the package,
 sample_measurements still runs once per cell, in order, in the calling
 thread, and the draw's bits are the seed's, so every output is the same as
 a cell-by-cell solve_cell loop's.  A Future keeps its result, so the pair
-gets one owner by two rules: the cell pops its future before it reads the
-pair, and prepare_cell drops the pair once the cell's measurements hold
-it; then at most one n-space A exists at a time.  A draw's exception is
-raised at its own cell, and the executor is shut down, its worker joined,
-before the sweep returns or raises.  The executor is imported only there,
-since the import costs 4-9 ms.  A sweep of one cell, a relu-mlp sweep
-(whose solves read the n-space A up to their end) and a process that may
-run on one CPU only (_cpu_count) start no thread: the draw would overlap
-nothing, or share the one CPU with the solves; under `taskset -c 0` at one
-BLAS thread a worker made perfbench's subspace-sweep units 1-5 (seed 1)
-about 1% slower than drawing inline on a 2-vCPU Xeon (median ratio of
-paired unit times 1.000-1.017 in six processes, slower in 138 of 240
-pairs).
+gets one owner by one rule: prepare_cell pops the cell's future from the
+list run_experiment keeps and reads the pair inside its sample_measurements
+call, so no frame keeps the pair past that call on any Python (3.10 keeps a
+call's arguments on the caller's stack until it returns), and the cell's
+measurements hold its A alone.  The executor's work item still holds the
+buffers and the future until its worker returns from the draw, which is
+shortly after result() returns, not before; in practice that is long
+before the cell's reduction frees its A, so at most one n-space A exists
+at a time.  A draw's exception is raised at its own cell, and the executor
+is shut down, its worker joined, before the sweep returns or raises.  The
+executor is imported only there, since the import costs 4-9 ms.  A sweep
+of one cell, a relu-mlp sweep (whose solves read the n-space A up to their
+end) and a process that may run on one CPU only (_cpu_count) start no
+thread: the draw would overlap nothing, or share the one CPU with the
+solves; under `taskset -c 0` at one BLAS thread a worker made perfbench's
+subspace-sweep units 1-5 (seed 1) about 1% slower than drawing inline on a
+2-vCPU Xeon (median ratio of paired unit times 1.000-1.017 in six
+processes, slower in 138 of 240 pairs).
 """
 
 from __future__ import annotations
@@ -323,18 +328,19 @@ class PreparedCell:
 
 
 def prepare_cell(cfg: ExperimentConfig, prior: GenerativePrior, m_index: int, trial: int,
-                 gaussians: tuple | None = None) -> PreparedCell:
-    """Draw a cell's signal and measurements (from `gaussians`, when given,
-    the pair links.draw_gaussians drew for the cell), take w0 once from the
+                 drawn: list | None = None) -> PreparedCell:
+    """Draw a cell's signal and measurements (from the pair that the last
+    future in `drawn`, when given, drew for the cell), take w0 once from the
     data and build its one spectral matrix, V with the stack [G; M] its
     refinement and APPGD steps read.  A linear-subspace cell is reduced to
     k+1 coordinates (spectral.reduce_to_subspace) and its n-space A freed
     before the build, which is on the reduced data; a relu-mlp cell keeps
     its n-space data, which APPGD's A x reads, and builds on it."""
     x = draw_signal(prior, cfg.master_seed, m_index, trial)
+    # the pair is only an argument of this call, so data alone holds the A
     data = sample_measurements(_link(cfg), x, cfg.m_grid[m_index],
-                               _meas_seed(cfg, m_index, trial), gaussians=gaussians)
-    gaussians = None   # data holds the cell's A from here on, so the reduction can free it
+                               _meas_seed(cfg, m_index, trial),
+                               gaussians=drawn.pop().result() if drawn else None)
     w0 = initial_vector(shifted_matrix(data))
     solve_prior, basis = prior, None
     if prior.kind == "linear-subspace":
@@ -402,10 +408,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         pool = ThreadPoolExecutor(1, "genphase-draw")
     try:
         for i, (m_index, trial) in enumerate(cells):
-            # the first cell draws its own Gaussians, the worker every later
-            # one's; the cell pops its future, which would otherwise keep the pair
-            cell = prepare_cell(cfg, prior, m_index, trial,
-                                drawn.pop().result() if drawn else None)
+            # the first cell draws its own Gaussians, the worker every later one's
+            cell = prepare_cell(cfg, prior, m_index, trial, drawn)
             if pool is not None and i + 1 < len(cells):
                 # the reduction has freed this cell's n-space A
                 m_next, trial_next = cells[i + 1]

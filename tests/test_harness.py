@@ -370,9 +370,11 @@ def test_a_cell_holds_its_n_space_a_and_v_only_for_solves_that_read_them(monkeyp
     # its V, built on the n-space data.  In a three-cell sweep one n-space A
     # exists at a time: a linear-subspace sweep submits each next cell's draw
     # to its worker once the cell's reduction has freed the cell's A, before
-    # the cell's solves, and neither the worker nor the future keeps a drawn
-    # buffer, also with the interpreter switching threads every microsecond;
-    # a relu-mlp cell draws its own once the last cell's solves are done and
+    # the cell's solves, and prepare_cell alone takes the drawn pair from its
+    # future; the worker's own hold on the pair ends shortly after the pair
+    # is handed over, which this test observes in practice before the build,
+    # also with the interpreter switching threads every microsecond; a
+    # relu-mlp cell draws its own once the last cell's solves are done and
     # its A is freed
     from genphase import harness
     sample, build, solve, post = (harness.sample_measurements, harness.build_spectral_matrix,
