@@ -105,12 +105,16 @@ def appgd_step(data: MeasurementSet, state, prior: GenerativePrior, tau: float,
     with a phase term (_PhaseTerm), which run_algorithm makes once per run;
     given no phase, the step makes one from a spectral matrix built on
     data.  tau is checked (tau_problems), and a tau other than the given
-    phase's is a ConfigurationError."""
-    raise_problems(tau_problems(tau))
+    phase's is a ConfigurationError.  The phase's own tau object, which its
+    construction checked, is not checked again: a run's steps pass it, and
+    an equal value of another type (True for 1.0) is still refused."""
     if phase is None:
+        raise_problems(tau_problems(tau))
         phase = _PhaseTerm(build_spectral_matrix(data), tau)
-    elif tau != phase.tau:
-        raise_problems([f"tau: the phase term was made for tau={phase.tau!r}, got {tau!r}"])
+    elif tau is not phase.tau:
+        raise_problems(tau_problems(tau))
+        if tau != phase.tau:
+            raise_problems([f"tau: the phase term was made for tau={phase.tau!r}, got {tau!r}"])
     x_til = phase.pre_projection(data.sensing, data.observations,
                                  np.asarray(state, dtype=float))
     return project(prior, x_til, proj_cfg, seed=seed).point

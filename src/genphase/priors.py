@@ -5,6 +5,17 @@ Two prior families are provided: a linear subspace with an orthonormal basis
 weights and no bias terms.  Each prior records a Lipschitz proxy, the L in
 the recovery rate sqrt(k log L log m / m).
 
+The exact projector (project_exact) makes four products a call, v.v,
+W^T v, W c and p.p, and leaves the distance |point - v| to its result,
+which computes it, with the same bits, the first time objective is read
+(ProjectionResult).  No solver reads it; forming d = point - v and d.d in
+the call cost about 0.7 to 1.0 us of a 4.2 to 4.9 us call at k+1 = 6 (one
+BLAS thread, a shared 2-vCPU host).  A v.v that is not finite, formed anyway
+by the target's finiteness check, is refused at the call with the squared
+distance's message, after the W W^T v check; only a target whose v.v is
+finite, within a few ulps of the largest double, and whose d.d rounds to
+inf passes the call and raises when objective is read.
+
 The iterative projector minimizes ||G(z) - v||^2 over the latent ball by
 adaptive-moment gradient descent with restarts, using the exact gradient
 through the layers and the output normalization.  Restart 0 starts from a
@@ -400,12 +411,38 @@ class ProjectionConfig:
         raise_problems(problems)
 
 
-@dataclass
+_DISTANCE_OVERFLOWS = "projection overflows: the squared distance to v is not finite"
+
+
 class ProjectionResult:
-    point: np.ndarray
-    latent: np.ndarray
-    objective: float
-    restart_index: int
+    """A projection's point G(z), its latent z, the distance objective =
+    |G(z) - v| to the target v, and the restart that found it (0 for the
+    exact projector).  An iterative result holds the objective it scored.
+    An exact result holds its target instead, not copied, and computes
+    sqrt(d.d), d = point - v, the first time objective is read; a d.d that
+    is not finite raises the NumericalError "projection overflows: the
+    squared distance to v is not finite" then.  No solver reads the
+    objective, so a solve's exact projections never form d."""
+
+    __slots__ = ("point", "latent", "restart_index", "_objective", "_target")
+
+    def __init__(self, point, latent, objective, restart_index, target=None):
+        self.point, self.latent, self.restart_index = point, latent, restart_index
+        self._objective, self._target = objective, target
+
+    @property
+    def objective(self) -> float:
+        if self._objective is None:
+            d = self.point - self._target
+            dd = d.dot(d)
+            if not math.isfinite(dd):
+                raise NumericalError(_DISTANCE_OVERFLOWS)
+            self._objective, self._target = math.sqrt(dd), None
+        return self._objective
+
+    def __repr__(self):
+        return (f"ProjectionResult(point={self.point!r}, latent={self.latent!r}, "
+                f"objective={self.objective!r}, restart_index={self.restart_index!r})")
 
 
 def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
@@ -416,7 +453,15 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     squared distance to v overflows, a NumericalError.  A v that is not a
     vector of length n is a ConfigurationError (target_problems).  The clip
     is skipped when v.v <= r^2/4: W is orthonormal, so |W^T v| <= |v| <= r/2
-    and clip_to_ball would return W^T v itself."""
+    and clip_to_ball would return W^T v itself.
+
+    The call forms no point - v: the result computes its objective when
+    it is read (module docstring).  The distance's overflow is checked
+    through v.v instead: d.d = v.v - 2 point.v + 1 with |point.v| <= |v|,
+    below an ulp of v.v wherever v.v nears the largest double, so the two
+    sums differ only in rounding, and only a v.v within a few ulps of the
+    largest double can pass here and raise when objective is read (or be
+    refused here where d.d would be finite)."""
     if prior.kind != "linear-subspace":
         raise ConfigurationError("project_exact requires a linear-subspace prior")
     v, vv = _finite_target(v, prior.n)
@@ -426,6 +471,8 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
     pp = p.dot(p)
     if not math.isfinite(pp):
         raise NumericalError("projection overflows: the squared norm of W W^T v is not finite")
+    if not math.isfinite(vv):
+        raise NumericalError(_DISTANCE_OVERFLOWS)
     np_ = math.sqrt(pp)
     if np_ == 0:
         point = w[:, 0].copy()
@@ -435,11 +482,7 @@ def project_exact(prior: GenerativePrior, v) -> ProjectionResult:
         point = p / np_
         r = prior.r
         latent = c if 4.0 * vv <= r * r else clip_to_ball(c, r)
-    d = point - v
-    dd = d.dot(d)
-    if not math.isfinite(dd):
-        raise NumericalError("projection overflows: the squared distance to v is not finite")
-    return ProjectionResult(point, latent, math.sqrt(dd), 0)
+    return ProjectionResult(point, latent, None, 0, v)
 
 
 def project_iterative(prior: GenerativePrior, v, cfg: ProjectionConfig,

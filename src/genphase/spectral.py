@@ -41,7 +41,7 @@ shapes: a GEMV as small as 700 x 700 did, and A x at (1500, 800).
 - links.sample_measurements: A x.
 - shifted_matrix and initial_vector: y.(A o A) per row block and
   (y o A[:, j])^T A.
-- reduce_to_subspace: B^ = A W^.
+- reduce_to_subspace: B^ = A W^, formed as (W^T A^T)^T.
 - build_spectral_matrix: A^T A and every tile GEMM of S and M.
 - baselines.run_algorithm, for the whole solve: the power step V w, the
   refinement step's [G; M] x, APPGD's A x, (I - tau G) x and phase-term
@@ -63,9 +63,12 @@ and M_k.  Every projection lands in range(W), so the power and refinement
 iterates are x = W z, and the first power step multiplies the start w0
 itself, which need not lie in range(W).  With u the unit residual of w0 off
 range(W), the basis W^ = [W | u] spans every iterate and start.  One
-O(mnk) GEMM gives B^ = A W^ (m x (k+1)), and the exact projector in these
-coordinates is the one of the basis eye(k+1, k).  The reduced data holds B^
-column-major: its one reader per step is APPGD's B^ x
+O(mnk) GEMM gives B^ = A W^ (m x (k+1)), formed as (W^T A^T)^T: at one
+thread it had the bits of A @ W^ at every (m, n, k+1) tried, from
+(37, 12, 4) to (16000, 2000, 11), where it took 41 ms against 67 ms.  The
+exact projector in these coordinates is the one of the basis
+eye(k+1, k).  The reduced data holds B^ column-major, as the transposed
+product gives it: its one reader per step is APPGD's B^ x
 (baselines.appgd_step, which keeps its phase term across steps), a GEMV
 that ran 1.4 to 2.3 times as fast in that layout at (m, k+1) from (250, 6)
 to (16000, 11).  The build reads A row-major, copying a column-major A
@@ -220,11 +223,12 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
     (orthogonalized twice), or of W alone when that residual is no larger
     than its rounding error, n * eps * |w0|.  Every start in span(W^) enters
     as W^T start, and an iterate z maps back as W^ z.  The reduced sensing
-    matrix B^ = A W^ is one product with OpenBLAS pinned to one thread; no
-    spectral matrix is built here (the caller builds one, with G_k and M_k,
-    on the reduced data).  The reduced data holds B^ column-major
-    (np.asfortranarray of the product, the same floats), for APPGD's B^ x
-    (module docstring)."""
+    matrix B^ = A W^ is one product with OpenBLAS pinned to one thread,
+    formed as (W^T A^T)^T, with the bits of A @ W^; no spectral matrix is
+    built here (the caller builds one, with G_k and M_k, on the reduced
+    data).  The reduced data holds B^ column-major, for APPGD's B^ x
+    (module docstring), which the transposed product already is, so
+    np.asfortranarray copies nothing."""
     w = prior.layers[0]
     w0 = np.asarray(w0, dtype=float)
     resid = w0 - w @ (w0 @ w)
@@ -234,7 +238,7 @@ def reduce_to_subspace(data: MeasurementSet, prior: GenerativePrior, w0) -> Subs
         w = np.column_stack((w, resid / size))
     dim = w.shape[1]
     with _one_blas_thread():
-        sensing = data.sensing @ w
+        sensing = (w.T @ data.sensing.T).T
     reduced = MeasurementSet(n=dim, m=data.m, signal=data.signal @ w,
                              sensing=np.asfortranarray(sensing),
                              observations=data.observations, seed=data.seed, link=data.link)

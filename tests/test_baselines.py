@@ -104,6 +104,17 @@ def test_a_phase_term_is_made_for_one_valid_tau():
             appgd_step(data, x, prior, bad, phase=phase)
 
 
+@pytest.mark.parametrize("t2", [1, 6])
+def test_an_appgd_run_checks_tau_once_per_phase(t2, monkeypatch):
+    # run_algorithm's argument check and the run's _PhaseTerm check tau;
+    # each of the t2 steps passes the phase's own tau and checks nothing
+    calls, check = [], baselines.tau_problems
+    monkeypatch.setattr(baselines, "tau_problems", lambda tau: calls.append(tau) or check(tau))
+    prior, x, data = _desk_data(m=200)
+    trace = run_algorithm("appgd", data, prior, t1=2, t2=t2, tau=0.9)
+    assert calls == [0.9, 0.9] and len(trace.records) == 2 + t2 + 1
+
+
 def _desk_data(latent_seed=1, m=1000, seed=30, link=None):
     prior = linear_subspace_prior(5, 100, seed=2)
     x = _range_signal(prior, latent_seed=latent_seed)

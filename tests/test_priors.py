@@ -200,6 +200,61 @@ def test_project_exact_rejects_non_finite_target(bad, reduced, projector):
         projector(prior, v)
 
 
+class _KeepSubclasses:
+    """numpy with an asarray that keeps an ndarray subclass, so a recorded
+    target stays recorded through _finite_target."""
+    asarray = staticmethod(np.asanyarray)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["basis", "reduced"])
+def test_project_exact_forms_the_distance_only_when_it_is_read(reduced, monkeypatch):
+    # the call makes four products, v.v, W^T v, W c and p.p, and forms no
+    # point - v; the first read of objective forms d = point - v and d.d,
+    # with the bits of the clipped-latent reference, and a second read
+    # forms nothing
+    log = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            log.append(ufunc.__name__)
+            out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+            return out.view(Recording) if isinstance(out, np.ndarray) else out
+
+        def dot(self, other, out=None):
+            log.append((np.shape(self), np.shape(other)))
+            out = np.asarray(self).dot(np.asarray(other), out)
+            return out.view(Recording) if isinstance(out, np.ndarray) else out
+
+    prior = _reduced_prior(5) if reduced else linear_subspace_prior(5, 30, seed=4)
+    n, k = prior.n, prior.k
+    v = np.random.default_rng(6).standard_normal(n)
+    v /= np.linalg.norm(v)   # 4 v.v <= r^2: no clip, whose norm would be a fifth product
+    point, latent, objective = _project_exact_with_clip(prior, v)
+    prior.layers[0] = prior.layers[0].view(Recording)
+    monkeypatch.setattr(priors, "np", _KeepSubclasses())
+    res = project_exact(prior, v.view(Recording))
+    assert log == [((n,), (n,)), ((n,), (n, k)), ((n, k), (k,)), ((n,), (n,)), "divide"]
+    assert np.array_equal(res.point, point) and np.array_equal(res.latent, latent)
+    del log[:]
+    assert res.objective == objective
+    assert log == ["subtract", ((n,), (n,))]
+    assert res.objective == objective and len(log) == 2
+
+
+def test_an_exact_result_refuses_an_overflowing_distance_when_read():
+    # a result whose d.d overflows, which from project_exact takes a v.v
+    # within a few ulps of the largest double, raises the call's overflow
+    # error when objective is read
+    res = priors.ProjectionResult(np.array([1.0, 0.0]), np.zeros(1), None, 0,
+                                  np.array([-1e308, 0.0]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="squared distance to v is not finite"):
+            res.objective
+
+
 def test_project_exact_requires_a_subspace_prior():
     with pytest.raises(ConfigurationError, match="linear-subspace"):
         project_exact(relu_mlp_prior(3, [8], 12, seed=1), np.ones(12))

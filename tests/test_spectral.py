@@ -475,6 +475,22 @@ def test_reduction_ignores_the_blas_thread_count():
     assert outs[0] and outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("k, n, m", [(3, 12, 37), (5, 100, 250), (5, 100, 4000),
+                                     (8, 800, 5000)])
+def test_reduction_has_the_bits_of_a_w_hat_column_major(k, n, m):
+    # B^ is formed as (W^T A^T)^T: at one thread the bits of A @ W^, and
+    # already column-major, a view of the C-ordered product that
+    # np.asfortranarray returns without a copy
+    prior, data, w0 = _subspace_problem(k, n, m)
+    red = spectral.reduce_to_subspace(data, prior, w0)
+    with priors._one_blas_thread():
+        want = data.sensing @ red.basis
+    got = red.data.sensing
+    assert got.shape == (m, k + 1) and np.array_equal(got, want)
+    assert got.flags.f_contiguous and got.base.shape == (k + 1, m) and \
+        got.base.flags.c_contiguous
+
+
 def test_reduction_multiplies_at_one_blas_thread(monkeypatch):
     # every product with A runs with OpenBLAS pinned to one thread, and the
     # count is restored once the reduction returns
